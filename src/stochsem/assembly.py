@@ -15,19 +15,27 @@ constant coefficient and homogeneous Dirichlet data equals the usual
 (c * grad phi_j, phi_i) pairing by integration by parts and makes the
 operator antisymmetric.
 
+Evaluation and loads do not go element by element: the mesh is a tensor
+product with global dof gx * n1d_y + gy, so Quadrature2D tabulates the global
+1D basis at the quadrature abscissae of all elements along each axis, and
+field values and load vectors on the whole quadrature grid are two matrix
+products each (sum factorization).  `assemble` keeps the element path, where
+the operator sparsity lives.
+
 Element processing order is fixed, so assembly is deterministic; all outputs
 are immutable once built and safe to share across threads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import Basis1D
-from .mesh import Mesh2D, element_basis_table, locate
+from .mesh import Mesh2D, element_basis_table
 
 OPERATOR_KINDS = ("mass", "diffusion", "advection", "reaction")
 
@@ -80,11 +88,22 @@ class StateVector:
 
 
 class Quadrature2D:
-    """Per-(mesh, basis) evaluation tables shared by the assembly routines.
+    """Quadrature tables of one (mesh, basis) and the tensor-product kernel
+    that evaluates fields and loads on them.
 
-    V, D hold the N+1 local 1D functions (values / reference derivatives) at
-    the quadrature nodes; xq[ex], yq[ey] are the mapped nodes per element
-    column/row; W2 is the tensor weight grid.
+    Element tables (used by `assemble`): V, D hold the N+1 local 1D functions
+    (values / reference derivatives) at the quadrature nodes; xq[ex], yq[ey]
+    are the mapped nodes per element column/row; W2 is the reference tensor
+    weight grid and jac the element Jacobian.
+
+    Global grid (used by everything else): x, y are the quadrature abscissae
+    of all element columns / rows, element by element (x = xq.ravel()).
+    `tables` holds (Bx, dBx, By, dBy): the global 1D basis at them, shape
+    (n1d, ne * n_quad), and its physical derivatives; W = wx (x) wy is the
+    weight grid with the Jacobian folded in.  With C the coefficient vector
+    reshaped to (n1d_x, n1d_y), values are Bx^T C By and loads
+    Bx (F * W) By^T: sum factorization over the whole tensor mesh, with no
+    per-element gather or scatter.
     """
 
     def __init__(self, mesh: Mesh2D, basis: Basis1D):
@@ -95,22 +114,72 @@ class Quadrature2D:
         self.V, self.D = element_basis_table(basis, basis.quad_nodes)
         self.W2 = np.outer(basis.quad_weights, basis.quad_weights)
         half = (basis.quad_nodes + 1.0) / 2.0
-        self.xq = np.array([mesh.ax.edges[e] + half * mesh.ax.h for e in range(mesh.nex)])
-        self.yq = np.array([mesh.ay.edges[e] + half * mesh.ay.h for e in range(mesh.ney)])
+        self.xq = mesh.ax.edges[:-1, None] + half * mesh.ax.h
+        self.yq = mesh.ay.edges[:-1, None] + half * mesh.ay.h
         self.jac = (mesh.ax.h / 2.0) * (mesh.ay.h / 2.0)
         self.nloc = basis.order + 1
+
+        self.x, self.y = self.xq.ravel(), self.yq.ravel()
+        self.wx = np.tile(basis.quad_weights, mesh.nex) * (mesh.ax.h / 2.0)
+        self.wy = np.tile(basis.quad_weights, mesh.ney) * (mesh.ay.h / 2.0)
+        self.W = np.outer(self.wx, self.wy)
+
+    @cached_property
+    def tables(self):
+        """(Bx, dBx, By, dBy), built on first use: `assemble` needs only the
+        element tables."""
+        return (*_axis_eval_matrix(self.mesh.ax, self.basis, self.x),
+                *_axis_eval_matrix(self.mesh.ay, self.basis, self.y))
 
     def element_grid(self, e: int):
         """Mapped quadrature grid (X, Y meshgrid arrays) of element e."""
         ey, ex = divmod(e, self.mesh.nex)
         return self.xq[ex][:, None], self.yq[ey][None, :]
 
-    def gather(self, coeffs: np.ndarray) -> np.ndarray:
-        """Local coefficient tensors (n_elements, N+1, N+1); constrained
-        local functions get coefficient zero."""
-        dm = self.mesh.dof_map
-        local = np.where(dm >= 0, coeffs[np.clip(dm, 0, None)], 0.0)
-        return local.reshape(self.mesh.n_elements, self.nloc, self.nloc)
+    @property
+    def grid(self):
+        """Global quadrature grid as broadcastable (X, Y) of shapes (nx, 1), (1, ny)."""
+        return self.x[:, None], self.y[None, :]
+
+    def values(self, coeffs: np.ndarray, dx: int = 0, dy: int = 0) -> np.ndarray:
+        """Field values (or the x / y partial derivative for dx / dy = 1) on
+        the global grid, shape (nx, ny)."""
+        Bx, dBx, By, dBy = self.tables
+        C = np.asarray(coeffs).reshape(len(Bx), len(By))
+        return (dBx if dx else Bx).T @ C @ (dBy if dy else By)
+
+    def load(self, F: np.ndarray) -> np.ndarray:
+        """Load vector int F phi_i dOmega from samples F on the global grid."""
+        Bx, _, By, _ = self.tables
+        return (Bx @ (F * self.W) @ By.T).ravel()
+
+    def sample(self, field, t: float | None = None) -> np.ndarray:
+        """Samples of field (x, y), or (x, y, t) when t is given, on the
+        global grid; a non-finite sample raises ValueError naming its
+        quadrature point and element."""
+        X, Y = self.grid
+        F = field(X, Y) if t is None else field(X, Y, t)
+        F = np.broadcast_to(np.asarray(F, dtype=float), (len(self.x), len(self.y)))
+        if not np.all(np.isfinite(F)):
+            i, j = np.unravel_index(int(np.argmin(np.isfinite(F))), F.shape)
+            nq = self.basis.n_quad
+            raise ValueError(
+                f"non-finite field sample at quadrature point "
+                f"({self.x[i]}, {self.y[j]}) in element "
+                f"{self.mesh.element_index(i // nq, j // nq)}")
+        return F
+
+    def to_elements(self, G: np.ndarray) -> np.ndarray:
+        """Global-grid array (nx, ny) in per-element layout (n_el, nq, nq)."""
+        m, nq = self.mesh, self.basis.n_quad
+        return (G.reshape(m.nex, nq, m.ney, nq).transpose(2, 0, 1, 3)
+                .reshape(m.n_elements, nq, nq))
+
+    def from_elements(self, values: np.ndarray) -> np.ndarray:
+        """Per-element layout (n_el, nq, nq) back to the global grid (nx, ny)."""
+        m, nq = self.mesh, self.basis.n_quad
+        return (values.reshape(m.ney, m.nex, nq, nq).transpose(1, 2, 0, 3)
+                .reshape(m.nex * nq, m.ney * nq))
 
 
 def _coefficient_values(quad: Quadrature2D, coefficient_field, e: int) -> np.ndarray:
@@ -167,28 +236,13 @@ def assemble(mesh: Mesh2D, basis: Basis1D, coefficient_field, kind: str) -> Glob
 
 
 def load_vector(mesh: Mesh2D, basis: Basis1D, field, t: float | None = None) -> np.ndarray:
-    """Load vector int field * phi_i dOmega by element quadrature.
+    """Load vector int field * phi_i dOmega by tensor quadrature.
 
-    field is (x, y) -> array, or (x, y, t) -> array when t is given.
+    field is (x, y) -> array, or (x, y, t) -> array when t is given; it is
+    sampled once on the whole quadrature grid.
     """
     quad = Quadrature2D(mesh, basis)
-    out = np.zeros(mesh.n_global)
-    for e in range(mesh.n_elements):
-        X, Y = quad.element_grid(e)
-        F = field(X, Y) if t is None else field(X, Y, t)
-        F = np.broadcast_to(np.asarray(F, dtype=float),
-                            (basis.n_quad, basis.n_quad))
-        if not np.all(np.isfinite(F)):
-            qx, qy = np.unravel_index(int(np.argmin(np.isfinite(F))), F.shape)
-            raise ValueError(
-                f"non-finite field sample at quadrature point "
-                f"({X[qx, 0]}, {Y[0, qy]}) in element {e}")
-        loc = np.einsum("qr,mq,nr->mn", F * quad.W2 * quad.jac, quad.V, quad.V,
-                        optimize=True).ravel()
-        g = mesh.dof_map[e]
-        keep = g >= 0
-        np.add.at(out, g[keep], loc[keep])
-    return out
+    return quad.load(quad.sample(field, t))
 
 
 def load_from_values(quad: Quadrature2D, values: np.ndarray) -> np.ndarray:
@@ -197,36 +251,32 @@ def load_from_values(quad: Quadrature2D, values: np.ndarray) -> np.ndarray:
     values has shape (n_elements, n_quad, n_quad); used for the nonlinear
     term, whose arguments already live at the quadrature points.
     """
-    loc = np.einsum("eqr,qr,mq,nr->emn", values, quad.W2 * quad.jac,
-                    quad.V, quad.V, optimize=True)
-    out = np.zeros(quad.mesh.n_global)
-    dm = quad.mesh.dof_map
-    keep = dm >= 0
-    np.add.at(out, dm[keep], loc.reshape(quad.mesh.n_elements, -1)[keep])
-    return out
+    return quad.load(quad.from_elements(values))
 
 
 def values_at_quad(quad: Quadrature2D, coeffs: np.ndarray) -> np.ndarray:
     """Field values at every element quadrature grid, shape (n_el, nq, nq)."""
-    local = quad.gather(coeffs)
-    return np.einsum("emn,mq,nr->eqr", local, quad.V, quad.V, optimize=True)
+    return quad.to_elements(quad.values(coeffs))
 
 
-def _axis_eval_matrix(axis, basis: Basis1D, pts, deriv: bool = False) -> np.ndarray:
-    """Evaluation matrix of all 1D global basis functions at the points.
+def _axis_eval_matrix(axis, basis: Basis1D, pts):
+    """Tables of all 1D global basis functions at the points.
 
-    With deriv=True rows hold physical-space derivatives (chain factor 2/h).
+    Returns (B, dB), each of shape (axis.n_dofs, len(pts)): values and
+    physical-space derivatives (chain factor 2/h).  Points on element
+    interfaces resolve to the lower-indexed element.
     """
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
-    E = np.zeros((pts.size, axis.n_dofs))
-    scale = 2.0 / axis.h
-    for i, x in enumerate(pts):
-        e, X = axis.locate(float(x))
-        V, D = element_basis_table(basis, np.array([X]))
-        g = axis.local_to_global[e]
-        keep = g >= 0
-        E[i, g[keep]] = (D[keep, 0] * scale) if deriv else V[keep, 0]
-    return E
+    e, ref = axis.locate_points(pts)
+    V, D = element_basis_table(basis, ref)
+    g = axis.local_to_global[e]                  # (npts, N+1)
+    keep = g >= 0
+    col = np.broadcast_to(np.arange(pts.size)[:, None], g.shape)[keep]
+    B = np.zeros((axis.n_dofs, pts.size))
+    dB = np.zeros_like(B)
+    B[g[keep], col] = V.T[keep]
+    dB[g[keep], col] = D.T[keep] * (2.0 / axis.h)
+    return B, dB
 
 
 def evaluate_grid(mesh: Mesh2D, basis: Basis1D, coeffs: np.ndarray, xs, ys,
@@ -237,10 +287,10 @@ def evaluate_grid(mesh: Mesh2D, basis: Basis1D, coeffs: np.ndarray, xs, ys,
     """
     if len(coeffs) != mesh.n_global:
         raise ValueError(f"coefficient vector length {len(coeffs)} != {mesh.n_global}")
-    Ex = _axis_eval_matrix(mesh.ax, basis, xs, deriv=bool(dx))
-    Ey = _axis_eval_matrix(mesh.ay, basis, ys, deriv=bool(dy))
+    Bx, dBx = _axis_eval_matrix(mesh.ax, basis, xs)
+    By, dBy = _axis_eval_matrix(mesh.ay, basis, ys)
     C = np.asarray(coeffs).reshape(mesh.ax.n_dofs, mesh.ay.n_dofs)
-    return Ex @ C @ Ey.T
+    return (dBx if dx else Bx).T @ C @ (dBy if dy else By)
 
 
 def grad_values_at_quad(quad: Quadrature2D, coeffs: np.ndarray):
@@ -248,12 +298,8 @@ def grad_values_at_quad(quad: Quadrature2D, coeffs: np.ndarray):
 
     Returns (gx, gy), each of shape (n_elements, n_quad, n_quad).
     """
-    local = quad.gather(coeffs)
-    sx = 2.0 / quad.mesh.ax.h
-    sy = 2.0 / quad.mesh.ay.h
-    gx = sx * np.einsum("emn,mq,nr->eqr", local, quad.D, quad.V, optimize=True)
-    gy = sy * np.einsum("emn,mq,nr->eqr", local, quad.V, quad.D, optimize=True)
-    return gx, gy
+    return (quad.to_elements(quad.values(coeffs, dx=1)),
+            quad.to_elements(quad.values(coeffs, dy=1)))
 
 
 def evaluate(mesh: Mesh2D, basis: Basis1D, coeffs: np.ndarray, points) -> np.ndarray:
@@ -265,19 +311,10 @@ def evaluate(mesh: Mesh2D, basis: Basis1D, coeffs: np.ndarray, points) -> np.nda
     if len(coeffs) != mesh.n_global:
         raise ValueError(f"coefficient vector length {len(coeffs)} != {mesh.n_global}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    Bx, _ = _axis_eval_matrix(mesh.ax, basis, pts[:, 0])
+    By, _ = _axis_eval_matrix(mesh.ay, basis, pts[:, 1])
     C = np.asarray(coeffs).reshape(mesh.ax.n_dofs, mesh.ay.n_dofs)
-    out = np.empty(pts.shape[0])
-    for i, (x, y) in enumerate(pts):
-        e, (X, Y) = locate(mesh, x, y)
-        Vx, _ = element_basis_table(basis, np.array([X]))
-        Vy, _ = element_basis_table(basis, np.array([Y]))
-        ey, ex = divmod(e, mesh.nex)
-        gx = mesh.ax.local_to_global[ex]
-        gy = mesh.ay.local_to_global[ey]
-        kx = gx >= 0
-        ky = gy >= 0
-        out[i] = Vx[kx, 0] @ C[np.ix_(gx[kx], gy[ky])] @ Vy[ky, 0]
-    return out
+    return np.sum(Bx * (C @ By), axis=0)
 
 
 class L2Projector:
@@ -291,7 +328,7 @@ class L2Projector:
         self._factor = spla.splu(self.mass.matrix.tocsc())
 
     def project(self, field, t: float | None = None) -> np.ndarray:
-        return self._factor.solve(load_vector(self.mesh, self.basis, field, t))
+        return self._factor.solve(self.quad.load(self.quad.sample(field, t)))
 
     def project_load(self, load: np.ndarray) -> np.ndarray:
         return self._factor.solve(load)

@@ -77,12 +77,17 @@ class _Axis:
     def locate(self, x: float) -> tuple[int, float]:
         """Containing element and reference coordinate; edge points resolve
         to the lower-indexed element."""
-        if not self.lo <= x <= self.hi:
-            raise ValueError(f"coordinate {x} outside [{self.lo}, {self.hi}]")
-        e = int(np.searchsorted(self.edges, x, side="left")) - 1
-        e = min(max(e, 0), self.ne - 1)
-        ref = 2.0 * (x - self.edges[e]) / self.h - 1.0
-        return e, ref
+        e, ref = self.locate_points(np.array([x], dtype=float))
+        return int(e[0]), float(ref[0])
+
+    def locate_points(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Containing elements and reference coordinates of a 1D point array
+        (vectorized locate)."""
+        outside = ~((self.lo <= xs) & (xs <= self.hi))
+        if np.any(outside):
+            raise ValueError(f"coordinate {xs[outside][0]} outside [{self.lo}, {self.hi}]")
+        e = np.clip(np.searchsorted(self.edges, xs, side="left") - 1, 0, self.ne - 1)
+        return e, 2.0 * (xs - self.edges[e]) / self.h - 1.0
 
 
 @dataclass(frozen=True)

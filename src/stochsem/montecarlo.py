@@ -15,8 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .assembly import (StateVector, Quadrature2D, evaluate_grid,
-                       grad_values_at_quad, values_at_quad)
+from .assembly import Quadrature2D, StateVector, evaluate_grid
 from .basis import Basis1D
 from .mesh import Mesh2D
 from .model import ModelSpec
@@ -74,8 +73,9 @@ def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
     """Estimate E[solution] over M trajectories with sample ids 0..M-1.
 
     The result is independent of `workers` (bitwise, because chunking and
-    merge order are fixed by chunk_size alone).  Any sample divergence
-    aborts the whole ensemble with the offending sample id in the message.
+    merge order are fixed by chunk_size alone).  Any sample failure aborts
+    the whole ensemble; it is re-raised as its own exception type with the
+    offending sample id in the message.
     """
     if M < 1:
         raise ValueError(f"sample count must be >= 1, got {M}")
@@ -101,7 +101,8 @@ def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
                            snapshot_times=snapshot_times, ops=ops,
                            noise_workspace=workspace, record_reports=False)
             except Exception as exc:
-                raise RuntimeError(f"sample {sid} failed: {exc}") from exc
+                # keep the type: the CLI maps it to an exit code
+                raise type(exc)(f"sample {sid} failed: {exc}") from exc
             x = traj.final.stacked()
             count += 1
             delta = x - mean
@@ -148,26 +149,6 @@ class ErrorReport:
     grid_n: int = LINF_GRID
 
 
-def _reference_values(reference, ref_mesh, ref_basis, t, xs, ys, quad_x, quad_y):
-    """Per-field reference values on the Linf grid and the quadrature grid."""
-    grid_vals, quad_vals = [], []
-    if isinstance(reference, StateVector):
-        if ref_mesh is None or ref_basis is None:
-            raise ValueError("reference StateVector needs ref_mesh and ref_basis")
-        for f in reference.fields:
-            grid_vals.append(evaluate_grid(ref_mesh, ref_basis, f, xs, ys))
-            quad_vals.append(np.stack([
-                evaluate_grid(ref_mesh, ref_basis, f, qx, qy)
-                for qx, qy in zip(quad_x, quad_y)]))
-    else:
-        for func in reference:
-            grid_vals.append(func(xs[:, None], ys[None, :], t))
-            quad_vals.append(np.stack([
-                func(qx[:, None], qy[None, :], t)
-                for qx, qy in zip(quad_x, quad_y)]))
-    return grid_vals, quad_vals
-
-
 def error_report(state, reference, mesh: Mesh2D, basis: Basis1D,
                  ref_mesh: Mesh2D | None = None, ref_basis: Basis1D | None = None,
                  grid_n: int = LINF_GRID) -> ErrorReport:
@@ -175,12 +156,13 @@ def error_report(state, reference, mesh: Mesh2D, basis: Basis1D,
 
     reference is either a triple of callables (x, y, t) evaluated at state.t,
     or a StateVector living on (ref_mesh, ref_basis).  Linf is taken on a
-    uniform grid_n x grid_n grid including the boundary; L2 by element
-    quadrature of the squared difference on the state's mesh.
+    uniform grid_n x grid_n grid including the boundary; L2 by quadrature of
+    the squared difference on the state's mesh.
     """
     if isinstance(state, EnsembleResult):
         state = state.mean
-    if isinstance(reference, StateVector):
+    from_state = isinstance(reference, StateVector)
+    if from_state:
         if ref_mesh is None or ref_basis is None:
             raise ValueError("reference StateVector needs ref_mesh and ref_basis")
         if ref_mesh.domain != mesh.domain:
@@ -192,21 +174,19 @@ def error_report(state, reference, mesh: Mesh2D, basis: Basis1D,
     xs = np.linspace(x0, x1, grid_n)
     ys = np.linspace(y0, y1, grid_n)
     quad = Quadrature2D(mesh, basis)
-    # per-element quadrature abscissae, one (x-nodes, y-nodes) pair per element
-    quad_x, quad_y = [], []
-    for e in range(mesh.n_elements):
-        ey, ex = divmod(e, mesh.nex)
-        quad_x.append(quad.xq[ex])
-        quad_y.append(quad.yq[ey])
-
-    ref_grid, ref_quad = _reference_values(reference, ref_mesh, ref_basis,
-                                           state.t, xs, ys, quad_x, quad_y)
+    X, Y = quad.grid
     linf, l2 = [], []
-    for f, rg, rq in zip(state.fields, ref_grid, ref_quad):
-        diff_grid = evaluate_grid(mesh, basis, f, xs, ys) - rg
+    for idx, f in enumerate(state.fields):
+        if from_state:
+            g = reference.fields[idx]
+            ref_grid = evaluate_grid(ref_mesh, ref_basis, g, xs, ys)
+            ref_quad = evaluate_grid(ref_mesh, ref_basis, g, quad.x, quad.y)
+        else:
+            ref_grid = reference[idx](xs[:, None], ys[None, :], state.t)
+            ref_quad = reference[idx](X, Y, state.t)
+        diff_grid = evaluate_grid(mesh, basis, f, xs, ys) - ref_grid
         linf.append(float(np.max(np.abs(diff_grid))))
-        diff_quad = values_at_quad(quad, f) - rq
-        l2.append(float(np.sqrt(np.sum(diff_quad**2 * quad.W2[None, :, :]) * quad.jac)))
+        l2.append(float(np.sqrt(np.sum((quad.values(f) - ref_quad)**2 * quad.W))))
     return ErrorReport(l2=tuple(l2), linf=tuple(linf),
                        l2_sum=float(sum(l2)), linf_sum=float(sum(linf)),
                        grid_n=grid_n)
@@ -224,16 +204,9 @@ def error_hw(state, reference, mesh: Mesh2D, basis: Basis1D, spec: ModelSpec,
     if isinstance(state, EnsembleResult):
         state = state.mean
     quad = Quadrature2D(mesh, basis)
-    quad_x, quad_y = [], []
-    for e in range(mesh.n_elements):
-        ey, ex = divmod(e, mesh.nex)
-        quad_x.append(quad.xq[ex])
-        quad_y.append(quad.yq[ey])
-
-    r_max = max(float(np.max(spec.r(qx[:, None], qy[None, :])))
-                for qx, qy in zip(quad_x, quad_y))
-    z_max = max(float(np.max(spec.zeta(qx[:, None], qy[None, :])))
-                for qx, qy in zip(quad_x, quad_y))
+    X, Y = quad.grid
+    r_max = float(np.max(spec.r(X, Y)))
+    z_max = float(np.max(spec.zeta(X, Y)))
     h1 = max(1.0, 1.0 + 0.5 * tau * r_max)
 
     from_state = isinstance(reference, StateVector)
@@ -242,28 +215,16 @@ def error_hw(state, reference, mesh: Mesh2D, basis: Basis1D, spec: ModelSpec,
 
     total = 0.0
     for idx, f in enumerate(state.fields):
-        vals = values_at_quad(quad, f)
-        gx, gy = grad_values_at_quad(quad, f)
         if from_state:
-            rv = np.stack([evaluate_grid(ref_mesh, ref_basis, reference.fields[idx], qx, qy)
-                           for qx, qy in zip(quad_x, quad_y)])
-            rgx = np.stack([evaluate_grid(ref_mesh, ref_basis, reference.fields[idx],
-                                          qx, qy, dx=1)
-                            for qx, qy in zip(quad_x, quad_y)])
-            rgy = np.stack([evaluate_grid(ref_mesh, ref_basis, reference.fields[idx],
-                                          qx, qy, dy=1)
-                            for qx, qy in zip(quad_x, quad_y)])
+            g = reference.fields[idx]
+            rv, rgx, rgy = (evaluate_grid(ref_mesh, ref_basis, g, quad.x, quad.y, dx=dx, dy=dy)
+                            for dx, dy in ((0, 0), (1, 0), (0, 1)))
         else:
-            rv = np.stack([reference[idx](qx[:, None], qy[None, :], state.t)
-                           for qx, qy in zip(quad_x, quad_y)])
             gfx, gfy = spec.exact_grad[idx]
-            rgx = np.stack([gfx(qx[:, None], qy[None, :], state.t)
-                            for qx, qy in zip(quad_x, quad_y)])
-            rgy = np.stack([gfy(qx[:, None], qy[None, :], state.t)
-                            for qx, qy in zip(quad_x, quad_y)])
-        l2sq = float(np.sum((vals - rv)**2 * quad.W2[None, :, :]) * quad.jac)
-        h1sq = float(np.sum(((gx - rgx)**2 + (gy - rgy)**2) * quad.W2[None, :, :])
-                     * quad.jac)
+            rv, rgx, rgy = (fn(X, Y, state.t) for fn in (reference[idx], gfx, gfy))
+        l2sq = float(np.sum((quad.values(f) - rv)**2 * quad.W))
+        h1sq = float(np.sum(((quad.values(f, dx=1) - rgx)**2
+                             + (quad.values(f, dy=1) - rgy)**2) * quad.W))
         total += h1 * l2sq + 0.5 * tau * z_max * h1sq
     return float(np.sqrt(total))
 

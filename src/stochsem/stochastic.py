@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import L2Projector, load_vector
+from .assembly import L2Projector
 from .basis import Basis1D
 from .mesh import Mesh2D
 
@@ -135,13 +135,15 @@ def eigenfunction_values(sampler: QWienerSampler, mesh: Mesh2D, x, y):
     """
     x0, x1, y0, y1 = mesh.domain
     xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    shape = xb.shape
-    xh = (xb.ravel() - x0) / (x1 - x0)
-    yh = (yb.ravel() - y0) / (y1 - y0)
-    j = np.arange(1, sampler.truncation + 1, dtype=float)
-    sx = np.sqrt(2.0 / (x1 - x0)) * np.sin(np.pi * j[:, None] * xh[None, :])
-    sy = np.sqrt(2.0 / (y1 - y0)) * np.sin(np.pi * j[:, None] * yh[None, :])
-    return sx, sy, shape
+    J = sampler.truncation
+    return _sine_modes(J, x0, x1, xb.ravel()), _sine_modes(J, y0, y1, yb.ravel()), xb.shape
+
+
+def _sine_modes(J: int, lo: float, hi: float, pts: np.ndarray) -> np.ndarray:
+    """sqrt(2/L) sin(j pi (x - lo)/L) for j = 1..J at 1D points, shape (J, P)."""
+    j = np.arange(1, J + 1, dtype=float)
+    unit = (pts - lo) / (hi - lo)
+    return np.sqrt(2.0 / (hi - lo)) * np.sin(np.pi * j[:, None] * unit[None, :])
 
 
 def increment_field(sampler: QWienerSampler, mesh: Mesh2D, coeffs_jk: np.ndarray):
@@ -160,7 +162,9 @@ class NoiseWorkspace:
     The L2 projection of the KL field is linear in the mode coefficients:
     coeffs = Mass^{-1} (E @ c) with E[i, jk] = int e_jk phi_i.  E is built
     once per discretization; afterwards each increment costs one small
-    matvec and one triangular solve.
+    matvec and one triangular solve.  Each mode e_jk(x, y) = s_j(x) s_k(y)
+    is separable and so is the quadrature grid, hence E = Ex kron Ey with
+    Ex[gx, j] = int s_j phi_gx along x (on the projector's tables).
     """
 
     def __init__(self, sampler: QWienerSampler, mesh: Mesh2D, basis: Basis1D,
@@ -168,13 +172,12 @@ class NoiseWorkspace:
         self.sampler, self.mesh, self.basis = sampler, mesh, basis
         self.projector = projector if projector is not None else L2Projector(mesh, basis)
         J = sampler.truncation
-        cols = []
-        for j in range(J):
-            for k in range(J):
-                c = np.zeros((J, J))
-                c[j, k] = 1.0
-                cols.append(load_vector(mesh, basis, increment_field(sampler, mesh, c)))
-        self.mode_loads = np.stack(cols, axis=1)   # (n_global, J^2)
+        quad = self.projector.quad
+        Bx, _, By, _ = quad.tables
+        x0, x1, y0, y1 = mesh.domain
+        ex = Bx @ (quad.wx[:, None] * _sine_modes(J, x0, x1, quad.x).T)
+        ey = By @ (quad.wy[:, None] * _sine_modes(J, y0, y1, quad.y).T)
+        self.mode_loads = np.kron(ex, ey)   # (n_global, J^2), column j * J + k
 
     def project_modes(self, coeffs_jk: np.ndarray) -> np.ndarray:
         return self.projector.project_load(self.mode_loads @ coeffs_jk.ravel())

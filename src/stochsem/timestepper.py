@@ -28,8 +28,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import (GlobalOperator, L2Projector, Quadrature2D, StateVector,
-                       assemble, load_from_values, load_vector, values_at_quad)
+from .assembly import GlobalOperator, L2Projector, Quadrature2D, StateVector, assemble
 from .basis import Basis1D
 from .mesh import Mesh2D
 from .model import ModelSpec, nonlinear_f
@@ -55,11 +54,12 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class StepReport:
-    """Per-step diagnostics: relative solve residuals and the energy norm."""
+    """Per-step diagnostics: relative solve residuals and the energy norm
+    (None in the reports `run` discards)."""
 
     step: int
     residuals: tuple[float, float, float]
-    energy: float
+    energy: float | None
 
 
 @dataclass
@@ -107,13 +107,11 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
     diff1 = assemble(mesh, basis, lambda x, y: np.ones(np.broadcast(x, y).shape),
                      "diffusion")
 
-    quad = Quadrature2D(mesh, basis)
-    r_max = 0.0
-    z_max = 0.0
-    for e in range(mesh.n_elements):
-        X, Y = quad.element_grid(e)
-        r_max = max(r_max, float(np.max(spec.r(X, Y))))
-        z_max = max(z_max, float(np.max(spec.zeta(X, Y))))
+    projector = L2Projector(mesh, basis)
+    quad = projector.quad
+    X, Y = quad.grid
+    r_max = max(0.0, float(np.max(spec.r(X, Y))))
+    z_max = max(0.0, float(np.max(spec.zeta(X, Y))))
 
     half = 0.5 * tau
     g_uv = half * (adv.matrix + diff.matrix)
@@ -137,47 +135,51 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
             f"left operator factorization failed for tau={tau}, "
             f"mesh {mesh.nex}x{mesh.ney} order {mesh.order}: {exc}") from exc
     ops.factors = {"u": fac_uv, "v": fac_uv, "w": fac_w}
-    ops.projector = L2Projector(mesh, basis)
+    ops.projector = projector
     return ops
 
 
 def _noise_fields(noise, n: int):
-    """Normalize a noise argument to a (3, n) array (or None)."""
+    """Validate a noise argument: shared (n,) or per-field (3, n); None is 0."""
     if noise is None:
-        return None
+        return 0.0
     arr = np.asarray(noise, dtype=float)
-    if arr.ndim == 1:
-        arr = np.broadcast_to(arr, (3, n))
-    if arr.shape != (3, n):
+    if arr.shape not in ((n,), (3, n)):
         raise ValueError(f"noise array has shape {arr.shape}, expected (3, {n}) or ({n},)")
     return arr
 
 
 def step(ops: SchemeOperators, spec: ModelSpec, state: StateVector,
          noise_n=None, noise_nm1=None, prev_state: StateVector | None = None,
-         step_index: int = 0) -> tuple[StateVector, StepReport]:
+         step_index: int = 0, *, _energy: bool = True) -> tuple[StateVector, StepReport]:
     """Advance the state one step of size ops.tau.
 
     noise_n / noise_nm1 are the projected coefficient arrays of the driving
     process at the two step endpoints ((3, n) or shared (n,), or None for a
     deterministic step).  prev_state supplies phi^{n-2} for the extrapolated
-    nonlinearity level; when absent the nonlinearity is lagged.
+    nonlinearity level; when absent the nonlinearity is lagged.  `run` passes
+    _energy=False when it discards the report, which then carries energy None.
     """
     tau = ops.tau
-    n = state.n
+    quad = ops.quad
     t_half = state.t + tau / 2.0
 
     nl_load = None
     if spec.wp != 0.0 and any(spec.e):
-        uq = values_at_quad(ops.quad, state.u)
-        vq = values_at_quad(ops.quad, state.v)
+        u, v = state.u, state.v
         if ops.nonlinearity_time == "extrapolated" and prev_state is not None:
-            uq = 1.5 * uq - 0.5 * values_at_quad(ops.quad, prev_state.u)
-            vq = 1.5 * vq - 0.5 * values_at_quad(ops.quad, prev_state.v)
-        nl_load = load_from_values(ops.quad, nonlinear_f(spec, uq, vq))
+            # the extrapolation is linear, so it is done on coefficients
+            u = 1.5 * u - 0.5 * prev_state.u
+            v = 1.5 * v - 0.5 * prev_state.v
+        nl_load = quad.load(nonlinear_f(spec, quad.values(u), quad.values(v)))
 
-    w_n = _noise_fields(noise_n, n)
-    w_nm1 = _noise_fields(noise_nm1, n)
+    noise_load = None
+    if noise_n is not None or noise_nm1 is not None:
+        zn = _noise_fields(noise_n, state.n)
+        zm = _noise_fields(noise_nm1, state.n)
+        delta = zm - zn if ops.noise_convention == "paper" else zn - zm
+        # (n,) for shared noise, (n, 3) per field: one product either way
+        noise_load = ops.mass.matrix @ delta.T
 
     new_fields = []
     residuals = []
@@ -187,12 +189,9 @@ def step(ops: SchemeOperators, spec: ModelSpec, state: StateVector,
         if nl_load is not None:
             rhs = rhs - tau * spec.wp * spec.e[idx] * nl_load
         if spec.forcing is not None:
-            rhs = rhs + tau * load_vector(ops.mesh, ops.basis, spec.forcing[idx], t_half)
-        if w_n is not None or w_nm1 is not None:
-            zn = w_n[idx] if w_n is not None else np.zeros(n)
-            zm = w_nm1[idx] if w_nm1 is not None else np.zeros(n)
-            delta = zm - zn if ops.noise_convention == "paper" else zn - zm
-            rhs = rhs + ops.mass.matrix @ delta
+            rhs = rhs + tau * quad.load(quad.sample(spec.forcing[idx], t_half))
+        if noise_load is not None:
+            rhs = rhs + (noise_load if noise_load.ndim == 1 else noise_load[:, idx])
         sol = ops.factors[name].solve(rhs)
         denom = np.linalg.norm(rhs)
         res = np.linalg.norm(ops.left[name] @ sol - rhs) / (denom if denom > 0 else 1.0)
@@ -206,8 +205,8 @@ def step(ops: SchemeOperators, spec: ModelSpec, state: StateVector,
     new_state = StateVector(*new_fields, t=state.t + tau)
     if not new_state.is_finite():
         raise DivergenceError(f"non-finite state after step {step_index}")
-    report = StepReport(step=step_index, residuals=tuple(residuals),
-                        energy=energy_norm(ops, spec, new_state, tau))
+    energy = energy_norm(ops, spec, new_state, tau) if _energy else None
+    report = StepReport(step=step_index, residuals=tuple(residuals), energy=energy)
     return new_state, report
 
 
@@ -281,25 +280,25 @@ def run(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float, T: float,
     if noisy and noise_workspace is None:
         noise_workspace = NoiseWorkspace(sampler, mesh, basis, projector=ops.projector)
 
-    w_proc = np.zeros((3, mesh.n_global)) if noisy else None
+    w_proc = None
+    if noisy:   # one shared path is kept as a single (n,) array
+        w_proc = np.zeros(mesh.n_global if sampler.shared else (3, mesh.n_global))
     reports = []
     prev = None
     for k in range(1, n_steps + 1):
         if noisy:
-            w_next = w_proc.copy()
             if sampler.shared:
-                inc = sample_increment(sampler, sample_id, k, tau, mesh, basis,
-                                       workspace=noise_workspace)
-                w_next += inc.coeffs
+                w_next = w_proc + sample_increment(sampler, sample_id, k, tau, mesh, basis,
+                                                   workspace=noise_workspace).coeffs
             else:
-                for comp in range(3):
-                    inc = sample_increment(sampler, sample_id, k, tau, mesh, basis,
-                                           workspace=noise_workspace, component=comp)
-                    w_next[comp] += inc.coeffs
+                w_next = w_proc + np.stack([
+                    sample_increment(sampler, sample_id, k, tau, mesh, basis,
+                                     workspace=noise_workspace, component=comp).coeffs
+                    for comp in range(3)])
         else:
             w_next = None
         new_state, report = step(ops, spec, state, w_next, w_proc, prev_state=prev,
-                                 step_index=k)
+                                 step_index=k, _energy=record_reports)
         if record_reports:
             reports.append(report)
         prev = state

@@ -1,11 +1,16 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from stochsem.assembly import (L2Projector, Quadrature2D, StateVector, assemble,
-                               evaluate, evaluate_grid, grad_values_at_quad,
-                               load_vector, project_L2, values_at_quad)
+from stochsem.assembly import (L2Projector, Quadrature2D, StateVector, _axis_eval_matrix,
+                               assemble, evaluate, evaluate_grid, grad_values_at_quad,
+                               load_from_values, load_vector, project_L2, values_at_quad)
 from stochsem.basis import make_basis, mass_1d
-from stochsem.mesh import build_mesh
+from stochsem.mesh import build_mesh, element_basis_table
+from stochsem.model import test1_spec as make_test1
+from stochsem.timestepper import build_scheme, step
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -270,3 +275,147 @@ class TestStateVector:
             X, Y = quad.element_grid(e)
             direct = evaluate_grid(m, b, c, X.ravel(), Y.ravel())
             assert np.max(np.abs(vals[e] - direct)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# element-by-element reference for the tensor-grid kernel: gather the local
+# coefficients through dof_map, contract per element with einsum, scatter the
+# local loads back with np.add.at
+# ---------------------------------------------------------------------------
+
+KERNEL_MESHES = [((3, 2, 5), UNIT), ((1, 1, 12), UNIT), ((2, 3, 6), (0, 2, -1, 0.5))]
+
+
+def ref_element_tables(m, b):
+    V, D = element_basis_table(b, b.quad_nodes)
+    W = np.outer(b.quad_weights, b.quad_weights) * (m.ax.h / 2) * (m.ay.h / 2)
+    return V, D, W
+
+
+def ref_element_grid(m, b, e):
+    ey, ex = divmod(e, m.nex)
+    half = (b.quad_nodes + 1.0) / 2.0
+    return ((m.ax.edges[ex] + half * m.ax.h)[:, None],
+            (m.ay.edges[ey] + half * m.ay.h)[None, :])
+
+
+def ref_gather(m, c):
+    local = np.where(m.dof_map >= 0, c[np.clip(m.dof_map, 0, None)], 0.0)
+    return local.reshape(m.n_elements, m.order + 1, m.order + 1)
+
+
+def ref_values(m, b, c):
+    V, D, _ = ref_element_tables(m, b)
+    local = ref_gather(m, c)
+    return (np.einsum("emn,mq,nr->eqr", local, V, V),
+            2 / m.ax.h * np.einsum("emn,mq,nr->eqr", local, D, V),
+            2 / m.ay.h * np.einsum("emn,mq,nr->eqr", local, V, D))
+
+
+def ref_load_from_values(m, b, vals):
+    V, _, W = ref_element_tables(m, b)
+    loc = np.einsum("eqr,qr,mq,nr->emn", vals, W, V, V).reshape(m.n_elements, -1)
+    out = np.zeros(m.n_global)
+    keep = m.dof_map >= 0
+    np.add.at(out, m.dof_map[keep], loc[keep])
+    return out
+
+
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape,domain", KERNEL_MESHES)
+class TestQuadratureKernel:
+    def test_values_and_gradients(self, shape, domain, rng):
+        m, b = disc(*shape, domain=domain)
+        quad = Quadrature2D(m, b)
+        c = rng.standard_normal(m.n_global)
+        v, gx, gy = ref_values(m, b, c)
+        assert rel_err(values_at_quad(quad, c), v) <= 1e-13
+        got_gx, got_gy = grad_values_at_quad(quad, c)
+        assert rel_err(got_gx, gx) <= 1e-13
+        assert rel_err(got_gy, gy) <= 1e-13
+
+    def test_load_from_values(self, shape, domain, rng):
+        m, b = disc(*shape, domain=domain)
+        vals = rng.standard_normal((m.n_elements, b.n_quad, b.n_quad))
+        got = load_from_values(Quadrature2D(m, b), vals)
+        assert rel_err(got, ref_load_from_values(m, b, vals)) <= 1e-13
+
+    def test_load_vector(self, shape, domain):
+        m, b = disc(*shape, domain=domain)
+        f = lambda x, y: np.exp(x) * np.cos(3 * y) + x * y
+        vals = np.stack([f(*ref_element_grid(m, b, e)) for e in range(m.n_elements)])
+        assert rel_err(load_vector(m, b, f), ref_load_from_values(m, b, vals)) <= 1e-13
+
+
+class TestNonFiniteSamples:
+    # NaN only in element (ex=2, ey=1) of a 3x2 mesh: the first bad
+    # quadrature point is that element's first node in x and in y
+    def bad(self, x, y):
+        return np.where((x > 2 / 3) & (y > 0.5), np.nan, 1.0)
+
+    def expected(self, m, b):
+        X, Y = ref_element_grid(m, b, m.element_index(2, 1))
+        return re.escape(f"quadrature point ({X[0, 0]}, {Y[0, 0]}) in element 5")
+
+    def test_field_sample(self):
+        m, b = disc(3, 2, 4)
+        with pytest.raises(ValueError, match=self.expected(m, b)):
+            load_vector(m, b, self.bad)
+
+    def test_forcing_sample(self):
+        m, b = disc(3, 2, 4)
+        spec = make_test1()
+        spec = dataclasses.replace(
+            spec, forcing=(spec.forcing[0], lambda x, y, t: self.bad(x, y), spec.forcing[2]))
+        ops = build_scheme(m, b, spec, 0.1)
+        state = StateVector(*(np.zeros(m.n_global) for _ in range(3)))
+        with pytest.raises(ValueError, match=self.expected(m, b)):
+            step(ops, spec, state)
+
+
+class TestAxisTables:
+    @staticmethod
+    def per_point(axis, b, pts):
+        """One locate and one element_basis_table call per point."""
+        B = np.zeros((axis.n_dofs, len(pts)))
+        dB = np.zeros_like(B)
+        for i, x in enumerate(pts):
+            e, X = axis.locate(float(x))
+            V, D = element_basis_table(b, np.array([X]))
+            g = axis.local_to_global[e]
+            keep = g >= 0
+            B[g[keep], i] = V[keep, 0]
+            dB[g[keep], i] = D[keep, 0] * (2.0 / axis.h)
+        return B, dB
+
+    def test_matches_per_point_loop(self, rng):
+        m, b = disc(3, 2, 5, domain=(0, 2, -1, 0.5))
+        for axis in (m.ax, m.ay):
+            pts = np.concatenate([axis.edges, rng.uniform(axis.lo, axis.hi, 17)])
+            B, dB = _axis_eval_matrix(axis, b, pts)
+            ref_B, ref_dB = self.per_point(axis, b, pts)
+            assert np.array_equal(B, ref_B)
+            assert np.array_equal(dB, ref_dB)
+
+    def test_interfaces_resolve_to_lower_element(self):
+        m, b = disc(3, 1, 4)
+        ax = m.ax
+        B, dB = _axis_eval_matrix(ax, b, ax.edges)
+        # domain endpoints: every global function vanishes there
+        assert np.max(np.abs(B[:, [0, -1]])) <= 1e-14
+        for k in (1, 2):
+            hat = ax.local_to_global[k, 0]    # the hat shared by elements k-1 and k
+            col = np.zeros(ax.n_dofs)
+            col[hat] = 1.0
+            assert np.max(np.abs(B[:, k] - col)) <= 1e-15
+            # the slope is the rising side of the hat, i.e. element k-1's
+            assert dB[hat, k] == pytest.approx(1.0 / ax.h, rel=1e-14)
+            assert np.all(dB[ax.local_to_global[k, 1:-1], k] == 0)
+
+    def test_outside_domain(self):
+        m, b = disc(2, 1, 4)
+        with pytest.raises(ValueError, match="outside"):
+            _axis_eval_matrix(m.ax, b, [0.5, 1.2])

@@ -146,6 +146,19 @@ class TestRunCommand:
         assert header[:4] == ["dof", "mean_u", "mean_v", "mean_w"]
         assert all(float(r[4]) >= 0 for r in rows)   # stderr nonnegative
 
+    def test_ensemble_numerical_failure_exit_3(self, tmp_path, monkeypatch, capsys):
+        from stochsem import timestepper
+
+        def diverge(*args, **kwargs):
+            raise timestepper.DivergenceError("non-finite state after step 1")
+
+        monkeypatch.setattr(timestepper, "step", diverge)
+        cfg = write(tmp_path, ini(T2_SECTIONS, noise={"sigma": "0.1"},
+                                  montecarlo={"samples": "3"}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "sample 0" in err
+
     def test_determinism_identical_checksums(self, tmp_path):
         cfg = write(tmp_path, BASE_T1)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

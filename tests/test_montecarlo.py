@@ -68,8 +68,9 @@ class TestRunEnsemble:
 
     def test_divergent_sample_reported(self):
         spec, mesh, basis, sampler = noisy_setup()
-        with pytest.raises(RuntimeError, match="sample"):
-            # T not an integral multiple of tau triggers the failure path
+        # T not an integral multiple of tau triggers the failure path; the
+        # failure keeps its own type and names the first sample
+        with pytest.raises(ValueError, match="sample 0 failed"):
             run_ensemble(spec, mesh, basis, 0.05, 0.23, sampler, M=2)
 
     def test_snapshot_means(self):

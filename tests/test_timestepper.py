@@ -80,6 +80,7 @@ class TestStep:
         new, report = step(ops, spec, state)
         assert np.all(new.u == 0) and np.all(new.v == 0) and np.all(new.w == 0)
         assert max(report.residuals) <= 1e-10
+        assert report.energy == 0.0
 
     def test_pure_mass_scheme_identity(self, rng):
         mesh, basis = disc(2, 1, 5)
@@ -188,6 +189,24 @@ class TestRun:
         for fa, fb, fd in zip(a.final.fields, b.final.fields, det.final.fields):
             assert np.max(np.abs(0.5 * (fa + fb) - fd)) <= 1e-10
             assert np.max(np.abs(fa - fb)) > 1e-8
+
+    def test_energy_only_computed_for_recorded_reports(self, monkeypatch):
+        from stochsem import timestepper
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return energy_norm(*args)
+
+        monkeypatch.setattr(timestepper, "energy_norm", counting)
+        mesh, basis = disc(1, 1, 5)
+        spec = make_test1()
+        quiet = run(spec, mesh, basis, 0.1, 0.5, record_reports=False)
+        assert calls == [] and quiet.reports == []
+        loud = run(spec, mesh, basis, 0.1, 0.5)
+        assert len(calls) == 5
+        for fq, fl in zip(quiet.final.fields, loud.final.fields):
+            assert np.array_equal(fq, fl)
 
     def test_step_reports_recorded(self):
         mesh, basis = disc(1, 1, 5)
