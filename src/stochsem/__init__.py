@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .basis import (Basis1D, BandedMatrix1D, gauss_rule, legendre_eval,
                     make_basis, mass_1d, shen_deriv, shen_eval, stiffness_1d)
-from .mesh import ElementMap, Mesh2D, build_mesh, locate
+from .mesh import Mesh2D, build_mesh, locate
 from .model import ModelSpec, nonlinear_f, test1_spec, test2_spec
 from .assembly import (GlobalOperator, StateVector, assemble, evaluate,
                        evaluate_grid, load_vector, project_L2, L2Projector)
@@ -19,7 +19,7 @@ from .montecarlo import (EnsembleResult, ErrorReport, convergence_order,
 __all__ = [
     "Basis1D", "BandedMatrix1D", "gauss_rule", "legendre_eval", "make_basis",
     "mass_1d", "shen_deriv", "shen_eval", "stiffness_1d",
-    "ElementMap", "Mesh2D", "build_mesh", "locate",
+    "Mesh2D", "build_mesh", "locate",
     "ModelSpec", "nonlinear_f", "test1_spec", "test2_spec",
     "GlobalOperator", "StateVector", "assemble", "evaluate", "evaluate_grid",
     "load_vector", "project_L2", "L2Projector",

@@ -1,9 +1,20 @@
 """Assembly of global operators, load vectors, evaluation and L2 projection.
 
-Operators are assembled element by element over tensor-product Gauss
-quadrature, mapped by the (diagonal, constant) affine Jacobian and scattered
-through the mesh dof_map with summation at shared degrees of freedom.  Four
-kinds are supported:
+The mesh is a tensor product with global dof gx * n1d_y + gy, so every job
+runs on one tensor-product quadrature kernel (sum factorization): Quadrature2D
+tabulates the global 1D basis at the Gauss abscissae of all elements along
+each axis (Bx, By and the physical derivatives dBx, dBy) and holds the weight
+grid W = wx (x) wy with the Jacobian folded in.  With C a coefficient vector
+reshaped to (n1d_x, n1d_y), field values on the whole grid are Bx^T C By and
+loads Bx (F * W) By^T.
+
+Operators take the same route.  Entry ((i, j), (k, l)) of an operator with
+coefficient c is  sum_{q,r} c W Fx_i Gx_k Fy_j Gy_l  over the global grid,
+where F, G are B or dB.  Per axis, the row products Px[(i, k)] = Fx_i * Gx_k
+over the pairs (i, k) of 1D dofs that share an element (the 1D sparsity
+pattern) turn each kind into one or two products  Px (C * W) Py^T, whose entry
+[(i, k), (j, l)] lands at row i * n1d_y + j, column k * n1d_y + l.  Four kinds
+are supported:
 
     mass       (c * phi_j, phi_i)
     diffusion  (c * grad phi_j, grad phi_i)
@@ -15,15 +26,11 @@ constant coefficient and homogeneous Dirichlet data equals the usual
 (c * grad phi_j, phi_i) pairing by integration by parts and makes the
 operator antisymmetric.
 
-Evaluation and loads do not go element by element: the mesh is a tensor
-product with global dof gx * n1d_y + gy, so Quadrature2D tabulates the global
-1D basis at the quadrature abscissae of all elements along each axis, and
-field values and load vectors on the whole quadrature grid are two matrix
-products each (sum factorization).  `assemble` keeps the element path, where
-the operator sparsity lives.
+L2 projection uses the same factorization: the unit mass matrix is Mx (x) My
+with Mx = Bx diag(wx) Bx^T, so it is solved axis by axis (L2Projector).
 
-Element processing order is fixed, so assembly is deterministic; all outputs
-are immutable once built and safe to share across threads.
+All outputs are deterministic and immutable once built, safe to share across
+threads.
 """
 from __future__ import annotations
 
@@ -32,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import cho_factor, cho_solve
 
 from .basis import Basis1D
 from .mesh import Mesh2D, element_basis_table
@@ -47,9 +54,6 @@ class GlobalOperator:
     n: int
     matrix: sp.csr_matrix
     kind: str
-
-    def __matmul__(self, vec):
-        return self.matrix @ vec
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -88,22 +92,18 @@ class StateVector:
 
 
 class Quadrature2D:
-    """Quadrature tables of one (mesh, basis) and the tensor-product kernel
-    that evaluates fields and loads on them.
+    """Tensor-product quadrature grid of one (mesh, basis) and the kernel that
+    evaluates fields, loads and operators on it.
 
-    Element tables (used by `assemble`): V, D hold the N+1 local 1D functions
-    (values / reference derivatives) at the quadrature nodes; xq[ex], yq[ey]
-    are the mapped nodes per element column/row; W2 is the reference tensor
-    weight grid and jac the element Jacobian.
-
-    Global grid (used by everything else): x, y are the quadrature abscissae
-    of all element columns / rows, element by element (x = xq.ravel()).
+    x, y are the Gauss abscissae of all element columns / rows, element by
+    element (x = xq.ravel(), with xq[ex] the nodes of element column ex).
     `tables` holds (Bx, dBx, By, dBy): the global 1D basis at them, shape
-    (n1d, ne * n_quad), and its physical derivatives; W = wx (x) wy is the
-    weight grid with the Jacobian folded in.  With C the coefficient vector
-    reshaped to (n1d_x, n1d_y), values are Bx^T C By and loads
-    Bx (F * W) By^T: sum factorization over the whole tensor mesh, with no
-    per-element gather or scatter.
+    (n1d, ne * n_quad), and its physical derivatives; wx, wy are the 1D
+    weights and W = wx (x) wy the weight grid, with the Jacobian folded in.
+    With C the coefficient vector reshaped to (n1d_x, n1d_y), values are
+    Bx^T C By and loads Bx (F * W) By^T: sum factorization over the whole
+    tensor mesh, with no per-element gather or scatter.  `assemble` builds
+    operators from the same tables.
     """
 
     def __init__(self, mesh: Mesh2D, basis: Basis1D):
@@ -111,30 +111,15 @@ class Quadrature2D:
             raise ValueError(
                 f"basis order {basis.order} does not match mesh order {mesh.order}")
         self.mesh, self.basis = mesh, basis
-        self.V, self.D = element_basis_table(basis, basis.quad_nodes)
-        self.W2 = np.outer(basis.quad_weights, basis.quad_weights)
         half = (basis.quad_nodes + 1.0) / 2.0
         self.xq = mesh.ax.edges[:-1, None] + half * mesh.ax.h
         self.yq = mesh.ay.edges[:-1, None] + half * mesh.ay.h
-        self.jac = (mesh.ax.h / 2.0) * (mesh.ay.h / 2.0)
-        self.nloc = basis.order + 1
-
         self.x, self.y = self.xq.ravel(), self.yq.ravel()
         self.wx = np.tile(basis.quad_weights, mesh.nex) * (mesh.ax.h / 2.0)
         self.wy = np.tile(basis.quad_weights, mesh.ney) * (mesh.ay.h / 2.0)
         self.W = np.outer(self.wx, self.wy)
-
-    @cached_property
-    def tables(self):
-        """(Bx, dBx, By, dBy), built on first use: `assemble` needs only the
-        element tables."""
-        return (*_axis_eval_matrix(self.mesh.ax, self.basis, self.x),
-                *_axis_eval_matrix(self.mesh.ay, self.basis, self.y))
-
-    def element_grid(self, e: int):
-        """Mapped quadrature grid (X, Y meshgrid arrays) of element e."""
-        ey, ex = divmod(e, self.mesh.nex)
-        return self.xq[ex][:, None], self.yq[ey][None, :]
+        self.tables = (*_axis_eval_matrix(mesh.ax, basis, self.x),
+                       *_axis_eval_matrix(mesh.ay, basis, self.y))
 
     @property
     def grid(self):
@@ -182,56 +167,42 @@ class Quadrature2D:
                 .reshape(m.nex * nq, m.ney * nq))
 
 
-def _coefficient_values(quad: Quadrature2D, coefficient_field, e: int) -> np.ndarray:
-    X, Y = quad.element_grid(e)
-    c = np.broadcast_to(np.asarray(coefficient_field(X, Y), dtype=float),
-                        (quad.basis.n_quad, quad.basis.n_quad))
-    if not np.all(np.isfinite(c)):
-        qx, qy = np.unravel_index(int(np.argmin(np.isfinite(c))), c.shape)
-        raise ValueError(
-            f"non-finite coefficient sample at quadrature point "
-            f"({X[qx, 0]}, {Y[0, qy]}) in element {e}")
-    return c
+def _axis_pairs(axis):
+    """Pairs (i, k) of 1D global dofs that share an element, sorted by i then k."""
+    g = axis.local_to_global
+    i, k = np.repeat(g, g.shape[1], axis=1), np.tile(g, g.shape[1])
+    keep = (i >= 0) & (k >= 0)
+    return np.divmod(np.unique(i[keep] * axis.n_dofs + k[keep]), axis.n_dofs)
 
 
 def assemble(mesh: Mesh2D, basis: Basis1D, coefficient_field, kind: str) -> GlobalOperator:
     """Assemble one global operator of the given kind.
 
-    coefficient_field : callable (x, y) -> array, evaluated at the mapped
-    quadrature points of every element.
+    coefficient_field : callable (x, y) -> array, sampled once on the global
+    quadrature grid.
     """
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
     quad = Quadrature2D(mesh, basis)
-    V, D, W2 = quad.V, quad.D, quad.W2
-    sx = 2.0 / mesh.ax.h   # d(ref)/d(physical)
-    sy = 2.0 / mesh.ay.h
-    nloc2 = quad.nloc**2
+    Bx, dBx, By, dBy = quad.tables
+    CW = quad.sample(coefficient_field) * quad.W
+    ix, kx = _axis_pairs(mesh.ax)
+    jy, ly = _axis_pairs(mesh.ay)
 
-    rows, cols, vals = [], [], []
-    for e in range(mesh.n_elements):
-        C = _coefficient_values(quad, coefficient_field, e) * W2 * quad.jac
-        if kind in ("mass", "reaction"):
-            loc = np.einsum("qr,mq,kq,nr,lr->mnkl", C, V, V, V, V, optimize=True)
-        elif kind == "diffusion":
-            loc = sx * sx * np.einsum("qr,mq,kq,nr,lr->mnkl", C, D, D, V, V, optimize=True)
-            loc += sy * sy * np.einsum("qr,mq,kq,nr,lr->mnkl", C, V, V, D, D, optimize=True)
-        else:   # advection: derivative on the test function, both directions
-            loc = -sx * np.einsum("qr,mq,kq,nr,lr->mnkl", C, D, V, V, V, optimize=True)
-            loc -= sy * np.einsum("qr,mq,kq,nr,lr->mnkl", C, V, V, D, V, optimize=True)
-        loc = loc.reshape(nloc2, nloc2)
-        g = mesh.dof_map[e]
-        keep = g >= 0
-        idx = np.nonzero(keep)[0]
-        gi = g[idx]
-        rows.append(np.repeat(gi, len(gi)))
-        cols.append(np.tile(gi, len(gi)))
-        vals.append(loc[np.ix_(idx, idx)].ravel())
+    def part(Fx, Gx, Fy, Gy):   # Px (C * W) Py^T
+        return (Fx[ix] * Gx[kx]) @ CW @ (Fy[jy] * Gy[ly]).T
 
-    n = mesh.n_global
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
+    if kind in ("mass", "reaction"):
+        vals = part(Bx, Bx, By, By)
+    elif kind == "diffusion":
+        vals = part(dBx, dBx, By, By) + part(Bx, Bx, dBy, dBy)
+    else:   # advection: derivative on the test function, both directions
+        vals = -(part(dBx, Bx, By, By) + part(Bx, Bx, dBy, By))
+
+    ny, n = mesh.ay.n_dofs, mesh.n_global
+    rows = (ix[:, None] * ny + jy[None, :]).ravel()
+    cols = (kx[:, None] * ny + ly[None, :]).ravel()
+    mat = sp.csr_matrix((vals.ravel(), (rows, cols)), shape=(n, n))
     return GlobalOperator(n=n, matrix=mat, kind=kind)
 
 
@@ -318,20 +289,35 @@ def evaluate(mesh: Mesh2D, basis: Basis1D, coeffs: np.ndarray, points) -> np.nda
 
 
 class L2Projector:
-    """Mass-matrix solver for repeated L2 projections onto the global space."""
+    """Repeated L2 projections onto the global space by per-axis mass solves.
+
+    The unit mass matrix is Mx (x) My with Mx = Bx diag(wx) Bx^T (likewise
+    for y), so Mass^{-1} b = Mx^{-1} B My^{-1} with B the load reshaped to
+    (n1d_x, n1d_y): one Cholesky factor per axis, no 2D factorization.  The
+    assembled 2D `mass` operator is built on first use and never factorized.
+    """
 
     def __init__(self, mesh: Mesh2D, basis: Basis1D):
         self.mesh, self.basis = mesh, basis
         self.quad = Quadrature2D(mesh, basis)
-        self.mass = assemble(mesh, basis, lambda x, y: np.ones(np.broadcast(x, y).shape),
-                             "mass")
-        self._factor = spla.splu(self.mass.matrix.tocsc())
+        Bx, _, By, _ = self.quad.tables
+        self._mx = cho_factor(Bx @ (self.quad.wx[:, None] * Bx.T))
+        self._my = cho_factor(By @ (self.quad.wy[:, None] * By.T))
+
+    @cached_property
+    def mass(self) -> GlobalOperator:
+        return assemble(self.mesh, self.basis,
+                        lambda x, y: np.ones(np.broadcast(x, y).shape), "mass")
 
     def project(self, field, t: float | None = None) -> np.ndarray:
-        return self._factor.solve(self.quad.load(self.quad.sample(field, t)))
+        return self.project_load(self.quad.load(self.quad.sample(field, t)))
 
     def project_load(self, load: np.ndarray) -> np.ndarray:
-        return self._factor.solve(load)
+        """Mass^{-1} load; load is the flat (n_global,) vector or its
+        (n1d_x, n1d_y) matrix form."""
+        B = np.reshape(load, (self.mesh.ax.n_dofs, self.mesh.ay.n_dofs))
+        X = cho_solve(self._mx, B, check_finite=False)
+        return cho_solve(self._my, X.T, check_finite=False).T.ravel()
 
 
 def project_L2(mesh: Mesh2D, basis: Basis1D, field, t: float | None = None) -> np.ndarray:

@@ -14,8 +14,6 @@ numbered gx * n1d_y + gy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import Basis1D, shen_table
@@ -90,30 +88,6 @@ class _Axis:
         return e, 2.0 * (xs - self.edges[e]) / self.h - 1.0
 
 
-@dataclass(frozen=True)
-class ElementMap:
-    """Affine map from the reference square [-1,1]^2 to one element."""
-
-    index: int
-    x0: float
-    y0: float
-    hx: float
-    hy: float
-
-    def __post_init__(self):
-        if self.hx <= 0 or self.hy <= 0:
-            raise ValueError(f"element {self.index} has nonpositive extent")
-
-    @property
-    def jacobian(self) -> tuple[float, float]:
-        """Diagonal Jacobian (dx/dX, dy/dY) = (hx/2, hy/2)."""
-        return self.hx / 2.0, self.hy / 2.0
-
-    def to_physical(self, X, Y):
-        return self.x0 + (np.asarray(X) + 1.0) * self.hx / 2.0, \
-               self.y0 + (np.asarray(Y) + 1.0) * self.hy / 2.0
-
-
 class Mesh2D:
     """Tensor-product rectangular mesh with global C0 numbering.
 
@@ -157,12 +131,6 @@ class Mesh2D:
                     for n in range(nloc):
                         if gy[n] >= 0:
                             self.dof_map[e, m * nloc + n] = base + gy[n]
-
-    def element(self, e: int) -> ElementMap:
-        ey, ex = divmod(e, self.nex)
-        return ElementMap(index=e,
-                          x0=self.ax.edges[ex], y0=self.ay.edges[ey],
-                          hx=self.ax.h, hy=self.ay.h)
 
     def element_index(self, ex: int, ey: int) -> int:
         return ey * self.nex + ex

@@ -157,14 +157,15 @@ def increment_field(sampler: QWienerSampler, mesh: Mesh2D, coeffs_jk: np.ndarray
 
 
 class NoiseWorkspace:
-    """Precomputed mode-load matrix for fast repeated increment projection.
+    """Per-axis mode loads for fast repeated increment projection.
 
-    The L2 projection of the KL field is linear in the mode coefficients:
-    coeffs = Mass^{-1} (E @ c) with E[i, jk] = int e_jk phi_i.  E is built
-    once per discretization; afterwards each increment costs one small
-    matvec and one triangular solve.  Each mode e_jk(x, y) = s_j(x) s_k(y)
-    is separable and so is the quadrature grid, hence E = Ex kron Ey with
-    Ex[gx, j] = int s_j phi_gx along x (on the projector's tables).
+    The L2 projection of the KL field is linear in the mode coefficients c.
+    Each mode e_jk(x, y) = s_j(x) s_k(y) is separable and so is the
+    quadrature grid, so its load is ex[:, j] (x) ey[:, k] with
+    ex[gx, j] = int s_j phi_gx along x (on the projector's tables), and the
+    load of the whole field is the (n1d_x, n1d_y) matrix ex @ c @ ey^T.  The
+    two tables are built once per discretization; afterwards each increment
+    costs two small products and the projector's per-axis mass solves.
     """
 
     def __init__(self, sampler: QWienerSampler, mesh: Mesh2D, basis: Basis1D,
@@ -175,12 +176,11 @@ class NoiseWorkspace:
         quad = self.projector.quad
         Bx, _, By, _ = quad.tables
         x0, x1, y0, y1 = mesh.domain
-        ex = Bx @ (quad.wx[:, None] * _sine_modes(J, x0, x1, quad.x).T)
-        ey = By @ (quad.wy[:, None] * _sine_modes(J, y0, y1, quad.y).T)
-        self.mode_loads = np.kron(ex, ey)   # (n_global, J^2), column j * J + k
+        self.ex = Bx @ (quad.wx[:, None] * _sine_modes(J, x0, x1, quad.x).T)
+        self.ey = By @ (quad.wy[:, None] * _sine_modes(J, y0, y1, quad.y).T)
 
     def project_modes(self, coeffs_jk: np.ndarray) -> np.ndarray:
-        return self.projector.project_load(self.mode_loads @ coeffs_jk.ravel())
+        return self.projector.project_load(self.ex @ coeffs_jk @ self.ey.T)
 
 
 def sample_increment(sampler: QWienerSampler, sample_id: int, n: int, tau: float,

@@ -70,9 +70,6 @@ class SchemeOperators:
     basis: Basis1D
     tau: float
     mass: GlobalOperator
-    advection: GlobalOperator
-    diffusion: GlobalOperator
-    reaction: GlobalOperator
     diffusion_unit: GlobalOperator      # zeta == 1, for the energy norm
     left: dict = dc_field(default_factory=dict)
     right: dict = dc_field(default_factory=dict)
@@ -100,14 +97,14 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
     if noise_convention not in NOISE_CONVENTIONS:
         raise ValueError(f"unknown noise convention {noise_convention!r}")
 
-    mass = assemble(mesh, basis, lambda x, y: np.ones(np.broadcast(x, y).shape), "mass")
+    projector = L2Projector(mesh, basis)
+    mass = projector.mass
     adv = assemble(mesh, basis, spec.xi, "advection")
     diff = assemble(mesh, basis, spec.zeta, "diffusion")
     reac = assemble(mesh, basis, spec.r, "reaction")
     diff1 = assemble(mesh, basis, lambda x, y: np.ones(np.broadcast(x, y).shape),
                      "diffusion")
 
-    projector = L2Projector(mesh, basis)
     quad = projector.quad
     X, Y = quad.grid
     r_max = max(0.0, float(np.max(spec.r(X, Y))))
@@ -118,8 +115,7 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
     g_w = g_uv + half * reac.matrix
     ops = SchemeOperators(
         mesh=mesh, basis=basis, tau=tau,
-        mass=mass, advection=adv, diffusion=diff, reaction=reac,
-        diffusion_unit=diff1, quad=quad,
+        mass=mass, diffusion_unit=diff1, quad=quad, projector=projector,
         r_max=r_max, zeta_max=z_max,
         nonlinearity_time=nonlinearity_time, noise_convention=noise_convention,
     )
@@ -135,7 +131,6 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
             f"left operator factorization failed for tau={tau}, "
             f"mesh {mesh.nex}x{mesh.ney} order {mesh.order}: {exc}") from exc
     ops.factors = {"u": fac_uv, "v": fac_uv, "w": fac_w}
-    ops.projector = projector
     return ops
 
 

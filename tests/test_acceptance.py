@@ -191,10 +191,21 @@ class TestAcceptance:
         e1600 = error_report(r1600.mean, det, mesh, basis,
                              ref_mesh=mesh, ref_basis=basis).l2_sum
         ratio = e400 / e1600
+        # the linear scheme's mean is the noise-free run: per-dof z-scores
+        # of both means stay small, and the standard error halves from 400
+        # to 1600 samples, whatever the seed
+        z = [np.abs(r.mean.stacked() - det.stacked()) / r.stderr for r in (r400, r1600)]
+        z_max = max(float(zi.max()) for zi in z)
+        z_rms = max(float(np.sqrt(np.mean(zi**2))) for zi in z)
+        shrink = float(np.sqrt(np.mean(r400.stderr**2) / np.mean(r1600.stderr**2)))
         wall = time.perf_counter() - t0
+        # the realized ratio window holds only for the pinned SEED: the
+        # ratio's law does not depend on M, and other seeds fall outside it
         report("Monte Carlo consistency",
-               1.4 <= ratio <= 3.0 and worker_gap <= 1e-12 and wall < 600.0,
-               f"L2 shrink ratio {ratio:.2f} (target 2.0), 1-vs-4-worker gap "
+               1.4 <= ratio <= 3.0 and z_max <= 6.0 and z_rms <= 3.0
+               and 1.6 <= shrink <= 2.5 and worker_gap <= 1e-12 and wall < 600.0,
+               f"L2 shrink ratio {ratio:.2f} (target 2.0), max z {z_max:.2f} "
+               f"(rms {z_rms:.2f}), stderr shrink {shrink:.3f}, 1-vs-4-worker gap "
                f"{worker_gap:.1e}, wall {wall:.0f}s")
 
     def test_output_determinism(self, tmp_path):

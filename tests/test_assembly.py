@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from stochsem.assembly import (L2Projector, Quadrature2D, StateVector, _axis_eval_matrix,
                                assemble, evaluate, evaluate_grid, grad_values_at_quad,
@@ -248,6 +250,16 @@ class TestProjection:
                                       - f(xs[:, None], xs[None, :]))))
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
 
+    @pytest.mark.parametrize("shape", [(1, 1, 24), (2, 2, 20), (8, 8, 10)])
+    def test_project_load_matches_mass_lu(self, shape, rng):
+        # per-axis solves against a sparse LU of the assembled 2D mass matrix
+        m, b = disc(*shape, domain=(0, 2, -1, 0.5))
+        proj = L2Projector(m, b)
+        load = (load_vector(m, b, lambda x, y: np.exp(x) * np.cos(3 * y))
+                + 1e-3 * rng.standard_normal(m.n_global))
+        want = spla.splu(proj.mass.matrix.tocsc()).solve(load)
+        assert rel_err(proj.project_load(load), want) <= 1e-10
+
     def test_projector_reuse_matches_oneshot(self):
         m, b = disc(2, 1, 4)
         f = lambda x, y: x * y
@@ -272,7 +284,7 @@ class TestStateVector:
         c = rng.standard_normal(m.n_global)
         vals = values_at_quad(quad, c)
         for e in [0, 3]:
-            X, Y = quad.element_grid(e)
+            X, Y = ref_element_grid(m, b, e)
             direct = evaluate_grid(m, b, c, X.ravel(), Y.ravel())
             assert np.max(np.abs(vals[e] - direct)) <= 1e-12
 
@@ -321,6 +333,33 @@ def ref_load_from_values(m, b, vals):
     return out
 
 
+def ref_assemble(m, b, coefficient_field, kind):
+    """Element loop: local einsum contraction, dof_map scatter with summation."""
+    V, D, W = ref_element_tables(m, b)
+    sx, sy = 2 / m.ax.h, 2 / m.ay.h
+    n2 = (m.order + 1) ** 2
+
+    def loc(C, Fx, Gx, Fy, Gy):
+        return np.einsum("qr,mq,kq,nr,lr->mnkl", C, Fx, Gx, Fy, Gy).reshape(n2, n2)
+
+    rows, cols, vals = [], [], []
+    for e in range(m.n_elements):
+        C = np.broadcast_to(coefficient_field(*ref_element_grid(m, b, e)), W.shape) * W
+        if kind in ("mass", "reaction"):
+            A = loc(C, V, V, V, V)
+        elif kind == "diffusion":
+            A = sx * sx * loc(C, D, D, V, V) + sy * sy * loc(C, V, V, D, D)
+        else:
+            A = -sx * loc(C, D, V, V, V) - sy * loc(C, V, V, D, V)
+        g = m.dof_map[e]
+        keep = np.nonzero(g >= 0)[0]
+        rows.append(np.repeat(g[keep], len(keep)))
+        cols.append(np.tile(g[keep], len(keep)))
+        vals.append(A[np.ix_(keep, keep)].ravel())
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(m.n_global, m.n_global)).tocsr()
+
+
 def rel_err(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
@@ -348,6 +387,16 @@ class TestQuadratureKernel:
         f = lambda x, y: np.exp(x) * np.cos(3 * y) + x * y
         vals = np.stack([f(*ref_element_grid(m, b, e)) for e in range(m.n_elements)])
         assert rel_err(load_vector(m, b, f), ref_load_from_values(m, b, vals)) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["mass", "diffusion", "advection", "reaction"])
+    @pytest.mark.parametrize("coefficient", [ones, lambda x, y: 1.0 + x * y**2 - np.sin(y)],
+                             ids=["constant", "variable"])
+    def test_operators(self, shape, domain, kind, coefficient):
+        m, b = disc(*shape, domain=domain)
+        got = assemble(m, b, coefficient, kind).matrix
+        want = ref_assemble(m, b, coefficient, kind)
+        assert got.nnz == want.nnz
+        assert abs(got - want).max() / abs(want).max() <= 1e-13
 
 
 class TestNonFiniteSamples:

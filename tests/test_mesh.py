@@ -52,15 +52,6 @@ class TestBuild:
         right = m.dof_map[1].reshape(nloc, nloc)
         assert np.array_equal(left[order, :], right[0, :])
 
-    def test_element_map_corners(self):
-        m = build_mesh((0, 2, 0, 4), 2, 2, 3)
-        em = m.element(3)    # ex=1, ey=1
-        x, y = em.to_physical(-1.0, -1.0)
-        assert (x, y) == (1.0, 2.0)
-        x, y = em.to_physical(1.0, 1.0)
-        assert (x, y) == (2.0, 4.0)
-        assert em.jacobian == (0.5, 1.0)
-
 
 class TestLocate:
     def test_element_center(self):

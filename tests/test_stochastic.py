@@ -171,6 +171,16 @@ class TestFieldRealization:
         want = field(xs[:, None], xs[None, :])
         assert np.max(np.abs(got - want)) <= 1e-6
 
+    def test_project_modes_matches_kron_loads(self):
+        # the per-axis mode loads ex @ c @ ey^T equal the J^2-column
+        # Kronecker load matrix kron(ex, ey) applied to the raveled c
+        s = sampler()
+        mesh = build_mesh((0, 2, -1, 0.5), 2, 2, 8)
+        ws = NoiseWorkspace(s, mesh, make_basis(8))
+        c = mode_coefficients(s, 3, 1, 0.01)
+        want = ws.projector.project_load(np.kron(ws.ex, ws.ey) @ c.ravel())
+        assert np.max(np.abs(ws.project_modes(c) - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_rectangle_rescaling(self):
         # eigenfunctions respect a non-unit rectangle
         s = sampler(truncation=2)
