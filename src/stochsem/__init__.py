@@ -7,8 +7,8 @@ from .basis import (Basis1D, BandedMatrix1D, gauss_rule, legendre_eval,
                     make_basis, mass_1d, shen_deriv, shen_eval, stiffness_1d)
 from .mesh import Mesh2D, build_mesh, locate
 from .model import ModelSpec, nonlinear_f, test1_spec, test2_spec
-from .assembly import (GlobalOperator, StateVector, assemble, evaluate,
-                       evaluate_grid, load_vector, project_L2, L2Projector)
+from .assembly import (StateVector, assemble, evaluate, evaluate_grid,
+                       load_vector, project_L2, L2Projector)
 from .stochastic import (NoiseIncrement, QWienerSampler, sample_increment,
                          spectrum, spectrum_to_csv)
 from .timestepper import (SchemeOperators, StepReport, Trajectory, build_scheme,
@@ -21,7 +21,7 @@ __all__ = [
     "mass_1d", "shen_deriv", "shen_eval", "stiffness_1d",
     "Mesh2D", "build_mesh", "locate",
     "ModelSpec", "nonlinear_f", "test1_spec", "test2_spec",
-    "GlobalOperator", "StateVector", "assemble", "evaluate", "evaluate_grid",
+    "StateVector", "assemble", "evaluate", "evaluate_grid",
     "load_vector", "project_L2", "L2Projector",
     "NoiseIncrement", "QWienerSampler", "sample_increment", "spectrum",
     "spectrum_to_csv",

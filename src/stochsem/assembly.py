@@ -8,26 +8,29 @@ grid W = wx (x) wy with the Jacobian folded in.  With C a coefficient vector
 reshaped to (n1d_x, n1d_y), field values on the whole grid are Bx^T C By and
 loads Bx (F * W) By^T.
 
-Operators take the same route.  Entry ((i, j), (k, l)) of an operator with
-coefficient c is  sum_{q,r} c W Fx_i Gx_k Fy_j Gy_l  over the global grid,
-where F, G are B or dB.  Per axis, the row products Px[(i, k)] = Fx_i * Gx_k
-over the pairs (i, k) of 1D dofs that share an element (the 1D sparsity
-pattern) turn each kind into one or two products  Px (C * W) Py^T, whose entry
-[(i, k), (j, l)] lands at row i * n1d_y + j, column k * n1d_y + l.  Four kinds
-are supported:
+Coefficients are constants, so every operator is a Kronecker sum of per-axis
+1D matrices (Lynch, Rice & Thomas 1964; Shen 1994).  Per axis, on the pairs
+(i, k) of 1D dofs that share an element (the 1D sparsity pattern),
 
-    mass       (c * phi_j, phi_i)
-    diffusion  (c * grad phi_j, grad phi_i)
-    advection  -(c * phi_j, d/dx phi_i) - (c * phi_j, d/dy phi_i)
-    reaction   (c * phi_j, phi_i)
+    M[i, k] = (B_i B_k) . w      K[i, k] = (dB_i dB_k) . w
+    A[i, k] = -(dB_i B_k) . w
 
-The advection pairing puts the derivative on the test function, which for a
-constant coefficient and homogeneous Dirichlet data equals the usual
-(c * grad phi_j, phi_i) pairing by integration by parts and makes the
-operator antisymmetric.
+and the three operator kinds are
 
-L2 projection uses the same factorization: the unit mass matrix is Mx (x) My
-with Mx = Bx diag(wx) Bx^T, so it is solved axis by axis (L2Projector).
+    mass       (phi_j, phi_i)                         Mx (x) My
+    diffusion  (grad phi_j, grad phi_i)               Kx (x) My + Mx (x) Ky
+    advection  -(phi_j, d/dx phi_i) - (phi_j, d/dy phi_i)
+                                                      Ax (x) My + Mx (x) Ay
+
+Quadrature2D.operator writes any combination m*mass + d*diffusion +
+a*advection as two outer products of per-axis entries, whose entry
+[(i, k), (j, l)] lands at row i * n1d_y + j, column k * n1d_y + l.  The
+advection pairing puts the derivative on the test function, which for
+homogeneous Dirichlet data equals the usual (grad phi_j, phi_i) pairing by
+integration by parts and makes the operator antisymmetric.
+
+L2 projection uses the same factorization: the unit mass matrix is Mx (x) My,
+so it is solved axis by axis (L2Projector).
 
 All outputs are deterministic and immutable once built, safe to share across
 threads.
@@ -44,19 +47,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .basis import Basis1D
 from .mesh import Mesh2D, element_basis_table
 
-OPERATOR_KINDS = ("mass", "diffusion", "advection", "reaction")
-
-
-@dataclass(frozen=True)
-class GlobalOperator:
-    """Assembled sparse operator on the global C0 space."""
-
-    n: int
-    matrix: sp.csr_matrix
-    kind: str
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+OPERATOR_KINDS = ("mass", "diffusion", "advection")
 
 
 @dataclass
@@ -102,8 +93,9 @@ class Quadrature2D:
     weights and W = wx (x) wy the weight grid, with the Jacobian folded in.
     With C the coefficient vector reshaped to (n1d_x, n1d_y), values are
     Bx^T C By and loads Bx (F * W) By^T: sum factorization over the whole
-    tensor mesh, with no per-element gather or scatter.  `assemble` builds
-    operators from the same tables.
+    tensor mesh, with no per-element gather or scatter.  `operator` builds
+    the constant-coefficient operators as Kronecker sums of per-axis mass,
+    stiffness and advection entries from the same tables.
     """
 
     def __init__(self, mesh: Mesh2D, basis: Basis1D):
@@ -154,6 +146,28 @@ class Quadrature2D:
                 f"{self.mesh.element_index(i // nq, j // nq)}")
         return F
 
+    @cached_property
+    def _axis_entries(self):
+        """Per axis: the dof pairs (i, k) sharing an element and the mass,
+        stiffness and advection entries on them."""
+        Bx, dBx, By, dBy = self.tables
+        out = []
+        for axis, B, dB, w in ((self.mesh.ax, Bx, dBx, self.wx),
+                               (self.mesh.ay, By, dBy, self.wy)):
+            i, k = _axis_pairs(axis)
+            out.append((i, k, (B[i] * B[k]) @ w, (dB[i] * dB[k]) @ w, -(dB[i] * B[k]) @ w))
+        return out
+
+    def operator(self, m: float = 0.0, d: float = 0.0, a: float = 0.0) -> sp.csr_matrix:
+        """m * mass + d * diffusion + a * advection, as CSR with every pair
+        of dofs that share an element stored (exact zeros included)."""
+        (ix, kx, Mx, Kx, Ax), (jy, ly, My, Ky, Ay) = self._axis_entries
+        vals = np.outer(m * Mx + d * Kx + a * Ax, My) + np.outer(Mx, d * Ky + a * Ay)
+        ny, n = self.mesh.ay.n_dofs, self.mesh.n_global
+        rows = (ix[:, None] * ny + jy[None, :]).ravel()
+        cols = (kx[:, None] * ny + ly[None, :]).ravel()
+        return sp.csr_matrix((vals.ravel(), (rows, cols)), shape=(n, n))
+
     def to_elements(self, G: np.ndarray) -> np.ndarray:
         """Global-grid array (nx, ny) in per-element layout (n_el, nq, nq)."""
         m, nq = self.mesh, self.basis.n_quad
@@ -175,35 +189,12 @@ def _axis_pairs(axis):
     return np.divmod(np.unique(i[keep] * axis.n_dofs + k[keep]), axis.n_dofs)
 
 
-def assemble(mesh: Mesh2D, basis: Basis1D, coefficient_field, kind: str) -> GlobalOperator:
-    """Assemble one global operator of the given kind.
-
-    coefficient_field : callable (x, y) -> array, sampled once on the global
-    quadrature grid.
-    """
+def assemble(mesh: Mesh2D, basis: Basis1D, coefficient: float, kind: str) -> sp.csr_matrix:
+    """One global operator of the given kind times a constant coefficient."""
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    quad = Quadrature2D(mesh, basis)
-    Bx, dBx, By, dBy = quad.tables
-    CW = quad.sample(coefficient_field) * quad.W
-    ix, kx = _axis_pairs(mesh.ax)
-    jy, ly = _axis_pairs(mesh.ay)
-
-    def part(Fx, Gx, Fy, Gy):   # Px (C * W) Py^T
-        return (Fx[ix] * Gx[kx]) @ CW @ (Fy[jy] * Gy[ly]).T
-
-    if kind in ("mass", "reaction"):
-        vals = part(Bx, Bx, By, By)
-    elif kind == "diffusion":
-        vals = part(dBx, dBx, By, By) + part(Bx, Bx, dBy, dBy)
-    else:   # advection: derivative on the test function, both directions
-        vals = -(part(dBx, Bx, By, By) + part(Bx, Bx, dBy, By))
-
-    ny, n = mesh.ay.n_dofs, mesh.n_global
-    rows = (ix[:, None] * ny + jy[None, :]).ravel()
-    cols = (kx[:, None] * ny + ly[None, :]).ravel()
-    mat = sp.csr_matrix((vals.ravel(), (rows, cols)), shape=(n, n))
-    return GlobalOperator(n=n, matrix=mat, kind=kind)
+    return Quadrature2D(mesh, basis).operator(
+        *(coefficient if kind == k else 0.0 for k in OPERATOR_KINDS))
 
 
 def load_vector(mesh: Mesh2D, basis: Basis1D, field, t: float | None = None) -> np.ndarray:
@@ -294,7 +285,7 @@ class L2Projector:
     The unit mass matrix is Mx (x) My with Mx = Bx diag(wx) Bx^T (likewise
     for y), so Mass^{-1} b = Mx^{-1} B My^{-1} with B the load reshaped to
     (n1d_x, n1d_y): one Cholesky factor per axis, no 2D factorization.  The
-    assembled 2D `mass` operator is built on first use and never factorized.
+    2D `mass` operator is built on first use and never factorized.
     """
 
     def __init__(self, mesh: Mesh2D, basis: Basis1D):
@@ -305,9 +296,8 @@ class L2Projector:
         self._my = cho_factor(By @ (self.quad.wy[:, None] * By.T))
 
     @cached_property
-    def mass(self) -> GlobalOperator:
-        return assemble(self.mesh, self.basis,
-                        lambda x, y: np.ones(np.broadcast(x, y).shape), "mass")
+    def mass(self) -> sp.csr_matrix:
+        return self.quad.operator(m=1.0)
 
     def project(self, field, t: float | None = None) -> np.ndarray:
         return self.project_load(self.quad.load(self.quad.sample(field, t)))

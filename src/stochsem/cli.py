@@ -32,7 +32,8 @@ from . import __version__
 from .basis import make_basis
 from .config import ConfigError, RunConfig, load_config
 from .mesh import build_mesh
-from .model import ModelSpec, const_field, test1_spec, test2_spec
+from .model import (ModelSpec, SingularNonlinearity, const_field, test1_spec,
+                    test2_spec)
 from .montecarlo import (convergence_order, error_hw, error_report,
                          run_ensemble)
 from .stochastic import QWienerSampler, spectrum_to_csv
@@ -68,9 +69,9 @@ def make_problem(cfg: RunConfig) -> ModelSpec:
                 return np.asarray(x) * (1 - np.asarray(x)) * np.asarray(y) * (1 - np.asarray(y))
         wp = cfg.get("problem", "wp")
         spec = ModelSpec(
-            xi=const_field(cfg.get("problem", "xi")),
-            zeta=const_field(cfg.get("problem", "zeta")),
-            r=const_field(cfg.get("problem", "r")),
+            xi=cfg.get("problem", "xi"),
+            zeta=cfg.get("problem", "zeta"),
+            r=cfg.get("problem", "r"),
             wp=1.0 if wp is None else wp,
             e=(1.0, 1.0, 1.0),
             kappa=(cfg.get("problem", "kappa1"), cfg.get("problem", "kappa2")),
@@ -417,7 +418,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverFailure, DivergenceError, SchemeError, FloatingPointError) as exc:
+    except (SolverFailure, DivergenceError, SchemeError, SingularNonlinearity,
+            FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -1,15 +1,15 @@
-"""PDE data: coefficient fields, nonlinearities, test-problem configurations.
+"""PDE data: constant coefficients, nonlinearities, test-problem configurations.
 
 The solved system couples three scalar fields (u, v, w) through a shared
 reaction term:
 
-    d(phi) + [ xi(x,y) (phi_x + phi_y) - div(zeta(x,y) grad phi)
-               + wp * e_i * f(u, v) + r(x,y) * w * [phi == w] ] dt
+    d(phi) + [ xi (phi_x + phi_y) - zeta lap(phi)
+               + wp * e_i * f(u, v) + r * w * [phi == w] ] dt
         = forcing_i dt + dW
 
-with homogeneous Dirichlet boundary conditions.  Coefficient fields are plain
-callables (x, y) -> array; forcings are callables (x, y, t) -> array, all
-vectorized over numpy inputs.
+with homogeneous Dirichlet boundary conditions.  The coefficients xi, zeta
+and r are numbers; initial data are callables (x, y) -> array and forcings
+callables (x, y, t) -> array, all vectorized over numpy inputs.
 
 Two nonlinearities are supported:
 
@@ -32,6 +32,7 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 _POLE_TOL = 1e-12
+_POLE_MSG = "singular nonlinearity: denominator within 1e-12 of a pole"
 
 Field = Callable[[np.ndarray, np.ndarray], np.ndarray]
 TimeField = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
@@ -46,13 +47,17 @@ def const_field(c: float) -> Field:
     return f
 
 
+class SingularNonlinearity(ValueError):
+    """The nonlinearity was evaluated within 1e-12 of a pole."""
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Complete problem data for one configuration of the system."""
 
-    xi: Field                     # advection speed, applied to (d/dx + d/dy)
-    zeta: Field                   # diffusivity, must stay > 0
-    r: Field                      # reaction coefficient (acts on w only)
+    xi: float                     # advection speed, applied to (d/dx + d/dy)
+    zeta: float                   # diffusivity, must be >= 0
+    r: float                      # reaction coefficient (acts on w only)
     wp: float
     e: tuple[float, float, float]
     kappa: tuple[float, float]
@@ -64,6 +69,12 @@ class ModelSpec:
     name: str = "custom"
 
     def __post_init__(self):
+        for name in ("xi", "zeta", "r"):
+            c = getattr(self, name)
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient {name} must be finite, got {c}")
+        if self.zeta < 0:
+            raise ValueError(f"coefficient zeta (diffusivity) must be >= 0, got {self.zeta}")
         if self.nonlinearity not in ("saturating_sum", "test1_product"):
             raise ValueError(f"unknown nonlinearity selector {self.nonlinearity!r}")
         if self.kappa[0] <= 0 or self.kappa[1] <= 0:
@@ -77,7 +88,8 @@ class ModelSpec:
 def nonlinear_f(spec: ModelSpec, u, v):
     """Reaction value f(u, v) for the spec's selector (vectorized).
 
-    Raises ValueError when any denominator comes within 1e-12 of a pole.
+    Raises SingularNonlinearity when any denominator comes within 1e-12 of
+    a pole.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -86,11 +98,11 @@ def nonlinear_f(spec: ModelSpec, u, v):
         d1 = k1 + u
         d2 = k2 + v
         if np.any(np.abs(d1) < _POLE_TOL) or np.any(np.abs(d2) < _POLE_TOL):
-            raise ValueError("singular nonlinearity: denominator within 1e-12 of a pole")
+            raise SingularNonlinearity(_POLE_MSG)
         return u / d1 + v / d2
     den = (1.0 + u) * (v + 2.0)
     if np.any(np.abs(den) < _POLE_TOL):
-        raise ValueError("singular nonlinearity: denominator within 1e-12 of a pole")
+        raise SingularNonlinearity(_POLE_MSG)
     return u * v / den
 
 
@@ -123,27 +135,18 @@ def test1_spec(prefactor: float = 1.0) -> ModelSpec:
     D = TEST1_DIFFUSIVITY
     wp = 0.6 * prefactor
 
-    def nl_at_exact(x, y, t):
-        u, v, _ = test1_exact(x, y, t)
-        return wp * u * v / ((1.0 + u) * (v + 2.0))
+    def forcing(decay, reaction=0.0):
+        # phi_t + phi_x + phi_y - D lap(phi) + reaction phi + nonlinearity
+        # for phi = e^{-decay t} rho, with rho and phi_x + phi_y computed once
+        def f(x, y, t):
+            sx, sy = np.sin(_PI * x), np.sin(_PI * y)
+            rho = sx * sy
+            cxy = _PI * (np.cos(_PI * x) * sy + sx * np.cos(_PI * y))
+            u, v = np.exp(-5.0 * t) * rho, np.exp(-2.0 * t) * rho
+            nl = wp * u * v / ((1.0 + u) * (v + 2.0))
+            return np.exp(-decay * t) * ((2.0 * D * _PI**2 - decay + reaction) * rho + cxy) + nl
 
-    def linear_part(x, y, t, decay):
-        # phi_t + phi_x + phi_y - D lap(phi) for phi = e^{-decay t} rho
-        r = _rho(x, y)
-        cx = _PI * np.cos(_PI * x) * np.sin(_PI * y)
-        cy = _PI * np.sin(_PI * x) * np.cos(_PI * y)
-        return np.exp(-decay * t) * ((2.0 * D * _PI**2 - decay) * r + cx + cy)
-
-    def f_u(x, y, t):
-        return linear_part(x, y, t, 5.0) + nl_at_exact(x, y, t)
-
-    def f_v(x, y, t):
-        return linear_part(x, y, t, 2.0) + nl_at_exact(x, y, t)
-
-    def f_w(x, y, t):
-        # the +2w reaction contributes 2 e^{-3t} rho
-        extra = 2.0 * np.exp(-3.0 * t) * _rho(x, y)
-        return linear_part(x, y, t, 3.0) + extra + nl_at_exact(x, y, t)
+        return f
 
     init = lambda x, y: _rho(x, y)
 
@@ -153,15 +156,15 @@ def test1_spec(prefactor: float = 1.0) -> ModelSpec:
         return (gx, gy)
 
     return ModelSpec(
-        xi=const_field(1.0),
-        zeta=const_field(D),
-        r=const_field(2.0),
+        xi=1.0,
+        zeta=D,
+        r=2.0,
         wp=wp,
         e=(1.0, 1.0, 1.0),
         kappa=(1.0, 1.0),
         nonlinearity="test1_product",
         init=(init, init, init),
-        forcing=(f_u, f_v, f_w),
+        forcing=(forcing(5.0), forcing(2.0), forcing(3.0, reaction=2.0)),
         exact=(lambda x, y, t: test1_exact(x, y, t)[0],
                lambda x, y, t: test1_exact(x, y, t)[1],
                lambda x, y, t: test1_exact(x, y, t)[2]),
@@ -210,9 +213,9 @@ def test2_spec(init_kind: str = "smooth",
             return np.asarray(x) * (1.0 - np.asarray(x)) * np.asarray(y) * (1.0 - np.asarray(y))
 
     return ModelSpec(
-        xi=const_field(1.0),
-        zeta=const_field(TEST2_DIFFUSIVITY),
-        r=const_field(2.0),
+        xi=1.0,
+        zeta=TEST2_DIFFUSIVITY,
+        r=2.0,
         wp=0.6 * prefactor,
         e=(1.0, 1.0, 1.0),
         kappa=(1.0, 1.0),

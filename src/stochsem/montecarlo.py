@@ -197,17 +197,15 @@ def error_hw(state, reference, mesh: Mesh2D, basis: Basis1D, spec: ModelSpec,
              ref_basis: Basis1D | None = None) -> float:
     """Weighted energy norm of the error, summed over the three fields.
 
-    sqrt( sum_f  h1 * ||e_f||_L2^2 + (tau/2) * zeta_max * ||grad e_f||_L2^2 )
-    with h1 = max(1, 1 + (tau/2) max r).  The reference is an exact triple
+    sqrt( sum_f  h1 * ||e_f||_L2^2 + (tau/2) * zeta * ||grad e_f||_L2^2 )
+    with h1 = max(1, 1 + (tau/2) r).  The reference is an exact triple
     with spec.exact_grad available, or a StateVector on (ref_mesh, ref_basis).
     """
     if isinstance(state, EnsembleResult):
         state = state.mean
     quad = Quadrature2D(mesh, basis)
     X, Y = quad.grid
-    r_max = float(np.max(spec.r(X, Y)))
-    z_max = float(np.max(spec.zeta(X, Y)))
-    h1 = max(1.0, 1.0 + 0.5 * tau * r_max)
+    h1 = max(1.0, 1.0 + 0.5 * tau * spec.r)
 
     from_state = isinstance(reference, StateVector)
     if not from_state and getattr(spec, "exact_grad", None) is None:
@@ -225,7 +223,7 @@ def error_hw(state, reference, mesh: Mesh2D, basis: Basis1D, spec: ModelSpec,
         l2sq = float(np.sum((quad.values(f) - rv)**2 * quad.W))
         h1sq = float(np.sum(((quad.values(f, dx=1) - rgx)**2
                              + (quad.values(f, dy=1) - rgy)**2) * quad.W))
-        total += h1 * l2sq + 0.5 * tau * z_max * h1sq
+        total += h1 * l2sq + 0.5 * tau * spec.zeta * h1sq
     return float(np.sqrt(total))
 
 

@@ -5,9 +5,10 @@ One step advances each field phi in {u, v, w} by a single linear solve
     L_phi phi^n = R_phi phi^{n-1} - tau * wp * e_i * load(f(u*, v*))
                   + tau * load(forcing_i(t_{n-1/2})) + noise terms,
 
-with L_phi = Mass + (tau/2)(Advection + Diffusion [+ Reaction for w]) and
-R_phi its mirror with negated tau/2 terms.  Left operators are factorized
-once and reused across steps and samples.
+with L_phi = (1 + (tau/2) r_phi) Mass + (tau/2)(xi Advection + zeta Diffusion)
+(r_w = r, r_u = r_v = 0) and R_phi its mirror with negated tau/2 terms.  Each
+is built directly from per-axis entries (Quadrature2D.operator).  Left
+operators are factorized once and reused across steps and samples.
 
 The nonlinearity is evaluated explicitly.  Two time levels are supported:
 "lagged" uses (u, v) at t_{n-1} literally; "extrapolated" (the default) uses
@@ -26,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import GlobalOperator, L2Projector, Quadrature2D, StateVector, assemble
+from .assembly import L2Projector, Quadrature2D, StateVector
 from .basis import Basis1D
 from .mesh import Mesh2D
 from .model import ModelSpec, nonlinear_f
@@ -69,15 +71,13 @@ class SchemeOperators:
     mesh: Mesh2D
     basis: Basis1D
     tau: float
-    mass: GlobalOperator
-    diffusion_unit: GlobalOperator      # zeta == 1, for the energy norm
+    mass: sp.csr_matrix
+    stiffness: sp.csr_matrix            # unit diffusion, for the energy norm
     left: dict = dc_field(default_factory=dict)
     right: dict = dc_field(default_factory=dict)
     factors: dict = dc_field(default_factory=dict)
     quad: Quadrature2D = None
     projector: L2Projector = None
-    r_max: float = 0.0
-    zeta_max: float = 0.0
     nonlinearity_time: str = "extrapolated"
     noise_convention: str = "paper"
 
@@ -85,10 +85,11 @@ class SchemeOperators:
 def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
                  nonlinearity_time: str = "extrapolated",
                  noise_convention: str = "paper") -> SchemeOperators:
-    """Assemble the global operators and factorize the left-hand sides.
+    """Build the global operators on the projector's quadrature grid and
+    factorize the left-hand sides.
 
     u and v share identical left/right operators; w folds the reaction term
-    into both sides.
+    into the mass coefficient of both sides.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -98,30 +99,21 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
         raise ValueError(f"unknown noise convention {noise_convention!r}")
 
     projector = L2Projector(mesh, basis)
-    mass = projector.mass
-    adv = assemble(mesh, basis, spec.xi, "advection")
-    diff = assemble(mesh, basis, spec.zeta, "diffusion")
-    reac = assemble(mesh, basis, spec.r, "reaction")
-    diff1 = assemble(mesh, basis, lambda x, y: np.ones(np.broadcast(x, y).shape),
-                     "diffusion")
-
     quad = projector.quad
-    X, Y = quad.grid
-    r_max = max(0.0, float(np.max(spec.r(X, Y))))
-    z_max = max(0.0, float(np.max(spec.zeta(X, Y))))
-
     half = 0.5 * tau
-    g_uv = half * (adv.matrix + diff.matrix)
-    g_w = g_uv + half * reac.matrix
+
+    def side(sign, r):   # Mass +- (tau/2)(r Mass + zeta Diffusion + xi Advection)
+        return quad.operator(1.0 + sign * half * r, sign * half * spec.zeta,
+                             sign * half * spec.xi)
+
     ops = SchemeOperators(
         mesh=mesh, basis=basis, tau=tau,
-        mass=mass, diffusion_unit=diff1, quad=quad, projector=projector,
-        r_max=r_max, zeta_max=z_max,
+        mass=projector.mass, stiffness=quad.operator(d=1.0), quad=quad, projector=projector,
         nonlinearity_time=nonlinearity_time, noise_convention=noise_convention,
     )
-    ops.left = {"u": (mass.matrix + g_uv).tocsr(), "w": (mass.matrix + g_w).tocsr()}
+    ops.left = {"u": side(1, 0.0), "w": side(1, spec.r)}
     ops.left["v"] = ops.left["u"]
-    ops.right = {"u": (mass.matrix - g_uv).tocsr(), "w": (mass.matrix - g_w).tocsr()}
+    ops.right = {"u": side(-1, 0.0), "w": side(-1, spec.r)}
     ops.right["v"] = ops.right["u"]
     try:
         fac_uv = spla.splu(ops.left["u"].tocsc())
@@ -174,7 +166,7 @@ def step(ops: SchemeOperators, spec: ModelSpec, state: StateVector,
         zm = _noise_fields(noise_nm1, state.n)
         delta = zm - zn if ops.noise_convention == "paper" else zn - zm
         # (n,) for shared noise, (n, 3) per field: one product either way
-        noise_load = ops.mass.matrix @ delta.T
+        noise_load = ops.mass @ delta.T
 
     new_fields = []
     residuals = []
@@ -209,16 +201,15 @@ def energy_norm(ops: SchemeOperators, spec: ModelSpec, state: StateVector,
                 tau: float) -> float:
     """Discrete weighted energy norm used by the stability diagnostic.
 
-    sqrt( sum_phi  h1 * (phi' M phi) + (tau/2) * zeta_max * (phi' K1 phi) )
-    with h1 = max(1, 1 + (tau/2) * max r) and K1 the unit-coefficient
-    diffusion operator; the max coefficients are taken over all quadrature
-    points.
+    sqrt( sum_phi  h1 * (phi' M phi) + (tau/2) * zeta * (phi' K phi) )
+    with h1 = max(1, 1 + (tau/2) * r) and K the unit-coefficient
+    diffusion operator.
     """
-    h1 = max(1.0, 1.0 + 0.5 * tau * ops.r_max)
+    h1 = max(1.0, 1.0 + 0.5 * tau * spec.r)
     total = 0.0
     for f in state.fields:
-        total += h1 * float(f @ (ops.mass.matrix @ f))
-        total += 0.5 * tau * ops.zeta_max * float(f @ (ops.diffusion_unit.matrix @ f))
+        total += h1 * float(f @ (ops.mass @ f))
+        total += 0.5 * tau * spec.zeta * float(f @ (ops.stiffness @ f))
     return float(np.sqrt(total))
 
 

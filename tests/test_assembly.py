@@ -1,6 +1,7 @@
 import dataclasses
 import re
 
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,6 +12,7 @@ from stochsem.assembly import (L2Projector, Quadrature2D, StateVector, _axis_eva
                                load_from_values, load_vector, project_L2, values_at_quad)
 from stochsem.basis import make_basis, mass_1d
 from stochsem.mesh import build_mesh, element_basis_table
+from stochsem.model import const_field
 from stochsem.model import test1_spec as make_test1
 from stochsem.timestepper import build_scheme, step
 
@@ -32,7 +34,7 @@ class TestAssemble:
         # with stiffness = identity and B the 1D reference mass matrix
         order = 6
         m, b = disc(order=order)
-        K = assemble(m, b, ones, "diffusion").to_dense()
+        K = assemble(m, b, 1.0, "diffusion").toarray()
         B = mass_1d(b).to_dense()
         eye = np.eye(order - 1)
         oracle = np.kron(eye, B) + np.kron(B, eye)   # hy/hx = hx/hy = 1
@@ -42,7 +44,7 @@ class TestAssemble:
         # rectangle element hx=2, hy=1: (hy/hx) I x B + (hx/hy) B x I
         order = 5
         m, b = disc(domain=(0, 2, 0, 1), order=order)
-        K = assemble(m, b, ones, "diffusion").to_dense()
+        K = assemble(m, b, 1.0, "diffusion").toarray()
         B = mass_1d(b).to_dense()
         eye = np.eye(order - 1)
         oracle = 0.5 * np.kron(eye, B) + 2.0 * np.kron(B, eye)
@@ -51,22 +53,21 @@ class TestAssemble:
     def test_single_element_mass_closed_form(self):
         order = 7
         m, b = disc(order=order)
-        M = assemble(m, b, ones, "mass").to_dense()
+        M = assemble(m, b, 1.0, "mass").toarray()
         B = mass_1d(b).to_dense() / 2.0          # jacobian h/2 per direction
         assert np.max(np.abs(M - np.kron(B, B))) <= 1e-12
 
     def test_zero_coefficient_zero_operator(self):
         m, b = disc(2, 2, 4)
-        K = assemble(m, b, lambda x, y: np.zeros(np.broadcast(x, y).shape),
-                     "diffusion")
-        assert K.matrix.nnz == 0 or np.max(np.abs(K.to_dense())) == 0.0
+        K = assemble(m, b, 0.0, "diffusion")
+        assert K.nnz == 0 or np.max(np.abs(K.toarray())) == 0.0
 
     def test_advection_is_negated_transpose_of_trial_side(self):
         # independent oracle: derivative-on-trial operator by direct tensor
         # quadrature on a single element (pure interior modes)
         order = 6
         m, b = disc(order=order)
-        A = assemble(m, b, ones, "advection").to_dense()
+        A = assemble(m, b, 1.0, "advection").toarray()
         from conftest import shen_poly
         from numpy.polynomial.legendre import leggauss
         x, w = leggauss(order + 2)
@@ -79,29 +80,27 @@ class TestAssemble:
 
     def test_advection_antisymmetric(self):
         m, b = disc(2, 2, 5)
-        A = assemble(m, b, ones, "advection").to_dense()
+        A = assemble(m, b, 1.0, "advection").toarray()
         assert np.max(np.abs(A + A.T)) <= 1e-12
 
     def test_linearity_in_coefficient(self):
         m, b = disc(2, 1, 4)
-        c1 = lambda x, y: 1.0 + x * y
-        c2 = lambda x, y: np.cos(x + y)
+        c1, c2 = 1.4, -0.3
         alpha, beta = 0.7, -1.3
-        mixed = lambda x, y: alpha * c1(x, y) + beta * c2(x, y)
-        got = assemble(m, b, mixed, "mass").to_dense()
-        expect = (alpha * assemble(m, b, c1, "mass").to_dense()
-                  + beta * assemble(m, b, c2, "mass").to_dense())
+        got = assemble(m, b, alpha * c1 + beta * c2, "mass").toarray()
+        expect = (alpha * assemble(m, b, c1, "mass").toarray()
+                  + beta * assemble(m, b, c2, "mass").toarray())
         assert np.max(np.abs(got - expect)) <= 1e-12
 
     @pytest.mark.parametrize("nex,ney,order", [(2, 2, 4), (3, 3, 6)])
     def test_diffusion_spd(self, nex, ney, order):
         m, b = disc(nex, ney, order)
-        K = assemble(m, b, ones, "diffusion").to_dense()
+        K = assemble(m, b, 1.0, "diffusion").toarray()
         assert np.linalg.eigvalsh(0.5 * (K + K.T)).min() > 0
 
     def test_mass_spd_and_symmetric(self):
         m, b = disc(2, 2, 4)
-        M = assemble(m, b, ones, "mass").to_dense()
+        M = assemble(m, b, 1.0, "mass").toarray()
         assert np.max(np.abs(M - M.T)) <= 1e-13
         assert np.linalg.eigvalsh(0.5 * (M + M.T)).min() > 0
 
@@ -109,7 +108,7 @@ class TestAssemble:
         # dofs interior to non-adjacent elements never couple
         order = 4
         m, b = disc(2, 2, order)
-        M = assemble(m, b, ones, "mass").to_dense()
+        M = assemble(m, b, 1.0, "mass").toarray()
         nloc = order + 1
         interior = [m.dof_map[e].reshape(nloc, nloc)[1:order, 1:order].ravel()
                     for e in range(4)]
@@ -119,20 +118,23 @@ class TestAssemble:
                 assert M[i, j] == 0.0
 
     def test_nonfinite_coefficient_reported(self):
-        m, b = disc(2, 1, 4)
-
-        def bad(x, y):
-            out = np.ones(np.broadcast(x, y).shape)
-            out[np.broadcast_arrays(x, y)[0] > 0.6] = np.nan
-            return out
-
-        with pytest.raises(ValueError, match="quadrature point"):
-            assemble(m, b, bad, "mass")
+        # coefficients are checked where a ModelSpec is made, before any
+        # operator is built: non-finite xi, zeta or r and a negative zeta are
+        # rejected by name; zeta = 0 (pure transport) stays legal
+        spec = make_test1()
+        for name in ("xi", "zeta", "r"):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match=f"coefficient {name} must be finite"):
+                    dataclasses.replace(spec, **{name: bad})
+        with pytest.raises(ValueError, match="coefficient zeta"):
+            dataclasses.replace(spec, zeta=-1.0)
+        assert dataclasses.replace(spec, zeta=0.0).zeta == 0.0
 
     def test_unknown_kind(self):
         m, b = disc()
-        with pytest.raises(ValueError, match="kind"):
-            assemble(m, b, ones, "helmholtz")
+        for kind in ("helmholtz", "reaction"):
+            with pytest.raises(ValueError, match="kind"):
+                assemble(m, b, 1.0, kind)
 
 
 class TestLoadVector:
@@ -143,7 +145,7 @@ class TestLoadVector:
     def test_galerkin_identity(self, rng):
         # load of a global basis function = corresponding mass column
         m, b = disc(2, 1, 5)
-        M = assemble(m, b, ones, "mass").to_dense()
+        M = assemble(m, b, 1.0, "mass").toarray()
         for j in rng.choice(m.n_global, size=4, replace=False):
             ej = np.zeros(m.n_global)
             ej[j] = 1.0
@@ -235,8 +237,8 @@ class TestProjection:
         m, b = disc(2, 2, 6)
         f = lambda x, y: np.exp(x) * np.sin(np.pi * y)
         c = project_L2(m, b, f)
-        M = assemble(m, b, ones, "mass")
-        residual = load_vector(m, b, f) - M.matrix @ c
+        M = assemble(m, b, 1.0, "mass")
+        residual = load_vector(m, b, f) - M @ c
         assert np.max(np.abs(residual)) <= 1e-10
 
     def test_monotone_spectral_decay(self):
@@ -257,7 +259,7 @@ class TestProjection:
         proj = L2Projector(m, b)
         load = (load_vector(m, b, lambda x, y: np.exp(x) * np.cos(3 * y))
                 + 1e-3 * rng.standard_normal(m.n_global))
-        want = spla.splu(proj.mass.matrix.tocsc()).solve(load)
+        want = spla.splu(proj.mass.tocsc()).solve(load)
         assert rel_err(proj.project_load(load), want) <= 1e-10
 
     def test_projector_reuse_matches_oneshot(self):
@@ -345,7 +347,7 @@ def ref_assemble(m, b, coefficient_field, kind):
     rows, cols, vals = [], [], []
     for e in range(m.n_elements):
         C = np.broadcast_to(coefficient_field(*ref_element_grid(m, b, e)), W.shape) * W
-        if kind in ("mass", "reaction"):
+        if kind == "mass":
             A = loc(C, V, V, V, V)
         elif kind == "diffusion":
             A = sx * sx * loc(C, D, D, V, V) + sy * sy * loc(C, V, V, D, D)
@@ -388,13 +390,12 @@ class TestQuadratureKernel:
         vals = np.stack([f(*ref_element_grid(m, b, e)) for e in range(m.n_elements)])
         assert rel_err(load_vector(m, b, f), ref_load_from_values(m, b, vals)) <= 1e-13
 
-    @pytest.mark.parametrize("kind", ["mass", "diffusion", "advection", "reaction"])
-    @pytest.mark.parametrize("coefficient", [ones, lambda x, y: 1.0 + x * y**2 - np.sin(y)],
-                             ids=["constant", "variable"])
+    @pytest.mark.parametrize("kind", ["mass", "diffusion", "advection"])
+    @pytest.mark.parametrize("coefficient", [0.7], ids=["constant"])
     def test_operators(self, shape, domain, kind, coefficient):
         m, b = disc(*shape, domain=domain)
-        got = assemble(m, b, coefficient, kind).matrix
-        want = ref_assemble(m, b, coefficient, kind)
+        got = assemble(m, b, coefficient, kind)
+        want = ref_assemble(m, b, const_field(coefficient), kind)
         assert got.nnz == want.nnz
         assert abs(got - want).max() / abs(want).max() <= 1e-13
 
@@ -468,3 +469,46 @@ class TestAxisTables:
         m, b = disc(2, 1, 4)
         with pytest.raises(ValueError, match="outside"):
             _axis_eval_matrix(m.ax, b, [0.5, 1.2])
+
+
+# ---------------------------------------------------------------------------
+# properties on random tensor meshes: the operators equal the element
+# assembly, mass and stiffness are SPD, advection is antisymmetric
+# ---------------------------------------------------------------------------
+
+rectangles = st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 3.0),
+                       st.floats(-2.0, 2.0), st.floats(0.1, 3.0)).map(
+    lambda t: (t[0], t[0] + t[1], t[2], t[2] + t[3]))
+discretizations = st.builds(lambda nex, ney, order, domain: disc(nex, ney, order, domain),
+                            st.integers(1, 3), st.integers(1, 3), st.integers(2, 7),
+                            rectangles)
+PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, database=None, derandomize=True)
+
+
+class TestOperatorProperties:
+    @PROPERTY_SETTINGS
+    @given(discretizations, st.sampled_from(["mass", "diffusion", "advection"]),
+           st.floats(0.1, 10.0))
+    def test_matches_element_assembly(self, mb, kind, coefficient):
+        m, b = mb
+        assume(m.n_global > 1 or kind != "advection")   # one dof: advection is 0
+        got = assemble(m, b, coefficient, kind)
+        want = ref_assemble(m, b, const_field(coefficient), kind)
+        assert got.nnz == want.nnz
+        assert abs(got - want).max() / abs(want).max() <= 1e-13
+
+    @PROPERTY_SETTINGS
+    @given(discretizations, st.sampled_from(["mass", "diffusion"]))
+    def test_spd(self, mb, kind):
+        m, b = mb
+        A = assemble(m, b, 1.0, kind).toarray()
+        assert np.max(np.abs(A - A.T)) <= 1e-13 * np.max(np.abs(A))
+        assert np.linalg.eigvalsh(A).min() > 0
+
+    @PROPERTY_SETTINGS
+    @given(discretizations)
+    def test_advection_antisymmetric(self, mb):
+        m, b = mb
+        assume(m.n_global > 1)   # one dof: advection is 0
+        A = assemble(m, b, 1.0, "advection").toarray()
+        assert np.max(np.abs(A + A.T)) <= 1e-13 * np.max(np.abs(A))

@@ -159,6 +159,36 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "sample 0" in err
 
+    # u = 0 at the first step meets the pole of u / (kappa1 + u)
+    POLE_SECTIONS = {
+        "problem": {"kind": "custom", "nonlinearity": "saturating_sum", "init": "zero",
+                    "kappa1": "1e-13", "wp": "1.0"},
+        "mesh": {"nex": "1", "ney": "1", "order": "4"},
+        "time": {"tau": "0.1", "t_final": "0.2"},
+    }
+
+    def test_nonlinearity_pole_exit_3(self, tmp_path, capsys):
+        cfg = write(tmp_path, ini(self.POLE_SECTIONS))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "numerical failure: singular nonlinearity" in capsys.readouterr().err
+
+    def test_nonlinearity_pole_in_ensemble_exit_3(self, tmp_path, capsys):
+        cfg = write(tmp_path, ini(self.POLE_SECTIONS, noise={"sigma": "0.1"},
+                                  montecarlo={"samples": "3"}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "sample 0 failed" in err
+
+    @pytest.mark.parametrize("key,value", [("zeta", "-1.0"), ("xi", "nan")])
+    def test_ill_posed_coefficient_exit_2(self, tmp_path, capsys, key, value):
+        problem = {**self.POLE_SECTIONS["problem"], "init": "smooth", "kappa1": "1",
+                   key: value}
+        cfg = write(tmp_path, ini(self.POLE_SECTIONS, problem=problem))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: coefficient {key}" in capsys.readouterr().err
+        assert not (out / "final_state.csv").exists()
+
     def test_determinism_identical_checksums(self, tmp_path):
         cfg = write(tmp_path, BASE_T1)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -11,7 +11,7 @@ from stochsem.basis import gauss_rule
 
 def saturating_spec(k1=1.0, k2=1.0):
     zero = const_field(0.0)
-    return ModelSpec(xi=zero, zeta=const_field(1.0), r=zero, wp=1.0,
+    return ModelSpec(xi=0.0, zeta=1.0, r=0.0, wp=1.0,
                      e=(1.0, 1.0, 1.0), kappa=(k1, k2),
                      nonlinearity="saturating_sum", init=(zero, zero, zero))
 
@@ -124,12 +124,11 @@ class TestTestProblem1:
 
     def test_coefficients(self, rng):
         spec = make_test1()
-        x, y = rng.uniform(0, 1, (2, 10))
-        assert np.all(spec.xi(x, y) == 1.0)
-        assert np.all(spec.zeta(x, y) == TEST1_DIFFUSIVITY)
-        assert np.all(spec.r(x, y) == 2.0)
+        assert spec.xi == 1.0
+        assert spec.zeta == TEST1_DIFFUSIVITY
+        assert spec.r == 2.0
         assert spec.wp == pytest.approx(0.6)
-        assert np.all(spec.zeta(x, y) > 0)   # ellipticity
+        assert spec.zeta > 0   # ellipticity
 
     def test_prefactor_scales_wp(self):
         assert make_test1(prefactor=2.0).wp == pytest.approx(1.2)
@@ -147,10 +146,9 @@ class TestTestProblem2:
 
     def test_coefficients(self, rng):
         spec = make_test2("smooth")
-        x, y = rng.uniform(0, 1, (2, 10))
-        assert np.all(spec.xi(x, y) == 1.0)
-        assert np.all(spec.zeta(x, y) == 1e-4)
-        assert np.all(spec.r(x, y) == 2.0)
+        assert spec.xi == 1.0
+        assert spec.zeta == 1e-4
+        assert spec.r == 2.0
         assert spec.forcing is None
 
     def test_delta_unit_mass(self):

@@ -135,7 +135,7 @@ class TestStatistics:
         c11 = np.zeros((8, 8))
         c11[0, 0] = 1.0
         p11 = ws.projector.project(increment_field(s, mesh, c11))
-        Mmat = ws.projector.mass.matrix
+        Mmat = ws.projector.mass
         vals = [float(sample_increment(s, i, 1, self.TAU, mesh, basis,
                                        workspace=ws).coeffs @ (Mmat @ p11))
                 for i in range(self.M)]

@@ -24,7 +24,7 @@ def plain_spec(xi=0.0, zeta=0.0, r=0.0, wp=0.0, init=None):
     """Constant-coefficient linear configuration for operator checks."""
     zero = const_field(0.0)
     init = init or (zero, zero, zero)
-    return ModelSpec(xi=const_field(xi), zeta=const_field(zeta), r=const_field(r),
+    return ModelSpec(xi=xi, zeta=zeta, r=r,
                      wp=wp, e=(1.0, 1.0, 1.0), kappa=(1.0, 1.0),
                      nonlinearity="saturating_sum", init=init)
 
@@ -37,7 +37,7 @@ class TestBuildScheme:
     def test_all_zero_coefficients_give_mass(self):
         mesh, basis = disc(2, 1, 4)
         ops = build_scheme(mesh, basis, plain_spec(), tau=0.1)
-        M = ops.mass.to_dense()
+        M = ops.mass.toarray()
         for name in "uvw":
             assert np.max(np.abs(ops.left[name].toarray() - M)) <= 1e-15
             assert np.max(np.abs(ops.right[name].toarray() - M)) <= 1e-15
@@ -47,7 +47,7 @@ class TestBuildScheme:
         mesh, basis = disc(2, 1, 4)
         tau = 0.2
         ops = build_scheme(mesh, basis, plain_spec(r=2.0), tau=tau)
-        M = ops.mass.to_dense()
+        M = ops.mass.toarray()
         assert np.max(np.abs(ops.left["w"].toarray() - (1 + tau) * M)) <= 1e-12
         assert np.max(np.abs(ops.right["w"].toarray() - (1 - tau) * M)) <= 1e-12
         assert np.max(np.abs(ops.left["u"].toarray() - M)) <= 1e-15
@@ -58,7 +58,7 @@ class TestBuildScheme:
         tau = 0.1
         L1 = build_scheme(mesh, basis, spec, tau).left["u"].toarray()
         L2 = build_scheme(mesh, basis, spec, tau / 2).left["u"].toarray()
-        M = build_scheme(mesh, basis, spec, tau).mass.to_dense()
+        M = build_scheme(mesh, basis, spec, tau).mass.toarray()
         assert np.max(np.abs((L1 - M) - 2 * (L2 - M))) <= 1e-12
 
     def test_validation(self):
