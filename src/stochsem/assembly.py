@@ -158,6 +158,16 @@ class Quadrature2D:
             out.append((i, k, (B[i] * B[k]) @ w, (dB[i] * dB[k]) @ w, -(dB[i] * B[k]) @ w))
         return out
 
+    def axis_matrices(self):
+        """The same entries as dense per-axis matrices: ((Mx, Kx, Ax),
+        (My, Ky, Ay)), each (n1d, n1d) with zeros off the 1D pattern."""
+        out = []
+        for axis, (i, k, *entries) in zip((self.mesh.ax, self.mesh.ay), self._axis_entries):
+            mats = np.zeros((3, axis.n_dofs, axis.n_dofs))
+            mats[:, i, k] = entries
+            out.append(tuple(mats))
+        return tuple(out)
+
     def operator(self, m: float = 0.0, d: float = 0.0, a: float = 0.0) -> sp.csr_matrix:
         """m * mass + d * diffusion + a * advection, as CSR with every pair
         of dofs that share an element stored (exact zeros included)."""

@@ -51,8 +51,11 @@ DOMAIN = (0.0, 1.0, 0.0, 1.0)   # both test problems live on the unit square
 def make_problem(cfg: RunConfig) -> ModelSpec:
     kind = cfg.get("problem", "kind")
     pref = cfg.get("problem", "prefactor")
+    wp = cfg.get("problem", "wp")
     if kind == "test1":
-        spec = test1_spec(prefactor=pref)
+        # the manufactured forcings depend on the strength 0.6 * prefactor,
+        # so a wp override rebuilds them
+        spec = test1_spec(prefactor=pref if wp is None else wp / 0.6)
     elif kind == "test2_smooth":
         spec = test2_spec("smooth", prefactor=pref)
     elif kind == "test2_delta":
@@ -67,7 +70,6 @@ def make_problem(cfg: RunConfig) -> ModelSpec:
         else:
             def init(x, y):
                 return np.asarray(x) * (1 - np.asarray(x)) * np.asarray(y) * (1 - np.asarray(y))
-        wp = cfg.get("problem", "wp")
         spec = ModelSpec(
             xi=cfg.get("problem", "xi"),
             zeta=cfg.get("problem", "zeta"),
@@ -79,9 +81,8 @@ def make_problem(cfg: RunConfig) -> ModelSpec:
             init=(init, init, init),
             name="custom",
         )
-    wp_override = cfg.get("problem", "wp")
-    if wp_override is not None and kind != "custom":
-        spec = spec.with_wp(wp_override)
+    if wp is not None and kind.startswith("test2"):
+        spec = spec.with_wp(wp)
     return spec
 
 

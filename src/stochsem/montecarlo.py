@@ -4,9 +4,8 @@ Trajectories are independent work units; per-sample final states stream into
 Welford moment accumulators.  Samples are processed in fixed-size chunks and
 the per-chunk partial moments merge in chunk order, so the ensemble mean is
 identical no matter how many workers execute the chunks (noise realizations
-are already keyed by sample id).  Workers run as threads: the heavy lifting
-is numpy/scipy work that releases the GIL, and the factorized schemes shared
-read-only across samples are not picklable.
+are already keyed by sample id).  Workers run as threads sharing one scheme
+read-only.
 """
 from __future__ import annotations
 

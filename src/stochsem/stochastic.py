@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,13 @@ class QWienerSampler:
         """q_jk table of shape (J, J); entry [j-1, k-1] holds mode (j, k)."""
         j = np.arange(1, self.truncation + 1, dtype=float)
         return (j[:, None] ** 2 + j[None, :] ** 2) ** (-self.decay_exponent)
+
+    @cached_property
+    def _eigenvalue_table(self) -> np.ndarray:
+        """eigenvalues(), computed once per sampler and read-only."""
+        q = self.eigenvalues()
+        q.setflags(write=False)
+        return q
 
 
 @dataclass(frozen=True)
@@ -123,7 +131,7 @@ def mode_coefficients(sampler: QWienerSampler, sample_id: int, n: int, tau: floa
     if sampler.amplitude == 0.0:
         return np.zeros((sampler.truncation, sampler.truncation))
     xi = mode_normals(sampler, sample_id, n, component)
-    return sampler.amplitude * np.sqrt(sampler.eigenvalues() * tau) * xi
+    return sampler.amplitude * np.sqrt(sampler._eigenvalue_table * tau) * xi
 
 
 def eigenfunction_values(sampler: QWienerSampler, mesh: Mesh2D, x, y):

@@ -6,9 +6,36 @@ One step advances each field phi in {u, v, w} by a single linear solve
                   + tau * load(forcing_i(t_{n-1/2})) + noise terms,
 
 with L_phi = (1 + (tau/2) r_phi) Mass + (tau/2)(xi Advection + zeta Diffusion)
-(r_w = r, r_u = r_v = 0) and R_phi its mirror with negated tau/2 terms.  Each
-is built directly from per-axis entries (Quadrature2D.operator).  Left
-operators are factorized once and reused across steps and samples.
+(r_w = r, r_u = r_v = 0) and R_phi its mirror with negated tau/2 terms.
+
+The coefficients are constants and the mesh is a tensor product, so every
+scheme operator is a Kronecker sum of dense per-axis matrices (Lynch, Rice &
+Thomas 1964).  With the coefficients of a field reshaped to X of shape
+(n1d_x, n1d_y) (global dof gx * n1d_y + gy),
+
+    L vec X = Ox X My^T + Mx X Oy^T,
+    Ox = (1 + (tau/2) r_phi) Mx + (tau/2)(zeta Kx + xi Ax),
+    Oy = (tau/2)(zeta Ky + xi Ay),
+
+with Mx, Kx, Ax the 1D mass, stiffness and advection matrices
+(Quadrature2D.axis_matrices; likewise for y).  u and v share their
+operators (the "uv" family), w has its own ("w").  No 2D operator is built.
+
+L vec X = R is the Sylvester equation
+
+    (Mx^-1 Ox) X + X (My^-1 Oy)^T = Mx^-1 R My^-T,
+
+solved by Bartels & Stewart (CACM 15(9), 1972): build_scheme takes one real
+Schur form Mx^-1 Ox = U Ta U^T, My^-1 Oy = V Tb V^T per family and folds
+U^T Mx^-1 and V^T My^-1 into one matrix per axis, so a solve is four matrix
+products and one LAPACK dtrsyl on the quasi-triangular (Ta, Tb).  (Fast
+diagonalization by eigenvectors is not used: the advection-diffusion pencil's
+eigenvectors are too ill-conditioned.)  A dtrsyl that perturbs a near-zero
+eigenvalue sum (info != 0) or rescales against overflow (scale != 1) is a
+failure, never a silent result: in build_scheme's trial solve it raises
+SchemeError, in a step SolverFailure.  Every solve must also pass the
+relative residual gate SOLVE_RTOL, measured against the per-axis apply of
+the same left operator.
 
 The nonlinearity is evaluated explicitly.  Two time levels are supported:
 "lagged" uses (u, v) at t_{n-1} literally; "extrapolated" (the default) uses
@@ -27,8 +54,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# Nothing in this package calls scipy.sparse.linalg; the module is kept bound
+# here because perfbench/spans.py replaces `timestepper.spla` when it traces.
+import scipy.sparse.linalg as spla  # noqa: F401
+from scipy.linalg import cho_factor, cho_solve, schur
+from scipy.linalg.lapack import dtrsyl
 
 from .assembly import L2Projector, Quadrature2D, StateVector
 from .basis import Basis1D
@@ -41,13 +71,16 @@ SOLVE_RTOL = 1e-10
 NOISE_CONVENTIONS = ("paper", "increment")
 NONLINEARITY_TIMES = ("extrapolated", "lagged")
 
+# field families sharing one left/right operator pair: (name, field indices)
+FAMILIES = (("uv", slice(0, 2)), ("w", slice(2, 3)))
+
 
 class SchemeError(RuntimeError):
-    """Left operator could not be factorized."""
+    """Left operator is singular."""
 
 
 class SolverFailure(RuntimeError):
-    """A linear solve exceeded the residual tolerance."""
+    """A linear solve failed or exceeded the residual tolerance."""
 
 
 class DivergenceError(RuntimeError):
@@ -64,15 +97,60 @@ class StepReport:
     energy: float | None
 
 
+@dataclass(frozen=True, eq=False)
+class KroneckerSum:
+    """The operator L vec X = ox X my^T + mx X oy^T on coefficient matrices X
+    of shape (..., n1d_x, n1d_y); `L @ X` applies it."""
+
+    ox: np.ndarray
+    oy: np.ndarray
+    mx: np.ndarray
+    my: np.ndarray
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        return self.ox @ X @ self.my.T + self.mx @ X @ self.oy.T
+
+
+class SchurFactor:
+    """Bartels-Stewart factor of a KroneckerSum L with SPD mx, my.
+
+    With mx^-1 ox = U ta U^T and my^-1 oy = V tb V^T (real Schur forms),
+    L vec X = R becomes ta Y + Y tb^T = px R py^T for Y = U^T X V, where
+    px = U^T mx^-1 and py = V^T my^-1.
+    """
+
+    def __init__(self, op: KroneckerSum):
+        fx, fy = cho_factor(op.mx), cho_factor(op.my)
+        self.ta, self.u = schur(cho_solve(fx, op.ox), output="real")
+        self.tb, self.v = schur(cho_solve(fy, op.oy), output="real")
+        self.px = cho_solve(fx, self.u).T
+        self.py = cho_solve(fy, self.v).T
+
+    def solve(self, R: np.ndarray):
+        """Solution X of L @ X = R for R of shape (k, n1d_x, n1d_y), and
+        dtrsyl's (scale, info) for each of the k right-hand sides."""
+        F = self.px @ R @ self.py.T
+        status = []
+        for i in range(len(F)):
+            F[i], scale, info = dtrsyl(self.ta, self.tb, F[i], trana="N", tranb="T")
+            status.append((scale, info))
+        return self.u @ F @ self.v.T, status
+
+
 @dataclass
 class SchemeOperators:
-    """Assembled and factorized operators of one (mesh, spec, tau) scheme."""
+    """Per-axis operators and Schur factors of one (mesh, spec, tau) scheme.
+
+    mass is (Mx, My); stiffness the unit diffusion (for the energy norm);
+    left, right and factors map each field family ("uv", "w") to its
+    Crank-Nicolson operators and the Schur factor of its left operator.
+    """
 
     mesh: Mesh2D
     basis: Basis1D
     tau: float
-    mass: sp.csr_matrix
-    stiffness: sp.csr_matrix            # unit diffusion, for the energy norm
+    mass: tuple[np.ndarray, np.ndarray]
+    stiffness: KroneckerSum
     left: dict = dc_field(default_factory=dict)
     right: dict = dc_field(default_factory=dict)
     factors: dict = dc_field(default_factory=dict)
@@ -85,11 +163,12 @@ class SchemeOperators:
 def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
                  nonlinearity_time: str = "extrapolated",
                  noise_convention: str = "paper") -> SchemeOperators:
-    """Build the global operators on the projector's quadrature grid and
-    factorize the left-hand sides.
+    """Build the per-axis operators on the projector's quadrature grid and
+    the Schur factors of the left-hand sides.
 
     u and v share identical left/right operators; w folds the reaction term
-    into the mass coefficient of both sides.
+    into the mass coefficient of both sides.  A left operator that dtrsyl
+    finds singular raises SchemeError.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -100,29 +179,30 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
 
     projector = L2Projector(mesh, basis)
     quad = projector.quad
+    (mx, kx, ax), (my, ky, ay) = quad.axis_matrices()
     half = 0.5 * tau
 
     def side(sign, r):   # Mass +- (tau/2)(r Mass + zeta Diffusion + xi Advection)
-        return quad.operator(1.0 + sign * half * r, sign * half * spec.zeta,
-                             sign * half * spec.xi)
+        return KroneckerSum(
+            (1.0 + sign * half * r) * mx + sign * half * (spec.zeta * kx + spec.xi * ax),
+            sign * half * (spec.zeta * ky + spec.xi * ay), mx, my)
 
     ops = SchemeOperators(
-        mesh=mesh, basis=basis, tau=tau,
-        mass=projector.mass, stiffness=quad.operator(d=1.0), quad=quad, projector=projector,
+        mesh=mesh, basis=basis, tau=tau, mass=(mx, my),
+        stiffness=KroneckerSum(kx, ky, mx, my), quad=quad, projector=projector,
         nonlinearity_time=nonlinearity_time, noise_convention=noise_convention,
     )
-    ops.left = {"u": side(1, 0.0), "w": side(1, spec.r)}
-    ops.left["v"] = ops.left["u"]
-    ops.right = {"u": side(-1, 0.0), "w": side(-1, spec.r)}
-    ops.right["v"] = ops.right["u"]
-    try:
-        fac_uv = spla.splu(ops.left["u"].tocsc())
-        fac_w = spla.splu(ops.left["w"].tocsc())
-    except RuntimeError as exc:
-        raise SchemeError(
-            f"left operator factorization failed for tau={tau}, "
-            f"mesh {mesh.nex}x{mesh.ney} order {mesh.order}: {exc}") from exc
-    ops.factors = {"u": fac_uv, "v": fac_uv, "w": fac_w}
+    for fam, r in (("uv", 0.0), ("w", spec.r)):
+        ops.left[fam], ops.right[fam] = side(1, r), side(-1, r)
+        ops.factors[fam] = SchurFactor(ops.left[fam])
+        # dtrsyl reports info 1 exactly when it must perturb a (near-)zero
+        # eigenvalue sum, whatever the right-hand side
+        _, [(_, info)] = ops.factors[fam].solve(np.zeros((1, len(mx), len(my))))
+        if info != 0:
+            raise SchemeError(
+                f"left operator of field family {fam} is singular for tau={tau}, "
+                f"mesh {mesh.nex}x{mesh.ney} order {mesh.order} "
+                f"(dtrsyl info {info})")
     return ops
 
 
@@ -150,48 +230,58 @@ def step(ops: SchemeOperators, spec: ModelSpec, state: StateVector,
     tau = ops.tau
     quad = ops.quad
     t_half = state.t + tau / 2.0
+    mx, my = ops.mass
+    shape = (len(mx), len(my))
+    old = state.stacked().reshape(3, *shape)
 
-    nl_load = None
+    rhs = np.empty_like(old)
+    for fam, idx in FAMILIES:
+        rhs[idx] = ops.right[fam] @ old[idx]
+
     if spec.wp != 0.0 and any(spec.e):
         u, v = state.u, state.v
         if ops.nonlinearity_time == "extrapolated" and prev_state is not None:
             # the extrapolation is linear, so it is done on coefficients
             u = 1.5 * u - 0.5 * prev_state.u
             v = 1.5 * v - 0.5 * prev_state.v
-        nl_load = quad.load(nonlinear_f(spec, quad.values(u), quad.values(v)))
+        nl_load = quad.load(nonlinear_f(spec, quad.values(u), quad.values(v))).reshape(shape)
+        for idx in range(3):
+            rhs[idx] -= tau * spec.wp * spec.e[idx] * nl_load
 
-    noise_load = None
+    if spec.forcing is not None:
+        for idx in range(3):
+            rhs[idx] += tau * quad.load(quad.sample(spec.forcing[idx], t_half)).reshape(shape)
+
     if noise_n is not None or noise_nm1 is not None:
         zn = _noise_fields(noise_n, state.n)
         zm = _noise_fields(noise_nm1, state.n)
         delta = zm - zn if ops.noise_convention == "paper" else zn - zm
-        # (n,) for shared noise, (n, 3) per field: one product either way
-        noise_load = ops.mass @ delta.T
+        # shared (n,) noise broadcasts over the three fields
+        rhs += mx @ np.reshape(delta, (-1, *shape)) @ my.T
 
-    new_fields = []
+    sol = np.empty_like(rhs)
+    gap = np.empty_like(rhs)
+    status = []
+    for fam, idx in FAMILIES:
+        sol[idx], fam_status = ops.factors[fam].solve(rhs[idx])
+        gap[idx] = ops.left[fam] @ sol[idx] - rhs[idx]
+        status += fam_status
     residuals = []
-    for idx, name in enumerate("uvw"):
-        old = state.fields[idx]
-        rhs = ops.right[name] @ old
-        if nl_load is not None:
-            rhs = rhs - tau * spec.wp * spec.e[idx] * nl_load
-        if spec.forcing is not None:
-            rhs = rhs + tau * quad.load(quad.sample(spec.forcing[idx], t_half))
-        if noise_load is not None:
-            rhs = rhs + (noise_load if noise_load.ndim == 1 else noise_load[:, idx])
-        sol = ops.factors[name].solve(rhs)
-        denom = np.linalg.norm(rhs)
-        res = np.linalg.norm(ops.left[name] @ sol - rhs) / (denom if denom > 0 else 1.0)
+    for name, (scale, info), g, b in zip("uvw", status, np.linalg.norm(gap, axis=(1, 2)),
+                                         np.linalg.norm(rhs, axis=(1, 2))):
+        if info != 0 or scale != 1.0:
+            raise SolverFailure(f"solve for field {name} at step {step_index}: "
+                                f"dtrsyl info {info}, scale {scale}")
+        res = float(g / (b if b > 0 else 1.0))
         if res > SOLVE_RTOL:
             raise SolverFailure(
                 f"solve for field {name} at step {step_index}: "
                 f"relative residual {res:.3e} exceeds {SOLVE_RTOL:.1e}")
         residuals.append(res)
-        new_fields.append(sol)
 
-    new_state = StateVector(*new_fields, t=state.t + tau)
-    if not new_state.is_finite():
+    if not np.isfinite(sol).all():
         raise DivergenceError(f"non-finite state after step {step_index}")
+    new_state = StateVector(*sol.reshape(3, -1), t=state.t + tau)
     energy = energy_norm(ops, spec, new_state, tau) if _energy else None
     report = StepReport(step=step_index, residuals=tuple(residuals), energy=energy)
     return new_state, report
@@ -203,13 +293,13 @@ def energy_norm(ops: SchemeOperators, spec: ModelSpec, state: StateVector,
 
     sqrt( sum_phi  h1 * (phi' M phi) + (tau/2) * zeta * (phi' K phi) )
     with h1 = max(1, 1 + (tau/2) * r) and K the unit-coefficient
-    diffusion operator.
+    diffusion operator, both applied axis by axis.
     """
     h1 = max(1.0, 1.0 + 0.5 * tau * spec.r)
-    total = 0.0
-    for f in state.fields:
-        total += h1 * float(f @ (ops.mass @ f))
-        total += 0.5 * tau * spec.zeta * float(f @ (ops.stiffness @ f))
+    mx, my = ops.mass
+    F = state.stacked().reshape(3, len(mx), len(my))
+    total = h1 * float(np.sum(F * (mx @ F @ my.T)))
+    total += 0.5 * tau * spec.zeta * float(np.sum(F * (ops.stiffness @ F)))
     return float(np.sqrt(total))
 
 

@@ -12,7 +12,7 @@ from stochsem.assembly import (L2Projector, Quadrature2D, StateVector, _axis_eva
                                load_from_values, load_vector, project_L2, values_at_quad)
 from stochsem.basis import make_basis, mass_1d
 from stochsem.mesh import build_mesh, element_basis_table
-from stochsem.model import const_field
+from stochsem.model import ModelSpec, const_field
 from stochsem.model import test1_spec as make_test1
 from stochsem.timestepper import build_scheme, step
 
@@ -512,3 +512,41 @@ class TestOperatorProperties:
         assume(m.n_global > 1)   # one dof: advection is 0
         A = assemble(m, b, 1.0, "advection").toarray()
         assert np.max(np.abs(A + A.T)) <= 1e-13 * np.max(np.abs(A))
+
+
+# ---------------------------------------------------------------------------
+# the scheme's per-axis operators and Schur solves against the 2D operator
+# assembled by the element oracle
+# ---------------------------------------------------------------------------
+
+def scheme_spec(xi, zeta, r):
+    zero = const_field(0.0)
+    return ModelSpec(xi=xi, zeta=zeta, r=r, wp=0.0, e=(1.0, 1.0, 1.0), kappa=(1.0, 1.0),
+                     nonlinearity="saturating_sum", init=(zero, zero, zero))
+
+
+class TestPerAxisScheme:
+    @PROPERTY_SETTINGS
+    @given(discretizations, st.floats(-2.0, 2.0), st.floats(0.0, 1.0),
+           st.floats(-1.0, 3.0), st.floats(1e-3, 0.5), st.integers(0, 2**32 - 1))
+    def test_apply_and_solve_match_oracle(self, mb, xi, zeta, r, tau, seed):
+        m, b = mb
+        ops = build_scheme(m, b, scheme_spec(xi, zeta, r), tau)
+        mass, diff, adv = (ref_assemble(m, b, const_field(1.0), kind)
+                           for kind in ("mass", "diffusion", "advection"))
+        rng = np.random.default_rng(seed)
+        shape = (m.ax.n_dofs, m.ay.n_dofs)
+        for fam, rf in (("uv", 0.0), ("w", r)):
+            for side, sign in ((ops.left, 1.0), (ops.right, -1.0)):
+                want = ((1.0 + sign * tau / 2 * rf) * mass
+                        + sign * tau / 2 * (zeta * diff + xi * adv)).tocsc()
+                X = rng.standard_normal(shape)
+                ref = want @ X.ravel()
+                assert rel_err((side[fam] @ X).ravel(), ref) <= 1e-13
+            L = ((1.0 + tau / 2 * rf) * mass + tau / 2 * (zeta * diff + xi * adv)).tocsc()
+            R = rng.standard_normal(shape)
+            (sol,), ((scale, info),) = ops.factors[fam].solve(R[None])
+            assert (scale, info) == (1.0, 0)
+            x = sol.ravel()
+            assert np.linalg.norm(L @ x - R.ravel()) / np.linalg.norm(R) <= 1e-10
+            assert np.linalg.norm(x - spla.spsolve(L, R.ravel())) / np.linalg.norm(x) <= 1e-10

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from stochsem.cli import main
+from stochsem.cli import main, make_discretization, make_problem
 from stochsem.config import ConfigError, load_config, parse_config
+from stochsem.montecarlo import error_report
+from stochsem.timestepper import run
 
 T1_SECTIONS = {
     "problem": {"kind": "test1"},
@@ -179,6 +181,15 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "sample 0 failed" in err
 
+    def test_singular_scheme_exit_3(self, tmp_path, capsys):
+        # 1 + (tau/2) r = 0 with no advection or diffusion: L_w is exactly 0
+        problem = {"kind": "custom", "xi": "0", "zeta": "0", "r": "-20", "wp": "0",
+                   "init": "smooth"}
+        cfg = write(tmp_path, ini(self.POLE_SECTIONS, problem=problem))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "tau=0.1" in err and "1x1" in err
+
     @pytest.mark.parametrize("key,value", [("zeta", "-1.0"), ("xi", "nan")])
     def test_ill_posed_coefficient_exit_2(self, tmp_path, capsys, key, value):
         problem = {**self.POLE_SECTIONS["problem"], "init": "smooth", "kappa1": "1",
@@ -246,6 +257,21 @@ class TestFlagsAndEnv:
         main(["run", "--config", str(cfg), "--out", str(flag_out)])
         assert (flag_out / "manifest.json").exists()
         assert not (tmp_path / "env_out").exists()
+
+
+class TestMakeProblem:
+    @pytest.mark.parametrize("wp", ["0.0", "1.2"])
+    def test_test1_wp_override_keeps_manufactured_solution(self, wp):
+        # the forcings must be rebuilt for the overridden strength, or the
+        # error against the exact solution stalls instead of falling ~4x
+        cfg = parse_config(ini(T1_SECTIONS, problem={"kind": "test1", "wp": wp},
+                               mesh={"nex": "2", "ney": "2", "order": "10"}))
+        spec = make_problem(cfg)
+        assert spec.wp == pytest.approx(float(wp), rel=1e-15)
+        mesh, basis = make_discretization(cfg)
+        errs = [error_report(run(spec, mesh, basis, tau, 1.0, record_reports=False).final,
+                             spec.exact, mesh, basis).linf_sum for tau in (1 / 32, 1 / 64)]
+        assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
 class TestTable1Command:

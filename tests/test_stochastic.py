@@ -83,6 +83,24 @@ class TestDeterminism:
         assert not np.array_equal(mode_normals(sampler(), 0, 1),
                                   mode_normals(sampler(seed=SEED + 1), 0, 1))
 
+    def test_eigenvalue_table_computed_once(self, monkeypatch):
+        s = sampler(decay_exponent=1.5)
+        want = [s.amplitude * np.sqrt(s.eigenvalues() * tau) * mode_normals(s, sid, n)
+                for sid, n, tau in ((0, 1, 0.01), (3, 7, 0.01), (2, 5, 1 / 3))]
+        calls = []
+        table = QWienerSampler.eigenvalues
+
+        def counting(self):
+            calls.append(self)
+            return table(self)
+
+        monkeypatch.setattr(QWienerSampler, "eigenvalues", counting)
+        got = [mode_coefficients(s, sid, n, tau)
+               for sid, n, tau in ((0, 1, 0.01), (3, 7, 0.01), (2, 5, 1 / 3))]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert len(calls) == 1
+
     def test_zero_amplitude_zero_increment(self):
         mesh, basis = disc()
         inc = sample_increment(sampler(amplitude=0.0), 0, 1, 0.01, mesh, basis)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stochsem.assembly import StateVector, evaluate_grid
+from stochsem.assembly import Quadrature2D, StateVector, evaluate_grid
 from stochsem.basis import make_basis
 from stochsem.mesh import build_mesh
 from stochsem.model import ModelSpec, const_field
@@ -11,7 +11,8 @@ from stochsem.model import test1_spec as make_test1
 from stochsem.model import test2_spec as make_test2
 from stochsem.montecarlo import error_report
 from stochsem.stochastic import QWienerSampler
-from stochsem.timestepper import (build_scheme, energy_norm, run, step)
+from stochsem.timestepper import (SchemeError, SolverFailure, build_scheme, energy_norm,
+                                  run, step)
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -33,32 +34,38 @@ def sine_init(x, y):
     return np.sin(np.pi * x) * np.sin(np.pi * y)
 
 
+def dense(op):
+    """The 2D matrix kron(ox, my) + kron(mx, oy) of a per-axis operator."""
+    return np.kron(op.ox, op.my) + np.kron(op.mx, op.oy)
+
+
 class TestBuildScheme:
     def test_all_zero_coefficients_give_mass(self):
         mesh, basis = disc(2, 1, 4)
         ops = build_scheme(mesh, basis, plain_spec(), tau=0.1)
-        M = ops.mass.toarray()
-        for name in "uvw":
-            assert np.max(np.abs(ops.left[name].toarray() - M)) <= 1e-15
-            assert np.max(np.abs(ops.right[name].toarray() - M)) <= 1e-15
+        M = ops.quad.operator(m=1.0).toarray()
+        for fam in ("uv", "w"):
+            assert np.max(np.abs(dense(ops.left[fam]) - M)) <= 1e-15
+            assert np.max(np.abs(dense(ops.right[fam]) - M)) <= 1e-15
 
     def test_constant_reaction_scales_mass(self):
         # r = 2 with no advection/diffusion: L_w = (1 + tau) * Mass
         mesh, basis = disc(2, 1, 4)
         tau = 0.2
         ops = build_scheme(mesh, basis, plain_spec(r=2.0), tau=tau)
-        M = ops.mass.toarray()
-        assert np.max(np.abs(ops.left["w"].toarray() - (1 + tau) * M)) <= 1e-12
-        assert np.max(np.abs(ops.right["w"].toarray() - (1 - tau) * M)) <= 1e-12
-        assert np.max(np.abs(ops.left["u"].toarray() - M)) <= 1e-15
+        M = ops.quad.operator(m=1.0).toarray()
+        assert np.max(np.abs(dense(ops.left["w"]) - (1 + tau) * M)) <= 1e-12
+        assert np.max(np.abs(dense(ops.right["w"]) - (1 - tau) * M)) <= 1e-12
+        assert np.max(np.abs(dense(ops.left["uv"]) - M)) <= 1e-15
 
     def test_tau_linearity(self):
         mesh, basis = disc(1, 1, 6)
         spec = make_test1()
         tau = 0.1
-        L1 = build_scheme(mesh, basis, spec, tau).left["u"].toarray()
-        L2 = build_scheme(mesh, basis, spec, tau / 2).left["u"].toarray()
-        M = build_scheme(mesh, basis, spec, tau).mass.toarray()
+        ops = build_scheme(mesh, basis, spec, tau)
+        L1 = dense(ops.left["uv"])
+        L2 = dense(build_scheme(mesh, basis, spec, tau / 2).left["uv"])
+        M = ops.quad.operator(m=1.0).toarray()
         assert np.max(np.abs((L1 - M) - 2 * (L2 - M))) <= 1e-12
 
     def test_validation(self):
@@ -215,6 +222,43 @@ class TestRun:
         assert [r.step for r in traj.reports] == [1, 2, 3, 4, 5]
         assert all(max(r.residuals) <= 1e-10 for r in traj.reports)
         assert all(np.isfinite(r.energy) for r in traj.reports)
+
+
+class TestPerAxisPath:
+    def test_no_2d_operator_or_sparse_lu(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("2D operator path used")
+
+        monkeypatch.setattr(Quadrature2D, "operator", forbidden)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", forbidden)
+        mesh, basis = disc(2, 2, 6)
+        spec = make_test1()
+        sampler = QWienerSampler(truncation=4, amplitude=0.1, seed=5)
+        ops = build_scheme(mesh, basis, spec, 0.05)
+        traj = run(spec, mesh, basis, 0.05, 0.2, sampler=sampler, sample_id=1, ops=ops,
+                   record_reports=True)
+        assert [r.step for r in traj.reports] == [1, 2, 3, 4]
+        assert all(max(r.residuals) <= 1e-10 for r in traj.reports)
+        assert all(np.isfinite(r.energy) for r in traj.reports)
+
+    def test_singular_left_operator_raises(self):
+        # 1 + (tau/2) r = 0 with no advection or diffusion: L_w is exactly 0
+        mesh, basis = disc(1, 1, 4)
+        with pytest.raises(SchemeError, match=r"tau=0.1, mesh 1x1 order 4"):
+            build_scheme(mesh, basis, plain_spec(r=-20.0), tau=0.1)
+
+    def test_dtrsyl_failure_in_step_is_typed(self, monkeypatch):
+        from stochsem import timestepper
+        mesh, basis = disc(1, 1, 4)
+        spec = plain_spec(xi=1.0, zeta=0.01, r=2.0)
+        ops = build_scheme(mesh, basis, spec, tau=0.1)
+        monkeypatch.setattr(timestepper, "dtrsyl",
+                            lambda a, b, c, **kw: (0.5 * c, 0.5, 0))
+        state = StateVector(*(np.ones(mesh.n_global) for _ in range(3)))
+        with pytest.raises(SolverFailure, match="field u at step 3: dtrsyl info 0, scale 0.5"):
+            step(ops, spec, state, step_index=3)
 
 
 class TestEnergyNorm:
