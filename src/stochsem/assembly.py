@@ -42,7 +42,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .basis import Basis1D
 from .mesh import Mesh2D, element_basis_table
@@ -120,15 +121,19 @@ class Quadrature2D:
 
     def values(self, coeffs: np.ndarray, dx: int = 0, dy: int = 0) -> np.ndarray:
         """Field values (or the x / y partial derivative for dx / dy = 1) on
-        the global grid, shape (nx, ny)."""
+        the global grid, shape (nx, ny), of a flat (n_global,) coefficient
+        vector; a stack (..., n1d_x, n1d_y) gives (..., nx, ny)."""
         Bx, dBx, By, dBy = self.tables
-        C = np.asarray(coeffs).reshape(len(Bx), len(By))
+        C = np.asarray(coeffs)
+        if C.ndim == 1:
+            C = C.reshape(len(Bx), len(By))
         return (dBx if dx else Bx).T @ C @ (dBy if dy else By)
 
     def load(self, F: np.ndarray) -> np.ndarray:
-        """Load vector int F phi_i dOmega from samples F on the global grid."""
+        """Loads int F phi_i dOmega from samples F (..., nx, ny) on the global
+        grid, as (..., n1d_x, n1d_y) matrices."""
         Bx, _, By, _ = self.tables
-        return (Bx @ (F * self.W) @ By.T).ravel()
+        return Bx @ (F * self.W) @ By.T
 
     def sample(self, field, t: float | None = None) -> np.ndarray:
         """Samples of field (x, y), or (x, y, t) when t is given, on the
@@ -214,7 +219,7 @@ def load_vector(mesh: Mesh2D, basis: Basis1D, field, t: float | None = None) -> 
     sampled once on the whole quadrature grid.
     """
     quad = Quadrature2D(mesh, basis)
-    return quad.load(quad.sample(field, t))
+    return quad.load(quad.sample(field, t)).ravel()
 
 
 def load_from_values(quad: Quadrature2D, values: np.ndarray) -> np.ndarray:
@@ -223,7 +228,7 @@ def load_from_values(quad: Quadrature2D, values: np.ndarray) -> np.ndarray:
     values has shape (n_elements, n_quad, n_quad); used for the nonlinear
     term, whose arguments already live at the quadrature points.
     """
-    return quad.load(quad.from_elements(values))
+    return quad.load(quad.from_elements(values)).ravel()
 
 
 def values_at_quad(quad: Quadrature2D, coeffs: np.ndarray) -> np.ndarray:
@@ -310,14 +315,31 @@ class L2Projector:
         return self.quad.operator(m=1.0)
 
     def project(self, field, t: float | None = None) -> np.ndarray:
-        return self.project_load(self.quad.load(self.quad.sample(field, t)))
+        return self.project_load(self.quad.load(self.quad.sample(field, t))).ravel()
 
     def project_load(self, load: np.ndarray) -> np.ndarray:
-        """Mass^{-1} load; load is the flat (n_global,) vector or its
-        (n1d_x, n1d_y) matrix form."""
-        B = np.reshape(load, (self.mesh.ax.n_dofs, self.mesh.ay.n_dofs))
-        X = cho_solve(self._mx, B, check_finite=False)
-        return cho_solve(self._my, X.T, check_finite=False).T.ravel()
+        """Mass^{-1} load, in the shape of load: a flat (n_global,) vector or
+        a stack (..., n1d_x, n1d_y) of matrix-form loads.
+
+        Each axis is one LAPACK dpotrs on its Cholesky factor, with the
+        columns of every load of the stack side by side (dpotrs solves each
+        column alike, so a load's projection does not depend on the stack).
+        """
+        nx, ny = self.mesh.ax.n_dofs, self.mesh.ay.n_dofs
+        B = np.reshape(load, (-1, nx, ny))
+        k = len(B)
+        X = _potrs(self._mx, B.transpose(1, 0, 2).reshape(nx, k * ny))
+        Y = _potrs(self._my, X.reshape(nx, k, ny).transpose(2, 1, 0).reshape(ny, k * nx))
+        return Y.reshape(ny, k, nx).transpose(1, 2, 0).reshape(np.shape(load))
+
+
+def _potrs(factor, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b by dpotrs on A's cho_factor result (c, lower)."""
+    c, lower = factor
+    x, info = dpotrs(c, b, lower=lower)
+    if info != 0:
+        raise ValueError(f"dpotrs failed with info {info}")
+    return x
 
 
 def project_L2(mesh: Mesh2D, basis: Basis1D, field, t: float | None = None) -> np.ndarray:

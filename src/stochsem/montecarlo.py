@@ -1,15 +1,21 @@
 """Ensemble estimation of the expected solution and error measurement.
 
-Trajectories are independent work units; per-sample final states stream into
-Welford moment accumulators.  Samples are processed in fixed-size chunks and
-the per-chunk partial moments merge in chunk order, so the ensemble mean is
-identical no matter how many workers execute the chunks (noise realizations
-are already keyed by sample id).  Workers run as threads sharing one scheme
-read-only.
+Samples are processed in fixed-size chunks, and each chunk advances as one
+batch through the time loop (`timestepper.advance`): its states are one
+(B, 3, n1d_x, n1d_y) array, so every step makes one right-hand side, solve
+and noise projection for the whole chunk.  The initial data are projected
+once per ensemble.  Per-chunk moments merge in chunk order, so the ensemble
+mean is identical no matter how many workers execute the chunks (noise
+realizations are already keyed by sample id).  With workers > 1, chunks go
+to forked worker processes, which inherit the scheme; only chunk ranges go
+out and moments come back.  Where fork is unavailable, or other threads of
+the caller are running, chunks run serially.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -19,7 +25,8 @@ from .basis import Basis1D
 from .mesh import Mesh2D
 from .model import ModelSpec
 from .stochastic import NoiseWorkspace, QWienerSampler
-from .timestepper import SchemeOperators, build_scheme, run
+# `run` stays importable here: the benchmark's tests compare montecarlo.run
+from .timestepper import SchemeOperators, advance, build_scheme, initial_data, run  # noqa: F401
 
 DEFAULT_CHUNK = 32
 LINF_GRID = 101
@@ -62,6 +69,18 @@ def _merge_moments(a, b):
     return (n, mean, m2)
 
 
+_worker_job = None     # a pool worker's chunk runner, set by _set_chunk_job
+
+
+def _set_chunk_job(job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _chunk_job(ids):
+    return _worker_job(ids)
+
+
 def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
                  T: float, sampler: QWienerSampler, M: int,
                  workers: int = 1, chunk_size: int = DEFAULT_CHUNK,
@@ -75,6 +94,16 @@ def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
     merge order are fixed by chunk_size alone).  Any sample failure aborts
     the whole ensemble; it is re-raised as its own exception type with the
     offending sample id in the message.
+
+    With workers > 1 and more than one chunk, the calling process forks
+    worker processes.  That needs the "fork" start method and no other
+    Python thread running; otherwise the chunks run serially.  Native BLAS
+    threads are not checked: OpenBLAS shuts its thread pool down around a
+    fork, but an OpenMP BLAS may hang in the child, and Python >= 3.12 warns
+    (DeprecationWarning) about any fork of a multi-threaded process.  Set the
+    BLAS to one thread (OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1 before
+    numpy is imported) to fork a single-threaded process; one BLAS thread
+    per worker is also what a process pool wants.
     """
     if M < 1:
         raise ValueError(f"sample count must be >= 1, got {M}")
@@ -87,34 +116,37 @@ def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
     workspace = None
     if sampler is not None and sampler.amplitude > 0.0:
         workspace = NoiseWorkspace(sampler, mesh, basis, projector=ops.projector)
+    init = initial_data(ops, spec)
     snapshot_times = tuple(snapshot_times or ())
 
     def run_chunk(ids):
-        count = 0
-        mean = np.zeros((3, mesh.n_global))
-        m2 = np.zeros_like(mean)
-        snaps = {t: np.zeros((3, mesh.n_global)) for t in snapshot_times}
-        for sid in ids:
-            try:
-                traj = run(spec, mesh, basis, tau, T, sampler=sampler, sample_id=sid,
-                           snapshot_times=snapshot_times, ops=ops,
-                           noise_workspace=workspace, record_reports=False)
-            except Exception as exc:
-                # keep the type: the CLI maps it to an exit code
-                raise type(exc)(f"sample {sid} failed: {exc}") from exc
-            x = traj.final.stacked()
-            count += 1
-            delta = x - mean
-            mean += delta / count
-            m2 += delta * (x - mean)
-            for t in snapshot_times:
-                snaps[t] += traj.snapshots[t].stacked()
-        return (count, mean, m2), snaps
+        try:
+            final, snapshots, _ = advance(ops, spec, init, T, ids, sampler=sampler,
+                                          noise_workspace=workspace,
+                                          snapshot_times=snapshot_times)
+        except Exception as exc:
+            # keep the type: the CLI maps it to an exit code; a failure of
+            # the whole batch is the first sample's
+            sid = getattr(exc, "sample_id", None)
+            raise type(exc)(f"sample {ids[0] if sid is None else sid} failed: {exc}") from exc
+        X = final.coeffs.reshape(len(ids), 3, -1)
+        # deviations from the first sample, so that equal samples give
+        # exactly their value as mean and m2 = 0
+        d = X - X[0]
+        d_mean = d.mean(axis=0)
+        moments = (len(ids), X[0] + d_mean, np.sum((d - d_mean)**2, axis=0))
+        return moments, {t: s.coeffs.reshape(len(ids), 3, -1).sum(axis=0)
+                         for t, s in snapshots.items()}
 
     chunks = [range(i, min(i + chunk_size, M)) for i in range(0, M, chunk_size)]
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, chunks))
+    if (workers > 1 and len(chunks) > 1 and threading.active_count() == 1
+            and "fork" in multiprocessing.get_all_start_methods()):
+        # forked workers inherit run_chunk (ops, and spec with its lambdas)
+        # through the initializer, which fork does not pickle
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_set_chunk_job, initargs=(run_chunk,)) as pool:
+            results = list(pool.map(_chunk_job, chunks))
     else:
         results = [run_chunk(c) for c in chunks]
 

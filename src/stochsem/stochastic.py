@@ -74,6 +74,13 @@ class QWienerSampler:
         q.setflags(write=False)
         return q
 
+    @cached_property
+    def _stream(self):
+        """One Philox bit generator and its Generator, re-keyed per draw by
+        mode_normals (building a Philox reads OS entropy first)."""
+        bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        return bitgen, np.random.Generator(bitgen)
+
 
 @dataclass(frozen=True)
 class NoiseIncrement:
@@ -111,14 +118,22 @@ def mode_normals(sampler: QWienerSampler, sample_id: int, n: int,
 
     The Philox counter encodes (component, step, sample) in its high words,
     so distinct tuples use disjoint counter blocks; the (j, k) draw sits at a
-    fixed raster position within the block.
+    fixed raster position within the block.  Every draw re-keys the
+    sampler's one Philox generator, so one sampler must not draw from two
+    threads at once.
     """
     if sample_id < 0 or n < 0:
         raise ValueError("sample_id and step index must be nonnegative")
     comp = 0 if component is None else component + 1
-    key = np.array([sampler.seed & _MASK64, 0], dtype=np.uint64)
-    counter = np.array([0, comp, n, sample_id], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    bitgen, gen = sampler._stream
+    # the state of Philox(key, counter) as constructed: empty output buffer
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, comp, n, sample_id], dtype=np.uint64),
+                  "key": np.array([sampler.seed & _MASK64, 0], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
     J = sampler.truncation
     return gen.standard_normal((J, J))
 
@@ -188,7 +203,24 @@ class NoiseWorkspace:
         self.ey = By @ (quad.wy[:, None] * _sine_modes(J, y0, y1, quad.y).T)
 
     def project_modes(self, coeffs_jk: np.ndarray) -> np.ndarray:
-        return self.projector.project_load(self.ex @ coeffs_jk @ self.ey.T)
+        """Projected coefficients (..., n_global) of mode coefficients
+        (..., J, J); a stack shares the per-axis mass solves."""
+        proj = self.projector.project_load(self.ex @ coeffs_jk @ self.ey.T)
+        return proj.reshape(*proj.shape[:-2], -1)
+
+
+def sample_increments(sampler: QWienerSampler, sample_ids, n: int, tau: float,
+                      workspace: NoiseWorkspace, components=(None,)) -> np.ndarray:
+    """Projected increments W^n - W^{n-1} of a batch of samples, shape
+    (len(sample_ids), len(components), n_global); component None is the
+    path shared by all fields.
+
+    Entry [b, c] is bitwise the increment that sample_increment draws for
+    (sample_ids[b], components[c]).
+    """
+    return workspace.project_modes(np.array(
+        [[mode_coefficients(sampler, sid, n, tau, comp) for comp in components]
+         for sid in sample_ids]))
 
 
 def sample_increment(sampler: QWienerSampler, sample_id: int, n: int, tau: float,
@@ -202,7 +234,7 @@ def sample_increment(sampler: QWienerSampler, sample_id: int, n: int, tau: float
     """
     if sampler.amplitude == 0.0:
         return NoiseIncrement(n=n, coeffs=np.zeros(mesh.n_global))
-    c = mode_coefficients(sampler, sample_id, n, tau, component)
     if workspace is None:
         workspace = NoiseWorkspace(sampler, mesh, basis)
-    return NoiseIncrement(n=n, coeffs=workspace.project_modes(c))
+    return NoiseIncrement(n=n, coeffs=sample_increments(
+        sampler, (sample_id,), n, tau, workspace, (component,))[0, 0])

@@ -48,6 +48,19 @@ Noise enters through the process values at the step endpoints: the "paper"
 convention adds load(W^{n-1} - W^n) to the right-hand side (the increment is
 subtracted from the dynamics), the "increment" convention flips the sign to
 the conventional +dW forcing.
+
+The time loop (`advance`) works on batches: the states of B samples are one
+array of shape (B, 3, n1d_x, n1d_y) (a StateBatch), and their noise
+processes one array of shape (B, 1 | 3, n1d_x, n1d_y) (one path shared by
+the fields, or one per field).  A step applies each right-hand-side
+KroneckerSum once to the whole stack (np.matmul broadcasts), evaluates the
+nonlinearity and the forcing once, and projects the batch's noise with
+shared per-axis mass solves; only dtrsyl runs once per sample and field.
+The residual gate, the dtrsyl checks and the finite check hold per sample
+and field, and a failure names its sample.  Every per-sample operation is
+the same BLAS or LAPACK call whatever B is, so a sample's trajectory does
+not depend on its batch: `run` is the batch of one, and `step` also takes
+a single StateVector.
 """
 from __future__ import annotations
 
@@ -63,8 +76,8 @@ from scipy.linalg.lapack import dtrsyl
 from .assembly import L2Projector, Quadrature2D, StateVector
 from .basis import Basis1D
 from .mesh import Mesh2D
-from .model import ModelSpec, nonlinear_f
-from .stochastic import NoiseWorkspace, QWienerSampler, sample_increment
+from .model import ModelSpec, SingularNonlinearity, nonlinear_f
+from .stochastic import NoiseWorkspace, QWienerSampler, sample_increments
 
 SOLVE_RTOL = 1e-10
 
@@ -89,11 +102,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class StepReport:
-    """Per-step diagnostics: relative solve residuals and the energy norm
-    (None in the reports `run` discards)."""
+    """Per-step diagnostics: relative solve residuals per field (a (B, 3)
+    array for a batch) and the energy norm (None where it is not computed)."""
 
     step: int
-    residuals: tuple[float, float, float]
+    residuals: tuple[float, float, float] | np.ndarray
     energy: float | None
 
 
@@ -127,14 +140,16 @@ class SchurFactor:
         self.py = cho_solve(fy, self.v).T
 
     def solve(self, R: np.ndarray):
-        """Solution X of L @ X = R for R of shape (k, n1d_x, n1d_y), and
-        dtrsyl's (scale, info) for each of the k right-hand sides."""
+        """Solution X of L @ X = R for a stack R of shape (..., n1d_x, n1d_y),
+        and dtrsyl's scale and info for each right-hand side, as arrays of
+        shape R.shape[:-2]."""
         F = self.px @ R @ self.py.T
-        status = []
-        for i in range(len(F)):
-            F[i], scale, info = dtrsyl(self.ta, self.tb, F[i], trana="N", tranb="T")
-            status.append((scale, info))
-        return self.u @ F @ self.v.T, status
+        flat = F.reshape(-1, *F.shape[-2:])
+        scale = np.empty(len(flat))
+        info = np.empty(len(flat), dtype=int)
+        for i, f in enumerate(flat):
+            flat[i], scale[i], info[i] = dtrsyl(self.ta, self.tb, f, trana="N", tranb="T")
+        return self.u @ F @ self.v.T, scale.reshape(F.shape[:-2]), info.reshape(F.shape[:-2])
 
 
 @dataclass
@@ -197,7 +212,7 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
         ops.factors[fam] = SchurFactor(ops.left[fam])
         # dtrsyl reports info 1 exactly when it must perturb a (near-)zero
         # eigenvalue sum, whatever the right-hand side
-        _, [(_, info)] = ops.factors[fam].solve(np.zeros((1, len(mx), len(my))))
+        _, _, info = ops.factors[fam].solve(np.zeros((len(mx), len(my))))
         if info != 0:
             raise SchemeError(
                 f"left operator of field family {fam} is singular for tau={tau}, "
@@ -206,85 +221,139 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
     return ops
 
 
-def _noise_fields(noise, n: int):
-    """Validate a noise argument: shared (n,) or per-field (3, n); None is 0."""
+@dataclass
+class StateBatch:
+    """The states of B samples at one time level: the layout `step` and the
+    time loop work on.
+
+    coeffs has shape (B, 3, n1d_x, n1d_y): sample, field (u, v, w), then the
+    field's coefficient matrix (global dof gx * n1d_y + gy).  sample_ids
+    name the samples in failures (None when they have no ids).
+    """
+
+    coeffs: np.ndarray
+    t: float = 0.0
+    sample_ids: tuple | None = None
+
+    def state(self, b: int) -> StateVector:
+        """Sample b as a StateVector (views of coeffs)."""
+        return StateVector(*self.coeffs[b].reshape(3, -1), t=self.t)
+
+
+def _noise_fields(noise, shape):
+    """Validate a StateVector's noise argument, shared (n,) or per-field
+    (3, n), and give it the batch layout (1, 1 | 3, n1d_x, n1d_y)."""
     if noise is None:
-        return 0.0
+        return None
     arr = np.asarray(noise, dtype=float)
+    n = shape[0] * shape[1]
     if arr.shape not in ((n,), (3, n)):
         raise ValueError(f"noise array has shape {arr.shape}, expected (3, {n}) or ({n},)")
-    return arr
+    return arr.reshape(1, -1, *shape)
 
 
-def step(ops: SchemeOperators, spec: ModelSpec, state: StateVector,
-         noise_n=None, noise_nm1=None, prev_state: StateVector | None = None,
-         step_index: int = 0, *, _energy: bool = True) -> tuple[StateVector, StepReport]:
-    """Advance the state one step of size ops.tau.
+def _tag(exc: Exception, state: StateBatch, b: int) -> Exception:
+    """exc with the id of the batch's sample b attached as exc.sample_id."""
+    exc.sample_id = None if state.sample_ids is None else state.sample_ids[b]
+    return exc
 
-    noise_n / noise_nm1 are the projected coefficient arrays of the driving
-    process at the two step endpoints ((3, n) or shared (n,), or None for a
-    deterministic step).  prev_state supplies phi^{n-2} for the extrapolated
-    nonlinearity level; when absent the nonlinearity is lagged.  `run` passes
-    _energy=False when it discards the report, which then carries energy None.
+
+def step(ops: SchemeOperators, spec: ModelSpec, state: StateVector | StateBatch,
+         noise_n=None, noise_nm1=None, prev_state: StateVector | StateBatch | None = None,
+         step_index: int = 0):
+    """Advance a state, or a batch of states, one step of size ops.tau.
+
+    state is a StateVector (the B = 1 case) or a StateBatch, whose samples
+    advance together.  noise_n / noise_nm1 are the projected coefficient
+    arrays of the driving process at the two step endpoints, or None for a
+    deterministic step: (3, n) or shared (n,) for a StateVector,
+    (B, 3 | 1, n1d_x, n1d_y) for a batch.  prev_state (of the same kind)
+    supplies phi^{n-2} for the extrapolated nonlinearity level; when absent
+    the nonlinearity is lagged.
+
+    A StateVector gives (StateVector, StepReport) with the energy norm of
+    the new state.  A batch gives (StateBatch, StepReport) with residuals
+    of shape (B, 3) and energy None.  A failure of one sample of a batch
+    carries its id as sample_id.
     """
     tau = ops.tau
     quad = ops.quad
     t_half = state.t + tau / 2.0
     mx, my = ops.mass
     shape = (len(mx), len(my))
-    old = state.stacked().reshape(3, *shape)
+    single = isinstance(state, StateVector)
+    if single:
+        noise_n, noise_nm1 = _noise_fields(noise_n, shape), _noise_fields(noise_nm1, shape)
+        state = StateBatch(state.stacked().reshape(1, 3, *shape), state.t)
+        if prev_state is not None:
+            prev_state = StateBatch(prev_state.stacked().reshape(1, 3, *shape), prev_state.t)
+    old = state.coeffs
 
     rhs = np.empty_like(old)
     for fam, idx in FAMILIES:
-        rhs[idx] = ops.right[fam] @ old[idx]
+        rhs[:, idx] = ops.right[fam] @ old[:, idx]
 
     if spec.wp != 0.0 and any(spec.e):
-        u, v = state.u, state.v
+        u, v = old[:, 0], old[:, 1]
         if ops.nonlinearity_time == "extrapolated" and prev_state is not None:
             # the extrapolation is linear, so it is done on coefficients
-            u = 1.5 * u - 0.5 * prev_state.u
-            v = 1.5 * v - 0.5 * prev_state.v
-        nl_load = quad.load(nonlinear_f(spec, quad.values(u), quad.values(v))).reshape(shape)
+            u = 1.5 * u - 0.5 * prev_state.coeffs[:, 0]
+            v = 1.5 * v - 0.5 * prev_state.coeffs[:, 1]
+        U, V = quad.values(u), quad.values(v)
+        try:
+            nl = nonlinear_f(spec, U, V)
+        except SingularNonlinearity as exc:
+            for b in range(len(U)):     # name the first sample at the pole
+                try:
+                    nonlinear_f(spec, U[b], V[b])
+                except SingularNonlinearity:
+                    raise _tag(exc, state, b) from None
+            raise
+        nl_load = quad.load(nl)
         for idx in range(3):
-            rhs[idx] -= tau * spec.wp * spec.e[idx] * nl_load
+            rhs[:, idx] -= tau * spec.wp * spec.e[idx] * nl_load
 
     if spec.forcing is not None:
         for idx in range(3):
-            rhs[idx] += tau * quad.load(quad.sample(spec.forcing[idx], t_half)).reshape(shape)
+            rhs[:, idx] += tau * quad.load(quad.sample(spec.forcing[idx], t_half))
 
     if noise_n is not None or noise_nm1 is not None:
-        zn = _noise_fields(noise_n, state.n)
-        zm = _noise_fields(noise_nm1, state.n)
+        zn = 0.0 if noise_n is None else noise_n
+        zm = 0.0 if noise_nm1 is None else noise_nm1
         delta = zm - zn if ops.noise_convention == "paper" else zn - zm
-        # shared (n,) noise broadcasts over the three fields
-        rhs += mx @ np.reshape(delta, (-1, *shape)) @ my.T
+        # a shared path (one noise field per sample) broadcasts over the fields
+        rhs += mx @ delta @ my.T
 
     sol = np.empty_like(rhs)
     gap = np.empty_like(rhs)
-    status = []
+    scale = np.empty(rhs.shape[:2])
+    info = np.empty(rhs.shape[:2], dtype=int)
     for fam, idx in FAMILIES:
-        sol[idx], fam_status = ops.factors[fam].solve(rhs[idx])
-        gap[idx] = ops.left[fam] @ sol[idx] - rhs[idx]
-        status += fam_status
-    residuals = []
-    for name, (scale, info), g, b in zip("uvw", status, np.linalg.norm(gap, axis=(1, 2)),
-                                         np.linalg.norm(rhs, axis=(1, 2))):
-        if info != 0 or scale != 1.0:
-            raise SolverFailure(f"solve for field {name} at step {step_index}: "
-                                f"dtrsyl info {info}, scale {scale}")
-        res = float(g / (b if b > 0 else 1.0))
-        if res > SOLVE_RTOL:
-            raise SolverFailure(
-                f"solve for field {name} at step {step_index}: "
-                f"relative residual {res:.3e} exceeds {SOLVE_RTOL:.1e}")
-        residuals.append(res)
+        sol[:, idx], scale[:, idx], info[:, idx] = ops.factors[fam].solve(rhs[:, idx])
+        gap[:, idx] = ops.left[fam] @ sol[:, idx] - rhs[:, idx]
+    bnorm = np.linalg.norm(rhs, axis=(2, 3))
+    residuals = np.linalg.norm(gap, axis=(2, 3)) / np.where(bnorm > 0, bnorm, 1.0)
+    bad = (info != 0) | (scale != 1.0)
+    failed = bad | (residuals > SOLVE_RTOL)
+    if failed.any():
+        b, f = np.argwhere(failed)[0]
+        where = f"solve for field {'uvw'[f]} at step {step_index}"
+        if bad[b, f]:
+            raise _tag(SolverFailure(f"{where}: dtrsyl info {info[b, f]}, "
+                                     f"scale {scale[b, f]}"), state, b)
+        raise _tag(SolverFailure(f"{where}: relative residual {residuals[b, f]:.3e} "
+                                 f"exceeds {SOLVE_RTOL:.1e}"), state, b)
 
     if not np.isfinite(sol).all():
-        raise DivergenceError(f"non-finite state after step {step_index}")
-    new_state = StateVector(*sol.reshape(3, -1), t=state.t + tau)
-    energy = energy_norm(ops, spec, new_state, tau) if _energy else None
-    report = StepReport(step=step_index, residuals=tuple(residuals), energy=energy)
-    return new_state, report
+        b, f = np.argwhere(~np.isfinite(sol).all(axis=(2, 3)))[0]
+        raise _tag(DivergenceError(f"non-finite state after step {step_index} "
+                                   f"(field {'uvw'[f]})"), state, b)
+    new_state = StateBatch(sol, state.t + tau, state.sample_ids)
+    if not single:
+        return new_state, StepReport(step=step_index, residuals=residuals, energy=None)
+    new_state = new_state.state(0)
+    return new_state, StepReport(step=step_index, residuals=tuple(map(float, residuals[0])),
+                                 energy=energy_norm(ops, spec, new_state, tau))
 
 
 def energy_norm(ops: SchemeOperators, spec: ModelSpec, state: StateVector,
@@ -323,6 +392,64 @@ def _resolve_steps(times, tau: float, n_steps: int, what: str) -> dict:
     return out
 
 
+def initial_data(ops: SchemeOperators, spec: ModelSpec) -> np.ndarray:
+    """The projected initial data, shape (3, n1d_x, n1d_y)."""
+    mx, my = ops.mass
+    return np.stack([ops.projector.project(f) for f in spec.init]).reshape(3, len(mx), len(my))
+
+
+def advance(ops: SchemeOperators, spec: ModelSpec, init: np.ndarray, T: float,
+            sample_ids, sampler: QWienerSampler | None = None,
+            noise_workspace: NoiseWorkspace | None = None, snapshot_times=(),
+            record_reports: bool = False):
+    """The time loop: advance the samples sample_ids as one batch from the
+    projected initial data init (3, n1d_x, n1d_y) at t = 0 to t = T.
+
+    Each step draws the batch's noise increments (one path per sample, or
+    one per sample and field), projects them together and makes one `step`
+    call.  Returns the final StateBatch, the snapshots {time: StateBatch}
+    and, with record_reports, one list of StepReports per sample.
+    """
+    tau = ops.tau
+    if T < 0:
+        raise ValueError(f"final time must be >= 0, got {T}")
+    n_steps = int(round(T / tau))
+    if abs(n_steps * tau - T) > 1e-9 * max(T, tau):
+        raise ValueError(f"T={T} is not an integral multiple of tau={tau}")
+    snap_at = _resolve_steps(snapshot_times or (), tau, n_steps, "snapshot")
+    ids = tuple(sample_ids)
+    state = StateBatch(np.repeat(init[None], len(ids), axis=0), 0.0, ids)
+    snapshots = {snap_at[0]: state} if 0 in snap_at else {}
+
+    noisy = sampler is not None and sampler.amplitude > 0.0
+    w_proc = None
+    if noisy:
+        if noise_workspace is None:
+            noise_workspace = NoiseWorkspace(sampler, ops.mesh, ops.basis,
+                                             projector=ops.projector)
+        components = (None,) if sampler.shared else (0, 1, 2)
+        w_proc = np.zeros((len(ids), len(components), *init.shape[1:]))
+    reports = [[] for _ in ids]
+    prev = None
+    for k in range(1, n_steps + 1):
+        w_next = None
+        if noisy:
+            w_next = w_proc + sample_increments(sampler, ids, k, tau, noise_workspace,
+                                                components).reshape(w_proc.shape)
+        new_state, report = step(ops, spec, state, w_next, w_proc, prev_state=prev,
+                                 step_index=k)
+        if record_reports:
+            for b, res in enumerate(report.residuals):
+                energy = energy_norm(ops, spec, new_state.state(b), tau)
+                reports[b].append(StepReport(k, tuple(map(float, res)), energy))
+        prev = state
+        state = new_state
+        w_proc = w_next
+        if k in snap_at:
+            snapshots[snap_at[k]] = state
+    return state, snapshots, reports
+
+
 def run(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float, T: float,
         sampler: QWienerSampler | None = None, sample_id: int = 0,
         snapshot_times=None, ops: SchemeOperators | None = None,
@@ -330,57 +457,20 @@ def run(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float, T: float,
         record_reports: bool = True,
         nonlinearity_time: str = "extrapolated",
         noise_convention: str = "paper") -> Trajectory:
-    """Integrate one trajectory from t=0 to t=T with steps of size tau.
+    """Integrate one trajectory from t=0 to t=T with steps of size tau: the
+    one-sample batch of `advance`.
 
     T/tau must be integral within rounding.  Passing prebuilt ops (and a
     noise workspace) amortizes assembly and factorization across samples;
     identical inputs produce bit-identical trajectories.
     """
-    if T < 0:
-        raise ValueError(f"final time must be >= 0, got {T}")
-    n_steps = int(round(T / tau))
-    if abs(n_steps * tau - T) > 1e-9 * max(T, tau):
-        raise ValueError(f"T={T} is not an integral multiple of tau={tau}")
     if ops is None:
         ops = build_scheme(mesh, basis, spec, tau,
                            nonlinearity_time=nonlinearity_time,
                            noise_convention=noise_convention)
-    state = StateVector(ops.projector.project(spec.init[0]),
-                        ops.projector.project(spec.init[1]),
-                        ops.projector.project(spec.init[2]), t=0.0)
-
-    snap_at = _resolve_steps(snapshot_times or (), tau, n_steps, "snapshot")
-    snapshots = {snap_at[0]: state.copy()} if 0 in snap_at else {}
-
-    noisy = sampler is not None and sampler.amplitude > 0.0
-    if noisy and noise_workspace is None:
-        noise_workspace = NoiseWorkspace(sampler, mesh, basis, projector=ops.projector)
-
-    w_proc = None
-    if noisy:   # one shared path is kept as a single (n,) array
-        w_proc = np.zeros(mesh.n_global if sampler.shared else (3, mesh.n_global))
-    reports = []
-    prev = None
-    for k in range(1, n_steps + 1):
-        if noisy:
-            if sampler.shared:
-                w_next = w_proc + sample_increment(sampler, sample_id, k, tau, mesh, basis,
-                                                   workspace=noise_workspace).coeffs
-            else:
-                w_next = w_proc + np.stack([
-                    sample_increment(sampler, sample_id, k, tau, mesh, basis,
-                                     workspace=noise_workspace, component=comp).coeffs
-                    for comp in range(3)])
-        else:
-            w_next = None
-        new_state, report = step(ops, spec, state, w_next, w_proc, prev_state=prev,
-                                 step_index=k, _energy=record_reports)
-        if record_reports:
-            reports.append(report)
-        prev = state
-        state = new_state
-        w_proc = w_next
-        if k in snap_at:
-            snapshots[snap_at[k]] = state.copy()
-
-    return Trajectory(final=state, reports=reports, snapshots=snapshots)
+    final, snapshots, reports = advance(
+        ops, spec, initial_data(ops, spec), T, (sample_id,), sampler=sampler,
+        noise_workspace=noise_workspace, snapshot_times=snapshot_times,
+        record_reports=record_reports)
+    return Trajectory(final=final.state(0), reports=reports[0],
+                      snapshots={t: s.state(0).copy() for t, s in snapshots.items()})

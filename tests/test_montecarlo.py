@@ -1,15 +1,27 @@
+import dataclasses
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
+
+from stochsem import montecarlo, stochastic, timestepper
 
 from stochsem.assembly import StateVector, evaluate_grid
 from stochsem.basis import make_basis
 from stochsem.mesh import build_mesh
+from stochsem.model import SingularNonlinearity, const_field
 from stochsem.model import test1_spec as make_test1
 from stochsem.model import test2_spec as make_test2
 from stochsem.montecarlo import (EnsembleResult, convergence_order, error_hw,
                                  error_report, run_ensemble)
 from stochsem.stochastic import QWienerSampler
-from stochsem.timestepper import build_scheme, run
+from stochsem.timestepper import (DivergenceError, SolverFailure, advance, build_scheme,
+                                  initial_data, run)
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -86,6 +98,167 @@ class TestRunEnsemble:
             run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=0)
         with pytest.raises(ValueError):
             run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=2, chunk_size=0)
+
+
+class TestBatchedChunks:
+    """A chunk advances as one batch; each of its samples must be bitwise the
+    one-sample run of the same id."""
+
+    IDS = range(3, 10)
+
+    def assert_chunk_equals_runs(self, spec, mesh, basis, sampler, tau=0.05, T=0.2,
+                                 snapshot_times=()):
+        ops = build_scheme(mesh, basis, spec, tau)
+        final, snaps, _ = advance(ops, spec, initial_data(ops, spec), T, self.IDS,
+                                  sampler=sampler, snapshot_times=snapshot_times)
+        for b, sid in enumerate(self.IDS):
+            traj = run(spec, mesh, basis, tau, T, sampler=sampler, sample_id=sid, ops=ops,
+                       snapshot_times=snapshot_times, record_reports=False)
+            assert np.array_equal(final.state(b).stacked(), traj.final.stacked())
+            for t in snapshot_times:
+                assert np.array_equal(snaps[t].state(b).stacked(), traj.snapshots[t].stacked())
+
+    def test_linear_shared_noise(self):
+        self.assert_chunk_equals_runs(*noisy_setup())
+
+    def test_nonlinear_per_field_noise(self):
+        spec, mesh, basis, _ = noisy_setup()
+        sampler = QWienerSampler(truncation=4, amplitude=0.2, seed=13, shared=False)
+        self.assert_chunk_equals_runs(spec.with_wp(0.6), mesh, basis, sampler)
+
+    def test_noisy_forced_test1(self):
+        mesh, basis = disc(2, 2, 6)
+        sampler = QWienerSampler(truncation=4, amplitude=0.1, seed=5)
+        self.assert_chunk_equals_runs(make_test1(), mesh, basis, sampler)
+
+    def test_snapshots(self):
+        self.assert_chunk_equals_runs(*noisy_setup(), snapshot_times=(0.0, 0.1, 0.2))
+
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from([1, 2, 3]), min_size=2, max_size=3))
+    def test_moments_bitwise_under_any_worker_count(self, worker_counts):
+        spec, mesh, basis, sampler = noisy_setup()
+        results = [run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=22,
+                                workers=w, chunk_size=5) for w in worker_counts]
+        for res in results[1:]:
+            assert np.array_equal(res.mean.stacked(), results[0].mean.stacked())
+            assert np.array_equal(res.m2, results[0].m2)
+
+
+
+# workers=2 in a fresh interpreter with one BLAS thread and warnings as
+# errors: the process that forks is single-threaded, so the fork warning
+# of Python >= 3.12 must not appear, and the pool must have been used
+POOL_SCRIPT = """
+import warnings
+warnings.simplefilter("error")
+import numpy as np
+from stochsem import montecarlo
+from stochsem.basis import make_basis
+from stochsem.mesh import build_mesh
+from stochsem.model import test2_spec
+from stochsem.stochastic import QWienerSampler
+
+pools = []
+real_pool = montecarlo.ProcessPoolExecutor
+montecarlo.ProcessPoolExecutor = lambda *a, **k: pools.append(k) or real_pool(*a, **k)
+mesh, basis = build_mesh((0.0, 1.0, 0.0, 1.0), 2, 1, 5), make_basis(5)
+spec = test2_spec("smooth").with_wp(0.0)
+sampler = QWienerSampler(truncation=4, amplitude=0.2, seed=13)
+res = [montecarlo.run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=12,
+                               workers=w, chunk_size=5) for w in (2, 1)]
+assert len(pools) == 1 and pools[0]["max_workers"] == 2, pools
+assert np.array_equal(res[0].mean.stacked(), res[1].mean.stacked())
+assert np.array_equal(res[0].m2, res[1].m2)
+"""
+
+
+class TestWorkerPool:
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_pool_forks_cleanly_with_one_blas_thread(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.update({v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "MKL_NUM_THREADS")})
+        done = subprocess.run([sys.executable, "-W", "error", "-c", POOL_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+
+    def test_serial_while_other_threads_run(self, monkeypatch):
+        spec, mesh, basis, sampler = noisy_setup()
+        serial = run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=12, chunk_size=5)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("forked while another thread was running")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            res = run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=12,
+                               workers=2, chunk_size=5)
+        finally:
+            stop.set()
+            other.join()
+        assert np.array_equal(res.mean.stacked(), serial.mean.stacked())
+        assert np.array_equal(res.m2, serial.m2)
+
+
+class TestFailureAttribution:
+    def test_solver_failure_names_sample_step_and_field(self, monkeypatch):
+        spec, mesh, basis, sampler = noisy_setup()
+        ops = build_scheme(mesh, basis, spec, 0.05)
+        # per step a chunk of 4 calls dtrsyl for (sample, u), (sample, v) in
+        # sample order, then (sample, w): 12 calls; fail sample 6 = chunk 1,
+        # position 2, field v at its step 2, after chunk 0's 4 steps
+        target = 4 * 12 + 12 + 2 * 2 + 1
+        calls = []
+        real = timestepper.dtrsyl
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            x, scale, info = real(*args, **kwargs)
+            return x, (0.5 if len(calls) == target + 1 else scale), info
+
+        monkeypatch.setattr(timestepper, "dtrsyl", flaky)
+        with pytest.raises(SolverFailure, match="sample 6 failed: solve for field v at step 2: "
+                                                "dtrsyl info 0, scale 0.5"):
+            run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=8, chunk_size=4, ops=ops)
+
+    def test_divergence_names_sample(self, monkeypatch):
+        spec, mesh, basis, sampler = noisy_setup()
+        real = stochastic.mode_normals
+
+        def poisoned(s, sample_id, n, component=None):
+            xi = real(s, sample_id, n, component)
+            return np.full_like(xi, np.nan) if (sample_id, n) == (5, 3) else xi
+
+        monkeypatch.setattr(stochastic, "mode_normals", poisoned)
+        with pytest.raises(DivergenceError, match=r"sample 5 failed: non-finite state after "
+                                                  r"step 3 \(field u\)"):
+            run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=8, chunk_size=4)
+
+    def test_pole_names_sample(self, monkeypatch):
+        spec, mesh, basis, sampler = noisy_setup()
+        zero = const_field(0.0)
+        spec = dataclasses.replace(spec.with_wp(0.6), init=(zero, zero, zero))
+        ops = build_scheme(mesh, basis, spec, 0.05, nonlinearity_time="lagged")
+        # after one step u differs by sample: put a pole between the two
+        # largest peaks of u, so that one sample reaches it at step 2
+        one, _, _ = advance(ops, spec, initial_data(ops, spec), 0.05, range(4), sampler)
+        peaks = ops.quad.values(one.coeffs[:, 0]).max(axis=(1, 2))
+        top, second = np.sort(peaks)[::-1][:2]
+        real = timestepper.nonlinear_f
+
+        def pole(spec, U, V):
+            if np.max(U) > (top + second) / 2:
+                raise SingularNonlinearity("singular nonlinearity")
+            return real(spec, U, V)
+
+        monkeypatch.setattr(timestepper, "nonlinear_f", pole)
+        with pytest.raises(SingularNonlinearity, match=f"sample {np.argmax(peaks)} failed"):
+            run_ensemble(spec, mesh, basis, 0.05, 0.1, sampler, M=4, ops=ops)
 
 
 class TestErrorReport:

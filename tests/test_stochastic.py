@@ -1,5 +1,6 @@
 import csv
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -8,8 +9,8 @@ from stochsem.basis import make_basis
 from stochsem.mesh import build_mesh
 from stochsem.stochastic import (NoiseWorkspace, QWienerSampler,
                                  increment_field, mode_coefficients,
-                                 mode_normals, sample_increment, spectrum,
-                                 spectrum_to_csv)
+                                 mode_normals, sample_increment, sample_increments,
+                                 spectrum, spectrum_to_csv)
 
 # fixed test seed: chosen so the sampled statistics sit inside the tolerance
 # bands with margin (the draws are deterministic per seed)
@@ -100,6 +101,32 @@ class TestDeterminism:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         assert len(calls) == 1
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**64 - 1),
+           st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**20),
+                              st.sampled_from([None, 0, 1, 2])), min_size=1, max_size=6))
+    def test_draws_match_fresh_generator(self, seed, draws):
+        # one re-keyed Philox per sampler draws what a Philox built for the
+        # (component, step, sample) counter draws, in any call order
+        s = sampler(seed=seed, truncation=3)
+        for sid, n, comp in draws:
+            c = 0 if comp is None else comp + 1
+            fresh = np.random.Generator(np.random.Philox(
+                key=np.array([seed, 0], dtype=np.uint64),
+                counter=np.array([0, c, n, sid], dtype=np.uint64)))
+            assert np.array_equal(mode_normals(s, sid, n, comp), fresh.standard_normal((3, 3)))
+
+    def test_batch_increments_match_single(self):
+        s = sampler(shared=False)
+        mesh, basis = disc(6)
+        ws = NoiseWorkspace(s, mesh, basis)
+        got = sample_increments(s, (4, 0, 9), 2, 0.01, ws, (0, 1, 2))
+        for b, sid in enumerate((4, 0, 9)):
+            for comp in range(3):
+                want = sample_increment(s, sid, 2, 0.01, mesh, basis, workspace=ws,
+                                        component=comp).coeffs
+                assert np.array_equal(got[b, comp], want)
 
     def test_zero_amplitude_zero_increment(self):
         mesh, basis = disc()
