@@ -75,10 +75,6 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector(self.u.copy(), self.v.copy(), self.w.copy(), self.t)
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))
-                    and np.all(np.isfinite(self.w)))
-
     def stacked(self) -> np.ndarray:
         return np.stack(self.fields)
 
@@ -270,37 +266,13 @@ def evaluate_grid(mesh: Mesh2D, basis: Basis1D, coeffs: np.ndarray, xs, ys,
     return (dBx if dx else Bx).T @ C @ (dBy if dy else By)
 
 
-def grad_values_at_quad(quad: Quadrature2D, coeffs: np.ndarray):
-    """Gradient components at every element quadrature grid.
-
-    Returns (gx, gy), each of shape (n_elements, n_quad, n_quad).
-    """
-    return (quad.to_elements(quad.values(coeffs, dx=1)),
-            quad.to_elements(quad.values(coeffs, dy=1)))
-
-
-def evaluate(mesh: Mesh2D, basis: Basis1D, coeffs: np.ndarray, points) -> np.ndarray:
-    """Field values at scattered points, shape (npoints,).
-
-    points is array-like of shape (npoints, 2); points outside the domain
-    raise ValueError.
-    """
-    if len(coeffs) != mesh.n_global:
-        raise ValueError(f"coefficient vector length {len(coeffs)} != {mesh.n_global}")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    Bx, _ = _axis_eval_matrix(mesh.ax, basis, pts[:, 0])
-    By, _ = _axis_eval_matrix(mesh.ay, basis, pts[:, 1])
-    C = np.asarray(coeffs).reshape(mesh.ax.n_dofs, mesh.ay.n_dofs)
-    return np.sum(Bx * (C @ By), axis=0)
-
-
 class L2Projector:
     """Repeated L2 projections onto the global space by per-axis mass solves.
 
     The unit mass matrix is Mx (x) My with Mx = Bx diag(wx) Bx^T (likewise
     for y), so Mass^{-1} b = Mx^{-1} B My^{-1} with B the load reshaped to
-    (n1d_x, n1d_y): one Cholesky factor per axis, no 2D factorization.  The
-    2D `mass` operator is built on first use and never factorized.
+    (n1d_x, n1d_y): one Cholesky factor per axis, no 2D operator and no 2D
+    factorization.
     """
 
     def __init__(self, mesh: Mesh2D, basis: Basis1D):
@@ -309,10 +281,6 @@ class L2Projector:
         Bx, _, By, _ = self.quad.tables
         self._mx = cho_factor(Bx @ (self.quad.wx[:, None] * Bx.T))
         self._my = cho_factor(By @ (self.quad.wy[:, None] * By.T))
-
-    @cached_property
-    def mass(self) -> sp.csr_matrix:
-        return self.quad.operator(m=1.0)
 
     def project(self, field, t: float | None = None) -> np.ndarray:
         return self.project_load(self.quad.load(self.quad.sample(field, t))).ravel()
@@ -340,12 +308,3 @@ def _potrs(factor, b: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"dpotrs failed with info {info}")
     return x
-
-
-def project_L2(mesh: Mesh2D, basis: Basis1D, field, t: float | None = None) -> np.ndarray:
-    """L2 projection of a field onto the global space (one-shot form).
-
-    Solves Mass @ c = load_vector(field).  For repeated projections on the
-    same discretization construct an L2Projector once instead.
-    """
-    return L2Projector(mesh, basis).project(field, t)

@@ -7,12 +7,13 @@ The 1D modal basis on the reference interval [-1, 1] is
 for k = 0..N-2, where L_k are Legendre polynomials.  Every psi_k vanishes at
 both endpoints, the 1D stiffness matrix int psi_j' psi_k' dx is the identity,
 and the 1D mass matrix int psi_j psi_k dx has nonzeros only on offsets
-{-2, 0, +2}.  Closed forms for both matrices are provided along with the
-quadrature rule used to integrate variable-coefficient products.
+{-2, 0, +2} (Shen 1994).  This module tabulates the modes and carries the
+N + 2 point Gauss rule; the scheme's per-axis matrices are integrated with
+it in `assembly.Quadrature2D.axis_matrices`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -35,24 +36,6 @@ def gauss_rule(n: int):
     if n < 1:
         raise ValueError(f"quadrature point count must be >= 1, got {n}")
     return leggauss(n)
-
-
-def legendre_eval(k: int, x):
-    """Evaluate the Legendre polynomial L_k at x (scalar or array).
-
-    Uses the three-term recurrence (k+1) L_{k+1} = (2k+1) x L_k - k L_{k-1}.
-    """
-    if k < 0:
-        raise ValueError(f"Legendre degree must be >= 0, got {k}")
-    x = np.asarray(x, dtype=float)
-    if k == 0:
-        out = np.ones_like(x)
-        return out[()] if out.ndim == 0 else out
-    prev = np.ones_like(x)
-    cur = x.copy()
-    for m in range(1, k):
-        prev, cur = cur, ((2 * m + 1) * x * cur - m * prev) / (m + 1)
-    return cur[()] if cur.ndim == 0 else cur
 
 
 def legendre_table(kmax: int, x):
@@ -90,61 +73,29 @@ class Basis1D:
     gamma : (N-1,) array
         Normalization constants gamma_k = (4k+6)^(-1/2).
     quad_nodes, quad_weights : (n_quad,) arrays
-        Gauss-Legendre rule; n_quad >= N+2 so that all products of two
-        basis functions (degree <= 2N) are integrated exactly.
+        Gauss-Legendre rule with n_quad = N+2 points, so that all products
+        of two basis functions (degree <= 2N) are integrated exactly.
     """
 
     order: int
     gamma: np.ndarray
     quad_nodes: np.ndarray
     quad_weights: np.ndarray
-    n_quad: int
 
     @property
-    def n_modes(self) -> int:
-        return self.order - 1
+    def n_quad(self) -> int:
+        return len(self.quad_nodes)
 
 
-def make_basis(order: int, n_quad: int | None = None) -> Basis1D:
-    """Construct a Basis1D of the given order.
-
-    n_quad defaults to order + 2 (exact for constant-coefficient mass and
-    stiffness products); it may be raised for strongly varying coefficients
-    but not lowered below order + 2.
-    """
+def make_basis(order: int) -> Basis1D:
+    """Construct a Basis1D of the given order with its N+2 point Gauss rule
+    (exact for the constant-coefficient mass, stiffness and advection
+    products)."""
     if order < 2:
         raise ValueError(f"basis order must be >= 2, got {order}")
-    if n_quad is None:
-        n_quad = order + 2
-    if n_quad < order + 2:
-        raise ValueError(
-            f"n_quad must be >= order + 2 = {order + 2} for exact products, got {n_quad}"
-        )
-    nodes, weights = gauss_rule(n_quad)
+    nodes, weights = gauss_rule(order + 2)
     gamma = 1.0 / np.sqrt(4.0 * np.arange(order - 1) + 6.0)
-    return Basis1D(order=order, gamma=gamma, quad_nodes=nodes,
-                   quad_weights=weights, n_quad=n_quad)
-
-
-def _check_mode(basis: Basis1D, k: int) -> None:
-    if not 0 <= k <= basis.order - 2:
-        raise ValueError(
-            f"invalid mode {k}: basis of order {basis.order} has modes 0..{basis.order - 2}"
-        )
-
-
-def shen_eval(basis: Basis1D, k: int, x):
-    """psi_k(x) = gamma_k (L_k(x) - L_{k+2}(x))."""
-    _check_mode(basis, k)
-    return basis.gamma[k] * (legendre_eval(k, x) - legendre_eval(k + 2, x))
-
-
-def shen_deriv(basis: Basis1D, k: int, x):
-    """d psi_k / dx via the Legendre derivative recurrence."""
-    _check_mode(basis, k)
-    L, dL = legendre_table(k + 2, x)
-    out = basis.gamma[k] * (dL[k] - dL[k + 2])
-    return out[0] if out.shape == (1,) and np.isscalar(x) else out
+    return Basis1D(order=order, gamma=gamma, quad_nodes=nodes, quad_weights=weights)
 
 
 def shen_table(basis: Basis1D, x):
@@ -158,72 +109,3 @@ def shen_table(basis: Basis1D, x):
     L, dL = legendre_table(basis.order, x)
     g = basis.gamma[:, None]
     return g * (L[:-2] - L[2:]), g * (dL[:-2] - dL[2:])
-
-
-@dataclass(frozen=True)
-class BandedMatrix1D:
-    """Symmetric-structure banded matrix with nonzeros on offsets {-2, 0, +2}.
-
-    bands maps an offset to the corresponding diagonal; only offsets in
-    {-2, 0, +2} are admitted.  When symmetric, band(+2) and band(-2) are
-    the same vector by construction.
-    """
-
-    dim: int
-    bands: dict = field(default_factory=dict)
-    symmetric: bool = True
-
-    def __post_init__(self):
-        for off, diag in self.bands.items():
-            if off not in (-2, 0, 2):
-                raise ValueError(f"offset {off} outside the {{-2, 0, +2}} band structure")
-            if len(diag) != self.dim - abs(off):
-                raise ValueError(
-                    f"band {off} has length {len(diag)}, expected {self.dim - abs(off)}"
-                )
-        if self.symmetric and 2 in self.bands and -2 in self.bands:
-            if not np.array_equal(self.bands[2], self.bands[-2]):
-                raise ValueError("symmetric banded matrix with band(+2) != band(-2)")
-
-    def band(self, offset: int) -> np.ndarray:
-        """Diagonal at the given offset (zeros if absent)."""
-        if offset in self.bands:
-            return np.asarray(self.bands[offset])
-        return np.zeros(max(self.dim - abs(offset), 0))
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        for off in (-2, 0, 2):
-            d = self.band(off)
-            idx = np.arange(self.dim - abs(off))
-            if off >= 0:
-                out[idx, idx + off] = d
-            else:
-                out[idx - off, idx] = d
-        return out
-
-
-def stiffness_1d(basis: Basis1D) -> BandedMatrix1D:
-    """1D stiffness matrix int psi_j' psi_k' dx: the identity of size N-1."""
-    n = basis.n_modes
-    return BandedMatrix1D(dim=n, bands={0: np.ones(n)}, symmetric=True)
-
-
-def mass_1d(basis: Basis1D) -> BandedMatrix1D:
-    """1D mass matrix int psi_j psi_k dx in closed form.
-
-    Diagonal:  gamma_j^2 (2/(2j+1) + 2/(2j+5)).
-    Offset +-2 (j, j+2):  -gamma_{j+2} gamma_j * 2/(2(j+2)+1).
-    All other entries vanish by Legendre orthogonality.
-    """
-    n = basis.n_modes
-    g = basis.gamma
-    j = np.arange(n)
-    diag = g**2 * (2.0 / (2 * j + 1) + 2.0 / (2 * j + 5))
-    bands = {0: diag}
-    if n > 2:
-        jo = np.arange(n - 2)
-        off = -g[jo + 2] * g[jo] * 2.0 / (2 * (jo + 2) + 1)
-        bands[2] = off
-        bands[-2] = off
-    return BandedMatrix1D(dim=n, bands=bands, symmetric=True)

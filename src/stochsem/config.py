@@ -116,9 +116,6 @@ class RunConfig:
 
     values: dict = field(default_factory=dict)
 
-    def __getitem__(self, section_key):
-        return self.values[section_key]
-
     def get(self, section: str, key: str):
         return self.values[(section, key)]
 

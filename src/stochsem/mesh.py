@@ -72,15 +72,9 @@ class _Axis:
             self.local_to_global[e, 1:order] = mode[e]
             self.local_to_global[e, order] = hat[e + 1]
 
-    def locate(self, x: float) -> tuple[int, float]:
-        """Containing element and reference coordinate; edge points resolve
-        to the lower-indexed element."""
-        e, ref = self.locate_points(np.array([x], dtype=float))
-        return int(e[0]), float(ref[0])
-
     def locate_points(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Containing elements and reference coordinates of a 1D point array
-        (vectorized locate)."""
+        """Containing elements and reference coordinates of a 1D point array;
+        points on element edges resolve to the lower-indexed element."""
         outside = ~((self.lo <= xs) & (xs <= self.hi))
         if np.any(outside):
             raise ValueError(f"coordinate {xs[outside][0]} outside [{self.lo}, {self.hi}]")
@@ -97,9 +91,9 @@ class Mesh2D:
     nex, ney : elements per direction
     order : per-element polynomial degree N
     n_global : total interior degrees of freedom
-    dof_map : (n_elements, (N+1)^2) int array
-        (element, local 2D mode) -> global index, -1 for boundary-constrained
-        local functions.  Local mode (m, n) flattens to m*(N+1) + n.
+    n_elements : nex * ney; element (ex, ey) has index ey * nex + ex
+    ax, ay : per-axis 1D numbering (_Axis); the global dof of the pair
+        (gx, gy) of 1D dofs is gx * ay.n_dofs + gy
     """
 
     def __init__(self, domain, nex: int, ney: int, order: int):
@@ -117,42 +111,11 @@ class Mesh2D:
         self.n_global = self.ax.n_dofs * self.ay.n_dofs
         self.n_elements = nex * ney
 
-        nloc = order + 1
-        self.dof_map = np.full((self.n_elements, nloc * nloc), -1, dtype=int)
-        for ey in range(ney):
-            for ex in range(nex):
-                e = ey * nex + ex
-                gx = self.ax.local_to_global[ex]
-                gy = self.ay.local_to_global[ey]
-                for m in range(nloc):
-                    if gx[m] < 0:
-                        continue
-                    base = gx[m] * self.ay.n_dofs
-                    for n in range(nloc):
-                        if gy[n] >= 0:
-                            self.dof_map[e, m * nloc + n] = base + gy[n]
-
     def element_index(self, ex: int, ey: int) -> int:
         return ey * self.nex + ex
-
-    @property
-    def area(self) -> float:
-        x0, x1, y0, y1 = self.domain
-        return (x1 - x0) * (y1 - y0)
 
 
 def build_mesh(domain, nex: int, ney: int, order: int) -> Mesh2D:
     """Partition the rectangle `domain` = (x0, x1, y0, y1) into nex x ney
     equal elements of order `order` and number the global C0 space."""
     return Mesh2D(domain, nex, ney, order)
-
-
-def locate(mesh: Mesh2D, x: float, y: float):
-    """Containing element and reference-square coordinates of a point.
-
-    Points on shared edges resolve to the lower-indexed element; points
-    outside the domain raise ValueError.
-    """
-    ex, X = mesh.ax.locate(x)
-    ey, Y = mesh.ay.locate(y)
-    return mesh.element_index(ex, ey), (X, Y)

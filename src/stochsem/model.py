@@ -69,7 +69,7 @@ class ModelSpec:
     name: str = "custom"
 
     def __post_init__(self):
-        for name in ("xi", "zeta", "r"):
+        for name in ("xi", "zeta", "r", "wp"):
             c = getattr(self, name)
             if not math.isfinite(c):
                 raise ValueError(f"coefficient {name} must be finite, got {c}")

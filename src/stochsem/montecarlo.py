@@ -180,6 +180,21 @@ class ErrorReport:
     grid_n: int = LINF_GRID
 
 
+def _check_reference(reference, mesh: Mesh2D, ref_mesh: Mesh2D | None,
+                     ref_basis: Basis1D | None) -> bool:
+    """Whether reference is a StateVector (else an exact triple); a
+    StateVector needs its discretization on the state's domain."""
+    if not isinstance(reference, StateVector):
+        return False
+    if ref_mesh is None or ref_basis is None:
+        raise ValueError("reference StateVector needs ref_mesh and ref_basis")
+    if ref_mesh.domain != mesh.domain:
+        raise ValueError(
+            f"state mesh domain {mesh.domain} and reference domain "
+            f"{ref_mesh.domain} differ: no common evaluation grid")
+    return True
+
+
 def error_report(state, reference, mesh: Mesh2D, basis: Basis1D,
                  ref_mesh: Mesh2D | None = None, ref_basis: Basis1D | None = None,
                  grid_n: int = LINF_GRID) -> ErrorReport:
@@ -192,14 +207,7 @@ def error_report(state, reference, mesh: Mesh2D, basis: Basis1D,
     """
     if isinstance(state, EnsembleResult):
         state = state.mean
-    from_state = isinstance(reference, StateVector)
-    if from_state:
-        if ref_mesh is None or ref_basis is None:
-            raise ValueError("reference StateVector needs ref_mesh and ref_basis")
-        if ref_mesh.domain != mesh.domain:
-            raise ValueError(
-                f"state mesh domain {mesh.domain} and reference domain "
-                f"{ref_mesh.domain} differ: no common evaluation grid")
+    from_state = _check_reference(reference, mesh, ref_mesh, ref_basis)
 
     x0, x1, y0, y1 = mesh.domain
     xs = np.linspace(x0, x1, grid_n)
@@ -234,13 +242,12 @@ def error_hw(state, reference, mesh: Mesh2D, basis: Basis1D, spec: ModelSpec,
     """
     if isinstance(state, EnsembleResult):
         state = state.mean
+    from_state = _check_reference(reference, mesh, ref_mesh, ref_basis)
+    if not from_state and getattr(spec, "exact_grad", None) is None:
+        raise ValueError("energy error against an exact triple needs exact_grad")
     quad = Quadrature2D(mesh, basis)
     X, Y = quad.grid
     h1 = max(1.0, 1.0 + 0.5 * tau * spec.r)
-
-    from_state = isinstance(reference, StateVector)
-    if not from_state and getattr(spec, "exact_grad", None) is None:
-        raise ValueError("energy error against an exact triple needs exact_grad")
 
     total = 0.0
     for idx, f in enumerate(state.fields):

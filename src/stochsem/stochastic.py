@@ -149,34 +149,11 @@ def mode_coefficients(sampler: QWienerSampler, sample_id: int, n: int, tau: floa
     return sampler.amplitude * np.sqrt(sampler._eigenvalue_table * tau) * xi
 
 
-def eigenfunction_values(sampler: QWienerSampler, mesh: Mesh2D, x, y):
-    """sin-mode tensors at broadcast points: (J, P) per direction plus shape.
-
-    Returns (sx, sy, shape) with sx[j-1] = sqrt(2/Lx) sin(j pi (x-x0)/Lx)
-    flattened over the broadcast point set (and likewise sy), so the field
-    value is einsum('jk,jp,kp->p', C, sx, sy).
-    """
-    x0, x1, y0, y1 = mesh.domain
-    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    J = sampler.truncation
-    return _sine_modes(J, x0, x1, xb.ravel()), _sine_modes(J, y0, y1, yb.ravel()), xb.shape
-
-
 def _sine_modes(J: int, lo: float, hi: float, pts: np.ndarray) -> np.ndarray:
     """sqrt(2/L) sin(j pi (x - lo)/L) for j = 1..J at 1D points, shape (J, P)."""
     j = np.arange(1, J + 1, dtype=float)
     unit = (pts - lo) / (hi - lo)
     return np.sqrt(2.0 / (hi - lo)) * np.sin(np.pi * j[:, None] * unit[None, :])
-
-
-def increment_field(sampler: QWienerSampler, mesh: Mesh2D, coeffs_jk: np.ndarray):
-    """Callable (x, y) evaluating the KL field with given mode coefficients."""
-
-    def field(x, y):
-        sx, sy, shape = eigenfunction_values(sampler, mesh, x, y)
-        return np.einsum("jk,jp,kp->p", coeffs_jk, sx, sy).reshape(shape)
-
-    return field
 
 
 class NoiseWorkspace:

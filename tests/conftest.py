@@ -17,7 +17,8 @@ def shen_poly(k: int):
 
 def quad_gram(order: int, deriv: bool = False, n_quad: int | None = None) -> np.ndarray:
     """Brute-force Gram matrix of the modal basis (or its derivatives) on
-    [-1, 1] by Gauss quadrature: the oracle for mass_1d / stiffness_1d."""
+    [-1, 1] by Gauss quadrature: the oracle for the per-axis mass and
+    stiffness matrices."""
     n_quad = n_quad or order + 2
     x, w = leggauss(n_quad)
     funcs = []
@@ -26,3 +27,28 @@ def quad_gram(order: int, deriv: bool = False, n_quad: int | None = None) -> np.
         funcs.append(p.deriv()(x) if deriv else p(x))
     funcs = np.array(funcs)
     return np.einsum("q,mq,kq->mk", w, funcs, funcs)
+
+
+def ref_mass_1d(order: int) -> np.ndarray:
+    """Closed-form 1D mass matrix int psi_j psi_k dx of the modal basis on
+    [-1, 1], dense (N-1, N-1): gamma_j^2 (2/(2j+1) + 2/(2j+5)) on the
+    diagonal, -gamma_j gamma_{j+2} 2/(2j+5) on offsets +-2, zero elsewhere
+    by Legendre orthogonality."""
+    j = np.arange(order - 1)
+    g = 1.0 / np.sqrt(4.0 * j + 6.0)
+    out = np.diag(g**2 * (2.0 / (2 * j + 1) + 2.0 / (2 * j + 5)))
+    off = -g[2:] * g[:-2] * 2.0 / (2 * j[:-2] + 5)
+    out[j[:-2], j[:-2] + 2] = off
+    out[j[:-2] + 2, j[:-2]] = off
+    return out
+
+
+def ref_dof_map(mesh) -> np.ndarray:
+    """(element, local 2D mode) -> global dof, -1 for boundary-constrained
+    local functions, shape (n_elements, (N+1)^2), from the per-axis
+    numbering; element (ex, ey) is row ey * nex + ex and local mode (m, n)
+    column m * (N+1) + n.  For the element-assembly oracles."""
+    gx = mesh.ax.local_to_global[None, :, :, None]
+    gy = mesh.ay.local_to_global[:, None, None, :]
+    dofs = np.where((gx >= 0) & (gy >= 0), gx * mesh.ay.n_dofs + gy, -1)
+    return dofs.reshape(mesh.n_elements, -1)

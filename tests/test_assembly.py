@@ -9,13 +9,15 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cho_solve
 
 from stochsem.assembly import (L2Projector, Quadrature2D, StateVector, _axis_eval_matrix,
-                               assemble, evaluate, evaluate_grid, grad_values_at_quad,
-                               load_from_values, load_vector, project_L2, values_at_quad)
-from stochsem.basis import make_basis, mass_1d
+                               assemble, evaluate_grid, load_from_values, load_vector,
+                               values_at_quad)
+from stochsem.basis import make_basis
 from stochsem.mesh import build_mesh, element_basis_table
 from stochsem.model import ModelSpec, const_field
 from stochsem.model import test1_spec as make_test1
 from stochsem.timestepper import build_scheme, step
+
+from conftest import ref_dof_map, ref_mass_1d
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -29,6 +31,16 @@ def disc(nex=1, ney=1, order=8, domain=UNIT):
     return m, make_basis(order)
 
 
+def project(m, b, field):
+    return L2Projector(m, b).project(field)
+
+
+def gradient_at_quad(quad, c):
+    """Gradient components in per-element layout (n_el, nq, nq)."""
+    return (quad.to_elements(quad.values(c, dx=1)),
+            quad.to_elements(quad.values(c, dy=1)))
+
+
 class TestAssemble:
     def test_single_element_diffusion_closed_form(self):
         # interior block on one unit-square element: J-scaled (I x B + B x I)
@@ -36,7 +48,7 @@ class TestAssemble:
         order = 6
         m, b = disc(order=order)
         K = assemble(m, b, 1.0, "diffusion").toarray()
-        B = mass_1d(b).to_dense()
+        B = ref_mass_1d(order)
         eye = np.eye(order - 1)
         oracle = np.kron(eye, B) + np.kron(B, eye)   # hy/hx = hx/hy = 1
         assert np.max(np.abs(K - oracle)) <= 1e-12
@@ -46,7 +58,7 @@ class TestAssemble:
         order = 5
         m, b = disc(domain=(0, 2, 0, 1), order=order)
         K = assemble(m, b, 1.0, "diffusion").toarray()
-        B = mass_1d(b).to_dense()
+        B = ref_mass_1d(order)
         eye = np.eye(order - 1)
         oracle = 0.5 * np.kron(eye, B) + 2.0 * np.kron(B, eye)
         assert np.max(np.abs(K - oracle)) <= 1e-12
@@ -55,7 +67,7 @@ class TestAssemble:
         order = 7
         m, b = disc(order=order)
         M = assemble(m, b, 1.0, "mass").toarray()
-        B = mass_1d(b).to_dense() / 2.0          # jacobian h/2 per direction
+        B = ref_mass_1d(order) / 2.0          # jacobian h/2 per direction
         assert np.max(np.abs(M - np.kron(B, B))) <= 1e-12
 
     def test_zero_coefficient_zero_operator(self):
@@ -111,7 +123,7 @@ class TestAssemble:
         m, b = disc(2, 2, order)
         M = assemble(m, b, 1.0, "mass").toarray()
         nloc = order + 1
-        interior = [m.dof_map[e].reshape(nloc, nloc)[1:order, 1:order].ravel()
+        interior = [ref_dof_map(m)[e].reshape(nloc, nloc)[1:order, 1:order].ravel()
                     for e in range(4)]
         # elements 0 (lower-left) and 3 (upper-right) share no support
         for i in interior[0]:
@@ -120,10 +132,10 @@ class TestAssemble:
 
     def test_nonfinite_coefficient_reported(self):
         # coefficients are checked where a ModelSpec is made, before any
-        # operator is built: non-finite xi, zeta or r and a negative zeta are
+        # operator is built: non-finite xi, zeta, r or wp and a negative zeta are
         # rejected by name; zeta = 0 (pure transport) stays legal
         spec = make_test1()
-        for name in ("xi", "zeta", "r"):
+        for name in ("xi", "zeta", "r", "wp"):
             for bad in (np.nan, np.inf, -np.inf):
                 with pytest.raises(ValueError, match=f"coefficient {name} must be finite"):
                     dataclasses.replace(spec, **{name: bad})
@@ -155,12 +167,12 @@ class TestLoadVector:
             assert np.max(np.abs(got - M[:, j])) <= 1e-12
 
     def test_constant_field_pairing(self):
-        # pairing of load(c) with the interpolant of 1 approximates c*|Omega|
+        # pairing of load(c) with the projection of 1 approximates c*|Omega|
         m, b = disc(1, 1, 16)
         c = 2.5
         load = load_vector(m, b, lambda x, y: np.full(np.broadcast(x, y).shape, c))
-        one_coeffs = project_L2(m, b, ones)
-        assert np.dot(load, one_coeffs) == pytest.approx(c * m.area, rel=0.05)
+        one_coeffs = project(m, b, ones)
+        assert np.dot(load, one_coeffs) == pytest.approx(c, rel=0.05)   # |Omega| = 1
 
     def test_time_argument(self):
         m, b = disc(1, 1, 4)
@@ -172,12 +184,11 @@ class TestLoadVector:
 class TestEvaluate:
     def test_zero_coefficients(self):
         m, b = disc(2, 2, 4)
-        pts = [(0.3, 0.4), (0.9, 0.1)]
-        assert np.all(evaluate(m, b, np.zeros(m.n_global), pts) == 0)
+        assert np.all(evaluate_grid(m, b, np.zeros(m.n_global), [0.3, 0.9], [0.4, 0.1]) == 0)
 
     def test_spectral_interpolation(self):
         m, b = disc(1, 1, 12)
-        c = project_L2(m, b, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        c = project(m, b, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
         xs = np.linspace(0, 1, 50)
         vals = evaluate_grid(m, b, c, xs, xs)
         exact = np.sin(np.pi * xs[:, None]) * np.sin(np.pi * xs[None, :])
@@ -189,8 +200,13 @@ class TestEvaluate:
         xs = rng.uniform(0, 1, 6)
         ys = rng.uniform(0, 1, 5)
         grid = evaluate_grid(m, b, c, xs, ys)
-        pts = [(x, y) for x in xs for y in ys]
-        assert np.allclose(grid.ravel(), evaluate(m, b, c, pts), atol=1e-12)
+        # per point: its element's local coefficients (gathered through
+        # ref_dof_map) contracted with the element tables
+        (ex, X), (ey, Y) = m.ax.locate_points(xs), m.ay.locate_points(ys)
+        Vx, Vy = element_basis_table(b, X)[0], element_basis_table(b, Y)[0]
+        local = ref_gather(m, c)[m.element_index(ex[:, None], ey[None, :])]
+        want = np.einsum("mi,ijmn,nj->ij", Vx, local, Vy)
+        assert np.allclose(grid, want, rtol=0, atol=1e-12)
 
     def test_boundary_zero(self, rng):
         m, b = disc(2, 2, 4)
@@ -203,19 +219,19 @@ class TestEvaluate:
     def test_wrong_length_rejected(self):
         m, b = disc()
         with pytest.raises(ValueError, match="length"):
-            evaluate(m, b, np.zeros(3), [(0.5, 0.5)])
+            evaluate_grid(m, b, np.zeros(3), [0.5], [0.5])
 
     def test_gradient_evaluation(self, rng):
         m, b = disc(2, 2, 8)
         f = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-        c = project_L2(m, b, f)
+        c = project(m, b, f)
         xs = rng.uniform(0.1, 0.9, 8)
         ys = rng.uniform(0.1, 0.9, 8)
         gx = evaluate_grid(m, b, c, xs, ys, dx=1)
         exact = np.pi * np.cos(np.pi * xs[:, None]) * np.sin(np.pi * ys[None, :])
         assert np.max(np.abs(gx - exact)) <= 1e-5
         quad = Quadrature2D(m, b)
-        gxq, gyq = grad_values_at_quad(quad, c)
+        gxq, gyq = gradient_at_quad(quad, c)
         X = np.stack([quad.xq[ex] for ey in range(2) for ex in range(2)])
         Y = np.stack([quad.yq[ey] for ey in range(2) for ex in range(2)])
         exact_q = np.pi * np.cos(np.pi * X[:, :, None]) * np.sin(np.pi * Y[:, None, :])
@@ -225,19 +241,19 @@ class TestEvaluate:
 class TestProjection:
     def test_zero_field(self):
         m, b = disc(2, 2, 4)
-        assert np.all(project_L2(m, b, lambda x, y: np.zeros(np.broadcast(x, y).shape)) == 0)
+        assert np.all(project(m, b, lambda x, y: np.zeros(np.broadcast(x, y).shape)) == 0)
 
     def test_reproduces_member_field(self, rng):
         m, b = disc(2, 2, 5)
         c = rng.standard_normal(m.n_global)
         field = lambda X, Y: evaluate_grid(m, b, c, np.ravel(X), np.ravel(Y))
-        got = project_L2(m, b, field)
+        got = project(m, b, field)
         assert np.max(np.abs(got - c)) <= 1e-10
 
     def test_galerkin_orthogonality(self):
         m, b = disc(2, 2, 6)
         f = lambda x, y: np.exp(x) * np.sin(np.pi * y)
-        c = project_L2(m, b, f)
+        c = project(m, b, f)
         M = assemble(m, b, 1.0, "mass")
         residual = load_vector(m, b, f) - M @ c
         assert np.max(np.abs(residual)) <= 1e-10
@@ -247,7 +263,7 @@ class TestProjection:
         f = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
         for order in (4, 6, 8, 10):
             m, b = disc(1, 1, order)
-            c = project_L2(m, b, f)
+            c = project(m, b, f)
             xs = np.linspace(0, 1, 41)
             errs.append(np.max(np.abs(evaluate_grid(m, b, c, xs, xs)
                                       - f(xs[:, None], xs[None, :]))))
@@ -260,7 +276,7 @@ class TestProjection:
         proj = L2Projector(m, b)
         load = (load_vector(m, b, lambda x, y: np.exp(x) * np.cos(3 * y))
                 + 1e-3 * rng.standard_normal(m.n_global))
-        want = spla.splu(proj.mass.tocsc()).solve(load)
+        want = spla.splu(assemble(m, b, 1.0, "mass").tocsc()).solve(load)
         assert rel_err(proj.project_load(load), want) <= 1e-10
 
     @pytest.mark.parametrize("shape", [(2, 2, 8), (8, 8, 10)])
@@ -277,22 +293,20 @@ class TestProjection:
                               want)
 
     def test_projector_reuse_matches_oneshot(self):
+        # a projector that has already projected other fields gives what a
+        # fresh one gives
         m, b = disc(2, 1, 4)
         f = lambda x, y: x * y
         proj = L2Projector(m, b)
-        assert np.array_equal(proj.project(f), project_L2(m, b, f))
+        proj.project(lambda x, y: np.exp(x) + y)
+        proj.project(lambda x, y, t: t * x, t=0.5)
+        assert np.array_equal(proj.project(f), L2Projector(m, b).project(f))
 
 
 class TestStateVector:
     def test_block_length_check(self):
         with pytest.raises(ValueError, match="mismatched"):
             StateVector(np.zeros(3), np.zeros(3), np.zeros(4))
-
-    def test_finite_check(self):
-        s = StateVector(np.zeros(2), np.zeros(2), np.zeros(2))
-        assert s.is_finite()
-        s.v[0] = np.inf
-        assert not s.is_finite()
 
     def test_values_at_quad_consistent(self, rng):
         m, b = disc(2, 2, 4)
@@ -307,7 +321,7 @@ class TestStateVector:
 
 # ---------------------------------------------------------------------------
 # element-by-element reference for the tensor-grid kernel: gather the local
-# coefficients through dof_map, contract per element with einsum, scatter the
+# coefficients through ref_dof_map, contract per element with einsum, scatter the
 # local loads back with np.add.at
 # ---------------------------------------------------------------------------
 
@@ -328,7 +342,8 @@ def ref_element_grid(m, b, e):
 
 
 def ref_gather(m, c):
-    local = np.where(m.dof_map >= 0, c[np.clip(m.dof_map, 0, None)], 0.0)
+    dof_map = ref_dof_map(m)
+    local = np.where(dof_map >= 0, c[np.clip(dof_map, 0, None)], 0.0)
     return local.reshape(m.n_elements, m.order + 1, m.order + 1)
 
 
@@ -344,14 +359,16 @@ def ref_load_from_values(m, b, vals):
     V, _, W = ref_element_tables(m, b)
     loc = np.einsum("eqr,qr,mq,nr->emn", vals, W, V, V).reshape(m.n_elements, -1)
     out = np.zeros(m.n_global)
-    keep = m.dof_map >= 0
-    np.add.at(out, m.dof_map[keep], loc[keep])
+    dof_map = ref_dof_map(m)
+    keep = dof_map >= 0
+    np.add.at(out, dof_map[keep], loc[keep])
     return out
 
 
 def ref_assemble(m, b, coefficient_field, kind):
     """Element loop: local einsum contraction, dof_map scatter with summation."""
     V, D, W = ref_element_tables(m, b)
+    dof_map = ref_dof_map(m)
     sx, sy = 2 / m.ax.h, 2 / m.ay.h
     n2 = (m.order + 1) ** 2
 
@@ -367,7 +384,7 @@ def ref_assemble(m, b, coefficient_field, kind):
             A = sx * sx * loc(C, D, D, V, V) + sy * sy * loc(C, V, V, D, D)
         else:
             A = -sx * loc(C, D, V, V, V) - sy * loc(C, V, V, D, V)
-        g = m.dof_map[e]
+        g = dof_map[e]
         keep = np.nonzero(g >= 0)[0]
         rows.append(np.repeat(g[keep], len(keep)))
         cols.append(np.tile(g[keep], len(keep)))
@@ -388,7 +405,7 @@ class TestQuadratureKernel:
         c = rng.standard_normal(m.n_global)
         v, gx, gy = ref_values(m, b, c)
         assert rel_err(values_at_quad(quad, c), v) <= 1e-13
-        got_gx, got_gy = grad_values_at_quad(quad, c)
+        got_gx, got_gy = gradient_at_quad(quad, c)
         assert rel_err(got_gx, gx) <= 1e-13
         assert rel_err(got_gy, gy) <= 1e-13
 
@@ -443,12 +460,12 @@ class TestNonFiniteSamples:
 class TestAxisTables:
     @staticmethod
     def per_point(axis, b, pts):
-        """One locate and one element_basis_table call per point."""
+        """One locate_points and one element_basis_table call per point."""
         B = np.zeros((axis.n_dofs, len(pts)))
         dB = np.zeros_like(B)
         for i, x in enumerate(pts):
-            e, X = axis.locate(float(x))
-            V, D = element_basis_table(b, np.array([X]))
+            (e,), X = axis.locate_points(np.array([x]))
+            V, D = element_basis_table(b, X)
             g = axis.local_to_global[e]
             keep = g >= 0
             B[g[keep], i] = V[keep, 0]

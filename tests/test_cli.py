@@ -1,11 +1,12 @@
 import csv
 import json
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from stochsem.cli import main, make_discretization, make_problem
-from stochsem.config import ConfigError, load_config, parse_config
+from stochsem.config import SCHEMA, ConfigError, load_config, parse_config
 from stochsem.montecarlo import error_report
 from stochsem.timestepper import run
 
@@ -61,7 +62,47 @@ def checksums(outdir, include_volatile=False):
             if include_volatile or not info["volatile"]}
 
 
+def float_texts(positive=False):
+    """Finite floats (positive ones if asked) as repr or as a fraction p/q."""
+    return st.one_of(
+        st.floats(min_value=0.0 if positive else None, exclude_min=positive,
+                  allow_nan=False, allow_infinity=False).map(repr),
+        st.builds("{}/{}".format, st.integers(1 if positive else -10**6, 10**6),
+                  st.integers(1, 10**6)))
+
+
+def value_texts(kind, allowed):
+    """Valid text for a key: an allowed value, or one above every range
+    check (floats > 0, ints >= 2); list entries are unchecked."""
+    if allowed is not None:
+        return st.sampled_from([repr(a) if kind == "float" else a for a in allowed])
+    return {"float": float_texts(positive=True),
+            "int": st.integers(2, 10**9).map(str),
+            "bool": st.sampled_from(["true", "false", "yes", "no", "on", "off", "1", "0"]),
+            "float_list": st.lists(float_texts(), max_size=4).map(", ".join),
+            "int_list": st.lists(st.integers(-1000, 1000).map(str), max_size=4).map(", ".join),
+            "str": st.text("abcXYZ019_-./", min_size=1, max_size=12)}[kind]
+
+
+@st.composite
+def config_texts(draw):
+    """Configuration text with the required kind and a random subset of the
+    other keys."""
+    keys = draw(st.lists(st.sampled_from(sorted(SCHEMA)), unique=True))
+    sections = {}
+    for section, key in [("problem", "kind")] + keys:
+        kind, _default, allowed = SCHEMA[(section, key)]
+        sections.setdefault(section, {})[key] = draw(value_texts(kind, allowed))
+    return ini(sections)
+
+
 class TestConfig:
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(config_texts())
+    def test_roundtrip_property(self, text):
+        cfg = parse_config(text)
+        assert parse_config(cfg.to_ini()) == cfg
+
     def test_fraction_parsing(self):
         cfg = parse_config(BASE_T1)
         assert cfg.get("time", "tau") == 0.125
@@ -198,6 +239,18 @@ class TestRunCommand:
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"config error: coefficient {key}" in capsys.readouterr().err
+        assert not (out / "final_state.csv").exists()
+
+    @pytest.mark.parametrize("key,value", [("prefactor", "nan"), ("prefactor", "inf"),
+                                           ("wp", "inf"), ("wp", "nan")])
+    @pytest.mark.parametrize("sections", [T1_SECTIONS, T2_SECTIONS],
+                             ids=["test1", "test2_smooth"])
+    def test_nonfinite_nonlinearity_strength_exit_2(self, tmp_path, capsys, sections,
+                                                    key, value):
+        cfg = write(tmp_path, ini(sections, problem={key: value}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: coefficient wp must be finite" in capsys.readouterr().err
         assert not (out / "final_state.csv").exists()
 
     def test_determinism_identical_checksums(self, tmp_path):

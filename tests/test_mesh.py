@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from stochsem.assembly import assemble, evaluate
+from stochsem.assembly import assemble, evaluate_grid
 from stochsem.basis import make_basis
-from stochsem.mesh import build_mesh, element_basis_table, locate
+from stochsem.mesh import build_mesh, element_basis_table
+
+from conftest import ref_dof_map
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -38,44 +40,46 @@ class TestBuild:
             build_mesh(UNIT, 1, 1, 1)
 
     def test_dof_map_surjective(self):
+        # every 1D dof belongs to some element, along either axis
         m = build_mesh(UNIT, 3, 2, 4)
-        claimed = set(m.dof_map[m.dof_map >= 0].ravel())
-        assert claimed == set(range(m.n_global))
+        for axis in (m.ax, m.ay):
+            g = axis.local_to_global
+            assert set(g[g >= 0].ravel()) == set(range(axis.n_dofs))
 
     def test_shared_interface_dofs_identical(self):
-        # the right hat of element (0, ey) and left hat of element (1, ey)
-        # map to the same global dof
+        # the right hat of element 0 and the left hat of element 1 along x
+        # are the same global 1D dof
         order = 4
         m = build_mesh(UNIT, 2, 1, order)
-        nloc = order + 1
-        left = m.dof_map[0].reshape(nloc, nloc)
-        right = m.dof_map[1].reshape(nloc, nloc)
-        assert np.array_equal(left[order, :], right[0, :])
+        g = m.ax.local_to_global
+        assert g[0, order] == g[1, 0] >= 0
 
 
 class TestLocate:
     def test_element_center(self):
         m = build_mesh(UNIT, 2, 2, 3)
-        e, (X, Y) = locate(m, 0.25, 0.75)
-        assert e == m.element_index(0, 1)
+        (ex,), (X,) = m.ax.locate_points(np.array([0.25]))
+        (ey,), (Y,) = m.ay.locate_points(np.array([0.75]))
+        assert m.element_index(ex, ey) == m.element_index(0, 1)
         assert (X, Y) == pytest.approx((0.0, 0.0), abs=1e-14)
 
     def test_domain_corner(self):
         m = build_mesh(UNIT, 2, 2, 3)
-        e, (X, Y) = locate(m, 0.0, 0.0)
-        assert e == 0
-        assert (X, Y) == (-1.0, -1.0)
+        for axis in (m.ax, m.ay):
+            e, X = axis.locate_points(np.array([0.0, 1.0]))
+            assert list(e) == [0, 1]
+            assert list(X) == [-1.0, 1.0]
 
     def test_shared_edge_lower_element(self):
         m = build_mesh(UNIT, 2, 1, 3)
-        e, (X, _) = locate(m, 0.5, 0.3)
+        (e,), (X,) = m.ax.locate_points(np.array([0.5]))
         assert e == 0
         assert X == pytest.approx(1.0, abs=1e-14)
 
     def test_outside_domain(self):
         m = build_mesh(UNIT, 1, 1, 3)
         with pytest.raises(ValueError, match="outside"):
-            locate(m, 1.5, 0.5)
+            m.ax.locate_points(np.array([0.5, 1.5]))
 
 
 class TestContinuity:
@@ -93,6 +97,7 @@ class TestContinuity:
         b = make_basis(order)
         coeffs = rng.standard_normal(m.n_global)
         nloc = order + 1
+        dof_map = ref_dof_map(m)
         ys = rng.uniform(-1, 1, 7)
         V_edge_right, _ = element_basis_table(b, np.array([1.0]))
         V_edge_left, _ = element_basis_table(b, np.array([-1.0]))
@@ -100,10 +105,10 @@ class TestContinuity:
         for ey in range(2):
             eL = m.element_index(0, ey)
             eR = m.element_index(1, ey)
-            cL = np.where(m.dof_map[eL] >= 0,
-                          coeffs[np.clip(m.dof_map[eL], 0, None)], 0.0).reshape(nloc, nloc)
-            cR = np.where(m.dof_map[eR] >= 0,
-                          coeffs[np.clip(m.dof_map[eR], 0, None)], 0.0).reshape(nloc, nloc)
+            cL = np.where(dof_map[eL] >= 0,
+                          coeffs[np.clip(dof_map[eL], 0, None)], 0.0).reshape(nloc, nloc)
+            cR = np.where(dof_map[eR] >= 0,
+                          coeffs[np.clip(dof_map[eR], 0, None)], 0.0).reshape(nloc, nloc)
             from_left = V_edge_right[:, 0] @ cL @ Vy
             from_right = V_edge_left[:, 0] @ cR @ Vy
             assert np.max(np.abs(from_left - from_right)) <= 1e-12
@@ -112,9 +117,10 @@ class TestContinuity:
         m = build_mesh(UNIT, 2, 2, 4)
         b = make_basis(4)
         coeffs = rng.standard_normal(m.n_global)
-        pts = [(0.0, 0.3), (1.0, 0.7), (0.4, 0.0), (0.6, 1.0), (0.0, 0.0)]
-        vals = evaluate(m, b, coeffs, pts)
-        assert np.max(np.abs(vals)) <= 1e-12
+        inner = [0.3, 0.7, 0.4, 0.6]
+        for xs, ys in (([0.0, 1.0], inner), (inner, [0.0, 1.0])):
+            vals = evaluate_grid(m, b, coeffs, xs, ys)
+            assert np.max(np.abs(vals)) <= 1e-12
 
 
 class TestStiffnessSPD:

@@ -289,8 +289,10 @@ class TestErrorReport:
         spec = make_test1()
         traj = run(spec, mesh, basis, 1 / 16, 0.25, record_reports=False)
         rep = error_report(traj.final, spec.exact, mesh, basis)
+        x0, x1, y0, y1 = mesh.domain
+        area = (x1 - x0) * (y1 - y0)
         for l2, linf in zip(rep.l2, rep.linf):
-            assert l2 <= np.sqrt(mesh.area) * linf * (1 + 1e-9)
+            assert l2 <= np.sqrt(area) * linf * (1 + 1e-9)
 
     def test_interior_perturbation_continuity(self, rng):
         mesh, basis = disc(2, 2, 5)
@@ -344,6 +346,21 @@ class TestEnergyError:
         state = StateVector(*(np.zeros(mesh.n_global) for _ in range(3)))
         with pytest.raises(ValueError, match="exact_grad"):
             error_hw(state, (lambda x, y, t: 0 * x,) * 3, mesh, basis, spec, 0.1)
+
+    def test_mismatched_domain_rejected(self, rng):
+        mesh, basis = disc()
+        other = build_mesh((0, 2, 0, 1), 2, 1, 5)
+        state = StateVector(*(rng.standard_normal(mesh.n_global) for _ in range(3)))
+        ref = StateVector(*(rng.standard_normal(other.n_global) for _ in range(3)))
+        with pytest.raises(ValueError, match="domain"):
+            error_hw(state, ref, mesh, basis, make_test1(), 0.1,
+                     ref_mesh=other, ref_basis=basis)
+
+    def test_state_reference_needs_discretization(self, rng):
+        mesh, basis = disc()
+        state = StateVector(*(rng.standard_normal(mesh.n_global) for _ in range(3)))
+        with pytest.raises(ValueError, match="ref_mesh"):
+            error_hw(state, state, mesh, basis, make_test1(), 0.1)
 
 
 class TestConvergenceOrder:

@@ -4,18 +4,30 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from stochsem.assembly import evaluate_grid
-from stochsem.basis import make_basis
+from stochsem.assembly import assemble, evaluate_grid
+from stochsem.basis import gauss_rule, make_basis
 from stochsem.mesh import build_mesh
-from stochsem.stochastic import (NoiseWorkspace, QWienerSampler,
-                                 increment_field, mode_coefficients,
-                                 mode_normals, sample_increment, sample_increments,
-                                 spectrum, spectrum_to_csv)
+from stochsem.stochastic import (NoiseWorkspace, QWienerSampler, _sine_modes,
+                                 mode_coefficients, mode_normals, sample_increment,
+                                 sample_increments, spectrum, spectrum_to_csv)
 
 # fixed test seed: chosen so the sampled statistics sit inside the tolerance
 # bands with margin (the draws are deterministic per seed)
 SEED = 34
 TOP_MODES = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def sine_field(mesh, c):
+    """The KL field sum_jk c_jk s_j(x) s_k(y), s_j the L2-normalized sine
+    modes of the mesh's rectangle, as a callable on broadcast points."""
+    x0, x1, y0, y1 = mesh.domain
+
+    def field(x, y):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return np.einsum("jk,jp,kp->p", c, _sine_modes(len(c), x0, x1, x.ravel()),
+                         _sine_modes(len(c), y0, y1, y.ravel())).reshape(x.shape)
+
+    return field
 
 
 def sampler(**kw):
@@ -179,8 +191,8 @@ class TestStatistics:
         ws = NoiseWorkspace(s, mesh, basis)
         c11 = np.zeros((8, 8))
         c11[0, 0] = 1.0
-        p11 = ws.projector.project(increment_field(s, mesh, c11))
-        Mmat = ws.projector.mass
+        p11 = ws.projector.project(sine_field(mesh, c11))
+        Mmat = assemble(mesh, basis, 1.0, "mass")
         vals = [float(sample_increment(s, i, 1, self.TAU, mesh, basis,
                                        workspace=ws).coeffs @ (Mmat @ p11))
                 for i in range(self.M)]
@@ -191,12 +203,10 @@ class TestStatistics:
 class TestFieldRealization:
     def test_eigenfunction_normalization(self):
         # 2 sin(j pi x) sin(k pi y) has unit L2 norm on the unit square
-        s = sampler(truncation=3)
         mesh, basis = disc(order=12)
         c = np.zeros((3, 3))
         c[1, 2] = 1.0
-        f = increment_field(s, mesh, c)
-        from stochsem.basis import gauss_rule
+        f = sine_field(mesh, c)
         nodes, weights = gauss_rule(40)
         xs = (nodes + 1) / 2
         X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -209,8 +219,7 @@ class TestFieldRealization:
         s = sampler(truncation=2, amplitude=1.0)
         mesh, basis = disc(order=14)
         inc = sample_increment(s, 0, 1, 0.01, mesh, basis)
-        field = increment_field(
-            s, mesh, mode_coefficients(s, 0, 1, 0.01))
+        field = sine_field(mesh, mode_coefficients(s, 0, 1, 0.01))
         xs = np.linspace(0, 1, 33)
         got = evaluate_grid(mesh, basis, inc.coeffs, xs, xs)
         want = field(xs[:, None], xs[None, :])
@@ -228,11 +237,10 @@ class TestFieldRealization:
 
     def test_rectangle_rescaling(self):
         # eigenfunctions respect a non-unit rectangle
-        s = sampler(truncation=2)
         mesh = build_mesh((0, 2, 0, 0.5), 1, 1, 6)
         c = np.zeros((2, 2))
         c[0, 0] = 1.0
-        f = increment_field(s, mesh, c)
+        f = sine_field(mesh, c)
         assert f(np.array(1.0), np.array(0.25)) == pytest.approx(
             np.sqrt(2.0 / 2.0) * np.sqrt(2.0 / 0.5), rel=1e-12)
         assert abs(f(np.array(2.0), np.array(0.25)))  <= 1e-12
