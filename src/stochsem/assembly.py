@@ -133,13 +133,18 @@ class Quadrature2D:
 
     def sample(self, field, t: float | None = None) -> np.ndarray:
         """Samples of field (x, y), or (x, y, t) when t is given, on the
-        global grid; a non-finite sample raises ValueError naming its
-        quadrature point and element."""
+        global grid, checked by `finite`."""
         X, Y = self.grid
         F = field(X, Y) if t is None else field(X, Y, t)
-        F = np.broadcast_to(np.asarray(F, dtype=float), (len(self.x), len(self.y)))
+        return self.finite(np.broadcast_to(np.asarray(F, dtype=float),
+                                           (len(self.x), len(self.y))))
+
+    def finite(self, F: np.ndarray) -> np.ndarray:
+        """F, samples (..., nx, ny) on the global grid, after checking that
+        they are finite: the first non-finite sample raises ValueError naming
+        its quadrature point and element."""
         if not np.all(np.isfinite(F)):
-            i, j = np.unravel_index(int(np.argmin(np.isfinite(F))), F.shape)
+            *_, i, j = np.unravel_index(int(np.argmin(np.isfinite(F))), F.shape)
             nq = self.basis.n_quad
             raise ValueError(
                 f"non-finite field sample at quadrature point "

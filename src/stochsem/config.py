@@ -9,6 +9,7 @@ re-parses to an identical configuration.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -174,8 +175,9 @@ def _check_ranges(cfg: RunConfig) -> None:
         if not ok(v):
             raise ConfigError(f"[{section}] {key} = {v!r} must be {what}")
     for key in ("kappa1", "kappa2"):
-        if cfg.get("problem", key) <= 0:
-            raise ConfigError(f"[problem] {key} must be > 0")
+        v = cfg.get("problem", key)
+        if not (math.isfinite(v) and v > 0):
+            raise ConfigError(f"[problem] {key} must be finite and > 0")
 
 
 def parse_config(text: str, origin: str = "<config>") -> RunConfig:

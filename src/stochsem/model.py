@@ -19,12 +19,20 @@ Two nonlinearities are supported:
 Test problem 1 carries a manufactured solution; its forcing terms are the
 closed forms obtained by substituting the exact triple into the equations, so
 the noise-free residual vanishes identically (this is enforced by tests).
+
+A time stepper samples the forcings on one fixed grid at every step, so it
+stages them on that grid first (stage_forcing): staging gives a function of
+t that returns the three samples stacked.  A StagedForcing, such as Test 1's,
+is one function of the grid that computes its time-independent spatial
+factors at staging, once, and per call only what depends on t; any other
+forcing triple is sampled field by field at every call.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,6 +53,37 @@ def const_field(c: float) -> Field:
         return np.full(np.broadcast(x, y).shape, c)
 
     return f
+
+
+class StagedForcing(tuple):
+    """A forcing triple whose fields come from one function of the grid.
+
+    stage(x, y) computes what does not depend on t once and returns a
+    function t -> the three forcing samples stacked, shape (3, ...); the
+    pointwise field i, (x, y, t) -> stage(x, y)(t)[i], goes through it.
+    """
+
+    def __new__(cls, stage):
+        self = super().__new__(cls, (partial(_staged_field, stage, i) for i in range(3)))
+        self.stage = stage
+        return self
+
+    def __getnewargs__(self):     # copy and pickle rebuild from stage
+        return (self.stage,)
+
+
+def _staged_field(stage, i, x, y, t):
+    return stage(x, y)(t)[i]
+
+
+def stage_forcing(forcing, x, y):
+    """The forcing triple on the grid (x, y), as a function t -> samples
+    stacked (3, *broadcast shape of x, y); see the module docstring."""
+    if isinstance(forcing, StagedForcing):
+        return forcing.stage(x, y)
+    shape = np.broadcast(x, y).shape
+    return lambda t: np.stack([np.broadcast_to(np.asarray(f(x, y, t), dtype=float), shape)
+                               for f in forcing])
 
 
 class SingularNonlinearity(ValueError):
@@ -77,8 +116,8 @@ class ModelSpec:
             raise ValueError(f"coefficient zeta (diffusivity) must be >= 0, got {self.zeta}")
         if self.nonlinearity not in ("saturating_sum", "test1_product"):
             raise ValueError(f"unknown nonlinearity selector {self.nonlinearity!r}")
-        if self.kappa[0] <= 0 or self.kappa[1] <= 0:
-            raise ValueError(f"kappa constants must be positive, got {self.kappa}")
+        if not all(math.isfinite(k) and k > 0 for k in self.kappa):
+            raise ValueError(f"kappa constants must be finite and positive, got {self.kappa}")
 
     def with_wp(self, wp: float) -> "ModelSpec":
         """Copy with a different nonlinearity strength (wp = 0 disables it)."""
@@ -131,22 +170,27 @@ def test1_spec(prefactor: float = 1.0) -> ModelSpec:
     The per-equation forcings are the closed forms obtained by substituting
     the exact solution triple into the noise-free equations; the nonlinear
     contribution 0.6 * prefactor * uv/((1+u)(v+2)) is identical in all three.
+    They form one StagedForcing.
     """
     D = TEST1_DIFFUSIVITY
     wp = 0.6 * prefactor
+    rates = ((5.0, 0.0), (2.0, 0.0), (3.0, 2.0))   # (decay, reaction) of u, v, w
 
-    def forcing(decay, reaction=0.0):
+    def stage(x, y):
         # phi_t + phi_x + phi_y - D lap(phi) + reaction phi + nonlinearity
-        # for phi = e^{-decay t} rho, with rho and phi_x + phi_y computed once
-        def f(x, y, t):
-            sx, sy = np.sin(_PI * x), np.sin(_PI * y)
-            rho = sx * sy
-            cxy = _PI * (np.cos(_PI * x) * sy + sx * np.cos(_PI * y))
+        # for phi = e^{-decay t} rho: rho, phi_x + phi_y and each field's
+        # spatial factor are computed once, the nonlinear term once per t
+        sx, sy = np.sin(_PI * x), np.sin(_PI * y)
+        rho = sx * sy
+        cxy = _PI * (np.cos(_PI * x) * sy + sx * np.cos(_PI * y))
+        space = [(2.0 * D * _PI**2 - decay + reaction) * rho + cxy for decay, reaction in rates]
+
+        def at(t):
             u, v = np.exp(-5.0 * t) * rho, np.exp(-2.0 * t) * rho
             nl = wp * u * v / ((1.0 + u) * (v + 2.0))
-            return np.exp(-decay * t) * ((2.0 * D * _PI**2 - decay + reaction) * rho + cxy) + nl
+            return np.stack([np.exp(-decay * t) * g + nl for (decay, _), g in zip(rates, space)])
 
-        return f
+        return at
 
     init = lambda x, y: _rho(x, y)
 
@@ -164,7 +208,7 @@ def test1_spec(prefactor: float = 1.0) -> ModelSpec:
         kappa=(1.0, 1.0),
         nonlinearity="test1_product",
         init=(init, init, init),
-        forcing=(forcing(5.0), forcing(2.0), forcing(3.0, reaction=2.0)),
+        forcing=StagedForcing(stage),
         exact=(lambda x, y, t: test1_exact(x, y, t)[0],
                lambda x, y, t: test1_exact(x, y, t)[1],
                lambda x, y, t: test1_exact(x, y, t)[2]),

@@ -18,17 +18,20 @@ Thomas 1964).  With the coefficients of a field reshaped to X of shape
     Oy = (tau/2)(zeta Ky + xi Ay),
 
 with Mx, Kx, Ax the 1D mass, stiffness and advection matrices
-(Quadrature2D.axis_matrices; likewise for y).  u and v share their
-operators (the "uv" family), w has its own ("w").  No 2D operator is built.
+(Quadrature2D.axis_matrices; likewise for y).  Oy does not depend on r_phi,
+so one KroneckerSum per side serves the fields' stack (3, n1d_x, n1d_y),
+with the x-axis stack (Ox_u, Ox_v, Ox_w), Ox_u = Ox_v.  No 2D operator is
+built.
 
 L vec X = R is the Sylvester equation
 
     (Mx^-1 Ox) X + X (My^-1 Oy)^T = Mx^-1 R My^-T,
 
-solved by Bartels & Stewart (CACM 15(9), 1972): build_scheme takes one real
-Schur form Mx^-1 Ox = U Ta U^T, My^-1 Oy = V Tb V^T per family and folds
-U^T Mx^-1 and V^T My^-1 into one matrix per axis, so a solve is four matrix
-products and one LAPACK dtrsyl on the quasi-triangular (Ta, Tb).  (Fast
+solved by Bartels & Stewart (CACM 15(9), 1972): build_scheme takes the real
+Schur forms My^-1 Oy = V Tb V^T and Mx^-1 Ox = U Ta U^T (one for u and v,
+one for w) and folds U^T Mx^-1 and V^T My^-1 into one matrix per axis, so
+a solve is four stacked matrix products and one LAPACK dtrsyl per field on
+the quasi-triangular (Ta, Tb).  (Fast
 diagonalization by eigenvectors is not used: the advection-diffusion pencil's
 eigenvectors are too ill-conditioned.)  A dtrsyl that perturbs a near-zero
 eigenvalue sum (info != 0) or rescales against overflow (scale != 1) is a
@@ -50,21 +53,20 @@ subtracted from the dynamics), the "increment" convention flips the sign to
 the conventional +dW forcing.
 
 The time loop (`advance`) works on batches: the states of B samples are one
-array of shape (B, 3, n1d_x, n1d_y) (a StateBatch), and their noise
-processes one array of shape (B, 1 | 3, n1d_x, n1d_y) (one path shared by
-the fields, or one per field).  A step applies each right-hand-side
-KroneckerSum once to the whole stack (np.matmul broadcasts), evaluates the
-nonlinearity and the forcing once, and projects the batch's noise with
-shared per-axis mass solves; only dtrsyl runs once per sample and field.
-The residual gate, the dtrsyl checks and the finite check hold per sample
-and field, and a failure names its sample.  Every per-sample operation is
-the same BLAS or LAPACK call whatever B is, so a sample's trajectory does
-not depend on its batch: `run` is the batch of one, and `step` also takes
-a single StateVector.
+array (B, 3, n1d_x, n1d_y) (a StateBatch), their noise processes one array
+(B, 1 | 3, n1d_x, n1d_y) (one path shared by the fields, or one per field).
+A step makes one right-hand-side apply, one solve and one residual gate for
+the whole stack (np.matmul broadcasts) and one load of the nonlinearity
+with the forcings (staged once per scheme, model.stage_forcing); only
+dtrsyl runs once per sample and field.  The checks hold per sample and
+field, and a failure names its sample.  Every per-sample operation is the
+same BLAS or LAPACK call whatever B is, so a sample's trajectory does not
+depend on its batch: `run` is the batch of one, and `step` also takes a
+single StateVector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 # Nothing in this package calls scipy.sparse.linalg; the module is kept bound
@@ -76,16 +78,13 @@ from scipy.linalg.lapack import dtrsyl
 from .assembly import L2Projector, Quadrature2D, StateVector
 from .basis import Basis1D
 from .mesh import Mesh2D
-from .model import ModelSpec, SingularNonlinearity, nonlinear_f
+from .model import ModelSpec, SingularNonlinearity, nonlinear_f, stage_forcing
 from .stochastic import NoiseWorkspace, QWienerSampler, sample_increments
 
 SOLVE_RTOL = 1e-10
 
 NOISE_CONVENTIONS = ("paper", "increment")
 NONLINEARITY_TIMES = ("extrapolated", "lagged")
-
-# field families sharing one left/right operator pair: (name, field indices)
-FAMILIES = (("uv", slice(0, 2)), ("w", slice(2, 3)))
 
 
 class SchemeError(RuntimeError):
@@ -113,7 +112,7 @@ class StepReport:
 @dataclass(frozen=True, eq=False)
 class KroneckerSum:
     """The operator L vec X = ox X my^T + mx X oy^T on coefficient matrices X
-    of shape (..., n1d_x, n1d_y); `L @ X` applies it."""
+    (..., n1d_x, n1d_y), `L @ X`; a stack ox (k, ...) acts by field on X (..., k, ...)."""
 
     ox: np.ndarray
     oy: np.ndarray
@@ -125,30 +124,35 @@ class KroneckerSum:
 
 
 class SchurFactor:
-    """Bartels-Stewart factor of a KroneckerSum L with SPD mx, my.
+    """Bartels-Stewart factor of a field-stacked KroneckerSum L with SPD mx, my.
 
-    With mx^-1 ox = U ta U^T and my^-1 oy = V tb V^T (real Schur forms),
-    L vec X = R becomes ta Y + Y tb^T = px R py^T for Y = U^T X V, where
-    px = U^T mx^-1 and py = V^T my^-1.
+    With my^-1 oy = V tb V^T and mx^-1 ox[f] = U_f ta_f U_f^T (real Schur
+    forms: one for y, one per distinct ox[f]), L vec X = R becomes, for
+    field f, ta_f Y + Y tb^T = px_f R py^T with Y = U_f^T X V,
+    px_f = U_f^T mx^-1 and py = V^T my^-1.
     """
 
     def __init__(self, op: KroneckerSum):
         fx, fy = cho_factor(op.mx), cho_factor(op.my)
-        self.ta, self.u = schur(cho_solve(fx, op.ox), output="real")
         self.tb, self.v = schur(cho_solve(fy, op.oy), output="real")
-        self.px = cho_solve(fx, self.u).T
         self.py = cho_solve(fy, self.v).T
+        forms = {ox.tobytes(): ox for ox in op.ox}      # the distinct ox
+        forms = {k: schur(cho_solve(fx, ox), output="real") for k, ox in forms.items()}
+        self.ta, u = zip(*(forms[ox.tobytes()] for ox in op.ox))
+        # each U_f keeps its memory order: the BLAS calls do not depend on the stack
+        self.u = np.stack([m.T for m in u]).transpose(0, 2, 1)
+        self.px = np.stack([cho_solve(fx, m).T for m in u])
 
     def solve(self, R: np.ndarray):
-        """Solution X of L @ X = R for a stack R of shape (..., n1d_x, n1d_y),
-        and dtrsyl's scale and info for each right-hand side, as arrays of
-        shape R.shape[:-2]."""
+        """Solution X of L @ X = R for a stack R of shape (..., k, n1d_x, n1d_y)
+        (k fields), and dtrsyl's scale and info for each right-hand side, as
+        arrays of shape R.shape[:-2]."""
         F = self.px @ R @ self.py.T
         flat = F.reshape(-1, *F.shape[-2:])
-        scale = np.empty(len(flat))
-        info = np.empty(len(flat), dtype=int)
+        scale, info = np.empty(len(flat)), np.empty(len(flat), dtype=int)
         for i, f in enumerate(flat):
-            flat[i], scale[i], info[i] = dtrsyl(self.ta, self.tb, f, trana="N", tranb="T")
+            flat[i], scale[i], info[i] = dtrsyl(self.ta[i % len(self.ta)], self.tb, f,
+                                                trana="N", tranb="T")
         return self.u @ F @ self.v.T, scale.reshape(F.shape[:-2]), info.reshape(F.shape[:-2])
 
 
@@ -157,8 +161,9 @@ class SchemeOperators:
     """Per-axis operators and Schur factors of one (mesh, spec, tau) scheme.
 
     mass is (Mx, My); stiffness the unit diffusion (for the energy norm);
-    left, right and factors map each field family ("uv", "w") to its
-    Crank-Nicolson operators and the Schur factor of its left operator.
+    left and right are the fields' Crank-Nicolson operators, with x-axis
+    stacks (Ox_u, Ox_v, Ox_w), and factor the SchurFactor of left.
+    staged_forcing is the last forcing a step met, staged on quad's grid.
     """
 
     mesh: Mesh2D
@@ -166,13 +171,14 @@ class SchemeOperators:
     tau: float
     mass: tuple[np.ndarray, np.ndarray]
     stiffness: KroneckerSum
-    left: dict = dc_field(default_factory=dict)
-    right: dict = dc_field(default_factory=dict)
-    factors: dict = dc_field(default_factory=dict)
-    quad: Quadrature2D = None
-    projector: L2Projector = None
+    left: KroneckerSum
+    right: KroneckerSum
+    factor: SchurFactor
+    quad: Quadrature2D
+    projector: L2Projector
     nonlinearity_time: str = "extrapolated"
     noise_convention: str = "paper"
+    staged_forcing: tuple = (None, None)
 
 
 def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
@@ -181,9 +187,9 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
     """Build the per-axis operators on the projector's quadrature grid and
     the Schur factors of the left-hand sides.
 
-    u and v share identical left/right operators; w folds the reaction term
-    into the mass coefficient of both sides.  A left operator that dtrsyl
-    finds singular raises SchemeError.
+    u and v share identical left/right x-axis matrices; w folds the reaction
+    term into the mass coefficient of both sides.  A left operator that
+    dtrsyl finds singular raises SchemeError naming the first such field.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -197,27 +203,27 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
     (mx, kx, ax), (my, ky, ay) = quad.axis_matrices()
     half = 0.5 * tau
 
-    def side(sign, r):   # Mass +- (tau/2)(r Mass + zeta Diffusion + xi Advection)
+    def side(sign):   # Mass +- (tau/2)(r_phi Mass + zeta Diffusion + xi Advection)
         return KroneckerSum(
-            (1.0 + sign * half * r) * mx + sign * half * (spec.zeta * kx + spec.xi * ax),
+            np.stack([(1.0 + sign * half * r) * mx + sign * half * (spec.zeta * kx + spec.xi * ax)
+                      for r in (0.0, 0.0, spec.r)]),     # r_u, r_v, r_w
             sign * half * (spec.zeta * ky + spec.xi * ay), mx, my)
 
+    left = side(1)
     ops = SchemeOperators(
         mesh=mesh, basis=basis, tau=tau, mass=(mx, my),
-        stiffness=KroneckerSum(kx, ky, mx, my), quad=quad, projector=projector,
+        stiffness=KroneckerSum(kx, ky, mx, my), left=left, right=side(-1),
+        factor=SchurFactor(left), quad=quad, projector=projector,
         nonlinearity_time=nonlinearity_time, noise_convention=noise_convention,
     )
-    for fam, r in (("uv", 0.0), ("w", spec.r)):
-        ops.left[fam], ops.right[fam] = side(1, r), side(-1, r)
-        ops.factors[fam] = SchurFactor(ops.left[fam])
-        # dtrsyl reports info 1 exactly when it must perturb a (near-)zero
-        # eigenvalue sum, whatever the right-hand side
-        _, _, info = ops.factors[fam].solve(np.zeros((len(mx), len(my))))
-        if info != 0:
-            raise SchemeError(
-                f"left operator of field family {fam} is singular for tau={tau}, "
-                f"mesh {mesh.nex}x{mesh.ney} order {mesh.order} "
-                f"(dtrsyl info {info})")
+    # dtrsyl reports info 1 exactly when it must perturb a (near-)zero
+    # eigenvalue sum, whatever the right-hand side
+    _, _, info = ops.factor.solve(np.zeros((3, len(mx), len(my))))
+    if info.any():
+        f = int(np.argmax(info != 0))
+        raise SchemeError(
+            f"left operator of field {'uvw'[f]} is singular for tau={tau}, "
+            f"mesh {mesh.nex}x{mesh.ney} order {mesh.order} (dtrsyl info {info[f]})")
     return ops
 
 
@@ -276,8 +282,7 @@ def step(ops: SchemeOperators, spec: ModelSpec, state: StateVector | StateBatch,
     of shape (B, 3) and energy None.  A failure of one sample of a batch
     carries its id as sample_id.
     """
-    tau = ops.tau
-    quad = ops.quad
+    tau, quad = ops.tau, ops.quad
     t_half = state.t + tau / 2.0
     mx, my = ops.mass
     shape = (len(mx), len(my))
@@ -289,11 +294,11 @@ def step(ops: SchemeOperators, spec: ModelSpec, state: StateVector | StateBatch,
             prev_state = StateBatch(prev_state.stacked().reshape(1, 3, *shape), prev_state.t)
     old = state.coeffs
 
-    rhs = np.empty_like(old)
-    for fam, idx in FAMILIES:
-        rhs[:, idx] = ops.right[fam] @ old[:, idx]
+    rhs = ops.right @ old
 
-    if spec.wp != 0.0 and any(spec.e):
+    samples = []    # the nonlinearity (B samples) and the forcings, loaded at once
+    nonlinear = spec.wp != 0.0 and any(spec.e)
+    if nonlinear:
         u, v = old[:, 0], old[:, 1]
         if ops.nonlinearity_time == "extrapolated" and prev_state is not None:
             # the extrapolation is linear, so it is done on coefficients
@@ -301,7 +306,7 @@ def step(ops: SchemeOperators, spec: ModelSpec, state: StateVector | StateBatch,
             v = 1.5 * v - 0.5 * prev_state.coeffs[:, 1]
         U, V = quad.values(u), quad.values(v)
         try:
-            nl = nonlinear_f(spec, U, V)
+            samples.append(nonlinear_f(spec, U, V))
         except SingularNonlinearity as exc:
             for b in range(len(U)):     # name the first sample at the pole
                 try:
@@ -309,13 +314,17 @@ def step(ops: SchemeOperators, spec: ModelSpec, state: StateVector | StateBatch,
                 except SingularNonlinearity:
                     raise _tag(exc, state, b) from None
             raise
-        nl_load = quad.load(nl)
-        for idx in range(3):
-            rhs[:, idx] -= tau * spec.wp * spec.e[idx] * nl_load
-
     if spec.forcing is not None:
-        for idx in range(3):
-            rhs[:, idx] += tau * quad.load(quad.sample(spec.forcing[idx], t_half))
+        staged = ops.staged_forcing     # read once: another thread may restage ops
+        if staged[0] is not spec.forcing:
+            staged = ops.staged_forcing = (spec.forcing, stage_forcing(spec.forcing, *quad.grid))
+        samples.append(quad.finite(staged[1](t_half)))
+    if samples:
+        loads = quad.load(np.concatenate(samples))
+        if nonlinear:
+            rhs -= (tau * spec.wp * np.array(spec.e))[:, None, None] * loads[:len(old), None]
+        if spec.forcing is not None:
+            rhs += tau * loads[-3:]
 
     if noise_n is not None or noise_nm1 is not None:
         zn = 0.0 if noise_n is None else noise_n
@@ -324,25 +333,18 @@ def step(ops: SchemeOperators, spec: ModelSpec, state: StateVector | StateBatch,
         # a shared path (one noise field per sample) broadcasts over the fields
         rhs += mx @ delta @ my.T
 
-    sol = np.empty_like(rhs)
-    gap = np.empty_like(rhs)
-    scale = np.empty(rhs.shape[:2])
-    info = np.empty(rhs.shape[:2], dtype=int)
-    for fam, idx in FAMILIES:
-        sol[:, idx], scale[:, idx], info[:, idx] = ops.factors[fam].solve(rhs[:, idx])
-        gap[:, idx] = ops.left[fam] @ sol[:, idx] - rhs[:, idx]
+    sol, scale, info = ops.factor.solve(rhs)
+    gap = ops.left @ sol - rhs
     bnorm = np.linalg.norm(rhs, axis=(2, 3))
     residuals = np.linalg.norm(gap, axis=(2, 3)) / np.where(bnorm > 0, bnorm, 1.0)
     bad = (info != 0) | (scale != 1.0)
     failed = bad | (residuals > SOLVE_RTOL)
     if failed.any():
         b, f = np.argwhere(failed)[0]
-        where = f"solve for field {'uvw'[f]} at step {step_index}"
-        if bad[b, f]:
-            raise _tag(SolverFailure(f"{where}: dtrsyl info {info[b, f]}, "
-                                     f"scale {scale[b, f]}"), state, b)
-        raise _tag(SolverFailure(f"{where}: relative residual {residuals[b, f]:.3e} "
-                                 f"exceeds {SOLVE_RTOL:.1e}"), state, b)
+        why = (f"dtrsyl info {info[b, f]}, scale {scale[b, f]}" if bad[b, f] else
+               f"relative residual {residuals[b, f]:.3e} exceeds {SOLVE_RTOL:.1e}")
+        raise _tag(SolverFailure(f"solve for field {'uvw'[f]} at step {step_index}: {why}"),
+                   state, b)
 
     if not np.isfinite(sol).all():
         b, f = np.argwhere(~np.isfinite(sol).all(axis=(2, 3)))[0]
@@ -442,9 +444,7 @@ def advance(ops: SchemeOperators, spec: ModelSpec, init: np.ndarray, T: float,
             for b, res in enumerate(report.residuals):
                 energy = energy_norm(ops, spec, new_state.state(b), tau)
                 reports[b].append(StepReport(k, tuple(map(float, res)), energy))
-        prev = state
-        state = new_state
-        w_proc = w_next
+        prev, state, w_proc = state, new_state, w_next
         if k in snap_at:
             snapshots[snap_at[k]] = state
     return state, snapshots, reports

@@ -133,7 +133,8 @@ class TestAssemble:
     def test_nonfinite_coefficient_reported(self):
         # coefficients are checked where a ModelSpec is made, before any
         # operator is built: non-finite xi, zeta, r or wp and a negative zeta are
-        # rejected by name; zeta = 0 (pure transport) stays legal
+        # rejected by name, and so is a non-finite or non-positive kappa;
+        # zeta = 0 (pure transport) stays legal
         spec = make_test1()
         for name in ("xi", "zeta", "r", "wp"):
             for bad in (np.nan, np.inf, -np.inf):
@@ -142,6 +143,10 @@ class TestAssemble:
         with pytest.raises(ValueError, match="coefficient zeta"):
             dataclasses.replace(spec, zeta=-1.0)
         assert dataclasses.replace(spec, zeta=0.0).zeta == 0.0
+        for bad in (np.nan, np.inf, -np.inf, 0.0):
+            for kappa in ((bad, 1.0), (1.0, bad)):
+                with pytest.raises(ValueError, match="kappa constants must be finite"):
+                    dataclasses.replace(spec, kappa=kappa)
 
     def test_unknown_kind(self):
         m, b = disc()
@@ -456,6 +461,19 @@ class TestNonFiniteSamples:
         with pytest.raises(ValueError, match=self.expected(m, b)):
             step(ops, spec, state)
 
+    def test_forcing_sample_after_staged_forcing(self):
+        # a step with a good forcing stages it on ops; a later step with
+        # another forcing must sample that one, not reuse the staged samples
+        m, b = disc(3, 2, 4)
+        good = make_test1()
+        bad = dataclasses.replace(
+            good, forcing=(good.forcing[0], lambda x, y, t: self.bad(x, y), good.forcing[2]))
+        ops = build_scheme(m, b, good, 0.1)
+        state = StateVector(*(np.zeros(m.n_global) for _ in range(3)))
+        step(ops, good, state)
+        with pytest.raises(ValueError, match=self.expected(m, b)):
+            step(ops, bad, state)
+
 
 class TestAxisTables:
     @staticmethod
@@ -567,17 +585,17 @@ class TestPerAxisScheme:
                            for kind in ("mass", "diffusion", "advection"))
         rng = np.random.default_rng(seed)
         shape = (m.ax.n_dofs, m.ay.n_dofs)
-        for fam, rf in (("uv", 0.0), ("w", r)):
+        for f, rf in enumerate((0.0, 0.0, r)):     # fields u, v, w
             for side, sign in ((ops.left, 1.0), (ops.right, -1.0)):
                 want = ((1.0 + sign * tau / 2 * rf) * mass
                         + sign * tau / 2 * (zeta * diff + xi * adv)).tocsc()
-                X = rng.standard_normal(shape)
-                ref = want @ X.ravel()
-                assert rel_err((side[fam] @ X).ravel(), ref) <= 1e-13
+                X = rng.standard_normal((3, *shape))
+                ref = want @ X[f].ravel()
+                assert rel_err((side @ X)[f].ravel(), ref) <= 1e-13
             L = ((1.0 + tau / 2 * rf) * mass + tau / 2 * (zeta * diff + xi * adv)).tocsc()
-            R = rng.standard_normal(shape)
-            (sol,), (scale,), (info,) = ops.factors[fam].solve(R[None])
-            assert (scale, info) == (1.0, 0)
-            x = sol.ravel()
-            assert np.linalg.norm(L @ x - R.ravel()) / np.linalg.norm(R) <= 1e-10
-            assert np.linalg.norm(x - spla.spsolve(L, R.ravel())) / np.linalg.norm(x) <= 1e-10
+            R = rng.standard_normal((3, *shape))
+            sol, scale, info = ops.factor.solve(R)
+            assert (scale[f], info[f]) == (1.0, 0)
+            x = sol[f].ravel()
+            assert np.linalg.norm(L @ x - R[f].ravel()) / np.linalg.norm(R[f]) <= 1e-10
+            assert np.linalg.norm(x - spla.spsolve(L, R[f].ravel())) / np.linalg.norm(x) <= 1e-10

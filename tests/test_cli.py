@@ -241,6 +241,17 @@ class TestRunCommand:
         assert f"config error: coefficient {key}" in capsys.readouterr().err
         assert not (out / "final_state.csv").exists()
 
+    @pytest.mark.parametrize("key", ["kappa1", "kappa2"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_kappa_exit_2(self, tmp_path, capsys, key, value):
+        problem = {**self.POLE_SECTIONS["problem"], "init": "smooth", "kappa1": "1",
+                   key: value}
+        cfg = write(tmp_path, ini(self.POLE_SECTIONS, problem=problem))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: [problem] {key} must be finite" in capsys.readouterr().err
+        assert not (out / "final_state.csv").exists()
+
     @pytest.mark.parametrize("key,value", [("prefactor", "nan"), ("prefactor", "inf"),
                                            ("wp", "inf"), ("wp", "nan")])
     @pytest.mark.parametrize("sections", [T1_SECTIONS, T2_SECTIONS],

@@ -1,8 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
 import sympy as sp
 
-from stochsem.model import (ModelSpec, const_field, nonlinear_f,
+from stochsem.assembly import Quadrature2D
+from stochsem.basis import make_basis
+from stochsem.mesh import build_mesh
+from stochsem.model import (ModelSpec, const_field, nonlinear_f, stage_forcing,
                             TEST1_DIFFUSIVITY)
 from stochsem.model import test1_spec as make_test1
 from stochsem.model import test2_spec as make_test2
@@ -52,6 +57,12 @@ class TestNonlinearity:
     def test_nonpositive_kappa_rejected(self):
         with pytest.raises(ValueError, match="kappa"):
             saturating_spec(k1=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_kappa_rejected(self, bad):
+        for kappa in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="kappa constants must be finite"):
+                saturating_spec(*kappa)
 
 
 def _sympy_forcings(prefactor=1.0):
@@ -135,6 +146,57 @@ class TestTestProblem1:
 
     def test_with_wp_disables(self):
         assert make_test1().with_wp(0.0).wp == 0.0
+
+
+def _field_forcing(prefactor, decay, reaction=0.0):
+    """One Test 1 forcing as its own function of (x, y, t), recomputing the
+    spatial factors at every call: the reference for the staged forcing,
+    with the same operations in the same order."""
+    D = TEST1_DIFFUSIVITY
+    wp = 0.6 * prefactor
+    pi = np.pi
+
+    def f(x, y, t):
+        sx, sy = np.sin(pi * x), np.sin(pi * y)
+        rho = sx * sy
+        cxy = pi * (np.cos(pi * x) * sy + sx * np.cos(pi * y))
+        u, v = np.exp(-5.0 * t) * rho, np.exp(-2.0 * t) * rho
+        nl = wp * u * v / ((1.0 + u) * (v + 2.0))
+        return np.exp(-decay * t) * ((2.0 * D * pi**2 - decay + reaction) * rho + cxy) + nl
+
+    return f
+
+
+class TestStagedForcing:
+    @pytest.mark.parametrize("prefactor", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("shape", [(2, 2, 10), (3, 1, 5)], ids=["2x2o10", "3x1o5"])
+    def test_staged_equals_pointwise_samples(self, prefactor, shape):
+        spec = make_test1(prefactor)
+        quad = Quadrature2D(build_mesh((0.0, 1.0, 0.0, 1.0), *shape), make_basis(shape[2]))
+        staged = stage_forcing(spec.forcing, *quad.grid)
+        refs = [_field_forcing(prefactor, *rate) for rate in ((5.0,), (2.0,), (3.0, 2.0))]
+        for t in (0.0, 1 / 64, 0.37 + 1 / 1024, 1.0):
+            F = staged(t)
+            assert F.shape == (3, len(quad.x), len(quad.y))
+            for i in range(3):
+                assert np.array_equal(F[i], quad.sample(spec.forcing[i], t))
+                assert np.array_equal(F[i], quad.sample(refs[i], t))
+
+    def test_copies_sample_alike(self):
+        spec = make_test1()
+        x, y = np.array([0.3, 0.7]), np.array([0.4, 0.1])
+        for copy_ in (copy.copy, copy.deepcopy):
+            twin = copy_(spec.forcing)
+            for f, g in zip(spec.forcing, twin):
+                assert np.array_equal(f(x, y, 0.25), g(x, y, 0.25))
+
+    def test_plain_triple_sampled_field_by_field(self):
+        spec = make_test1()
+        quad = Quadrature2D(build_mesh((0.0, 1.0, 0.0, 1.0), 2, 1, 6), make_basis(6))
+        plain = (spec.forcing[0], lambda x, y, t: 2.0 + t, spec.forcing[2])
+        F = stage_forcing(plain, *quad.grid)(0.25)
+        for i in range(3):
+            assert np.array_equal(F[i], quad.sample(plain[i], 0.25))
 
 
 class TestTestProblem2:

@@ -209,10 +209,10 @@ class TestFailureAttribution:
     def test_solver_failure_names_sample_step_and_field(self, monkeypatch):
         spec, mesh, basis, sampler = noisy_setup()
         ops = build_scheme(mesh, basis, spec, 0.05)
-        # per step a chunk of 4 calls dtrsyl for (sample, u), (sample, v) in
-        # sample order, then (sample, w): 12 calls; fail sample 6 = chunk 1,
+        # per step a chunk of 4 calls dtrsyl for (sample, u), (sample, v),
+        # (sample, w) in sample order: 12 calls; fail sample 6 = chunk 1,
         # position 2, field v at its step 2, after chunk 0's 4 steps
-        target = 4 * 12 + 12 + 2 * 2 + 1
+        target = 4 * 12 + 12 + 2 * 3 + 1
         calls = []
         real = timestepper.dtrsyl
 

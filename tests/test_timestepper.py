@@ -11,8 +11,8 @@ from stochsem.model import test1_spec as make_test1
 from stochsem.model import test2_spec as make_test2
 from stochsem.montecarlo import error_report
 from stochsem.stochastic import QWienerSampler
-from stochsem.timestepper import (SchemeError, SolverFailure, build_scheme, energy_norm,
-                                  run, step)
+from stochsem.timestepper import (KroneckerSum, SchemeError, SchurFactor, SolverFailure,
+                                  StateBatch, build_scheme, energy_norm, run, step)
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -34,9 +34,9 @@ def sine_init(x, y):
     return np.sin(np.pi * x) * np.sin(np.pi * y)
 
 
-def dense(op):
-    """The 2D matrix kron(ox, my) + kron(mx, oy) of a per-axis operator."""
-    return np.kron(op.ox, op.my) + np.kron(op.mx, op.oy)
+def dense(op, f):
+    """The 2D matrix kron(ox[f], my) + kron(mx, oy) of field f's operator."""
+    return np.kron(op.ox[f], op.my) + np.kron(op.mx, op.oy)
 
 
 class TestBuildScheme:
@@ -44,9 +44,9 @@ class TestBuildScheme:
         mesh, basis = disc(2, 1, 4)
         ops = build_scheme(mesh, basis, plain_spec(), tau=0.1)
         M = ops.quad.operator(m=1.0).toarray()
-        for fam in ("uv", "w"):
-            assert np.max(np.abs(dense(ops.left[fam]) - M)) <= 1e-15
-            assert np.max(np.abs(dense(ops.right[fam]) - M)) <= 1e-15
+        for f in range(3):
+            assert np.max(np.abs(dense(ops.left, f) - M)) <= 1e-15
+            assert np.max(np.abs(dense(ops.right, f) - M)) <= 1e-15
 
     def test_constant_reaction_scales_mass(self):
         # r = 2 with no advection/diffusion: L_w = (1 + tau) * Mass
@@ -54,19 +54,22 @@ class TestBuildScheme:
         tau = 0.2
         ops = build_scheme(mesh, basis, plain_spec(r=2.0), tau=tau)
         M = ops.quad.operator(m=1.0).toarray()
-        assert np.max(np.abs(dense(ops.left["w"]) - (1 + tau) * M)) <= 1e-12
-        assert np.max(np.abs(dense(ops.right["w"]) - (1 - tau) * M)) <= 1e-12
-        assert np.max(np.abs(dense(ops.left["uv"]) - M)) <= 1e-15
+        assert np.max(np.abs(dense(ops.left, 2) - (1 + tau) * M)) <= 1e-12
+        assert np.max(np.abs(dense(ops.right, 2) - (1 - tau) * M)) <= 1e-12
+        for f in (0, 1):
+            assert np.max(np.abs(dense(ops.left, f) - M)) <= 1e-15
 
     def test_tau_linearity(self):
         mesh, basis = disc(1, 1, 6)
         spec = make_test1()
         tau = 0.1
         ops = build_scheme(mesh, basis, spec, tau)
-        L1 = dense(ops.left["uv"])
-        L2 = dense(build_scheme(mesh, basis, spec, tau / 2).left["uv"])
+        half = build_scheme(mesh, basis, spec, tau / 2)
         M = ops.quad.operator(m=1.0).toarray()
-        assert np.max(np.abs((L1 - M) - 2 * (L2 - M))) <= 1e-12
+        for f in range(3):
+            L1, L2 = dense(ops.left, f), dense(half.left, f)
+            # the reaction term of w is linear in tau too
+            assert np.max(np.abs((L1 - M) - 2 * (L2 - M))) <= 1e-12
 
     def test_validation(self):
         mesh, basis = disc()
@@ -259,6 +262,64 @@ class TestPerAxisPath:
         state = StateVector(*(np.ones(mesh.n_global) for _ in range(3)))
         with pytest.raises(SolverFailure, match="field u at step 3: dtrsyl info 0, scale 0.5"):
             step(ops, spec, state, step_index=3)
+
+
+class TestFieldStackedScheme:
+    def test_three_schur_forms_one_solve_two_applies(self, monkeypatch):
+        # one y-axis Schur form and one x-axis form each for u = v and w;
+        # a step of any batch size makes one solve and two operator applies
+        # (right-hand side and residual gate)
+        from stochsem import timestepper
+        calls = {"schur": 0, "solve": 0, "apply": 0}
+
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(timestepper, "schur", counting("schur", timestepper.schur))
+        mesh, basis = disc(2, 2, 6)
+        spec = make_test1()
+        ops = build_scheme(mesh, basis, spec, 0.05)
+        assert calls["schur"] == 3
+        monkeypatch.setattr(SchurFactor, "solve", counting("solve", SchurFactor.solve))
+        monkeypatch.setattr(KroneckerSum, "__matmul__",
+                            counting("apply", KroneckerSum.__matmul__))
+        shape = (mesh.ax.n_dofs, mesh.ay.n_dofs)
+        rng = np.random.default_rng(7)
+        for B in (1, 2, 7):
+            state = StateBatch(0.1 * rng.standard_normal((B, 3, *shape)), 0.5, tuple(range(B)))
+            prev = StateBatch(0.1 * rng.standard_normal((B, 3, *shape)), 0.45)
+            noise = 0.01 * rng.standard_normal((2, B, 3, *shape))
+            calls.update(solve=0, apply=0)
+            new, report = step(ops, spec, state, *noise, prev_state=prev, step_index=4)
+            assert (calls["solve"], calls["apply"]) == (1, 2)
+            assert new.coeffs.shape == (B, 3, *shape) and report.residuals.shape == (B, 3)
+
+    def test_forcing_staged_once_per_scheme(self, monkeypatch):
+        from stochsem import timestepper
+        staged, spatial = [], []
+        real = timestepper.stage_forcing
+
+        def counting(*args):
+            staged.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(timestepper, "stage_forcing", counting)
+        spec = make_test1()
+        stage = spec.forcing.stage
+        monkeypatch.setattr(spec.forcing, "stage",
+                            lambda x, y: spatial.append(None) or stage(x, y))
+        mesh, basis = disc(1, 1, 6)
+        ops = build_scheme(mesh, basis, spec, 0.05)
+        first = run(spec, mesh, basis, 0.05, 1.0, ops=ops, record_reports=False)
+        assert (len(staged), len(spatial)) == (1, 1)
+        again = run(spec, mesh, basis, 0.05, 1.0, ops=ops, record_reports=False)
+        assert (len(staged), len(spatial)) == (1, 1)
+        assert np.array_equal(first.final.stacked(), again.final.stacked())
+        run(spec, mesh, basis, 0.05, 1.0, record_reports=False)    # a new scheme
+        assert (len(staged), len(spatial)) == (2, 2)
 
 
 class TestEnergyNorm:
