@@ -156,8 +156,8 @@ def _check_ranges(cfg: RunConfig) -> None:
         (("mesh", "nex"), lambda v: v >= 1, ">= 1"),
         (("mesh", "ney"), lambda v: v >= 1, ">= 1"),
         (("mesh", "order"), lambda v: v >= 2, ">= 2"),
-        (("time", "tau"), lambda v: v > 0, "> 0"),
-        (("time", "t_final"), lambda v: v >= 0, ">= 0"),
+        (("time", "tau"), lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+        (("time", "t_final"), lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
         (("noise", "sigma"), lambda v: v >= 0, ">= 0"),
         (("noise", "truncation"), lambda v: v >= 1, ">= 1"),
         (("noise", "decay_exponent"), lambda v: v >= 0, ">= 0"),

@@ -3,7 +3,7 @@
 Samples are processed in fixed-size chunks, and each chunk advances as one
 batch through the time loop (`timestepper.advance`): its states are one
 (B, 3, n1d_x, n1d_y) array, so every step makes one right-hand side, solve
-and noise projection for the whole chunk.  The initial data are projected
+and noise load for the whole chunk.  The initial data are projected
 once per ensemble.  Per-chunk moments merge in chunk order, so the ensemble
 mean is identical no matter how many workers execute the chunks (noise
 realizations are already keyed by sample id).  With workers > 1, chunks go

@@ -157,15 +157,17 @@ def _sine_modes(J: int, lo: float, hi: float, pts: np.ndarray) -> np.ndarray:
 
 
 class NoiseWorkspace:
-    """Per-axis mode loads for fast repeated increment projection.
+    """Per-axis mode loads of the KL field.
 
-    The L2 projection of the KL field is linear in the mode coefficients c.
-    Each mode e_jk(x, y) = s_j(x) s_k(y) is separable and so is the
-    quadrature grid, so its load is ex[:, j] (x) ey[:, k] with
-    ex[gx, j] = int s_j phi_gx along x (on the projector's tables), and the
-    load of the whole field is the (n1d_x, n1d_y) matrix ex @ c @ ey^T.  The
-    two tables are built once per discretization; afterwards each increment
-    costs two small products and the projector's per-axis mass solves.
+    The load (dW, v) of an increment on the basis functions v is linear in
+    its mode coefficients c.  Each mode e_jk(x, y) = s_j(x) s_k(y) is
+    separable and so is the quadrature grid, so its load is ex[:, j] (x)
+    ey[:, k] with ex[gx, j] = int s_j phi_gx along x (on the projector's
+    tables), and the load of the whole field is the (n1d_x, n1d_y) matrix
+    ex @ c @ ey^T.  The time loop uses that load as it is: for v in the
+    discrete space, (P_h dW, v) = (dW, v).  The two tables are built once
+    per discretization; a projection adds the projector's per-axis mass
+    solves.
     """
 
     def __init__(self, sampler: QWienerSampler, mesh: Mesh2D, basis: Basis1D,
@@ -179,23 +181,27 @@ class NoiseWorkspace:
         self.ex = Bx @ (quad.wx[:, None] * _sine_modes(J, x0, x1, quad.x).T)
         self.ey = By @ (quad.wy[:, None] * _sine_modes(J, y0, y1, quad.y).T)
 
+    def load(self, coeffs_jk: np.ndarray) -> np.ndarray:
+        """Loads (..., n1d_x, n1d_y) of mode coefficients (..., J, J)."""
+        return self.ex @ coeffs_jk @ self.ey.T
+
     def project_modes(self, coeffs_jk: np.ndarray) -> np.ndarray:
         """Projected coefficients (..., n_global) of mode coefficients
         (..., J, J); a stack shares the per-axis mass solves."""
-        proj = self.projector.project_load(self.ex @ coeffs_jk @ self.ey.T)
+        proj = self.projector.project_load(self.load(coeffs_jk))
         return proj.reshape(*proj.shape[:-2], -1)
 
 
 def sample_increments(sampler: QWienerSampler, sample_ids, n: int, tau: float,
                       workspace: NoiseWorkspace, components=(None,)) -> np.ndarray:
-    """Projected increments W^n - W^{n-1} of a batch of samples, shape
-    (len(sample_ids), len(components), n_global); component None is the
-    path shared by all fields.
+    """Loads (W^n - W^{n-1}, v) of the increments of a batch of samples,
+    shape (len(sample_ids), len(components), n1d_x, n1d_y); component None
+    is the path shared by all fields.
 
-    Entry [b, c] is bitwise the increment that sample_increment draws for
-    (sample_ids[b], components[c]).
+    Entry [b, c] is bitwise the load of the increment that sample_increment
+    draws for (sample_ids[b], components[c]).
     """
-    return workspace.project_modes(np.array(
+    return workspace.load(np.array(
         [[mode_coefficients(sampler, sid, n, tau, comp) for comp in components]
          for sid in sample_ids]))
 
@@ -213,5 +219,5 @@ def sample_increment(sampler: QWienerSampler, sample_id: int, n: int, tau: float
         return NoiseIncrement(n=n, coeffs=np.zeros(mesh.n_global))
     if workspace is None:
         workspace = NoiseWorkspace(sampler, mesh, basis)
-    return NoiseIncrement(n=n, coeffs=sample_increments(
-        sampler, (sample_id,), n, tau, workspace, (component,))[0, 0])
+    return NoiseIncrement(n=n, coeffs=workspace.project_modes(
+        mode_coefficients(sampler, sample_id, n, tau, component)))

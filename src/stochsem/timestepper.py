@@ -47,22 +47,22 @@ level, which restores the scheme's O(tau^2) accuracy (the lagged evaluation
 measurably degrades to first order; see the convergence tests).  The first
 step of an extrapolated run falls back to lagged.
 
-Noise enters through the process values at the step endpoints: the "paper"
-convention adds load(W^{n-1} - W^n) to the right-hand side (the increment is
-subtracted from the dynamics), the "increment" convention flips the sign to
-the conventional +dW forcing.
+Noise enters as the load of its increment, (W^n - W^{n-1}, v) on the test
+functions v: for v in the discrete space that is the load of the projected
+increment too, so the increment is never projected.  The "paper"
+convention subtracts the load from the right-hand side, the "increment"
+convention adds it (the conventional +dW forcing).
 
-The time loop (`advance`) works on batches: the states of B samples are one
-array (B, 3, n1d_x, n1d_y) (a StateBatch), their noise processes one array
-(B, 1 | 3, n1d_x, n1d_y) (one path shared by the fields, or one per field).
-A step makes one right-hand-side apply, one solve and one residual gate for
-the whole stack (np.matmul broadcasts) and one load of the nonlinearity
-with the forcings (staged once per scheme, model.stage_forcing); only
-dtrsyl runs once per sample and field.  The checks hold per sample and
-field, and a failure names its sample.  Every per-sample operation is the
-same BLAS or LAPACK call whatever B is, so a sample's trajectory does not
-depend on its batch: `run` is the batch of one, and `step` also takes a
-single StateVector.
+`step` and the time loop (`advance`) work on batches: the states of B
+samples are one array (B, 3, n1d_x, n1d_y) (a StateBatch), their noise
+loads one array (B, 1 | 3, n1d_x, n1d_y) (one path shared by the fields, or
+one per field).  A step makes one right-hand-side apply, one solve and one
+residual gate for the whole stack (np.matmul broadcasts) and one load of
+the nonlinearity with the forcings (staged once per scheme,
+model.stage_forcing); only dtrsyl runs once per sample and field.  The
+checks hold per sample and field, and a failure names its sample.  Every
+per-sample operation is the same BLAS or LAPACK call whatever B is, so a
+sample's trajectory does not depend on its batch: `run` is the batch of one.
 """
 from __future__ import annotations
 
@@ -101,12 +101,12 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class StepReport:
-    """Per-step diagnostics: relative solve residuals per field (a (B, 3)
-    array for a batch) and the energy norm (None where it is not computed)."""
+    """One step of a Trajectory: the relative solve residuals per field and
+    the energy norm of the new state."""
 
     step: int
-    residuals: tuple[float, float, float] | np.ndarray
-    energy: float | None
+    residuals: tuple[float, float, float]
+    energy: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +191,8 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
     term into the mass coefficient of both sides.  A left operator that
     dtrsyl finds singular raises SchemeError naming the first such field.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
     if nonlinearity_time not in NONLINEARITY_TIMES:
         raise ValueError(f"unknown nonlinearity_time {nonlinearity_time!r}")
     if noise_convention not in NOISE_CONVENTIONS:
@@ -246,52 +246,27 @@ class StateBatch:
         return StateVector(*self.coeffs[b].reshape(3, -1), t=self.t)
 
 
-def _noise_fields(noise, shape):
-    """Validate a StateVector's noise argument, shared (n,) or per-field
-    (3, n), and give it the batch layout (1, 1 | 3, n1d_x, n1d_y)."""
-    if noise is None:
-        return None
-    arr = np.asarray(noise, dtype=float)
-    n = shape[0] * shape[1]
-    if arr.shape not in ((n,), (3, n)):
-        raise ValueError(f"noise array has shape {arr.shape}, expected (3, {n}) or ({n},)")
-    return arr.reshape(1, -1, *shape)
-
-
 def _tag(exc: Exception, state: StateBatch, b: int) -> Exception:
     """exc with the id of the batch's sample b attached as exc.sample_id."""
     exc.sample_id = None if state.sample_ids is None else state.sample_ids[b]
     return exc
 
 
-def step(ops: SchemeOperators, spec: ModelSpec, state: StateVector | StateBatch,
-         noise_n=None, noise_nm1=None, prev_state: StateVector | StateBatch | None = None,
-         step_index: int = 0):
-    """Advance a state, or a batch of states, one step of size ops.tau.
+def step(ops: SchemeOperators, spec: ModelSpec, state: StateBatch, noise=None,
+         prev_state: StateBatch | None = None, step_index: int = 0):
+    """Advance a batch of states, whose samples advance together, one step
+    of size ops.tau.
 
-    state is a StateVector (the B = 1 case) or a StateBatch, whose samples
-    advance together.  noise_n / noise_nm1 are the projected coefficient
-    arrays of the driving process at the two step endpoints, or None for a
-    deterministic step: (3, n) or shared (n,) for a StateVector,
-    (B, 3 | 1, n1d_x, n1d_y) for a batch.  prev_state (of the same kind)
-    supplies phi^{n-2} for the extrapolated nonlinearity level; when absent
-    the nonlinearity is lagged.
+    noise is the load of the batch's noise increments (sample_increments),
+    shape (B, 1 | 3, n1d_x, n1d_y), or None for a deterministic step.
+    prev_state supplies phi^{n-2} for the extrapolated nonlinearity level;
+    when absent the nonlinearity is lagged.
 
-    A StateVector gives (StateVector, StepReport) with the energy norm of
-    the new state.  A batch gives (StateBatch, StepReport) with residuals
-    of shape (B, 3) and energy None.  A failure of one sample of a batch
-    carries its id as sample_id.
+    Returns the new StateBatch and the relative solve residuals, shape
+    (B, 3).  A failure of one sample carries its id as sample_id.
     """
     tau, quad = ops.tau, ops.quad
     t_half = state.t + tau / 2.0
-    mx, my = ops.mass
-    shape = (len(mx), len(my))
-    single = isinstance(state, StateVector)
-    if single:
-        noise_n, noise_nm1 = _noise_fields(noise_n, shape), _noise_fields(noise_nm1, shape)
-        state = StateBatch(state.stacked().reshape(1, 3, *shape), state.t)
-        if prev_state is not None:
-            prev_state = StateBatch(prev_state.stacked().reshape(1, 3, *shape), prev_state.t)
     old = state.coeffs
 
     rhs = ops.right @ old
@@ -326,12 +301,12 @@ def step(ops: SchemeOperators, spec: ModelSpec, state: StateVector | StateBatch,
         if spec.forcing is not None:
             rhs += tau * loads[-3:]
 
-    if noise_n is not None or noise_nm1 is not None:
-        zn = 0.0 if noise_n is None else noise_n
-        zm = 0.0 if noise_nm1 is None else noise_nm1
-        delta = zm - zn if ops.noise_convention == "paper" else zn - zm
-        # a shared path (one noise field per sample) broadcasts over the fields
-        rhs += mx @ delta @ my.T
+    if noise is not None:
+        # a shared path (one noise load per sample) broadcasts over the fields
+        if ops.noise_convention == "paper":
+            rhs -= noise
+        else:
+            rhs += noise
 
     sol, scale, info = ops.factor.solve(rhs)
     gap = ops.left @ sol - rhs
@@ -350,12 +325,7 @@ def step(ops: SchemeOperators, spec: ModelSpec, state: StateVector | StateBatch,
         b, f = np.argwhere(~np.isfinite(sol).all(axis=(2, 3)))[0]
         raise _tag(DivergenceError(f"non-finite state after step {step_index} "
                                    f"(field {'uvw'[f]})"), state, b)
-    new_state = StateBatch(sol, state.t + tau, state.sample_ids)
-    if not single:
-        return new_state, StepReport(step=step_index, residuals=residuals, energy=None)
-    new_state = new_state.state(0)
-    return new_state, StepReport(step=step_index, residuals=tuple(map(float, residuals[0])),
-                                 energy=energy_norm(ops, spec, new_state, tau))
+    return StateBatch(sol, state.t + tau, state.sample_ids), residuals
 
 
 def energy_norm(ops: SchemeOperators, spec: ModelSpec, state: StateVector,
@@ -407,14 +377,14 @@ def advance(ops: SchemeOperators, spec: ModelSpec, init: np.ndarray, T: float,
     """The time loop: advance the samples sample_ids as one batch from the
     projected initial data init (3, n1d_x, n1d_y) at t = 0 to t = T.
 
-    Each step draws the batch's noise increments (one path per sample, or
-    one per sample and field), projects them together and makes one `step`
-    call.  Returns the final StateBatch, the snapshots {time: StateBatch}
-    and, with record_reports, one list of StepReports per sample.
+    Each step draws the loads of the batch's noise increments (one path per
+    sample, or one per sample and field) and makes one `step` call.
+    Returns the final StateBatch, the snapshots {time: StateBatch} and, with
+    record_reports, one list of StepReports per sample.
     """
     tau = ops.tau
-    if T < 0:
-        raise ValueError(f"final time must be >= 0, got {T}")
+    if not (np.isfinite(T) and T >= 0):
+        raise ValueError(f"final time must be finite and >= 0, got {T}")
     n_steps = int(round(T / tau))
     if abs(n_steps * tau - T) > 1e-9 * max(T, tau):
         raise ValueError(f"T={T} is not an integral multiple of tau={tau}")
@@ -424,27 +394,22 @@ def advance(ops: SchemeOperators, spec: ModelSpec, init: np.ndarray, T: float,
     snapshots = {snap_at[0]: state} if 0 in snap_at else {}
 
     noisy = sampler is not None and sampler.amplitude > 0.0
-    w_proc = None
     if noisy:
         if noise_workspace is None:
             noise_workspace = NoiseWorkspace(sampler, ops.mesh, ops.basis,
                                              projector=ops.projector)
         components = (None,) if sampler.shared else (0, 1, 2)
-        w_proc = np.zeros((len(ids), len(components), *init.shape[1:]))
     reports = [[] for _ in ids]
-    prev = None
+    prev = noise = None
     for k in range(1, n_steps + 1):
-        w_next = None
         if noisy:
-            w_next = w_proc + sample_increments(sampler, ids, k, tau, noise_workspace,
-                                                components).reshape(w_proc.shape)
-        new_state, report = step(ops, spec, state, w_next, w_proc, prev_state=prev,
-                                 step_index=k)
+            noise = sample_increments(sampler, ids, k, tau, noise_workspace, components)
+        new_state, residuals = step(ops, spec, state, noise, prev_state=prev, step_index=k)
         if record_reports:
-            for b, res in enumerate(report.residuals):
+            for b, res in enumerate(residuals):
                 energy = energy_norm(ops, spec, new_state.state(b), tau)
                 reports[b].append(StepReport(k, tuple(map(float, res)), energy))
-        prev, state, w_proc = state, new_state, w_next
+        prev, state = state, new_state
         if k in snap_at:
             snapshots[snap_at[k]] = state
     return state, snapshots, reports

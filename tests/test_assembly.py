@@ -15,7 +15,7 @@ from stochsem.basis import make_basis
 from stochsem.mesh import build_mesh, element_basis_table
 from stochsem.model import ModelSpec, const_field
 from stochsem.model import test1_spec as make_test1
-from stochsem.timestepper import build_scheme, step
+from stochsem.timestepper import StateBatch, build_scheme, step
 
 from conftest import ref_dof_map, ref_mass_1d
 
@@ -457,7 +457,7 @@ class TestNonFiniteSamples:
         spec = dataclasses.replace(
             spec, forcing=(spec.forcing[0], lambda x, y, t: self.bad(x, y), spec.forcing[2]))
         ops = build_scheme(m, b, spec, 0.1)
-        state = StateVector(*(np.zeros(m.n_global) for _ in range(3)))
+        state = StateBatch(np.zeros((1, 3, m.ax.n_dofs, m.ay.n_dofs)))
         with pytest.raises(ValueError, match=self.expected(m, b)):
             step(ops, spec, state)
 
@@ -469,7 +469,7 @@ class TestNonFiniteSamples:
         bad = dataclasses.replace(
             good, forcing=(good.forcing[0], lambda x, y, t: self.bad(x, y), good.forcing[2]))
         ops = build_scheme(m, b, good, 0.1)
-        state = StateVector(*(np.zeros(m.n_global) for _ in range(3)))
+        state = StateBatch(np.zeros((1, 3, m.ax.n_dofs, m.ay.n_dofs)))
         step(ops, good, state)
         with pytest.raises(ValueError, match=self.expected(m, b)):
             step(ops, bad, state)

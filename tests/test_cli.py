@@ -132,6 +132,10 @@ class TestConfig:
     def test_range_checks(self):
         with pytest.raises(ConfigError, match="tau"):
             parse_config("[problem]\nkind = test1\n[time]\ntau = 0\n")
+        for key in ("tau", "t_final"):
+            for value in ("inf", "nan"):
+                with pytest.raises(ConfigError, match=rf"\[time\] {key} = {value} must be finite"):
+                    parse_config(f"[problem]\nkind = test1\n[time]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match="order"):
             parse_config("[problem]\nkind = test1\n[mesh]\norder = 1\n")
 
@@ -250,6 +254,14 @@ class TestRunCommand:
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"config error: [problem] {key} must be finite" in capsys.readouterr().err
+        assert not (out / "final_state.csv").exists()
+
+    @pytest.mark.parametrize("key", ["t_final", "tau"])
+    def test_nonfinite_time_exit_2(self, tmp_path, capsys, key):
+        cfg = write(tmp_path, ini(T1_SECTIONS, time={key: "inf"}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: [time] {key} = inf must be finite" in capsys.readouterr().err
         assert not (out / "final_state.csv").exists()
 
     @pytest.mark.parametrize("key,value", [("prefactor", "nan"), ("prefactor", "inf"),

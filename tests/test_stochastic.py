@@ -130,15 +130,20 @@ class TestDeterminism:
             assert np.array_equal(mode_normals(s, sid, n, comp), fresh.standard_normal((3, 3)))
 
     def test_batch_increments_match_single(self):
+        # the batch's increment loads are bitwise the one-sample loads, and
+        # their projections are sample_increment's
         s = sampler(shared=False)
         mesh, basis = disc(6)
         ws = NoiseWorkspace(s, mesh, basis)
         got = sample_increments(s, (4, 0, 9), 2, 0.01, ws, (0, 1, 2))
+        assert got.shape == (3, 3, mesh.ax.n_dofs, mesh.ay.n_dofs)
         for b, sid in enumerate((4, 0, 9)):
             for comp in range(3):
-                want = sample_increment(s, sid, 2, 0.01, mesh, basis, workspace=ws,
-                                        component=comp).coeffs
+                want = sample_increments(s, (sid,), 2, 0.01, ws, (comp,))[0, 0]
                 assert np.array_equal(got[b, comp], want)
+                inc = sample_increment(s, sid, 2, 0.01, mesh, basis, workspace=ws,
+                                       component=comp).coeffs
+                assert np.array_equal(ws.projector.project_load(got[b, comp]).ravel(), inc)
 
     def test_zero_amplitude_zero_increment(self):
         mesh, basis = disc()

@@ -3,14 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stochsem.assembly import Quadrature2D, StateVector, evaluate_grid
+from stochsem.assembly import L2Projector, Quadrature2D, StateVector, evaluate_grid
 from stochsem.basis import make_basis
 from stochsem.mesh import build_mesh
 from stochsem.model import ModelSpec, const_field
 from stochsem.model import test1_spec as make_test1
 from stochsem.model import test2_spec as make_test2
 from stochsem.montecarlo import error_report
-from stochsem.stochastic import QWienerSampler
+from stochsem.stochastic import NoiseWorkspace, QWienerSampler, sample_increment
 from stochsem.timestepper import (KroneckerSum, SchemeError, SchurFactor, SolverFailure,
                                   StateBatch, build_scheme, energy_norm, run, step)
 
@@ -32,6 +32,11 @@ def plain_spec(xi=0.0, zeta=0.0, r=0.0, wp=0.0, init=None):
 
 def sine_init(x, y):
     return np.sin(np.pi * x) * np.sin(np.pi * y)
+
+
+def batch_shape(mesh, B=1):
+    """Coefficient shape (B, 3, n1d_x, n1d_y) of a StateBatch on mesh."""
+    return (B, 3, mesh.ax.n_dofs, mesh.ay.n_dofs)
 
 
 def dense(op, f):
@@ -75,6 +80,9 @@ class TestBuildScheme:
         mesh, basis = disc()
         with pytest.raises(ValueError):
             build_scheme(mesh, basis, plain_spec(), tau=0.0)
+        for tau in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"tau must be finite and positive, got {tau}"):
+                build_scheme(mesh, basis, plain_spec(), tau=tau)
         with pytest.raises(ValueError, match="nonlinearity_time"):
             build_scheme(mesh, basis, plain_spec(), 0.1, nonlinearity_time="midpoint")
         with pytest.raises(ValueError, match="convention"):
@@ -86,19 +94,19 @@ class TestStep:
         mesh, basis = disc(2, 2, 4)
         spec = plain_spec(xi=1.0, zeta=0.01, r=2.0)
         ops = build_scheme(mesh, basis, spec, tau=0.05)
-        state = StateVector(*(np.zeros(mesh.n_global) for _ in range(3)))
-        new, report = step(ops, spec, state)
-        assert np.all(new.u == 0) and np.all(new.v == 0) and np.all(new.w == 0)
-        assert max(report.residuals) <= 1e-10
-        assert report.energy == 0.0
+        state = StateBatch(np.zeros(batch_shape(mesh)))
+        new, residuals = step(ops, spec, state)
+        assert np.all(new.coeffs == 0)
+        assert residuals.max() <= 1e-10
+        assert energy_norm(ops, spec, new.state(0), ops.tau) == 0.0
 
     def test_pure_mass_scheme_identity(self, rng):
         mesh, basis = disc(2, 1, 5)
         spec = plain_spec()
         ops = build_scheme(mesh, basis, spec, tau=0.3)
-        state = StateVector(*(rng.standard_normal(mesh.n_global) for _ in range(3)))
+        state = StateBatch(rng.standard_normal(batch_shape(mesh)))
         new, _ = step(ops, spec, state)
-        for old_f, new_f in zip(state.fields, new.fields):
+        for old_f, new_f in zip(state.coeffs[0], new.coeffs[0]):
             assert np.max(np.abs(new_f - old_f)) <= 1e-10
 
     def test_heat_mode_amplification(self):
@@ -130,6 +138,12 @@ class TestRun:
         mesh, basis = disc()
         with pytest.raises(ValueError, match="integral multiple"):
             run(make_test1(), mesh, basis, tau=0.3, T=1.0)
+
+    @pytest.mark.parametrize("T", [np.inf, np.nan, -0.1])
+    def test_non_finite_or_negative_horizon_rejected(self, T):
+        mesh, basis = disc(1, 1, 4)
+        with pytest.raises(ValueError, match=f"final time must be finite and >= 0, got {T}"):
+            run(make_test1(), mesh, basis, tau=0.1, T=T)
 
     def test_table1_single_point(self):
         # deterministic test problem 1 at tau=1/64 lands within a factor of
@@ -259,7 +273,7 @@ class TestPerAxisPath:
         ops = build_scheme(mesh, basis, spec, tau=0.1)
         monkeypatch.setattr(timestepper, "dtrsyl",
                             lambda a, b, c, **kw: (0.5 * c, 0.5, 0))
-        state = StateVector(*(np.ones(mesh.n_global) for _ in range(3)))
+        state = StateBatch(np.ones(batch_shape(mesh)))
         with pytest.raises(SolverFailure, match="field u at step 3: dtrsyl info 0, scale 0.5"):
             step(ops, spec, state, step_index=3)
 
@@ -286,16 +300,16 @@ class TestFieldStackedScheme:
         monkeypatch.setattr(SchurFactor, "solve", counting("solve", SchurFactor.solve))
         monkeypatch.setattr(KroneckerSum, "__matmul__",
                             counting("apply", KroneckerSum.__matmul__))
-        shape = (mesh.ax.n_dofs, mesh.ay.n_dofs)
         rng = np.random.default_rng(7)
         for B in (1, 2, 7):
-            state = StateBatch(0.1 * rng.standard_normal((B, 3, *shape)), 0.5, tuple(range(B)))
-            prev = StateBatch(0.1 * rng.standard_normal((B, 3, *shape)), 0.45)
-            noise = 0.01 * rng.standard_normal((2, B, 3, *shape))
+            shape = batch_shape(mesh, B)
+            state = StateBatch(0.1 * rng.standard_normal(shape), 0.5, tuple(range(B)))
+            prev = StateBatch(0.1 * rng.standard_normal(shape), 0.45)
+            noise = 0.01 * rng.standard_normal(shape)
             calls.update(solve=0, apply=0)
-            new, report = step(ops, spec, state, *noise, prev_state=prev, step_index=4)
+            new, residuals = step(ops, spec, state, noise, prev_state=prev, step_index=4)
             assert (calls["solve"], calls["apply"]) == (1, 2)
-            assert new.coeffs.shape == (B, 3, *shape) and report.residuals.shape == (B, 3)
+            assert new.coeffs.shape == shape and residuals.shape == (B, 3)
 
     def test_forcing_staged_once_per_scheme(self, monkeypatch):
         from stochsem import timestepper
@@ -320,6 +334,44 @@ class TestFieldStackedScheme:
         assert np.array_equal(first.final.stacked(), again.final.stacked())
         run(spec, mesh, basis, 0.05, 1.0, record_reports=False)    # a new scheme
         assert (len(staged), len(spatial)) == (2, 2)
+
+
+class TestNoiseLoad:
+    """The noise enters a step as the load of its increment: on a pure-mass
+    scheme one step from zero is -/+ the projected increment (the oracle)."""
+
+    @pytest.mark.parametrize("convention,sign", [("paper", -1.0), ("increment", 1.0)])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_field"])
+    def test_one_step_is_the_projected_increment(self, convention, sign, shared):
+        mesh, basis = disc(2, 1, 6)
+        spec = plain_spec()
+        sampler = QWienerSampler(truncation=4, amplitude=0.3, seed=13, shared=shared)
+        ops = build_scheme(mesh, basis, spec, 0.05, noise_convention=convention)
+        traj = run(spec, mesh, basis, 0.05, 0.05, sampler=sampler, sample_id=3, ops=ops)
+        for f, got in enumerate(traj.final.fields):
+            want = sign * sample_increment(sampler, 3, 1, 0.05, mesh, basis,
+                                           component=None if shared else f).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_time_loop_projects_only_the_initial_data(self, monkeypatch):
+        calls = []
+        project_load = L2Projector.project_load
+
+        def counting(self, load):
+            calls.append(np.shape(load))
+            return project_load(self, load)
+
+        mesh, basis = disc(2, 1, 5)
+        spec = make_test2("smooth")
+        sampler = QWienerSampler(truncation=4, amplitude=0.2, seed=3)
+        ops = build_scheme(mesh, basis, spec, 0.05)
+        ws = NoiseWorkspace(sampler, mesh, basis, projector=ops.projector)
+        monkeypatch.setattr(L2Projector, "project_load", counting)
+        traj = run(spec, mesh, basis, 0.05, 0.2, sampler=sampler, sample_id=1, ops=ops,
+                   noise_workspace=ws)
+        assert len(traj.reports) == 4
+        # u, v and w at t = 0, one load each; no increment is projected
+        assert calls == [(mesh.ax.n_dofs, mesh.ay.n_dofs)] * 3
 
 
 class TestEnergyNorm:
