@@ -158,9 +158,9 @@ def _check_ranges(cfg: RunConfig) -> None:
         (("mesh", "order"), lambda v: v >= 2, ">= 2"),
         (("time", "tau"), lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
         (("time", "t_final"), lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
-        (("noise", "sigma"), lambda v: v >= 0, ">= 0"),
+        (("noise", "sigma"), lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
         (("noise", "truncation"), lambda v: v >= 1, ">= 1"),
-        (("noise", "decay_exponent"), lambda v: v >= 0, ">= 0"),
+        (("noise", "decay_exponent"), lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
         (("noise", "seed"), lambda v: v >= 0, ">= 0"),
         (("montecarlo", "samples"), lambda v: v >= 1, ">= 1"),
         (("montecarlo", "workers"), lambda v: v >= 1, ">= 1"),

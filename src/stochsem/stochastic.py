@@ -17,6 +17,7 @@ ensembles reproducible.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,10 +58,10 @@ class QWienerSampler:
     def __post_init__(self):
         if self.truncation < 1:
             raise ValueError(f"truncation must be >= 1, got {self.truncation}")
-        if self.decay_exponent < 0:
-            raise ValueError(f"decay exponent must be >= 0, got {self.decay_exponent}")
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
+        for key in ("decay_exponent", "amplitude"):
+            v = getattr(self, key)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{key} must be finite and >= 0, got {v}")
 
     def eigenvalues(self) -> np.ndarray:
         """q_jk table of shape (J, J); entry [j-1, k-1] holds mode (j, k)."""

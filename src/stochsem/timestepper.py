@@ -14,7 +14,7 @@ Thomas 1964).  With the coefficients of a field reshaped to X of shape
 (n1d_x, n1d_y) (global dof gx * n1d_y + gy),
 
     L vec X = Ox X My^T + Mx X Oy^T,
-    Ox = (1 + (tau/2) r_phi) Mx + (tau/2)(zeta Kx + xi Ax),
+    Ox = c_phi Mx + Dx,  c_phi = 1 + (tau/2) r_phi,  Dx = (tau/2)(zeta Kx + xi Ax),
     Oy = (tau/2)(zeta Ky + xi Ay),
 
 with Mx, Kx, Ax the 1D mass, stiffness and advection matrices
@@ -25,20 +25,29 @@ built.
 
 L vec X = R is the Sylvester equation
 
-    (Mx^-1 Ox) X + X (My^-1 Oy)^T = Mx^-1 R My^-T,
+    (c_phi I + Mx^-1 Dx) X + X (My^-1 Oy)^T = Mx^-1 R My^-T,
 
-solved by Bartels & Stewart (CACM 15(9), 1972): build_scheme takes the real
-Schur forms My^-1 Oy = V Tb V^T and Mx^-1 Ox = U Ta U^T (one for u and v,
-one for w) and folds U^T Mx^-1 and V^T My^-1 into one matrix per axis, so
-a solve is four stacked matrix products and one LAPACK dtrsyl per field on
-the quasi-triangular (Ta, Tb).  (Fast
-diagonalization by eigenvectors is not used: the advection-diffusion pencil's
-eigenvectors are too ill-conditioned.)  A dtrsyl that perturbs a near-zero
-eigenvalue sum (info != 0) or rescales against overflow (scale != 1) is a
-failure, never a silent result: in build_scheme's trial solve it raises
-SchemeError, in a step SolverFailure.  Every solve must also pass the
-relative residual gate SOLVE_RTOL, measured against the per-axis apply of
-the same left operator.
+reduced by Bartels & Stewart (CACM 15(9), 1972) with the real Schur form
+My^-1 Oy = V Tb V^T, which Tb's 1x1 and 2x2 diagonal blocks make upper
+quasi-triangular.  (Fast diagonalization by eigenvectors is not used: the
+advection-diffusion pencil's eigenvectors are too ill-conditioned.)
+build_scheme picks one of two solvers by the size of the mesh:
+
+- SweepFactor (small meshes) solves for the columns of X V from the last
+  to the first, one block of Tb at a time, with precomputed inverses of the
+  block's shifted x-axis systems (Golub, Nash & Van Loan, IEEE TAC 24(6),
+  1979).  Each step of the sweep is one stacked matrix product over the whole
+  batch, so a solve makes no per-sample call.
+- SchurFactor (the rest) also reduces the x axis, Mx^-1 Dx = U Ta U^T, one
+  form for every field since c_phi only shifts its diagonal, and solves the
+  quasi-triangular equation by one LAPACK dtrsyl per sample and field.  A
+  dtrsyl that perturbs a near-zero eigenvalue sum (info != 0) or rescales
+  against overflow (scale != 1) is a failure, never a silent result.
+
+A left operator that either solver finds (numerically) singular raises
+SchemeError in build_scheme; a failed solve in a step raises SolverFailure.
+Every solve must also pass the relative residual gate SOLVE_RTOL, measured
+against the per-axis apply of the same left operator.
 
 The nonlinearity is evaluated explicitly.  Two time levels are supported:
 "lagged" uses (u, v) at t_{n-1} literally; "extrapolated" (the default) uses
@@ -59,8 +68,9 @@ loads one array (B, 1 | 3, n1d_x, n1d_y) (one path shared by the fields, or
 one per field).  A step makes one right-hand-side apply, one solve and one
 residual gate for the whole stack (np.matmul broadcasts) and one load of
 the nonlinearity with the forcings (staged once per scheme,
-model.stage_forcing); only dtrsyl runs once per sample and field.  The
-checks hold per sample and field, and a failure names its sample.  Every
+model.stage_forcing); on meshes above the sweep's size, dtrsyl runs once
+per sample and field.  The checks hold per sample and field, and a failure
+names its sample.  Every
 per-sample operation is the same BLAS or LAPACK call whatever B is, so a
 sample's trajectory does not depend on its batch: `run` is the batch of one.
 """
@@ -72,7 +82,7 @@ import numpy as np
 # Nothing in this package calls scipy.sparse.linalg; the module is kept bound
 # here because perfbench/spans.py replaces `timestepper.spla` when it traces.
 import scipy.sparse.linalg as spla  # noqa: F401
-from scipy.linalg import cho_factor, cho_solve, schur
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs, schur
 from scipy.linalg.lapack import dtrsyl
 
 from .assembly import L2Projector, Quadrature2D, StateVector
@@ -82,6 +92,11 @@ from .model import ModelSpec, SingularNonlinearity, nonlinear_f, stage_forcing
 from .stochastic import NoiseWorkspace, QWienerSampler, sample_increments
 
 SOLVE_RTOL = 1e-10
+# SweepFactor serves meshes with n1d_y * n1d_x^3 (its tables' cost) up to
+# this, SchurFactor the rest.  Measured on square meshes: up to n1d = 15 the
+# sweep's set-up costs about what the parent dtrsyl factor's three Schur forms
+# cost; from n1d = 19 its tables add a third or more to build_scheme.
+SWEEP_MAX_TABLE_COST = 15 ** 4
 
 NOISE_CONVENTIONS = ("paper", "increment")
 NONLINEARITY_TIMES = ("extrapolated", "lagged")
@@ -123,25 +138,40 @@ class KroneckerSum:
         return self.ox @ X @ self.my.T + self.mx @ X @ self.oy.T
 
 
-class SchurFactor:
-    """Bartels-Stewart factor of a field-stacked KroneckerSum L with SPD mx, my.
+class _AxisForms:
+    """What both factors of the field-stacked operator
 
-    With my^-1 oy = V tb V^T and mx^-1 ox[f] = U_f ta_f U_f^T (real Schur
-    forms: one for y, one per distinct ox[f]), L vec X = R becomes, for
-    field f, ta_f Y + Y tb^T = px_f R py^T with Y = U_f^T X V,
-    px_f = U_f^T mx^-1 and py = V^T my^-1.
+        L_f vec X = (c[f] mx + dx) X my^T + mx X oy^T      (SPD mx, my)
+
+    share: the Cholesky factor fx of mx, the real Schur form
+    my^-1 oy = V tb V^T and py = V^T my^-1.  A factor's `singular` names, per
+    field, why L_f is singular (None if it is not).
     """
 
-    def __init__(self, op: KroneckerSum):
-        fx, fy = cho_factor(op.mx), cho_factor(op.my)
-        self.tb, self.v = schur(cho_solve(fy, op.oy), output="real")
+    def __init__(self, mx, my, dx, oy, c):
+        self.fx, fy = cho_factor(mx), cho_factor(my)
+        self.tb, self.v = schur(cho_solve(fy, oy), output="real")
         self.py = cho_solve(fy, self.v).T
-        forms = {ox.tobytes(): ox for ox in op.ox}      # the distinct ox
-        forms = {k: schur(cho_solve(fx, ox), output="real") for k, ox in forms.items()}
-        self.ta, u = zip(*(forms[ox.tobytes()] for ox in op.ox))
-        # each U_f keeps its memory order: the BLAS calls do not depend on the stack
-        self.u = np.stack([m.T for m in u]).transpose(0, 2, 1)
-        self.px = np.stack([cho_solve(fx, m).T for m in u])
+        self.c = np.asarray(c, dtype=float)
+
+
+class SchurFactor(_AxisForms):
+    """Bartels-Stewart factor: with the real Schur form mx^-1 dx = U ta U^T,
+    L_f vec X = R becomes (c[f] I + ta) Y + Y tb^T = px R py^T with
+    Y = U^T X V and px = U^T mx^-1, one x-axis form for all fields: one
+    dtrsyl per right-hand side on quasi-triangular matrices.
+    """
+
+    def __init__(self, mx, my, dx, oy, c):
+        super().__init__(mx, my, dx, oy, c)
+        ta, self.u = schur(cho_solve(self.fx, dx), output="real")
+        # Fortran order, as schur returns it: dtrsyl then reads ta without a copy
+        self.ta = [np.asfortranarray(cf * np.eye(len(ta)) + ta) for cf in self.c]
+        self.px = cho_solve(self.fx, self.u).T
+        # dtrsyl reports info 1 exactly when it must perturb a (near-)zero
+        # eigenvalue sum, whatever the right-hand side
+        _, _, info = self.solve(np.zeros((len(self.ta), len(ta), len(self.tb))))
+        self.singular = [f"dtrsyl info {i}" if i else None for i in info]
 
     def solve(self, R: np.ndarray):
         """Solution X of L @ X = R for a stack R of shape (..., k, n1d_x, n1d_y)
@@ -156,13 +186,95 @@ class SchurFactor:
         return self.u @ F @ self.v.T, scale.reshape(F.shape[:-2]), info.reshape(F.shape[:-2])
 
 
+class SweepFactor(_AxisForms):
+    """Column sweep over the y-axis Schur form (Golub, Nash & Van Loan, IEEE
+    TAC 24(6), 1979), vectorized over the whole stack of right-hand sides.
+
+    With A_f = c[f] I + mx^-1 dx and Z = X V, L vec X = R is A_f Z + Z tb^T = F,
+    F = mx^-1 R my^-1 V.  tb is upper quasi-triangular, so the columns of Z
+    follow from the last to the first, one diagonal block s of tb (1x1 or
+    2x2) at a time: Z[:, s] = G_{s,f} vec(F[:, s] - Z[:, later] tb[s, later]^T)
+    with G_{s,f} the inverse of the block's shifted system.  The tables G are
+    built once, for the fields' distinct c[f] only; they cost about
+    n1d_y n1d_x^3 flops and n1d_y n1d_x^2 numbers.  The sweep neither scales
+    nor perturbs: a solve's scale is 1 and its info 0, and a table that is
+    (numerically) singular marks its fields singular.
+    """
+
+    def __init__(self, mx, my, dx, oy, c):
+        super().__init__(mx, my, dx, oy, c)
+        n, tb = len(mx), self.tb
+        self.mxi = cho_solve(self.fx, np.eye(n))
+        a = self.mxi @ dx
+        starts = [j for j in range(len(tb)) if j == 0 or tb[j, j - 1] == 0.0]
+        self.blocks = list(zip(starts, starts[1:] + [len(tb)]))
+        one = [j for j, k in self.blocks if k - j == 1]
+        two = np.array([j for j, k in self.blocks if k - j == 2], dtype=int)
+        # a 2x2 block [[t, b], [c, t]] (standard form, bc < 0) has eigenvalues t -+ i w
+        t, b, c2 = tb[two, two], tb[two, two + 1, None, None], tb[two + 1, two, None, None]
+        w = np.sqrt(-b * c2)[:, 0, 0]
+        # block s's system on Y = Z[:, s]^T is tb_ss Y + Y A_f^T: for a 1x1 block
+        # A_f + t I; for a 2x2 one [[P, b I], [c I, P]] (P = A_f + t I), whose
+        # inverse is [[P Q, -b Q], [-c Q, P Q]] with Q = (P^2 + w^2)^-1 = C conj(C)
+        # and P Q = Re C, C = (P - i w I)^-1.  One row per distinct c[f]:
+        forms = sorted(set(self.c.tolist()))
+        cf = np.array(forms)[:, None, None, None]
+        m1 = a + (cf + tb[one, one, None, None]) * np.eye(n)
+        mc = a + (cf + (t - 1j * w)[:, None, None]) * np.eye(n)
+        form_of = [forms.index(x) for x in self.c.tolist()]
+        g1, C = _inverses(m1), _inverses(mc)
+        Q = (C @ C.conj()).real
+        g2 = np.empty((*C.shape[:2], 2 * n, 2 * n))
+        g2[..., :n, :n] = g2[..., n:, n:] = C.real
+        g2[..., :n, n:], g2[..., n:, :n] = -b * Q, -c2 * Q
+        cond = np.concatenate([_norm1(m1) * _norm1(g1),
+                               (_norm1(mc.real) + np.maximum(abs(b), abs(c2))[:, 0, 0])
+                               * _norm1(g2)], axis=1).max(axis=1, initial=0.0)
+        cond[np.isnan(cond)] = np.inf
+        self.singular = [None if cond[i] * np.finfo(float).eps < 1.0 else
+                         f"a column block has condition number {cond[i]:.1e}" for i in form_of]
+        g1, g2 = g1[form_of], g2[form_of]         # per field
+        tables = dict(zip(one, g1.swapaxes(0, 1))) | dict(zip(two.tolist(), g2.swapaxes(0, 1)))
+        self.g = [tables[j] for j, _ in self.blocks]
+
+    def solve(self, R: np.ndarray):
+        """Solution X of L @ X = R for a stack R of shape (..., k, n1d_x, n1d_y)
+        (k fields), and scale 1 and info 0 for each right-hand side, as arrays
+        of shape R.shape[:-2]."""
+        lead, n = R.shape[:-2], R.shape[-2]
+        F = self.py @ R.swapaxes(-1, -2) @ self.mxi.T   # F^T: the columns of Z as rows
+        Z = np.empty(F.shape)
+        for (j, k), g in zip(reversed(self.blocks), reversed(self.g)):
+            rhs = F[..., j:k, :] - self.tb[j:k, k:] @ Z[..., k:, :]
+            Z[..., j:k, :] = (g @ rhs.reshape(*lead, -1, 1)).reshape(*lead, k - j, n)
+        return Z.swapaxes(-1, -2) @ self.v.T, np.ones(lead), np.zeros(lead, dtype=int)
+
+
+def _norm1(m: np.ndarray) -> np.ndarray:
+    """The 1-norms of a stack of matrices."""
+    return np.abs(m).sum(axis=-2).max(axis=-1)
+
+
+def _inverses(m: np.ndarray) -> np.ndarray:
+    """The inverses of a stack of matrices (..., n, n) by LU; NaN where one
+    is exactly singular."""
+    getrf, getri = get_lapack_funcs(("getrf", "getri"), (m,))
+    out = np.empty_like(m)
+    for x, y in zip(m.reshape(-1, *m.shape[-2:]), out.reshape(-1, *m.shape[-2:])):
+        lu, piv, info = getrf(x)
+        y[...] = getri(lu, piv)[0] if info == 0 else np.nan
+    return out
+
+
 @dataclass
 class SchemeOperators:
-    """Per-axis operators and Schur factors of one (mesh, spec, tau) scheme.
+    """Per-axis operators and the factor of one (mesh, spec, tau) scheme.
 
     mass is (Mx, My); stiffness the unit diffusion (for the energy norm);
     left and right are the fields' Crank-Nicolson operators, with x-axis
-    stacks (Ox_u, Ox_v, Ox_w), and factor the SchurFactor of left.
+    stacks (Ox_u, Ox_v, Ox_w), and factor solves left: a SweepFactor on
+    meshes with n1d_y * n1d_x^3 <= SWEEP_MAX_TABLE_COST, a SchurFactor on
+    the rest.
     staged_forcing is the last forcing a step met, staged on quad's grid.
     """
 
@@ -173,7 +285,7 @@ class SchemeOperators:
     stiffness: KroneckerSum
     left: KroneckerSum
     right: KroneckerSum
-    factor: SchurFactor
+    factor: SchurFactor | SweepFactor
     quad: Quadrature2D
     projector: L2Projector
     nonlinearity_time: str = "extrapolated"
@@ -185,11 +297,12 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
                  nonlinearity_time: str = "extrapolated",
                  noise_convention: str = "paper") -> SchemeOperators:
     """Build the per-axis operators on the projector's quadrature grid and
-    the Schur factors of the left-hand sides.
+    the factor of the left-hand sides.
 
     u and v share identical left/right x-axis matrices; w folds the reaction
-    term into the mass coefficient of both sides.  A left operator that
-    dtrsyl finds singular raises SchemeError naming the first such field.
+    term into the mass coefficient of both sides.  A left operator that the
+    factor finds (numerically) singular raises SchemeError naming the first
+    such field.
     """
     if not (np.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and positive, got {tau}")
@@ -202,29 +315,26 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
     quad = projector.quad
     (mx, kx, ax), (my, ky, ay) = quad.axis_matrices()
     half = 0.5 * tau
+    dx, dy = half * (spec.zeta * kx + spec.xi * ax), half * (spec.zeta * ky + spec.xi * ay)
+    hr = half * np.array([0.0, 0.0, spec.r])     # r_u, r_v, r_w
 
     def side(sign):   # Mass +- (tau/2)(r_phi Mass + zeta Diffusion + xi Advection)
-        return KroneckerSum(
-            np.stack([(1.0 + sign * half * r) * mx + sign * half * (spec.zeta * kx + spec.xi * ax)
-                      for r in (0.0, 0.0, spec.r)]),     # r_u, r_v, r_w
-            sign * half * (spec.zeta * ky + spec.xi * ay), mx, my)
+        return KroneckerSum((1.0 + sign * hr)[:, None, None] * mx + sign * dx, sign * dy, mx, my)
 
     left = side(1)
-    ops = SchemeOperators(
+    small = len(my) * len(mx) ** 3 <= SWEEP_MAX_TABLE_COST
+    factor = (SweepFactor if small else SchurFactor)(mx, my, dx, dy, 1.0 + hr)
+    for f, why in enumerate(factor.singular):
+        if why:
+            raise SchemeError(
+                f"left operator of field {'uvw'[f]} is singular for tau={tau}, "
+                f"mesh {mesh.nex}x{mesh.ney} order {mesh.order} ({why})")
+    return SchemeOperators(
         mesh=mesh, basis=basis, tau=tau, mass=(mx, my),
         stiffness=KroneckerSum(kx, ky, mx, my), left=left, right=side(-1),
-        factor=SchurFactor(left), quad=quad, projector=projector,
+        factor=factor, quad=quad, projector=projector,
         nonlinearity_time=nonlinearity_time, noise_convention=noise_convention,
     )
-    # dtrsyl reports info 1 exactly when it must perturb a (near-)zero
-    # eigenvalue sum, whatever the right-hand side
-    _, _, info = ops.factor.solve(np.zeros((3, len(mx), len(my))))
-    if info.any():
-        f = int(np.argmax(info != 0))
-        raise SchemeError(
-            f"left operator of field {'uvw'[f]} is singular for tau={tau}, "
-            f"mesh {mesh.nex}x{mesh.ney} order {mesh.order} (dtrsyl info {info[f]})")
-    return ops
 
 
 @dataclass

@@ -264,6 +264,17 @@ class TestRunCommand:
         assert f"config error: [time] {key} = inf must be finite" in capsys.readouterr().err
         assert not (out / "final_state.csv").exists()
 
+    @pytest.mark.parametrize("key,value", [("sigma", "inf"), ("decay_exponent", "inf"),
+                                           ("decay_exponent", "nan")])
+    def test_nonfinite_noise_parameter_exit_2(self, tmp_path, capsys, key, value):
+        cfg = write(tmp_path, ini(T2_SECTIONS, noise={"sigma": "0.1", key: value},
+                                  montecarlo={"samples": "2"}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert (f"config error: [noise] {key} = {value} must be finite"
+                in capsys.readouterr().err)
+        assert not (out / "final_state.csv").exists()
+
     @pytest.mark.parametrize("key,value", [("prefactor", "nan"), ("prefactor", "inf"),
                                            ("wp", "inf"), ("wp", "nan")])
     @pytest.mark.parametrize("sections", [T1_SECTIONS, T2_SECTIONS],

@@ -134,6 +134,17 @@ class TestBatchedChunks:
     def test_snapshots(self):
         self.assert_chunk_equals_runs(*noisy_setup(), snapshot_times=(0.0, 0.1, 0.2))
 
+    @pytest.mark.parametrize("order,factor", [(5, "SweepFactor"), (17, "SchurFactor")],
+                             ids=["sweep", "schur"])
+    def test_each_side_of_the_sweep_cut(self, order, factor):
+        spec, mesh, basis, sampler = noisy_setup(order=order)
+        assert type(build_scheme(mesh, basis, spec, 0.05).factor).__name__ == factor
+        self.assert_chunk_equals_runs(spec, mesh, basis, sampler)
+        one, two = (run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=10, workers=w,
+                                 chunk_size=4) for w in (1, 2))
+        assert np.array_equal(one.mean.stacked(), two.mean.stacked())
+        assert np.array_equal(one.m2, two.m2)
+
     @settings(max_examples=4, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.sampled_from([1, 2, 3]), min_size=2, max_size=3))
     def test_moments_bitwise_under_any_worker_count(self, worker_counts):
@@ -207,8 +218,9 @@ class TestWorkerPool:
 
 class TestFailureAttribution:
     def test_solver_failure_names_sample_step_and_field(self, monkeypatch):
-        spec, mesh, basis, sampler = noisy_setup()
+        spec, mesh, basis, sampler = noisy_setup(order=17)
         ops = build_scheme(mesh, basis, spec, 0.05)
+        assert isinstance(ops.factor, timestepper.SchurFactor)
         # per step a chunk of 4 calls dtrsyl for (sample, u), (sample, v),
         # (sample, w) in sample order: 12 calls; fail sample 6 = chunk 1,
         # position 2, field v at its step 2, after chunk 0's 4 steps
@@ -224,6 +236,27 @@ class TestFailureAttribution:
         monkeypatch.setattr(timestepper, "dtrsyl", flaky)
         with pytest.raises(SolverFailure, match="sample 6 failed: solve for field v at step 2: "
                                                 "dtrsyl info 0, scale 0.5"):
+            run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=8, chunk_size=4, ops=ops)
+
+    def test_corrupted_sweep_solve_names_sample_step_and_field(self, monkeypatch):
+        spec, mesh, basis, sampler = noisy_setup()
+        ops = build_scheme(mesh, basis, spec, 0.05)
+        assert isinstance(ops.factor, timestepper.SweepFactor)
+        # one solve per batch-step: chunk 0 takes 4, so chunk 1's step 2 is
+        # call 6; corrupt its sample 6 (chunk position 2), field v
+        calls = []
+        solve = timestepper.SweepFactor.solve
+
+        def corrupted(self, R):
+            calls.append(None)
+            X, scale, info = solve(self, R)
+            if len(calls) == 6:
+                X[2, 1] *= 1.0 + 1e-6
+            return X, scale, info
+
+        monkeypatch.setattr(timestepper.SweepFactor, "solve", corrupted)
+        with pytest.raises(SolverFailure, match=r"sample 6 failed: solve for field v at step 2: "
+                                                r"relative residual \S+ exceeds 1.0e-10"):
             run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=8, chunk_size=4, ops=ops)
 
     def test_divergence_names_sample(self, monkeypatch):

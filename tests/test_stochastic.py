@@ -69,6 +69,13 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             sampler(decay_exponent=-1.0)
 
+    @pytest.mark.parametrize("key,value", [("amplitude", np.inf), ("amplitude", np.nan),
+                                           ("decay_exponent", np.inf),
+                                           ("decay_exponent", np.nan)])
+    def test_nonfinite_parameter_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            sampler(**{key: value})
+
 
 def disc(order=10):
     return build_mesh((0, 1, 0, 1), 1, 1, order), make_basis(order)

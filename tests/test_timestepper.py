@@ -12,7 +12,8 @@ from stochsem.model import test2_spec as make_test2
 from stochsem.montecarlo import error_report
 from stochsem.stochastic import NoiseWorkspace, QWienerSampler, sample_increment
 from stochsem.timestepper import (KroneckerSum, SchemeError, SchurFactor, SolverFailure,
-                                  StateBatch, build_scheme, energy_norm, run, step)
+                                  StateBatch, SweepFactor, build_scheme, energy_norm, run,
+                                  step)
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -266,21 +267,84 @@ class TestPerAxisPath:
         with pytest.raises(SchemeError, match=r"tau=0.1, mesh 1x1 order 4"):
             build_scheme(mesh, basis, plain_spec(r=-20.0), tau=0.1)
 
+    @pytest.mark.parametrize("order", [4, 17], ids=["sweep", "schur"])
+    @pytest.mark.parametrize("r", [-2.0, -2.0 + 2.0**-52], ids=["exactly", "numerically"])
+    def test_singular_left_operator_raises_on_both_paths(self, monkeypatch, order, r):
+        # diagonal per-axis matrices, so that every Schur form is exact: with
+        # tau = 1, L_w's smallest eigenvalue sum is 1 + r/2, 0 or 2^-53
+        assert 1.0 + 0.5 * r in (0.0, 2.0**-53)
+        mesh, basis = disc(1, 1, order)
+        eye = np.eye(mesh.ax.n_dofs)
+        stiff = np.diag(np.linspace(0.0, 1e3, mesh.ax.n_dofs))
+        monkeypatch.setattr(Quadrature2D, "axis_matrices",
+                            lambda self: ((eye, stiff, 0.0 * eye),) * 2)
+        with pytest.raises(SchemeError, match=f"field w is singular for tau=1.0, mesh 1x1 "
+                                              f"order {order}"):
+            build_scheme(mesh, basis, plain_spec(zeta=1.0, r=r), tau=1.0)
+
     def test_dtrsyl_failure_in_step_is_typed(self, monkeypatch):
         from stochsem import timestepper
-        mesh, basis = disc(1, 1, 4)
+        mesh, basis = disc(1, 1, 17)
         spec = plain_spec(xi=1.0, zeta=0.01, r=2.0)
         ops = build_scheme(mesh, basis, spec, tau=0.1)
+        assert isinstance(ops.factor, SchurFactor)
         monkeypatch.setattr(timestepper, "dtrsyl",
                             lambda a, b, c, **kw: (0.5 * c, 0.5, 0))
         state = StateBatch(np.ones(batch_shape(mesh)))
         with pytest.raises(SolverFailure, match="field u at step 3: dtrsyl info 0, scale 0.5"):
             step(ops, spec, state, step_index=3)
 
+    def test_corrupted_sweep_solve_fails_the_gate(self, monkeypatch):
+        mesh, basis = disc(1, 1, 4)
+        spec = plain_spec(xi=1.0, zeta=0.01, r=2.0)
+        ops = build_scheme(mesh, basis, spec, tau=0.1)
+        assert isinstance(ops.factor, SweepFactor)
+        solve = SweepFactor.solve
+
+        def corrupted(self, R):
+            X, scale, info = solve(self, R)
+            X[0, 1] *= 1.0 + 1e-6
+            return X, scale, info
+
+        monkeypatch.setattr(SweepFactor, "solve", corrupted)
+        state = StateBatch(np.ones(batch_shape(mesh)))
+        with pytest.raises(SolverFailure, match=r"field v at step 3: relative residual \S+ "
+                                                r"exceeds 1.0e-10"):
+            step(ops, spec, state, step_index=3)
+
+    def test_advection_only_sweep_meets_the_gate(self, rng):
+        # zeta = 0: the y axis is pure advection, whose eigenvalues are
+        # imaginary pairs (and one zero for odd n1d), so tb is made of 2x2 blocks
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+        mesh, basis = disc(2, 2, 7)
+        ops = build_scheme(mesh, basis, plain_spec(xi=1.5, r=1.0), tau=0.2)
+        assert isinstance(ops.factor, SweepFactor)
+        sizes = [k - j for j, k in ops.factor.blocks]
+        assert sizes.count(2) == len(sizes) - 1
+        R = rng.standard_normal((4, *batch_shape(mesh)[1:]))
+        X, scale, info = ops.factor.solve(R)
+        assert (scale == 1.0).all() and (info == 0).all()
+        gap = np.linalg.norm(ops.left @ X - R, axis=(2, 3))
+        assert np.max(gap / np.linalg.norm(R, axis=(2, 3))) <= 1e-10
+        for f in range(3):
+            L = sp.csc_matrix(dense(ops.left, f))
+            for b in range(len(R)):
+                want = spla.spsolve(L, R[b, f].ravel())
+                assert np.linalg.norm(X[b, f].ravel() - want) <= 1e-10 * np.linalg.norm(want)
+
 
 class TestFieldStackedScheme:
-    def test_three_schur_forms_one_solve_two_applies(self, monkeypatch):
-        # one y-axis Schur form and one x-axis form each for u = v and w;
+    def test_two_schur_forms_one_solve_two_applies(self, monkeypatch):
+        # one y-axis Schur form and one x-axis form for all three fields
+        self.assert_one_solve_two_applies(monkeypatch, disc(1, 1, 17), SchurFactor, 2)
+
+    def test_one_schur_form_one_sweep_two_applies(self, monkeypatch):
+        # the column sweep needs only the y-axis Schur form
+        self.assert_one_solve_two_applies(monkeypatch, disc(2, 2, 6), SweepFactor, 1)
+
+    @staticmethod
+    def assert_one_solve_two_applies(monkeypatch, mesh_basis, factor, schurs):
         # a step of any batch size makes one solve and two operator applies
         # (right-hand side and residual gate)
         from stochsem import timestepper
@@ -293,11 +357,11 @@ class TestFieldStackedScheme:
             return wrapped
 
         monkeypatch.setattr(timestepper, "schur", counting("schur", timestepper.schur))
-        mesh, basis = disc(2, 2, 6)
+        mesh, basis = mesh_basis
         spec = make_test1()
         ops = build_scheme(mesh, basis, spec, 0.05)
-        assert calls["schur"] == 3
-        monkeypatch.setattr(SchurFactor, "solve", counting("solve", SchurFactor.solve))
+        assert isinstance(ops.factor, factor) and calls["schur"] == schurs
+        monkeypatch.setattr(factor, "solve", counting("solve", factor.solve))
         monkeypatch.setattr(KroneckerSum, "__matmul__",
                             counting("apply", KroneckerSum.__matmul__))
         rng = np.random.default_rng(7)
