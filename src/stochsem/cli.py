@@ -12,7 +12,12 @@ decimal separator, scientific notation allowed), so identical configurations
 produce byte-identical data files; wall-clock measurements go to separate
 files marked volatile in the manifest.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+run, spatial and evolve study the configured problem through one helper,
+mean_state: the Monte Carlo mean of the Q-Wiener-driven system when
+[noise] sigma > 0, else the noise-free path.  table1 runs noise-free only.
+
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (a
+model.NumericalError, or a floating-point error numpy raises).
 The output directory resolves as --out flag > STOCHSEM_OUT env > config.
 """
 from __future__ import annotations
@@ -32,13 +37,12 @@ from . import __version__
 from .basis import make_basis
 from .config import ConfigError, RunConfig, load_config
 from .mesh import build_mesh
-from .model import (ModelSpec, SingularNonlinearity, const_field, test1_spec,
+from .model import (ModelSpec, NumericalError, const_field, test1_spec,
                     test2_spec)
 from .montecarlo import (convergence_order, error_hw, error_report,
                          run_ensemble)
 from .stochastic import QWienerSampler, spectrum_to_csv
-from .timestepper import (DivergenceError, SchemeError, SolverFailure,
-                          build_scheme, run)
+from .timestepper import run
 
 OUT_ENV_VAR = "STOCHSEM_OUT"
 DOMAIN = (0.0, 1.0, 0.0, 1.0)   # both test problems live on the unit square
@@ -107,6 +111,28 @@ def scheme_kwargs(cfg: RunConfig) -> dict:
         "nonlinearity_time": cfg.get("scheme", "nonlinearity_time"),
         "noise_convention": cfg.get("noise", "sign_convention"),
     }
+
+
+def mean_state(cfg: RunConfig, spec: ModelSpec, mesh, basis, tau: float,
+               snapshot_times=()):
+    """The configured study on (mesh, basis) with steps tau up to [time]
+    t_final: the final state, the snapshots {t: (3, n) array} and the
+    standard error (3, n).  With [noise] sigma > 0 these are the Monte Carlo
+    mean and its standard error (a new sampler each call: every order of a
+    spatial curve sees the same noise); otherwise the noise-free path and
+    None.
+    """
+    T = cfg.get("time", "t_final")
+    if cfg.get("noise", "sigma") > 0:
+        res = run_ensemble(spec, mesh, basis, tau, T, make_sampler(cfg),
+                           M=cfg.get("montecarlo", "samples"),
+                           workers=cfg.get("montecarlo", "workers"),
+                           chunk_size=cfg.get("montecarlo", "chunk_size"),
+                           snapshot_times=snapshot_times, **scheme_kwargs(cfg))
+        return res.mean, res.snapshot_means, res.stderr
+    traj = run(spec, mesh, basis, tau, T, snapshot_times=snapshot_times,
+               record_reports=False, **scheme_kwargs(cfg))
+    return traj.final, {t: s.stacked() for t, s in traj.snapshots.items()}, None
 
 
 # ---------------------------------------------------------------------------
@@ -187,32 +213,16 @@ def grid_rows(mesh, basis, fields, grid_n: int, names):
 def cmd_run(cfg: RunConfig, out: OutputWriter) -> None:
     spec = make_problem(cfg)
     mesh, basis = make_discretization(cfg)
-    tau = cfg.get("time", "tau")
-    T = cfg.get("time", "t_final")
-    sigma = cfg.get("noise", "sigma")
     snap_times = cfg.get("time", "snapshot_times")
-    kwargs = scheme_kwargs(cfg)
-
-    if sigma > 0:
-        sampler = make_sampler(cfg)
-        result = run_ensemble(spec, mesh, basis, tau, T, sampler,
-                              M=cfg.get("montecarlo", "samples"),
-                              workers=cfg.get("montecarlo", "workers"),
-                              chunk_size=cfg.get("montecarlo", "chunk_size"),
-                              snapshot_times=snap_times, **kwargs)
-        final = result.mean
-        stderr = result.stderr
+    final, snapshots, stderr = mean_state(cfg, spec, mesh, basis, cfg.get("time", "tau"),
+                                          snap_times)
+    if stderr is not None:
         rows = [[i, final.u[i], final.v[i], final.w[i],
                  stderr[0, i], stderr[1, i], stderr[2, i]]
                 for i in range(final.n)]
         out.write_csv("ensemble_summary.csv",
                       ["dof", "mean_u", "mean_v", "mean_w",
                        "stderr_u", "stderr_v", "stderr_w"], rows)
-        snapshots = {t: result.snapshot_means[t] for t in snap_times}
-    else:
-        traj = run(spec, mesh, basis, tau, T, snapshot_times=snap_times, **kwargs)
-        final = traj.final
-        snapshots = {t: traj.snapshots[t].stacked() for t in snap_times}
 
     grid_n = cfg.get("output", "grid_n")
     header, rows = grid_rows(mesh, basis, final.fields, grid_n, ["u", "v", "w"])
@@ -273,26 +283,11 @@ def cmd_table1(cfg: RunConfig, out: OutputWriter) -> None:
 
 def cmd_spatial(cfg: RunConfig, out: OutputWriter) -> None:
     spec = make_problem(cfg)
-    taus = cfg.get("spatial", "tau")
+    tau = cfg.get("spatial", "tau")
     n_list = cfg.get("spatial", "n_list")
     if sorted(n_list) != list(n_list):
         raise ConfigError("[spatial] n_list must be ascending")
-    T = cfg.get("time", "t_final")
     sigma = cfg.get("noise", "sigma")
-    M = cfg.get("montecarlo", "samples")
-    workers = cfg.get("montecarlo", "workers")
-    kwargs = scheme_kwargs(cfg)
-    tau = taus
-
-    def mean_state(mesh, basis):
-        if sigma > 0:
-            sampler = make_sampler(cfg)   # same seed at every order: common random numbers
-            res = run_ensemble(spec, mesh, basis, tau, T, sampler, M=M,
-                               workers=workers,
-                               chunk_size=cfg.get("montecarlo", "chunk_size"),
-                               **kwargs)
-            return res.mean
-        return run(spec, mesh, basis, tau, T, record_reports=False, **kwargs).final
 
     use_exact = spec.exact is not None and sigma == 0
     if not use_exact:
@@ -301,12 +296,12 @@ def cmd_spatial(cfg: RunConfig, out: OutputWriter) -> None:
             raise ConfigError("spatial curves with noise require "
                               "[reference] common_random_numbers = true")
         ref_mesh, ref_basis = make_discretization(cfg, order=ref_order)
-        ref_state = mean_state(ref_mesh, ref_basis)
+        ref_state = mean_state(cfg, spec, ref_mesh, ref_basis, tau)[0]
 
     rows = []
     for N in n_list:
         mesh, basis = make_discretization(cfg, order=N)
-        state = mean_state(mesh, basis)
+        state = mean_state(cfg, spec, mesh, basis, tau)[0]
         if use_exact:
             rep = error_report(state, spec.exact, mesh, basis)
             hw = error_hw(state, spec.exact, mesh, basis, spec, tau)
@@ -329,31 +324,16 @@ def cmd_evolve(cfg: RunConfig, out: OutputWriter) -> None:
         raise ConfigError("evolve requires a test2 problem kind")
     spec = make_problem(cfg)
     mesh, basis = make_discretization(cfg)
-    tau = cfg.get("time", "tau")
-    T = cfg.get("time", "t_final")
     times = cfg.get("evolve", "times")
     grid_n = cfg.get("evolve", "grid_n")
-    sigma = cfg.get("noise", "sigma")
-    kwargs = scheme_kwargs(cfg)
-    if any(t > T for t in times):
+    if any(t > cfg.get("time", "t_final") for t in times):
         raise ConfigError("[evolve] times must lie within [0, t_final]")
-
-    if sigma > 0:
-        sampler = make_sampler(cfg)
-        res = run_ensemble(spec, mesh, basis, tau, T, sampler,
-                           M=cfg.get("montecarlo", "samples"),
-                           workers=cfg.get("montecarlo", "workers"),
-                           chunk_size=cfg.get("montecarlo", "chunk_size"),
-                           snapshot_times=times, **kwargs)
-        u_fields = {t: res.snapshot_means[t][0] for t in times}
-    else:
-        traj = run(spec, mesh, basis, tau, T, snapshot_times=times, **kwargs)
-        u_fields = {t: traj.snapshots[t].u for t in times}
+    _, snapshots, _ = mean_state(cfg, spec, mesh, basis, cfg.get("time", "tau"), times)
 
     index_rows = []
     for i, t in enumerate(times):
         name = f"evolve_{i:03d}.csv"
-        header, rows = grid_rows(mesh, basis, (u_fields[t],), grid_n, ["u"])
+        header, rows = grid_rows(mesh, basis, (snapshots[t][0],), grid_n, ["u"])
         out.write_csv(name, ["t", *header], [[float(t), *r] for r in rows])
         index_rows.append([i, t, name])
     out.write_csv("evolve_times.csv", ["index", "t", "file"], index_rows)
@@ -419,8 +399,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverFailure, DivergenceError, SchemeError, SingularNonlinearity,
-            FloatingPointError) as exc:
+    except (NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -158,6 +158,7 @@ def _check_ranges(cfg: RunConfig) -> None:
         (("mesh", "order"), lambda v: v >= 2, ">= 2"),
         (("time", "tau"), lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
         (("time", "t_final"), lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+        (("time", "snapshot_times"), lambda v: all(map(math.isfinite, v)), "all finite"),
         (("noise", "sigma"), lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
         (("noise", "truncation"), lambda v: v >= 1, ">= 1"),
         (("noise", "decay_exponent"), lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
@@ -167,7 +168,8 @@ def _check_ranges(cfg: RunConfig) -> None:
         (("montecarlo", "chunk_size"), lambda v: v >= 1, ">= 1"),
         (("output", "grid_n"), lambda v: v >= 2, ">= 2"),
         (("reference", "order"), lambda v: v >= 2, ">= 2"),
-        (("problem", "delta_width"), lambda v: v > 0, "> 0"),
+        (("problem", "delta_width"), lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+        (("evolve", "times"), lambda v: all(map(math.isfinite, v)), "all finite"),
         (("evolve", "grid_n"), lambda v: v >= 2, ">= 2"),
     ]
     for (section, key), ok, what in checks:

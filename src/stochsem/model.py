@@ -26,6 +26,10 @@ t that returns the three samples stacked.  A StagedForcing, such as Test 1's,
 is one function of the grid that computes its time-independent spatial
 factors at staging, once, and per call only what depends on t; any other
 forcing triple is sampled field by field at every call.
+
+NumericalError is the base of every numerical failure the package raises
+(the CLI's exit 3): here SingularNonlinearity, in timestepper SchemeError,
+SolverFailure and DivergenceError.
 """
 from __future__ import annotations
 
@@ -86,7 +90,12 @@ def stage_forcing(forcing, x, y):
                                for f in forcing])
 
 
-class SingularNonlinearity(ValueError):
+class NumericalError(Exception):
+    """Base of the numerical failures: the problem is well posed, the
+    computation failed."""
+
+
+class SingularNonlinearity(NumericalError, ValueError):
     """The nonlinearity was evaluated within 1e-12 of a pole."""
 
 
@@ -239,8 +248,8 @@ def test2_spec(init_kind: str = "smooth",
     if init_kind not in ("smooth", "delta"):
         raise ValueError(f"init_kind must be 'smooth' or 'delta', got {init_kind!r}")
     if init_kind == "delta":
-        if delta_width <= 0:
-            raise ValueError(f"delta_width must be positive, got {delta_width}")
+        if not (math.isfinite(delta_width) and delta_width > 0):
+            raise ValueError(f"delta_width must be finite and positive, got {delta_width}")
         cx, cy = delta_center
         if not (0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0):
             raise ValueError(f"delta_center {delta_center} outside the unit square")

@@ -265,20 +265,12 @@ def error_hw(state, reference, mesh: Mesh2D, basis: Basis1D, spec: ModelSpec,
     return float(np.sqrt(total))
 
 
-def convergence_order(errors, mode: str = "temporal") -> np.ndarray:
-    """Observed orders from a positive error sequence.
-
-    temporal: log2(e_i / e_{i+1}) for a tau-halving sequence.
-    spatial: returns the sequence itself (spectral decay carries no fixed
-    algebraic order; callers assert monotone decay).
-    """
+def convergence_order(errors) -> np.ndarray:
+    """Observed orders log2(e_i / e_{i+1}) of a positive error sequence from
+    a tau-halving sequence."""
     errors = np.asarray(errors, dtype=float)
     if errors.size < 2:
         raise ValueError("need at least two error values")
     if np.any(errors <= 0) or not np.all(np.isfinite(errors)):
         raise ValueError("error values must be positive and finite")
-    if mode == "temporal":
-        return np.log2(errors[:-1] / errors[1:])
-    if mode == "spatial":
-        return errors
-    raise ValueError(f"unknown mode {mode!r}")
+    return np.log2(errors[:-1] / errors[1:])

@@ -46,6 +46,7 @@ build_scheme picks one of two solvers by the size of the mesh:
 
 A left operator that either solver finds (numerically) singular raises
 SchemeError in build_scheme; a failed solve in a step raises SolverFailure.
+These, DivergenceError and model.SingularNonlinearity are NumericalErrors.
 Every solve must also pass the relative residual gate SOLVE_RTOL, measured
 against the per-axis apply of the same left operator.
 
@@ -88,7 +89,8 @@ from scipy.linalg.lapack import dtrsyl
 from .assembly import L2Projector, Quadrature2D, StateVector
 from .basis import Basis1D
 from .mesh import Mesh2D
-from .model import ModelSpec, SingularNonlinearity, nonlinear_f, stage_forcing
+from .model import (ModelSpec, NumericalError, SingularNonlinearity, nonlinear_f,
+                    stage_forcing)
 from .stochastic import NoiseWorkspace, QWienerSampler, sample_increments
 
 SOLVE_RTOL = 1e-10
@@ -102,15 +104,15 @@ NOISE_CONVENTIONS = ("paper", "increment")
 NONLINEARITY_TIMES = ("extrapolated", "lagged")
 
 
-class SchemeError(RuntimeError):
+class SchemeError(NumericalError, RuntimeError):
     """Left operator is singular."""
 
 
-class SolverFailure(RuntimeError):
+class SolverFailure(NumericalError, RuntimeError):
     """A linear solve failed or exceeded the residual tolerance."""
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(NumericalError, RuntimeError):
     """The state picked up non-finite entries."""
 
 
@@ -393,12 +395,14 @@ def step(ops: SchemeOperators, spec: ModelSpec, state: StateBatch, noise=None,
         try:
             samples.append(nonlinear_f(spec, U, V))
         except SingularNonlinearity as exc:
+            kind, _, why = str(exc).partition(":")     # name the step after the kind
+            err = SingularNonlinearity(f"{kind} at step {step_index}:{why}")
             for b in range(len(U)):     # name the first sample at the pole
                 try:
                     nonlinear_f(spec, U[b], V[b])
                 except SingularNonlinearity:
-                    raise _tag(exc, state, b) from None
-            raise
+                    raise _tag(err, state, b) from None
+            raise err from None
     if spec.forcing is not None:
         staged = ops.staged_forcing     # read once: another thread may restage ops
         if staged[0] is not spec.forcing:
@@ -438,14 +442,14 @@ def step(ops: SchemeOperators, spec: ModelSpec, state: StateBatch, noise=None,
     return StateBatch(sol, state.t + tau, state.sample_ids), residuals
 
 
-def energy_norm(ops: SchemeOperators, spec: ModelSpec, state: StateVector,
-                tau: float) -> float:
+def energy_norm(ops: SchemeOperators, spec: ModelSpec, state: StateVector) -> float:
     """Discrete weighted energy norm used by the stability diagnostic.
 
     sqrt( sum_phi  h1 * (phi' M phi) + (tau/2) * zeta * (phi' K phi) )
-    with h1 = max(1, 1 + (tau/2) * r) and K the unit-coefficient
-    diffusion operator, both applied axis by axis.
+    with tau = ops.tau, h1 = max(1, 1 + (tau/2) * r) and K the
+    unit-coefficient diffusion operator, both applied axis by axis.
     """
+    tau = ops.tau
     h1 = max(1.0, 1.0 + 0.5 * tau * spec.r)
     mx, my = ops.mass
     F = state.stacked().reshape(3, len(mx), len(my))
@@ -467,6 +471,8 @@ def _resolve_steps(times, tau: float, n_steps: int, what: str) -> dict:
     """Map requested times to step indices, validating divisibility."""
     out = {}
     for t in times:
+        if not np.isfinite(t):
+            raise ValueError(f"{what} time {t} is not finite")
         k = int(round(t / tau))
         if not (0 <= k <= n_steps) or abs(k * tau - t) > 1e-9 * max(tau, abs(t), 1.0):
             raise ValueError(f"{what} time {t} is not a multiple of tau={tau} within [0, T]")
@@ -517,7 +523,7 @@ def advance(ops: SchemeOperators, spec: ModelSpec, init: np.ndarray, T: float,
         new_state, residuals = step(ops, spec, state, noise, prev_state=prev, step_index=k)
         if record_reports:
             for b, res in enumerate(residuals):
-                energy = energy_norm(ops, spec, new_state.state(b), tau)
+                energy = energy_norm(ops, spec, new_state.state(b))
                 reports[b].append(StepReport(k, tuple(map(float, res)), energy))
         prev, state = state, new_state
         if k in snap_at:

@@ -7,8 +7,9 @@ import pytest
 
 from stochsem.cli import main, make_discretization, make_problem
 from stochsem.config import SCHEMA, ConfigError, load_config, parse_config
+from stochsem.model import NumericalError, SingularNonlinearity
 from stochsem.montecarlo import error_report
-from stochsem.timestepper import run
+from stochsem.timestepper import DivergenceError, SchemeError, SolverFailure, run
 
 T1_SECTIONS = {
     "problem": {"kind": "test1"},
@@ -217,7 +218,9 @@ class TestRunCommand:
     def test_nonlinearity_pole_exit_3(self, tmp_path, capsys):
         cfg = write(tmp_path, ini(self.POLE_SECTIONS))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-        assert "numerical failure: singular nonlinearity" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure: singular nonlinearity" in err
+        assert "singular nonlinearity at step 1: denominator within 1e-12" in err
 
     def test_nonlinearity_pole_in_ensemble_exit_3(self, tmp_path, capsys):
         cfg = write(tmp_path, ini(self.POLE_SECTIONS, noise={"sigma": "0.1"},
@@ -225,6 +228,7 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "sample 0 failed" in err
+        assert "sample 0 failed: singular nonlinearity at step 1: " in err
 
     def test_singular_scheme_exit_3(self, tmp_path, capsys):
         # 1 + (tau/2) r = 0 with no advection or diffusion: L_w is exactly 0
@@ -234,6 +238,14 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "tau=0.1" in err and "1x1" in err
+
+    @pytest.mark.parametrize("cls,old_base", [(SingularNonlinearity, ValueError),
+                                              (SchemeError, RuntimeError),
+                                              (SolverFailure, RuntimeError),
+                                              (DivergenceError, RuntimeError)])
+    def test_numerical_failures_share_one_base(self, cls, old_base):
+        exc = cls("failure")
+        assert isinstance(exc, NumericalError) and isinstance(exc, old_base)
 
     @pytest.mark.parametrize("key,value", [("zeta", "-1.0"), ("xi", "nan")])
     def test_ill_posed_coefficient_exit_2(self, tmp_path, capsys, key, value):
@@ -264,6 +276,27 @@ class TestRunCommand:
         assert f"config error: [time] {key} = inf must be finite" in capsys.readouterr().err
         assert not (out / "final_state.csv").exists()
 
+    def test_infinite_delta_width_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, ini(T2_SECTIONS, problem={"kind": "test2_delta",
+                                                        "delta_width": "inf"}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("config error: [problem] delta_width = inf must be finite"
+                in capsys.readouterr().err)
+        assert not (out / "final_state.csv").exists()
+
+    @pytest.mark.parametrize("command,section,key", [("run", "time", "snapshot_times"),
+                                                     ("evolve", "evolve", "times")])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_snapshot_time_exit_2(self, tmp_path, capsys, command, section,
+                                            key, value):
+        cfg = write(tmp_path, ini(T2_SECTIONS, **{section: {key: f"0.05, {value}"}}))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert (f"config error: [{section}] {key} = [0.05, {value}] must be all finite"
+                in capsys.readouterr().err)
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("key,value", [("sigma", "inf"), ("decay_exponent", "inf"),
                                            ("decay_exponent", "nan")])
     def test_nonfinite_noise_parameter_exit_2(self, tmp_path, capsys, key, value):
@@ -286,6 +319,21 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "config error: coefficient wp must be finite" in capsys.readouterr().err
         assert not (out / "final_state.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "evolve"])
+    def test_noise_free_study_computes_no_energy(self, tmp_path, monkeypatch, command):
+        from stochsem import timestepper
+        calls, real = [], timestepper.energy_norm
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(timestepper, "energy_norm", counting)
+        cfg = write(tmp_path, ini(T2_SECTIONS, time={"tau": "0.05", "t_final": "0.1",
+                                                     "snapshot_times": "0.05"}))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert calls == []
 
     def test_determinism_identical_checksums(self, tmp_path):
         cfg = write(tmp_path, BASE_T1)

@@ -230,6 +230,8 @@ class TestTestProblem2:
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError, match="width"):
             make_test2("delta", delta_width=0.0)
+        with pytest.raises(ValueError, match="delta_width must be finite"):
+            make_test2("delta", delta_width=float("inf"))
 
     def test_unknown_init_kind(self):
         with pytest.raises(ValueError, match="init_kind"):

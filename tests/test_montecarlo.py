@@ -407,10 +407,6 @@ class TestConvergenceOrder:
     def test_constant_sequence(self):
         assert np.allclose(convergence_order([1e-3, 1e-3, 1e-3]), 0.0)
 
-    def test_spatial_mode_returns_sequence(self):
-        errs = [1e-2, 1e-4, 1e-7]
-        assert np.array_equal(convergence_order(errs, mode="spatial"), errs)
-
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             convergence_order([1e-3])
@@ -418,5 +414,3 @@ class TestConvergenceOrder:
             convergence_order([1e-3, 0.0])
         with pytest.raises(ValueError):
             convergence_order([1e-3, -1e-4])
-        with pytest.raises(ValueError, match="mode"):
-            convergence_order([1e-3, 1e-4], mode="sideways")

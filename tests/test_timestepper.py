@@ -99,7 +99,7 @@ class TestStep:
         new, residuals = step(ops, spec, state)
         assert np.all(new.coeffs == 0)
         assert residuals.max() <= 1e-10
-        assert energy_norm(ops, spec, new.state(0), ops.tau) == 0.0
+        assert energy_norm(ops, spec, new.state(0)) == 0.0
 
     def test_pure_mass_scheme_identity(self, rng):
         mesh, basis = disc(2, 1, 5)
@@ -184,6 +184,9 @@ class TestRun:
         assert np.array_equal(traj.snapshots[0.2].u, traj.final.u)
         with pytest.raises(ValueError, match="snapshot"):
             run(spec, mesh, basis, 0.05, 0.2, snapshot_times=[0.07])
+        for t in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"snapshot time {t} is not finite"):
+                run(spec, mesh, basis, 0.05, 0.2, snapshot_times=[t])
 
     def test_superposition_in_noise(self):
         # linear scheme: full = deterministic + noise-driven-from-zero
@@ -444,7 +447,7 @@ class TestEnergyNorm:
         spec = make_test1()
         ops = build_scheme(mesh, basis, spec, 0.1)
         state = StateVector(*(np.zeros(mesh.n_global) for _ in range(3)))
-        assert energy_norm(ops, spec, state, 0.1) == 0.0
+        assert energy_norm(ops, spec, state) == 0.0
 
     def test_quadratic_scaling(self, rng):
         mesh, basis = disc(2, 1, 5)
@@ -452,8 +455,8 @@ class TestEnergyNorm:
         ops = build_scheme(mesh, basis, spec, 0.1)
         state = StateVector(*(rng.standard_normal(mesh.n_global) for _ in range(3)))
         doubled = StateVector(2 * state.u, 2 * state.v, 2 * state.w)
-        e1 = energy_norm(ops, spec, state, 0.1)
-        e2 = energy_norm(ops, spec, doubled, 0.1)
+        e1 = energy_norm(ops, spec, state)
+        e2 = energy_norm(ops, spec, doubled)
         assert e2**2 == pytest.approx(4 * e1**2, rel=1e-12)
 
     @pytest.mark.parametrize("tau", [0.1, 0.01])
@@ -468,6 +471,6 @@ class TestEnergyNorm:
         start = energy_norm(ops, spec,
                             StateVector(ops.projector.project(spec.init[0]),
                                         ops.projector.project(spec.init[1]),
-                                        ops.projector.project(spec.init[2])), tau)
+                                        ops.projector.project(spec.init[2])))
         series = np.array([start] + energies)
         assert np.all(np.diff(series) <= 1e-14)
