@@ -42,8 +42,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg import cho_factor, cho_solve
 
 from .basis import Basis1D
 from .mesh import Mesh2D, element_basis_table
@@ -274,18 +273,18 @@ def evaluate_grid(mesh: Mesh2D, basis: Basis1D, coeffs: np.ndarray, xs, ys,
 class L2Projector:
     """Repeated L2 projections onto the global space by per-axis mass solves.
 
-    The unit mass matrix is Mx (x) My with Mx = Bx diag(wx) Bx^T (likewise
-    for y), so Mass^{-1} b = Mx^{-1} B My^{-1} with B the load reshaped to
-    (n1d_x, n1d_y): one Cholesky factor per axis, no 2D operator and no 2D
-    factorization.
+    The unit mass matrix is Mx (x) My (quad.axis_matrices), so
+    Mass^{-1} b = Mx^{-1} B My^{-1} with B the load reshaped to
+    (n1d_x, n1d_y): one Cholesky factor per axis, `factors`, no 2D operator
+    and no 2D factorization.  A scheme's solver shares these factors
+    (timestepper.build_scheme), so each scheme factors its mass once.
     """
 
     def __init__(self, mesh: Mesh2D, basis: Basis1D):
         self.mesh, self.basis = mesh, basis
         self.quad = Quadrature2D(mesh, basis)
-        Bx, _, By, _ = self.quad.tables
-        self._mx = cho_factor(Bx @ (self.quad.wx[:, None] * Bx.T))
-        self._my = cho_factor(By @ (self.quad.wy[:, None] * By.T))
+        (mx, *_), (my, *_) = self.quad.axis_matrices()
+        self.factors = (cho_factor(mx), cho_factor(my))
 
     def project(self, field, t: float | None = None) -> np.ndarray:
         return self.project_load(self.quad.load(self.quad.sample(field, t))).ravel()
@@ -294,22 +293,14 @@ class L2Projector:
         """Mass^{-1} load, in the shape of load: a flat (n_global,) vector or
         a stack (..., n1d_x, n1d_y) of matrix-form loads.
 
-        Each axis is one LAPACK dpotrs on its Cholesky factor, with the
-        columns of every load of the stack side by side (dpotrs solves each
-        column alike, so a load's projection does not depend on the stack).
+        Each axis is one cho_solve on its factor, with the columns of every
+        load of the stack side by side (LAPACK solves each column alike, so
+        a load's projection does not depend on the stack).
         """
         nx, ny = self.mesh.ax.n_dofs, self.mesh.ay.n_dofs
+        fx, fy = self.factors
         B = np.reshape(load, (-1, nx, ny))
         k = len(B)
-        X = _potrs(self._mx, B.transpose(1, 0, 2).reshape(nx, k * ny))
-        Y = _potrs(self._my, X.reshape(nx, k, ny).transpose(2, 1, 0).reshape(ny, k * nx))
+        X = cho_solve(fx, B.transpose(1, 0, 2).reshape(nx, k * ny))
+        Y = cho_solve(fy, X.reshape(nx, k, ny).transpose(2, 1, 0).reshape(ny, k * nx))
         return Y.reshape(ny, k, nx).transpose(1, 2, 0).reshape(np.shape(load))
-
-
-def _potrs(factor, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by dpotrs on A's cho_factor result (c, lower)."""
-    c, lower = factor
-    x, info = dpotrs(c, b, lower=lower)
-    if info != 0:
-        raise ValueError(f"dpotrs failed with info {info}")
-    return x

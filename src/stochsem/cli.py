@@ -380,12 +380,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError("--workers must be >= 1")
             cfg.set("montecarlo", "workers", args.workers)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be >= 0")
             cfg.set("noise", "seed", args.seed)
         out_dir = args.out or os.environ.get(OUT_ENV_VAR) or cfg.get("output", "directory")
     except ConfigError as exc:

@@ -121,9 +121,10 @@ class RunConfig:
         return self.values[(section, key)]
 
     def set(self, section: str, key: str, value) -> None:
+        """Set one key, checked as a parsed value is (allowed values, range)."""
         if (section, key) not in SCHEMA:
             raise ConfigError(f"unknown configuration key [{section}] {key}")
-        self.values[(section, key)] = value
+        self.values[(section, key)] = _validate(section, key, value)
 
     def as_sections(self) -> dict:
         out: dict = {}
@@ -143,43 +144,45 @@ class RunConfig:
         return "\n".join(lines)
 
 
+# (section, key) -> (check, what it requires); a key not listed is unchecked
+_RANGES = {
+    ("mesh", "nex"): (lambda v: v >= 1, ">= 1"),
+    ("mesh", "ney"): (lambda v: v >= 1, ">= 1"),
+    ("mesh", "order"): (lambda v: v >= 2, ">= 2"),
+    ("time", "tau"): (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    ("time", "t_final"): (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+    ("time", "snapshot_times"): (lambda v: all(map(math.isfinite, v)), "all finite"),
+    ("noise", "sigma"): (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+    ("noise", "truncation"): (lambda v: v >= 1, ">= 1"),
+    ("noise", "decay_exponent"): (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+    ("noise", "seed"): (lambda v: 0 <= v < 2**64, ">= 0 and < 2**64"),
+    ("montecarlo", "samples"): (lambda v: v >= 1, ">= 1"),
+    ("montecarlo", "workers"): (lambda v: v >= 1, ">= 1"),
+    ("montecarlo", "chunk_size"): (lambda v: v >= 1, ">= 1"),
+    ("output", "grid_n"): (lambda v: v >= 2, ">= 2"),
+    ("reference", "order"): (lambda v: v >= 2, ">= 2"),
+    ("problem", "delta_width"): (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    ("problem", "kappa1"): (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    ("problem", "kappa2"): (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    ("table1", "tau_list"): (lambda v: v and all(math.isfinite(t) and t > 0 for t in v),
+                             "non-empty with every entry finite and > 0"),
+    ("table1", "n_list"): (lambda v: v and min(v) >= 2, "non-empty with every entry >= 2"),
+    ("spatial", "n_list"): (lambda v: v and min(v) >= 2, "non-empty with every entry >= 2"),
+    ("evolve", "times"): (lambda v: all(map(math.isfinite, v)), "all finite"),
+    ("evolve", "grid_n"): (lambda v: v >= 2, ">= 2"),
+}
+
+
 def _validate(section: str, key: str, value):
+    """value, if it is one of the key's allowed values and in its range."""
     kind, _default, allowed = SCHEMA[(section, key)]
     if allowed is not None and value not in allowed:
         raise ConfigError(
             f"[{section}] {key} = {value!r} not in allowed values {allowed}")
+    ok, what = _RANGES.get((section, key), (None, None))
+    if ok is not None and not ok(value):
+        raise ConfigError(f"[{section}] {key} = {value!r} must be {what}")
     return value
-
-
-def _check_ranges(cfg: RunConfig) -> None:
-    checks = [
-        (("mesh", "nex"), lambda v: v >= 1, ">= 1"),
-        (("mesh", "ney"), lambda v: v >= 1, ">= 1"),
-        (("mesh", "order"), lambda v: v >= 2, ">= 2"),
-        (("time", "tau"), lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
-        (("time", "t_final"), lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
-        (("time", "snapshot_times"), lambda v: all(map(math.isfinite, v)), "all finite"),
-        (("noise", "sigma"), lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
-        (("noise", "truncation"), lambda v: v >= 1, ">= 1"),
-        (("noise", "decay_exponent"), lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
-        (("noise", "seed"), lambda v: v >= 0, ">= 0"),
-        (("montecarlo", "samples"), lambda v: v >= 1, ">= 1"),
-        (("montecarlo", "workers"), lambda v: v >= 1, ">= 1"),
-        (("montecarlo", "chunk_size"), lambda v: v >= 1, ">= 1"),
-        (("output", "grid_n"), lambda v: v >= 2, ">= 2"),
-        (("reference", "order"), lambda v: v >= 2, ">= 2"),
-        (("problem", "delta_width"), lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
-        (("evolve", "times"), lambda v: all(map(math.isfinite, v)), "all finite"),
-        (("evolve", "grid_n"), lambda v: v >= 2, ">= 2"),
-    ]
-    for (section, key), ok, what in checks:
-        v = cfg.get(section, key)
-        if not ok(v):
-            raise ConfigError(f"[{section}] {key} = {v!r} must be {what}")
-    for key in ("kappa1", "kappa2"):
-        v = cfg.get("problem", key)
-        if not (math.isfinite(v) and v > 0):
-            raise ConfigError(f"[problem] {key} must be finite and > 0")
 
 
 def parse_config(text: str, origin: str = "<config>") -> RunConfig:
@@ -205,12 +208,13 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
                 raise ConfigError(
                     f"bad value for [{section}] {key} in {origin}: {raw!r} ({exc})"
                 ) from exc
-            cfg.values[(section, key)] = _validate(section, key, value)
+            cfg.values[(section, key)] = value
 
     for section, key in _REQUIRED:
         if cfg.get(section, key) is None:
             raise ConfigError(f"missing required key [{section}] {key} in {origin}")
-    _check_ranges(cfg)
+    for (section, key), value in cfg.values.items():
+        _validate(section, key, value)
     return cfg
 
 

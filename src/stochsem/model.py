@@ -20,8 +20,9 @@ Test problem 1 carries a manufactured solution; its forcing terms are the
 closed forms obtained by substituting the exact triple into the equations, so
 the noise-free residual vanishes identically (this is enforced by tests).
 
-A time stepper samples the forcings on one fixed grid at every step, so it
-stages them on that grid first (stage_forcing): staging gives a function of
+A time stepper samples the forcings on one fixed grid at every step, so
+each scheme stages them on that grid once, when it is built
+(timestepper.build_scheme calls stage_forcing): staging gives a function of
 t that returns the three samples stacked.  A StagedForcing, such as Test 1's,
 is one function of the grid that computes its time-independent spatial
 factors at staging, once, and per call only what depends on t; any other

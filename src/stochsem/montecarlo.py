@@ -26,7 +26,7 @@ from .mesh import Mesh2D
 from .model import ModelSpec
 from .stochastic import NoiseWorkspace, QWienerSampler
 # `run` stays importable here: the benchmark's tests compare montecarlo.run
-from .timestepper import SchemeOperators, advance, build_scheme, initial_data, run  # noqa: F401
+from .timestepper import SchemeOperators, advance, initial_data, run, scheme_for  # noqa: F401
 
 DEFAULT_CHUNK = 32
 LINF_GRID = 101
@@ -93,7 +93,8 @@ def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
     The result is independent of `workers` (bitwise, because chunking and
     merge order are fixed by chunk_size alone).  Any sample failure aborts
     the whole ensemble; it is re-raised as its own exception type with the
-    offending sample id in the message.
+    offending sample id in the message.  A prebuilt ops must be the scheme
+    of (spec, mesh, basis, tau), as in timestepper.run (scheme_for).
 
     With workers > 1 and more than one chunk, the calling process forks
     worker processes.  That needs the "fork" start method and no other
@@ -109,19 +110,16 @@ def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
         raise ValueError(f"sample count must be >= 1, got {M}")
     if chunk_size < 1:
         raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
-    if ops is None:
-        ops = build_scheme(mesh, basis, spec, tau,
-                           nonlinearity_time=nonlinearity_time,
-                           noise_convention=noise_convention)
+    ops = scheme_for(spec, mesh, basis, tau, ops, nonlinearity_time, noise_convention)
     workspace = None
     if sampler is not None and sampler.amplitude > 0.0:
         workspace = NoiseWorkspace(sampler, mesh, basis, projector=ops.projector)
-    init = initial_data(ops, spec)
+    init = initial_data(ops)
     snapshot_times = tuple(snapshot_times or ())
 
     def run_chunk(ids):
         try:
-            final, snapshots, _ = advance(ops, spec, init, T, ids, sampler=sampler,
+            final, snapshots, _ = advance(ops, init, T, ids, sampler=sampler,
                                           noise_workspace=workspace,
                                           snapshot_times=snapshot_times)
         except Exception as exc:
@@ -141,7 +139,7 @@ def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
     chunks = [range(i, min(i + chunk_size, M)) for i in range(0, M, chunk_size)]
     if (workers > 1 and len(chunks) > 1 and threading.active_count() == 1
             and "fork" in multiprocessing.get_all_start_methods()):
-        # forked workers inherit run_chunk (ops, and spec with its lambdas)
+        # forked workers inherit run_chunk (ops, whose spec holds lambdas)
         # through the initializer, which fork does not pickle
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
                                  mp_context=multiprocessing.get_context("fork"),

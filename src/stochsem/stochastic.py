@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,8 +27,6 @@ import numpy as np
 from .assembly import L2Projector
 from .basis import Basis1D
 from .mesh import Mesh2D
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class QWienerSampler:
     amplitude : float
         Global scale sigma >= 0; sigma = 0 makes every increment zero.
     seed : int
-        64-bit master seed of the counter-based stream family.
+        Master seed of the counter-based stream family, 0 <= seed < 2^64.
     shared : bool
         Whether one noise path drives all three equations of a sample
         (default) or each field gets an independent path.
@@ -58,6 +57,8 @@ class QWienerSampler:
     def __post_init__(self):
         if self.truncation < 1:
             raise ValueError(f"truncation must be >= 1, got {self.truncation}")
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an integer >= 0 and < 2**64, got {self.seed}")
         for key in ("decay_exponent", "amplitude"):
             v = getattr(self, key)
             if not (math.isfinite(v) and v >= 0):
@@ -131,7 +132,7 @@ def mode_normals(sampler: QWienerSampler, sample_id: int, n: int,
     bitgen.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.array([0, comp, n, sample_id], dtype=np.uint64),
-                  "key": np.array([sampler.seed & _MASK64, 0], dtype=np.uint64)},
+                  "key": np.array([sampler.seed, 0], dtype=np.uint64)},
         "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0,
     }

@@ -63,6 +63,13 @@ increment too, so the increment is never projected.  The "paper"
 convention subtracts the load from the right-hand side, the "increment"
 convention adds it (the conventional +dW forcing).
 
+A scheme (SchemeOperators, built by build_scheme) owns its discretized
+problem and is frozen: it holds its spec, mesh, basis and tau, the forcing
+staged once on the quadrature grid (model.stage_forcing), and shares one
+Cholesky factorization of the per-axis mass with its L2Projector.  `step`,
+`advance`, `energy_norm` and `initial_data` take only the scheme; `run` and
+montecarlo.run_ensemble build it, or check a prebuilt one, by scheme_for.
+
 `step` and the time loop (`advance`) work on batches: the states of B
 samples are one array (B, 3, n1d_x, n1d_y) (a StateBatch), their noise
 loads one array (B, 1 | 3, n1d_x, n1d_y) (one path shared by the fields, or
@@ -83,7 +90,7 @@ import numpy as np
 # Nothing in this package calls scipy.sparse.linalg; the module is kept bound
 # here because perfbench/spans.py replaces `timestepper.spla` when it traces.
 import scipy.sparse.linalg as spla  # noqa: F401
-from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs, schur
+from scipy.linalg import cho_solve, get_lapack_funcs, schur
 from scipy.linalg.lapack import dtrsyl
 
 from .assembly import L2Projector, Quadrature2D, StateVector
@@ -145,13 +152,13 @@ class _AxisForms:
 
         L_f vec X = (c[f] mx + dx) X my^T + mx X oy^T      (SPD mx, my)
 
-    share: the Cholesky factor fx of mx, the real Schur form
-    my^-1 oy = V tb V^T and py = V^T my^-1.  A factor's `singular` names, per
-    field, why L_f is singular (None if it is not).
+    share: the Cholesky factors (fx, fy) of mx and my (L2Projector.factors),
+    the real Schur form my^-1 oy = V tb V^T and py = V^T my^-1.  A factor's
+    `singular` names, per field, why L_f is singular (None if it is not).
     """
 
-    def __init__(self, mx, my, dx, oy, c):
-        self.fx, fy = cho_factor(mx), cho_factor(my)
+    def __init__(self, factors, dx, oy, c):
+        self.fx, fy = factors
         self.tb, self.v = schur(cho_solve(fy, oy), output="real")
         self.py = cho_solve(fy, self.v).T
         self.c = np.asarray(c, dtype=float)
@@ -164,8 +171,8 @@ class SchurFactor(_AxisForms):
     dtrsyl per right-hand side on quasi-triangular matrices.
     """
 
-    def __init__(self, mx, my, dx, oy, c):
-        super().__init__(mx, my, dx, oy, c)
+    def __init__(self, factors, dx, oy, c):
+        super().__init__(factors, dx, oy, c)
         ta, self.u = schur(cho_solve(self.fx, dx), output="real")
         # Fortran order, as schur returns it: dtrsyl then reads ta without a copy
         self.ta = [np.asfortranarray(cf * np.eye(len(ta)) + ta) for cf in self.c]
@@ -203,9 +210,9 @@ class SweepFactor(_AxisForms):
     (numerically) singular marks its fields singular.
     """
 
-    def __init__(self, mx, my, dx, oy, c):
-        super().__init__(mx, my, dx, oy, c)
-        n, tb = len(mx), self.tb
+    def __init__(self, factors, dx, oy, c):
+        super().__init__(factors, dx, oy, c)
+        n, tb = len(dx), self.tb
         self.mxi = cho_solve(self.fx, np.eye(n))
         a = self.mxi @ dx
         starts = [j for j in range(len(tb)) if j == 0 or tb[j, j - 1] == 0.0]
@@ -268,18 +275,20 @@ def _inverses(m: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SchemeOperators:
-    """Per-axis operators and the factor of one (mesh, spec, tau) scheme.
+    """The Crank-Nicolson scheme of one (spec, mesh, basis, tau), which it
+    owns; frozen, so a scheme shared by threads or workers never changes.
 
     mass is (Mx, My); stiffness the unit diffusion (for the energy norm);
     left and right are the fields' Crank-Nicolson operators, with x-axis
     stacks (Ox_u, Ox_v, Ox_w), and factor solves left: a SweepFactor on
     meshes with n1d_y * n1d_x^3 <= SWEEP_MAX_TABLE_COST, a SchurFactor on
-    the rest.
-    staged_forcing is the last forcing a step met, staged on quad's grid.
+    the rest.  forcing is spec.forcing staged on quad's grid once, at build
+    time (a function t -> (3, nx, ny) samples), or None without forcing.
     """
 
+    spec: ModelSpec
     mesh: Mesh2D
     basis: Basis1D
     tau: float
@@ -290,16 +299,17 @@ class SchemeOperators:
     factor: SchurFactor | SweepFactor
     quad: Quadrature2D
     projector: L2Projector
+    forcing: object
     nonlinearity_time: str = "extrapolated"
     noise_convention: str = "paper"
-    staged_forcing: tuple = (None, None)
 
 
 def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
                  nonlinearity_time: str = "extrapolated",
                  noise_convention: str = "paper") -> SchemeOperators:
-    """Build the per-axis operators on the projector's quadrature grid and
-    the factor of the left-hand sides.
+    """Build the scheme of (spec, mesh, basis, tau) on the projector's grid:
+    the per-axis operators, the factor of the left-hand sides (on the
+    projector's mass factors) and the forcing, staged here once.
 
     u and v share identical left/right x-axis matrices; w folds the reaction
     term into the mass coefficient of both sides.  A left operator that the
@@ -325,16 +335,17 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
 
     left = side(1)
     small = len(my) * len(mx) ** 3 <= SWEEP_MAX_TABLE_COST
-    factor = (SweepFactor if small else SchurFactor)(mx, my, dx, dy, 1.0 + hr)
+    factor = (SweepFactor if small else SchurFactor)(projector.factors, dx, dy, 1.0 + hr)
     for f, why in enumerate(factor.singular):
         if why:
             raise SchemeError(
                 f"left operator of field {'uvw'[f]} is singular for tau={tau}, "
                 f"mesh {mesh.nex}x{mesh.ney} order {mesh.order} ({why})")
     return SchemeOperators(
-        mesh=mesh, basis=basis, tau=tau, mass=(mx, my),
+        spec=spec, mesh=mesh, basis=basis, tau=tau, mass=(mx, my),
         stiffness=KroneckerSum(kx, ky, mx, my), left=left, right=side(-1),
         factor=factor, quad=quad, projector=projector,
+        forcing=None if spec.forcing is None else stage_forcing(spec.forcing, *quad.grid),
         nonlinearity_time=nonlinearity_time, noise_convention=noise_convention,
     )
 
@@ -364,7 +375,7 @@ def _tag(exc: Exception, state: StateBatch, b: int) -> Exception:
     return exc
 
 
-def step(ops: SchemeOperators, spec: ModelSpec, state: StateBatch, noise=None,
+def step(ops: SchemeOperators, state: StateBatch, noise=None,
          prev_state: StateBatch | None = None, step_index: int = 0):
     """Advance a batch of states, whose samples advance together, one step
     of size ops.tau.
@@ -377,7 +388,7 @@ def step(ops: SchemeOperators, spec: ModelSpec, state: StateBatch, noise=None,
     Returns the new StateBatch and the relative solve residuals, shape
     (B, 3).  A failure of one sample carries its id as sample_id.
     """
-    tau, quad = ops.tau, ops.quad
+    spec, tau, quad = ops.spec, ops.tau, ops.quad
     t_half = state.t + tau / 2.0
     old = state.coeffs
 
@@ -403,16 +414,13 @@ def step(ops: SchemeOperators, spec: ModelSpec, state: StateBatch, noise=None,
                 except SingularNonlinearity:
                     raise _tag(err, state, b) from None
             raise err from None
-    if spec.forcing is not None:
-        staged = ops.staged_forcing     # read once: another thread may restage ops
-        if staged[0] is not spec.forcing:
-            staged = ops.staged_forcing = (spec.forcing, stage_forcing(spec.forcing, *quad.grid))
-        samples.append(quad.finite(staged[1](t_half)))
+    if ops.forcing is not None:
+        samples.append(quad.finite(ops.forcing(t_half)))
     if samples:
         loads = quad.load(np.concatenate(samples))
         if nonlinear:
             rhs -= (tau * spec.wp * np.array(spec.e))[:, None, None] * loads[:len(old), None]
-        if spec.forcing is not None:
+        if ops.forcing is not None:
             rhs += tau * loads[-3:]
 
     if noise is not None:
@@ -442,14 +450,14 @@ def step(ops: SchemeOperators, spec: ModelSpec, state: StateBatch, noise=None,
     return StateBatch(sol, state.t + tau, state.sample_ids), residuals
 
 
-def energy_norm(ops: SchemeOperators, spec: ModelSpec, state: StateVector) -> float:
+def energy_norm(ops: SchemeOperators, state: StateVector) -> float:
     """Discrete weighted energy norm used by the stability diagnostic.
 
     sqrt( sum_phi  h1 * (phi' M phi) + (tau/2) * zeta * (phi' K phi) )
     with tau = ops.tau, h1 = max(1, 1 + (tau/2) * r) and K the
     unit-coefficient diffusion operator, both applied axis by axis.
     """
-    tau = ops.tau
+    spec, tau = ops.spec, ops.tau
     h1 = max(1.0, 1.0 + 0.5 * tau * spec.r)
     mx, my = ops.mass
     F = state.stacked().reshape(3, len(mx), len(my))
@@ -468,7 +476,8 @@ class Trajectory:
 
 
 def _resolve_steps(times, tau: float, n_steps: int, what: str) -> dict:
-    """Map requested times to step indices, validating divisibility."""
+    """Map step indices to the requested times on them (every one, also two
+    that round to the same step), validating divisibility."""
     out = {}
     for t in times:
         if not np.isfinite(t):
@@ -476,17 +485,18 @@ def _resolve_steps(times, tau: float, n_steps: int, what: str) -> dict:
         k = int(round(t / tau))
         if not (0 <= k <= n_steps) or abs(k * tau - t) > 1e-9 * max(tau, abs(t), 1.0):
             raise ValueError(f"{what} time {t} is not a multiple of tau={tau} within [0, T]")
-        out[k] = float(t)
+        out.setdefault(k, []).append(float(t))
     return out
 
 
-def initial_data(ops: SchemeOperators, spec: ModelSpec) -> np.ndarray:
-    """The projected initial data, shape (3, n1d_x, n1d_y)."""
+def initial_data(ops: SchemeOperators) -> np.ndarray:
+    """The projected initial data of ops.spec, shape (3, n1d_x, n1d_y)."""
     mx, my = ops.mass
-    return np.stack([ops.projector.project(f) for f in spec.init]).reshape(3, len(mx), len(my))
+    init = [ops.projector.project(f) for f in ops.spec.init]
+    return np.stack(init).reshape(3, len(mx), len(my))
 
 
-def advance(ops: SchemeOperators, spec: ModelSpec, init: np.ndarray, T: float,
+def advance(ops: SchemeOperators, init: np.ndarray, T: float,
             sample_ids, sampler: QWienerSampler | None = None,
             noise_workspace: NoiseWorkspace | None = None, snapshot_times=(),
             record_reports: bool = False):
@@ -507,7 +517,7 @@ def advance(ops: SchemeOperators, spec: ModelSpec, init: np.ndarray, T: float,
     snap_at = _resolve_steps(snapshot_times or (), tau, n_steps, "snapshot")
     ids = tuple(sample_ids)
     state = StateBatch(np.repeat(init[None], len(ids), axis=0), 0.0, ids)
-    snapshots = {snap_at[0]: state} if 0 in snap_at else {}
+    snapshots = dict.fromkeys(snap_at.get(0, ()), state)
 
     noisy = sampler is not None and sampler.amplitude > 0.0
     if noisy:
@@ -520,15 +530,30 @@ def advance(ops: SchemeOperators, spec: ModelSpec, init: np.ndarray, T: float,
     for k in range(1, n_steps + 1):
         if noisy:
             noise = sample_increments(sampler, ids, k, tau, noise_workspace, components)
-        new_state, residuals = step(ops, spec, state, noise, prev_state=prev, step_index=k)
+        new_state, residuals = step(ops, state, noise, prev_state=prev, step_index=k)
         if record_reports:
             for b, res in enumerate(residuals):
-                energy = energy_norm(ops, spec, new_state.state(b))
+                energy = energy_norm(ops, new_state.state(b))
                 reports[b].append(StepReport(k, tuple(map(float, res)), energy))
         prev, state = state, new_state
-        if k in snap_at:
-            snapshots[snap_at[k]] = state
+        for t in snap_at.get(k, ()):
+            snapshots[t] = state
     return state, snapshots, reports
+
+
+def scheme_for(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
+               ops: SchemeOperators | None, nonlinearity_time: str, noise_convention: str):
+    """ops, checked to be the scheme of these very spec, mesh and basis and
+    this tau (ValueError naming what differs), or if None a new scheme."""
+    if ops is None:
+        return build_scheme(mesh, basis, spec, tau, nonlinearity_time=nonlinearity_time,
+                            noise_convention=noise_convention)
+    for name, given in (("spec", spec), ("mesh", mesh), ("basis", basis)):
+        if getattr(ops, name) is not given:
+            raise ValueError(f"ops was built for another {name}")
+    if ops.tau != tau:
+        raise ValueError(f"ops was built for tau={ops.tau}, not tau={tau}")
+    return ops
 
 
 def run(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float, T: float,
@@ -541,16 +566,13 @@ def run(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float, T: float,
     """Integrate one trajectory from t=0 to t=T with steps of size tau: the
     one-sample batch of `advance`.
 
-    T/tau must be integral within rounding.  Passing prebuilt ops (and a
-    noise workspace) amortizes assembly and factorization across samples;
-    identical inputs produce bit-identical trajectories.
+    T/tau must be integral within rounding.  Passing prebuilt ops (checked
+    by scheme_for) and a noise workspace amortizes assembly and factorization
+    across samples; identical inputs produce bit-identical trajectories.
     """
-    if ops is None:
-        ops = build_scheme(mesh, basis, spec, tau,
-                           nonlinearity_time=nonlinearity_time,
-                           noise_convention=noise_convention)
+    ops = scheme_for(spec, mesh, basis, tau, ops, nonlinearity_time, noise_convention)
     final, snapshots, reports = advance(
-        ops, spec, initial_data(ops, spec), T, (sample_id,), sampler=sampler,
+        ops, initial_data(ops), T, (sample_id,), sampler=sampler,
         noise_workspace=noise_workspace, snapshot_times=snapshot_times,
         record_reports=record_reports)
     return Trajectory(final=final.state(0), reports=reports[0],

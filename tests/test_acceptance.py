@@ -153,7 +153,7 @@ class TestAcceptance:
         init = StateVector(ops.projector.project(spec.init[0]),
                            ops.projector.project(spec.init[1]),
                            ops.projector.project(spec.init[2]))
-        series = np.array([energy_norm(ops, spec, init)]
+        series = np.array([energy_norm(ops, init)]
                           + [r.energy for r in traj.reports])
         increases = np.diff(series)
         wall = time.perf_counter() - t0

@@ -72,16 +72,19 @@ def float_texts(positive=False):
                   st.integers(1, 10**6)))
 
 
-def value_texts(kind, allowed):
+def value_texts(kind, allowed, positive_list=False):
     """Valid text for a key: an allowed value, or one above every range
-    check (floats > 0, ints >= 2); list entries are unchecked."""
+    check (floats > 0, ints >= 2); int lists and the float lists asked to
+    be positive are non-empty, other float lists unchecked."""
     if allowed is not None:
         return st.sampled_from([repr(a) if kind == "float" else a for a in allowed])
     return {"float": float_texts(positive=True),
             "int": st.integers(2, 10**9).map(str),
             "bool": st.sampled_from(["true", "false", "yes", "no", "on", "off", "1", "0"]),
-            "float_list": st.lists(float_texts(), max_size=4).map(", ".join),
-            "int_list": st.lists(st.integers(-1000, 1000).map(str), max_size=4).map(", ".join),
+            "float_list": st.lists(float_texts(positive=positive_list),
+                                   min_size=int(positive_list), max_size=4).map(", ".join),
+            "int_list": st.lists(st.integers(2, 1000).map(str),
+                                 min_size=1, max_size=4).map(", ".join),
             "str": st.text("abcXYZ019_-./", min_size=1, max_size=12)}[kind]
 
 
@@ -93,7 +96,8 @@ def config_texts(draw):
     sections = {}
     for section, key in [("problem", "kind")] + keys:
         kind, _default, allowed = SCHEMA[(section, key)]
-        sections.setdefault(section, {})[key] = draw(value_texts(kind, allowed))
+        positive = (section, key) == ("table1", "tau_list")
+        sections.setdefault(section, {})[key] = draw(value_texts(kind, allowed, positive))
     return ini(sections)
 
 
@@ -139,6 +143,32 @@ class TestConfig:
                     parse_config(f"[problem]\nkind = test1\n[time]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match="order"):
             parse_config("[problem]\nkind = test1\n[mesh]\norder = 1\n")
+
+    @pytest.mark.parametrize("section,key,value,what", [
+        ("noise", "seed", str(2**64), ">= 0 and < 2**64"),
+        ("noise", "seed", "-1", ">= 0 and < 2**64"),
+        ("table1", "tau_list", "1/8, 0", "non-empty with every entry finite and > 0"),
+        ("table1", "tau_list", "1/8, inf", "non-empty with every entry finite and > 0"),
+        ("table1", "tau_list", "", "non-empty with every entry finite and > 0"),
+        ("table1", "n_list", "", "non-empty with every entry >= 2"),
+        ("spatial", "n_list", "", "non-empty with every entry >= 2"),
+        ("spatial", "n_list", "4, 1", "non-empty with every entry >= 2"),
+    ])
+    def test_range_checks_name_the_key(self, section, key, value, what):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"[problem]\nkind = test1\n[{section}]\n{key} = {value}\n")
+        assert str(exc.value).startswith(f"[{section}] {key} = ")
+        assert str(exc.value).endswith(f" must be {what}")
+
+    def test_set_checks_the_key(self):
+        cfg = parse_config(BASE_T1)
+        for section, key, value in (("montecarlo", "workers", 0), ("noise", "seed", 2**64),
+                                    ("noise", "sign_convention", "both")):
+            with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = "):
+                cfg.set(section, key, value)
+        assert cfg == parse_config(BASE_T1)
+        cfg.set("noise", "seed", 2**64 - 1)
+        assert cfg.get("noise", "seed") == 2**64 - 1
 
     def test_bad_value_diagnostics(self):
         with pytest.raises(ConfigError, match=r"\[mesh\] nex"):
@@ -265,7 +295,8 @@ class TestRunCommand:
         cfg = write(tmp_path, ini(self.POLE_SECTIONS, problem=problem))
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        assert f"config error: [problem] {key} must be finite" in capsys.readouterr().err
+        assert (f"config error: [problem] {key} = {value} must be finite"
+                in capsys.readouterr().err)
         assert not (out / "final_state.csv").exists()
 
     @pytest.mark.parametrize("key", ["t_final", "tau"])
@@ -296,6 +327,25 @@ class TestRunCommand:
         assert (f"config error: [{section}] {key} = [0.05, {value}] must be all finite"
                 in capsys.readouterr().err)
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command,section,key", [("run", "time", "snapshot_times"),
+                                                     ("evolve", "evolve", "times")])
+    @pytest.mark.parametrize("sigma", ["0", "0.1"], ids=["noise_free", "noisy"])
+    def test_snapshot_times_on_one_step(self, tmp_path, command, section, key, sigma):
+        # two times that round to the same step (tau = 1/16) each get their
+        # snapshot, and the two are equal
+        sections = {"time": {"tau": "1/16", "t_final": "0.25"}, "noise": {"sigma": sigma},
+                    "montecarlo": {"samples": "3"}, "output": {"grid_n": "5"},
+                    "evolve": {"grid_n": "5"}}
+        sections[section][key] = "0.125, 0.12500000001"
+        cfg = write(tmp_path, ini(T2_SECTIONS, **sections))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        prefix = "snapshot" if command == "run" else "evolve"
+        _, first = read_csv(out / f"{prefix}_000.csv")
+        _, second = read_csv(out / f"{prefix}_001.csv")
+        assert {r[0] for r in first} == {"0.125"} and {r[0] for r in second} == {"0.12500000001"}
+        assert [r[1:] for r in first] == [r[1:] for r in second]
 
     @pytest.mark.parametrize("key,value", [("sigma", "inf"), ("decay_exponent", "inf"),
                                            ("decay_exponent", "nan")])
@@ -378,6 +428,18 @@ class TestFlagsAndEnv:
         main(["run", "--config", str(cfg), "--out", str(out), "--workers", "2"])
         assert manifest(out)["config"]["montecarlo"]["workers"] == 2
 
+    @pytest.mark.parametrize("flag,value,key", [("--workers", "0", "[montecarlo] workers = 0"),
+                                                ("--seed", "-1", "[noise] seed = -1"),
+                                                ("--seed", str(2**64), f"[noise] seed = {2**64}")])
+    def test_flag_out_of_range_exit_2(self, tmp_path, capsys, flag, value, key):
+        # a flag goes through the same range check as its config key
+        cfg = write(tmp_path, ini(T2_SECTIONS, noise={"sigma": "0.1"},
+                                  montecarlo={"samples": "2"}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), flag, value]) == 2
+        assert f"config error: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = write(tmp_path, BASE_T1)
         env_out = tmp_path / "env_out"
@@ -437,6 +499,15 @@ class TestTable1Command:
         m = manifest(out)
         assert m["outputs"]["table1_N4_wallclock.csv"]["volatile"] is True
         assert m["outputs"]["table1_N4.csv"]["volatile"] is False
+
+    @pytest.mark.parametrize("key,value", [("tau_list", "1/8, 0"), ("tau_list", ""),
+                                           ("n_list", "")])
+    def test_bad_list_exit_2(self, tmp_path, capsys, key, value):
+        cfg = write(tmp_path, ini(T1_SECTIONS, table1={key: value}))
+        out = tmp_path / "out"
+        assert main(["table1", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: [table1] {key} = " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_requires_test1(self, tmp_path):
         cfg = write(tmp_path, BASE_T2)

@@ -100,6 +100,24 @@ class TestRunEnsemble:
             run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=2, chunk_size=0)
 
 
+    def test_prebuilt_ops_must_match(self):
+        # as in run: a prebuilt scheme built for another spec, mesh, basis or
+        # tau is rejected, and the matching one gives bitwise the same moments
+        spec, mesh, basis, sampler = noisy_setup()
+        ops = build_scheme(mesh, basis, spec, 0.05)
+        other_mesh, other_basis = disc()
+        for what, args in (("tau=0.05, not tau=0.1", (spec, mesh, basis, 0.1)),
+                           ("another spec", (make_test2("smooth"), mesh, basis, 0.05)),
+                           ("another mesh", (spec, other_mesh, basis, 0.05)),
+                           ("another basis", (spec, mesh, other_basis, 0.05))):
+            with pytest.raises(ValueError, match=f"ops was built for {what}"):
+                run_ensemble(*args, 0.2, sampler, M=3, ops=ops)
+        with_ops = run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=3, ops=ops)
+        without = run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=3)
+        assert np.array_equal(with_ops.mean.stacked(), without.mean.stacked())
+        assert np.array_equal(with_ops.m2, without.m2)
+
+
 class TestBatchedChunks:
     """A chunk advances as one batch; each of its samples must be bitwise the
     one-sample run of the same id."""
@@ -109,7 +127,7 @@ class TestBatchedChunks:
     def assert_chunk_equals_runs(self, spec, mesh, basis, sampler, tau=0.05, T=0.2,
                                  snapshot_times=()):
         ops = build_scheme(mesh, basis, spec, tau)
-        final, snaps, _ = advance(ops, spec, initial_data(ops, spec), T, self.IDS,
+        final, snaps, _ = advance(ops, initial_data(ops), T, self.IDS,
                                   sampler=sampler, snapshot_times=snapshot_times)
         for b, sid in enumerate(self.IDS):
             traj = run(spec, mesh, basis, tau, T, sampler=sampler, sample_id=sid, ops=ops,
@@ -279,7 +297,7 @@ class TestFailureAttribution:
         ops = build_scheme(mesh, basis, spec, 0.05, nonlinearity_time="lagged")
         # after one step u differs by sample: put a pole between the two
         # largest peaks of u, so that one sample reaches it at step 2
-        one, _, _ = advance(ops, spec, initial_data(ops, spec), 0.05, range(4), sampler)
+        one, _, _ = advance(ops, initial_data(ops), 0.05, range(4), sampler)
         peaks = ops.quad.values(one.coeffs[:, 0]).max(axis=(1, 2))
         top, second = np.sort(peaks)[::-1][:2]
         real = timestepper.nonlinear_f

@@ -76,6 +76,13 @@ class TestSpectrum:
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             sampler(**{key: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 1.5])
+    def test_seed_out_of_64_bits_rejected(self, seed):
+        # a masked or truncated seed would silently draw another seed's noise
+        with pytest.raises(ValueError, match=rf"seed must be an integer >= 0 and < 2\*\*64, "
+                                             rf"got {seed}"):
+            sampler(seed=seed)
+
 
 def disc(order=10):
     return build_mesh((0, 1, 0, 1), 1, 1, order), make_basis(order)

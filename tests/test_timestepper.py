@@ -96,17 +96,17 @@ class TestStep:
         spec = plain_spec(xi=1.0, zeta=0.01, r=2.0)
         ops = build_scheme(mesh, basis, spec, tau=0.05)
         state = StateBatch(np.zeros(batch_shape(mesh)))
-        new, residuals = step(ops, spec, state)
+        new, residuals = step(ops, state)
         assert np.all(new.coeffs == 0)
         assert residuals.max() <= 1e-10
-        assert energy_norm(ops, spec, new.state(0)) == 0.0
+        assert energy_norm(ops, new.state(0)) == 0.0
 
     def test_pure_mass_scheme_identity(self, rng):
         mesh, basis = disc(2, 1, 5)
         spec = plain_spec()
         ops = build_scheme(mesh, basis, spec, tau=0.3)
         state = StateBatch(rng.standard_normal(batch_shape(mesh)))
-        new, _ = step(ops, spec, state)
+        new, _ = step(ops, state)
         for old_f, new_f in zip(state.coeffs[0], new.coeffs[0]):
             assert np.max(np.abs(new_f - old_f)) <= 1e-10
 
@@ -176,12 +176,35 @@ class TestRun:
         assert np.array_equal(first.final.u, again.final.u)
         assert not np.array_equal(first.final.u, other.final.u)
 
+    def test_prebuilt_ops_must_match(self):
+        # a scheme is bound to its spec, mesh, basis and tau: run rejects a
+        # prebuilt one that was built for others, and the matching one gives
+        # bitwise the run that builds its own
+        mesh, basis = disc(2, 1, 5)
+        spec = make_test1()
+        ops = build_scheme(mesh, basis, spec, 0.05)
+        other_mesh, other_basis = disc(2, 1, 5)
+        for what, args in (("tau=0.05, not tau=0.1", (spec, mesh, basis, 0.1)),
+                           ("another spec", (make_test1(), mesh, basis, 0.05)),
+                           ("another mesh", (spec, other_mesh, basis, 0.05)),
+                           ("another basis", (spec, mesh, other_basis, 0.05))):
+            with pytest.raises(ValueError, match=f"ops was built for {what}"):
+                run(*args, 0.2, ops=ops)
+        sampler = QWienerSampler(truncation=4, amplitude=0.2, seed=3)
+        with_ops = run(spec, mesh, basis, 0.05, 0.2, sampler=sampler, sample_id=2, ops=ops)
+        without = run(spec, mesh, basis, 0.05, 0.2, sampler=sampler, sample_id=2)
+        assert np.array_equal(with_ops.final.stacked(), without.final.stacked())
+
     def test_snapshots(self):
         mesh, basis = disc(1, 1, 4)
         spec = make_test2("smooth").with_wp(0.0)
         traj = run(spec, mesh, basis, 0.05, 0.2, snapshot_times=[0.0, 0.1, 0.2])
         assert set(traj.snapshots) == {0.0, 0.1, 0.2}
         assert np.array_equal(traj.snapshots[0.2].u, traj.final.u)
+        # every requested time keeps its snapshot, also two on one step
+        near = run(spec, mesh, basis, 0.05, 0.2, snapshot_times=[0.1, 0.1 + 1e-12])
+        assert set(near.snapshots) == {0.1, 0.1 + 1e-12}
+        assert np.array_equal(near.snapshots[0.1 + 1e-12].u, traj.snapshots[0.1].u)
         with pytest.raises(ValueError, match="snapshot"):
             run(spec, mesh, basis, 0.05, 0.2, snapshot_times=[0.07])
         for t in (float("inf"), float("nan")):
@@ -295,7 +318,7 @@ class TestPerAxisPath:
                             lambda a, b, c, **kw: (0.5 * c, 0.5, 0))
         state = StateBatch(np.ones(batch_shape(mesh)))
         with pytest.raises(SolverFailure, match="field u at step 3: dtrsyl info 0, scale 0.5"):
-            step(ops, spec, state, step_index=3)
+            step(ops, state, step_index=3)
 
     def test_corrupted_sweep_solve_fails_the_gate(self, monkeypatch):
         mesh, basis = disc(1, 1, 4)
@@ -313,7 +336,7 @@ class TestPerAxisPath:
         state = StateBatch(np.ones(batch_shape(mesh)))
         with pytest.raises(SolverFailure, match=r"field v at step 3: relative residual \S+ "
                                                 r"exceeds 1.0e-10"):
-            step(ops, spec, state, step_index=3)
+            step(ops, state, step_index=3)
 
     def test_advection_only_sweep_meets_the_gate(self, rng):
         # zeta = 0: the y axis is pure advection, whose eigenvalues are
@@ -374,7 +397,7 @@ class TestFieldStackedScheme:
             prev = StateBatch(0.1 * rng.standard_normal(shape), 0.45)
             noise = 0.01 * rng.standard_normal(shape)
             calls.update(solve=0, apply=0)
-            new, residuals = step(ops, spec, state, noise, prev_state=prev, step_index=4)
+            new, residuals = step(ops, state, noise, prev_state=prev, step_index=4)
             assert (calls["solve"], calls["apply"]) == (1, 2)
             assert new.coeffs.shape == shape and residuals.shape == (B, 3)
 
@@ -447,7 +470,7 @@ class TestEnergyNorm:
         spec = make_test1()
         ops = build_scheme(mesh, basis, spec, 0.1)
         state = StateVector(*(np.zeros(mesh.n_global) for _ in range(3)))
-        assert energy_norm(ops, spec, state) == 0.0
+        assert energy_norm(ops, state) == 0.0
 
     def test_quadratic_scaling(self, rng):
         mesh, basis = disc(2, 1, 5)
@@ -455,8 +478,8 @@ class TestEnergyNorm:
         ops = build_scheme(mesh, basis, spec, 0.1)
         state = StateVector(*(rng.standard_normal(mesh.n_global) for _ in range(3)))
         doubled = StateVector(2 * state.u, 2 * state.v, 2 * state.w)
-        e1 = energy_norm(ops, spec, state)
-        e2 = energy_norm(ops, spec, doubled)
+        e1 = energy_norm(ops, state)
+        e2 = energy_norm(ops, doubled)
         assert e2**2 == pytest.approx(4 * e1**2, rel=1e-12)
 
     @pytest.mark.parametrize("tau", [0.1, 0.01])
@@ -468,7 +491,7 @@ class TestEnergyNorm:
         traj = run(spec, mesh, basis, tau, 50 * tau)
         energies = [r.energy for r in traj.reports]
         ops = build_scheme(mesh, basis, spec, tau)
-        start = energy_norm(ops, spec,
+        start = energy_norm(ops,
                             StateVector(ops.projector.project(spec.init[0]),
                                         ops.projector.project(spec.init[1]),
                                         ops.projector.project(spec.init[2])))
