@@ -37,8 +37,8 @@ from . import __version__
 from .basis import make_basis
 from .config import ConfigError, RunConfig, load_config
 from .mesh import build_mesh
-from .model import (ModelSpec, NumericalError, const_field, test1_spec,
-                    test2_spec)
+from .model import (ModelSpec, NumericalError, const_field, smooth_init,
+                    test1_spec, test2_spec)
 from .montecarlo import (convergence_order, error_hw, error_report,
                          run_ensemble)
 from .stochastic import QWienerSampler, spectrum_to_csv
@@ -69,11 +69,7 @@ def make_problem(cfg: RunConfig) -> ModelSpec:
                           delta_width=cfg.get("problem", "delta_width"),
                           prefactor=pref)
     else:   # custom: constant coefficients on the unit square
-        if cfg.get("problem", "init") == "zero":
-            init = const_field(0.0)
-        else:
-            def init(x, y):
-                return np.asarray(x) * (1 - np.asarray(x)) * np.asarray(y) * (1 - np.asarray(y))
+        init = const_field(0.0) if cfg.get("problem", "init") == "zero" else smooth_init
         spec = ModelSpec(
             xi=cfg.get("problem", "xi"),
             zeta=cfg.get("problem", "zeta"),
@@ -285,8 +281,6 @@ def cmd_spatial(cfg: RunConfig, out: OutputWriter) -> None:
     spec = make_problem(cfg)
     tau = cfg.get("spatial", "tau")
     n_list = cfg.get("spatial", "n_list")
-    if sorted(n_list) != list(n_list):
-        raise ConfigError("[spatial] n_list must be ascending")
     sigma = cfg.get("noise", "sigma")
 
     use_exact = spec.exact is not None and sigma == 0

@@ -168,9 +168,12 @@ _RANGES = {
                              "non-empty with every entry finite and > 0"),
     ("table1", "n_list"): (lambda v: v and min(v) >= 2, "non-empty with every entry >= 2"),
     ("spatial", "n_list"): (lambda v: v and min(v) >= 2, "non-empty with every entry >= 2"),
-    ("evolve", "times"): (lambda v: all(map(math.isfinite, v)), "all finite"),
+    ("evolve", "times"): (lambda v: v and all(map(math.isfinite, v)), "all finite and non-empty"),
     ("evolve", "grid_n"): (lambda v: v >= 2, ">= 2"),
 }
+# keys whose list must also be strictly ascending (checked after _RANGES):
+# a repeated order would run a study twice
+_ASCENDING = {("spatial", "n_list")}
 
 
 def _validate(section: str, key: str, value):
@@ -182,6 +185,8 @@ def _validate(section: str, key: str, value):
     ok, what = _RANGES.get((section, key), (None, None))
     if ok is not None and not ok(value):
         raise ConfigError(f"[{section}] {key} = {value!r} must be {what}")
+    if (section, key) in _ASCENDING and any(a >= b for a, b in zip(value, value[1:])):
+        raise ConfigError(f"[{section}] {key} = {value!r} must be strictly ascending")
     return value
 
 

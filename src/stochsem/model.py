@@ -9,7 +9,10 @@ reaction term:
 
 with homogeneous Dirichlet boundary conditions.  The coefficients xi, zeta
 and r are numbers; initial data are callables (x, y) -> array and forcings
-callables (x, y, t) -> array, all vectorized over numpy inputs.
+callables (x, y, t) -> array, all vectorized over numpy inputs.  The
+problem data defined here are module-level functions or functools.partials
+of them, never lambdas or closures, so a spec and the scheme built from it
+pickle: a process pool needs that (montecarlo.run_ensemble, workers > 1).
 
 Two nonlinearities are supported:
 
@@ -52,12 +55,16 @@ TimeField = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
 
 def const_field(c: float) -> Field:
-    c = float(c)
+    return partial(_const, float(c))
 
-    def f(x, y):
-        return np.full(np.broadcast(x, y).shape, c)
 
-    return f
+def _const(c, x, y):
+    return np.full(np.broadcast(x, y).shape, c)
+
+
+def smooth_init(x, y):
+    """The smooth initial datum x(1-x)y(1-y)."""
+    return np.asarray(x) * (1.0 - np.asarray(x)) * np.asarray(y) * (1.0 - np.asarray(y))
 
 
 class StagedForcing(tuple):
@@ -86,9 +93,12 @@ def stage_forcing(forcing, x, y):
     stacked (3, *broadcast shape of x, y); see the module docstring."""
     if isinstance(forcing, StagedForcing):
         return forcing.stage(x, y)
-    shape = np.broadcast(x, y).shape
-    return lambda t: np.stack([np.broadcast_to(np.asarray(f(x, y, t), dtype=float), shape)
-                               for f in forcing])
+    return partial(_sampled_forcing, forcing, x, y, np.broadcast(x, y).shape)
+
+
+def _sampled_forcing(forcing, x, y, shape, t):
+    return np.stack([np.broadcast_to(np.asarray(f(x, y, t), dtype=float), shape)
+                     for f in forcing])
 
 
 class NumericalError(Exception):
@@ -173,6 +183,36 @@ def test1_exact(x, y, t):
     return (np.exp(-5.0 * t) * r, np.exp(-2.0 * t) * r, np.exp(-3.0 * t) * r)
 
 
+def _test1_exact_field(i, x, y, t):
+    return test1_exact(x, y, t)[i]
+
+
+def _test1_grad(decay, dx, x, y, t):
+    fx, fy = (np.cos, np.sin) if dx else (np.sin, np.cos)
+    return np.exp(-decay * t) * _PI * fx(_PI * x) * fy(_PI * y)
+
+
+_TEST1_RATES = ((5.0, 0.0), (2.0, 0.0), (3.0, 2.0))   # (decay, reaction) of u, v, w
+
+
+def _test1_stage(wp, x, y):
+    # phi_t + phi_x + phi_y - D lap(phi) + reaction phi + nonlinearity
+    # for phi = e^{-decay t} rho: rho, phi_x + phi_y and each field's
+    # spatial factor are computed once, the nonlinear term once per t
+    sx, sy = np.sin(_PI * x), np.sin(_PI * y)
+    rho = sx * sy
+    cxy = _PI * (np.cos(_PI * x) * sy + sx * np.cos(_PI * y))
+    space = [(2.0 * TEST1_DIFFUSIVITY * _PI**2 - decay + reaction) * rho + cxy
+             for decay, reaction in _TEST1_RATES]
+    return partial(_test1_forcing_at, wp, rho, space)
+
+
+def _test1_forcing_at(wp, rho, space, t):
+    u, v = np.exp(-5.0 * t) * rho, np.exp(-2.0 * t) * rho
+    nl = wp * u * v / ((1.0 + u) * (v + 2.0))
+    return np.stack([np.exp(-decay * t) * g + nl for (decay, _), g in zip(_TEST1_RATES, space)])
+
+
 def test1_spec(prefactor: float = 1.0) -> ModelSpec:
     """Test problem 1: advection speed 1, diffusivity 1e-3, reaction 2 on w,
     product nonlinearity with strength 0.6 * prefactor, manufactured forcing.
@@ -182,47 +222,20 @@ def test1_spec(prefactor: float = 1.0) -> ModelSpec:
     contribution 0.6 * prefactor * uv/((1+u)(v+2)) is identical in all three.
     They form one StagedForcing.
     """
-    D = TEST1_DIFFUSIVITY
     wp = 0.6 * prefactor
-    rates = ((5.0, 0.0), (2.0, 0.0), (3.0, 2.0))   # (decay, reaction) of u, v, w
-
-    def stage(x, y):
-        # phi_t + phi_x + phi_y - D lap(phi) + reaction phi + nonlinearity
-        # for phi = e^{-decay t} rho: rho, phi_x + phi_y and each field's
-        # spatial factor are computed once, the nonlinear term once per t
-        sx, sy = np.sin(_PI * x), np.sin(_PI * y)
-        rho = sx * sy
-        cxy = _PI * (np.cos(_PI * x) * sy + sx * np.cos(_PI * y))
-        space = [(2.0 * D * _PI**2 - decay + reaction) * rho + cxy for decay, reaction in rates]
-
-        def at(t):
-            u, v = np.exp(-5.0 * t) * rho, np.exp(-2.0 * t) * rho
-            nl = wp * u * v / ((1.0 + u) * (v + 2.0))
-            return np.stack([np.exp(-decay * t) * g + nl for (decay, _), g in zip(rates, space)])
-
-        return at
-
-    init = lambda x, y: _rho(x, y)
-
-    def make_grad(decay):
-        gx = lambda x, y, t: np.exp(-decay * t) * _PI * np.cos(_PI * x) * np.sin(_PI * y)
-        gy = lambda x, y, t: np.exp(-decay * t) * _PI * np.sin(_PI * x) * np.cos(_PI * y)
-        return (gx, gy)
-
     return ModelSpec(
         xi=1.0,
-        zeta=D,
+        zeta=TEST1_DIFFUSIVITY,
         r=2.0,
         wp=wp,
         e=(1.0, 1.0, 1.0),
         kappa=(1.0, 1.0),
         nonlinearity="test1_product",
-        init=(init, init, init),
-        forcing=StagedForcing(stage),
-        exact=(lambda x, y, t: test1_exact(x, y, t)[0],
-               lambda x, y, t: test1_exact(x, y, t)[1],
-               lambda x, y, t: test1_exact(x, y, t)[2]),
-        exact_grad=(make_grad(5.0), make_grad(2.0), make_grad(3.0)),
+        init=(_rho, _rho, _rho),
+        forcing=StagedForcing(partial(_test1_stage, wp)),
+        exact=tuple(partial(_test1_exact_field, i) for i in range(3)),
+        exact_grad=tuple((partial(_test1_grad, decay, True), partial(_test1_grad, decay, False))
+                         for decay, _ in _TEST1_RATES),
         name="test1",
     )
 
@@ -232,6 +245,11 @@ def test1_spec(prefactor: float = 1.0) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 TEST2_DIFFUSIVITY = 1e-4
+
+
+def _gaussian_bump(amp, cx, cy, width, x, y):
+    return amp * np.exp(-((np.asarray(x) - cx) ** 2 + (np.asarray(y) - cy) ** 2)
+                        / (2.0 * width**2))
 
 
 def test2_spec(init_kind: str = "smooth",
@@ -257,14 +275,9 @@ def test2_spec(init_kind: str = "smooth",
         log.info("point-source initial data realized as Gaussian bump at %s, width %g",
                  delta_center, delta_width)
 
-        amp = 1.0 / (2.0 * _PI * delta_width**2)
-
-        def init(x, y):
-            return amp * np.exp(-((np.asarray(x) - cx) ** 2 + (np.asarray(y) - cy) ** 2)
-                                / (2.0 * delta_width**2))
+        init = partial(_gaussian_bump, 1.0 / (2.0 * _PI * delta_width**2), cx, cy, delta_width)
     else:
-        def init(x, y):
-            return np.asarray(x) * (1.0 - np.asarray(x)) * np.asarray(y) * (1.0 - np.asarray(y))
+        init = smooth_init
 
     return ModelSpec(
         xi=1.0,

@@ -6,17 +6,17 @@ batch through the time loop (`timestepper.advance`): its states are one
 and noise load for the whole chunk.  The initial data are projected
 once per ensemble.  Per-chunk moments merge in chunk order, so the ensemble
 mean is identical no matter how many workers execute the chunks (noise
-realizations are already keyed by sample id).  With workers > 1, chunks go
-to forked worker processes, which inherit the scheme; only chunk ranges go
-out and moments come back.  Where fork is unavailable, or other threads of
-the caller are running, chunks run serially.
+realizations are already keyed by sample id).  With workers > 1, chunks
+run on a forkserver process pool, where one exists, else serially; each
+chunk's job goes out pickled, so the spec must pickle, and a script must
+guard its entry point (`if __name__ == "__main__":`).
 """
 from __future__ import annotations
 
 import multiprocessing
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -69,16 +69,25 @@ def _merge_moments(a, b):
     return (n, mean, m2)
 
 
-_worker_job = None     # a pool worker's chunk runner, set by _set_chunk_job
-
-
-def _set_chunk_job(job) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _chunk_job(ids):
-    return _worker_job(ids)
+def _run_chunk(ops, init, T, sampler, workspace, snapshot_times, ids):
+    """Moments (count, mean, m2) and snapshot sums {t: (3, n)} of one chunk."""
+    try:
+        final, snapshots, _ = advance(ops, init, T, ids, sampler=sampler,
+                                      noise_workspace=workspace,
+                                      snapshot_times=snapshot_times)
+    except Exception as exc:
+        # keep the type: the CLI maps it to an exit code; a failure of
+        # the whole batch is the first sample's
+        sid = getattr(exc, "sample_id", None)
+        raise type(exc)(f"sample {ids[0] if sid is None else sid} failed: {exc}") from exc
+    X = final.coeffs.reshape(len(ids), 3, -1)
+    # deviations from the first sample, so that equal samples give
+    # exactly their value as mean and m2 = 0
+    d = X - X[0]
+    d_mean = d.mean(axis=0)
+    moments = (len(ids), X[0] + d_mean, np.sum((d - d_mean)**2, axis=0))
+    return moments, {t: s.coeffs.reshape(len(ids), 3, -1).sum(axis=0)
+                     for t, s in snapshots.items()}
 
 
 def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
@@ -96,15 +105,13 @@ def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
     offending sample id in the message.  A prebuilt ops must be the scheme
     of (spec, mesh, basis, tau), as in timestepper.run (scheme_for).
 
-    With workers > 1 and more than one chunk, the calling process forks
-    worker processes.  That needs the "fork" start method and no other
-    Python thread running; otherwise the chunks run serially.  Native BLAS
-    threads are not checked: OpenBLAS shuts its thread pool down around a
-    fork, but an OpenMP BLAS may hang in the child, and Python >= 3.12 warns
-    (DeprecationWarning) about any fork of a multi-threaded process.  Set the
-    BLAS to one thread (OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1 before
-    numpy is imported) to fork a single-threaded process; one BLAS thread
-    per worker is also what a process pool wants.
+    With workers > 1 and more than one chunk, the chunks run on a
+    forkserver process pool (serially only where the platform has none),
+    also while other threads run.  Each chunk goes out pickled with the
+    scheme, so spec must pickle (module-level functions or their
+    functools.partials, as in model), and a script must guard its entry
+    point (`if __name__ == "__main__":`): a worker imports the main module,
+    as with any start method but fork.
     """
     if M < 1:
         raise ValueError(f"sample count must be >= 1, got {M}")
@@ -117,36 +124,17 @@ def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
     init = initial_data(ops)
     snapshot_times = tuple(snapshot_times or ())
 
-    def run_chunk(ids):
-        try:
-            final, snapshots, _ = advance(ops, init, T, ids, sampler=sampler,
-                                          noise_workspace=workspace,
-                                          snapshot_times=snapshot_times)
-        except Exception as exc:
-            # keep the type: the CLI maps it to an exit code; a failure of
-            # the whole batch is the first sample's
-            sid = getattr(exc, "sample_id", None)
-            raise type(exc)(f"sample {ids[0] if sid is None else sid} failed: {exc}") from exc
-        X = final.coeffs.reshape(len(ids), 3, -1)
-        # deviations from the first sample, so that equal samples give
-        # exactly their value as mean and m2 = 0
-        d = X - X[0]
-        d_mean = d.mean(axis=0)
-        moments = (len(ids), X[0] + d_mean, np.sum((d - d_mean)**2, axis=0))
-        return moments, {t: s.coeffs.reshape(len(ids), 3, -1).sum(axis=0)
-                         for t, s in snapshots.items()}
-
+    job = partial(_run_chunk, ops, init, T, sampler, workspace, snapshot_times)
     chunks = [range(i, min(i + chunk_size, M)) for i in range(0, M, chunk_size)]
-    if (workers > 1 and len(chunks) > 1 and threading.active_count() == 1
-            and "fork" in multiprocessing.get_all_start_methods()):
-        # forked workers inherit run_chunk (ops, whose spec holds lambdas)
-        # through the initializer, which fork does not pickle
+    if (workers > 1 and len(chunks) > 1
+            and "forkserver" in multiprocessing.get_all_start_methods()):
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload(["stochsem"])
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
-                                 mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_set_chunk_job, initargs=(run_chunk,)) as pool:
-            results = list(pool.map(_chunk_job, chunks))
+                                 mp_context=context) as pool:
+            results = list(pool.map(job, chunks))
     else:
-        results = [run_chunk(c) for c in chunks]
+        results = list(map(job, chunks))
 
     total = (0, np.zeros((3, mesh.n_global)), np.zeros((3, mesh.n_global)))
     snap_sums = {t: np.zeros((3, mesh.n_global)) for t in snapshot_times}

@@ -72,19 +72,27 @@ def float_texts(positive=False):
                   st.integers(1, 10**6)))
 
 
-def value_texts(kind, allowed, positive_list=False):
+# list keys with a rule beyond their entries' type: "positive" and
+# "non-empty" float lists are non-empty (positive entries for the first), an
+# "ascending" int list strictly ascends
+LIST_RULES = {("table1", "tau_list"): "positive", ("evolve", "times"): "non-empty",
+              ("spatial", "n_list"): "ascending"}
+
+
+def value_texts(kind, allowed, list_rule=None):
     """Valid text for a key: an allowed value, or one above every range
-    check (floats > 0, ints >= 2); int lists and the float lists asked to
-    be positive are non-empty, other float lists unchecked."""
+    check (floats > 0, ints >= 2); int lists are non-empty, float lists are
+    unchecked unless their list_rule says otherwise (LIST_RULES)."""
     if allowed is not None:
         return st.sampled_from([repr(a) if kind == "float" else a for a in allowed])
+    ascending = list_rule == "ascending"
     return {"float": float_texts(positive=True),
             "int": st.integers(2, 10**9).map(str),
             "bool": st.sampled_from(["true", "false", "yes", "no", "on", "off", "1", "0"]),
-            "float_list": st.lists(float_texts(positive=positive_list),
-                                   min_size=int(positive_list), max_size=4).map(", ".join),
-            "int_list": st.lists(st.integers(2, 1000).map(str),
-                                 min_size=1, max_size=4).map(", ".join),
+            "float_list": st.lists(float_texts(positive=list_rule == "positive"),
+                                   min_size=int(list_rule is not None), max_size=4).map(", ".join),
+            "int_list": st.lists(st.integers(2, 1000), min_size=1, max_size=4, unique=ascending)
+                          .map(lambda v: ", ".join(map(str, sorted(v) if ascending else v))),
             "str": st.text("abcXYZ019_-./", min_size=1, max_size=12)}[kind]
 
 
@@ -96,8 +104,8 @@ def config_texts(draw):
     sections = {}
     for section, key in [("problem", "kind")] + keys:
         kind, _default, allowed = SCHEMA[(section, key)]
-        positive = (section, key) == ("table1", "tau_list")
-        sections.setdefault(section, {})[key] = draw(value_texts(kind, allowed, positive))
+        sections.setdefault(section, {})[key] = draw(
+            value_texts(kind, allowed, LIST_RULES.get((section, key))))
     return ini(sections)
 
 
@@ -259,6 +267,16 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "sample 0 failed" in err
         assert "sample 0 failed: singular nonlinearity at step 1: " in err
+
+    def test_nonlinearity_pole_in_pool_exit_3(self, tmp_path, capsys):
+        # three one-sample chunks on two workers: the failure comes back from
+        # a worker process with its type, so the exit code is still 3
+        cfg = write(tmp_path, ini(self.POLE_SECTIONS, noise={"sigma": "0.1"},
+                                  montecarlo={"samples": "3", "chunk_size": "1"}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--workers", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: sample 0 failed: singular nonlinearity at step 1: " in err
 
     def test_singular_scheme_exit_3(self, tmp_path, capsys):
         # 1 + (tau/2) r = 0 with no advection or diffusion: L_w is exactly 0
@@ -545,6 +563,15 @@ class TestSpatialCommand:
         assert main(["spatial", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("n_list", ["4, 4", "6, 4"])
+    def test_n_list_must_strictly_ascend(self, tmp_path, capsys, n_list):
+        cfg = write(tmp_path, ini(T1_SECTIONS, spatial={"n_list": n_list}))
+        out = tmp_path / "o"
+        assert main(["spatial", "--config", str(cfg), "--out", str(out)]) == 2
+        assert (f"config error: [spatial] n_list = [{n_list}] must be strictly ascending"
+                in capsys.readouterr().err)
+        assert not (out / "spatial.csv").exists()
+
     def test_bad_spatial_tau_rejected(self, tmp_path):
         cfg = write(tmp_path, ini(T1_SECTIONS, spatial={"tau": "0.01"}))
         assert main(["spatial", "--config", str(cfg),
@@ -575,6 +602,14 @@ class TestEvolveCommand:
         cfg = write(tmp_path, BASE_T1)
         assert main(["evolve", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_empty_times_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, ini(T2_SECTIONS, evolve={"times": ""}))
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("config error: [evolve] times = [] must be all finite and non-empty"
+                in capsys.readouterr().err)
+        assert not (out / "evolve_times.csv").exists()
 
     def test_times_within_horizon(self, tmp_path):
         cfg = write(tmp_path, ini(T2_SECTIONS, evolve={"times": "0.0, 0.5"}))

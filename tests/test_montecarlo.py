@@ -1,6 +1,7 @@
 import dataclasses
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -13,6 +14,8 @@ from stochsem import montecarlo, stochastic, timestepper
 
 from stochsem.assembly import StateVector, evaluate_grid
 from stochsem.basis import make_basis
+from stochsem.cli import make_problem
+from stochsem.config import parse_config
 from stochsem.mesh import build_mesh
 from stochsem.model import SingularNonlinearity, const_field
 from stochsem.model import test1_spec as make_test1
@@ -176,8 +179,8 @@ class TestBatchedChunks:
 
 
 # workers=2 in a fresh interpreter with one BLAS thread and warnings as
-# errors: the process that forks is single-threaded, so the fork warning
-# of Python >= 3.12 must not appear, and the pool must have been used
+# errors: no warning (such as Python >= 3.12's about forking a threaded
+# process) may appear, and the forkserver pool must have been used
 POOL_SCRIPT = """
 import warnings
 warnings.simplefilter("error")
@@ -197,14 +200,19 @@ sampler = QWienerSampler(truncation=4, amplitude=0.2, seed=13)
 res = [montecarlo.run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=12,
                                workers=w, chunk_size=5) for w in (2, 1)]
 assert len(pools) == 1 and pools[0]["max_workers"] == 2, pools
+assert pools[0]["mp_context"].get_start_method() == "forkserver"
 assert np.array_equal(res[0].mean.stacked(), res[1].mean.stacked())
 assert np.array_equal(res[0].m2, res[1].m2)
 """
 
 
+no_forkserver = pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="no forkserver start method")
+
+
 class TestWorkerPool:
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="no fork start method")
+    @no_forkserver
     def test_pool_forks_cleanly_with_one_blas_thread(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         env.update({v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -213,14 +221,14 @@ class TestWorkerPool:
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
 
-    def test_serial_while_other_threads_run(self, monkeypatch):
+    @no_forkserver
+    def test_pool_while_other_threads_run(self, monkeypatch):
         spec, mesh, basis, sampler = noisy_setup()
         serial = run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=12, chunk_size=5)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("forked while another thread was running")
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        pools = []
+        real_pool = montecarlo.ProcessPoolExecutor
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor",
+                            lambda *a, **k: pools.append(k) or real_pool(*a, **k))
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
         other.start()
@@ -230,8 +238,42 @@ class TestWorkerPool:
         finally:
             stop.set()
             other.join()
+        assert [(k["max_workers"], k["mp_context"].get_start_method()) for k in pools] \
+            == [(2, "forkserver")]
         assert np.array_equal(res.mean.stacked(), serial.mean.stacked())
         assert np.array_equal(res.m2, serial.m2)
+
+
+def custom_spec(init):
+    """The CLI's custom problem with the given [problem] init."""
+    return make_problem(parse_config(f"[problem]\nkind = custom\ninit = {init}\n"))
+
+
+class TestPickling:
+    """A pool sends each chunk's scheme and spec to its worker pickled."""
+
+    @pytest.mark.parametrize("make_spec", [
+        make_test1, lambda: make_test2("smooth"), lambda: make_test2("delta"),
+        lambda: custom_spec("smooth"), lambda: custom_spec("zero")],
+        ids=["test1", "test2_smooth", "test2_delta", "custom_smooth", "custom_zero"])
+    def test_spec_round_trip_gives_the_same_run(self, make_spec):
+        spec = make_spec()
+        copy = pickle.loads(pickle.dumps(spec))
+        mesh, basis = disc()
+        sampler = QWienerSampler(truncation=4, amplitude=0.2, seed=13)
+        one, two = (run(s, mesh, basis, 0.05, 0.2, sampler, sample_id=3).final.stacked()
+                    for s in (spec, copy))
+        assert np.any(one != 0.0)
+        assert np.array_equal(one, two)
+
+    def test_scheme_round_trip_gives_the_same_run(self):
+        mesh, basis = disc()
+        ops = build_scheme(mesh, basis, make_test1(), 0.05)
+        copy = pickle.loads(pickle.dumps(ops))
+        sampler = QWienerSampler(truncation=4, amplitude=0.2, seed=13)
+        one, two = (run(o.spec, o.mesh, o.basis, 0.05, 0.2, sampler, ops=o).final.stacked()
+                    for o in (ops, copy))
+        assert np.array_equal(one, two)
 
 
 class TestFailureAttribution:
