@@ -9,13 +9,14 @@ reshaped to (n1d_x, n1d_y), field values on the whole grid are Bx^T C By and
 loads Bx (F * W) By^T.
 
 Coefficients are constants, so every operator is a Kronecker sum of per-axis
-1D matrices (Lynch, Rice & Thomas 1964; Shen 1994).  Per axis, on the pairs
-(i, k) of 1D dofs that share an element (the 1D sparsity pattern),
+1D matrices (Lynch, Rice & Thomas 1964).  Per axis, with B, dB the axis's
+tables and w its weights, each matrix is one product:
 
-    M[i, k] = (B_i B_k) . w      K[i, k] = (dB_i dB_k) . w
-    A[i, k] = -(dB_i B_k) . w
+    M = (B w) B^T      K = (dB w) dB^T      A = -(dB w) B^T
 
-and the three operator kinds are
+(M and K are symmetrized, so exactly symmetric; a pair (i, k) of 1D dofs that
+share no element has no common nonzero in the tables, so its entries are
+exact zeros), and the three operator kinds are
 
     mass       (phi_j, phi_i)                         Mx (x) My
     diffusion  (grad phi_j, grad phi_i)               Kx (x) My + Mx (x) Ky
@@ -23,11 +24,15 @@ and the three operator kinds are
                                                       Ax (x) My + Mx (x) Ay
 
 Quadrature2D.operator writes any combination m*mass + d*diffusion +
-a*advection as two outer products of per-axis entries, whose entry
-[(i, k), (j, l)] lands at row i * n1d_y + j, column k * n1d_y + l.  The
+a*advection as two outer products of the per-axis entries on the pairs that
+share an element (the 1D sparsity pattern), whose entry [(i, k), (j, l)]
+lands at row i * n1d_y + j, column k * n1d_y + l.  The
 advection pairing puts the derivative on the test function, which for
 homogeneous Dirichlet data equals the usual (grad phi_j, phi_i) pairing by
 integration by parts and makes the operator antisymmetric.
+
+A square mesh shares one axis (mesh.ay is mesh.ax): its tables, per-axis
+matrices and mass factor are built once and serve both axes.
 
 L2 projection uses the same factorization: the unit mass matrix is Mx (x) My,
 so it is solved axis by axis (L2Projector).
@@ -89,9 +94,11 @@ class Quadrature2D:
     weights and W = wx (x) wy the weight grid, with the Jacobian folded in.
     With C the coefficient vector reshaped to (n1d_x, n1d_y), values are
     Bx^T C By and loads Bx (F * W) By^T: sum factorization over the whole
-    tensor mesh, with no per-element gather or scatter.  `operator` builds
-    the constant-coefficient operators as Kronecker sums of per-axis mass,
-    stiffness and advection entries from the same tables.
+    tensor mesh, with no per-element gather or scatter.  `axis_matrices`
+    builds the per-axis mass, stiffness and advection matrices from the same
+    tables, and `operator` the 2D operators as their Kronecker sums.  On a
+    shared axis (mesh.ay is mesh.ax) the y grid, weights, tables and matrices
+    are the x-axis objects.
     """
 
     def __init__(self, mesh: Mesh2D, basis: Basis1D):
@@ -99,15 +106,12 @@ class Quadrature2D:
             raise ValueError(
                 f"basis order {basis.order} does not match mesh order {mesh.order}")
         self.mesh, self.basis = mesh, basis
-        half = (basis.quad_nodes + 1.0) / 2.0
-        self.xq = mesh.ax.edges[:-1, None] + half * mesh.ax.h
-        self.yq = mesh.ay.edges[:-1, None] + half * mesh.ay.h
+        x = _axis_grid(mesh.ax, basis)
+        y = x if mesh.ay is mesh.ax else _axis_grid(mesh.ay, basis)
+        (self.xq, self.wx, Bx, dBx), (self.yq, self.wy, By, dBy) = x, y
         self.x, self.y = self.xq.ravel(), self.yq.ravel()
-        self.wx = np.tile(basis.quad_weights, mesh.nex) * (mesh.ax.h / 2.0)
-        self.wy = np.tile(basis.quad_weights, mesh.ney) * (mesh.ay.h / 2.0)
         self.W = np.outer(self.wx, self.wy)
-        self.tables = (*_axis_eval_matrix(mesh.ax, basis, self.x),
-                       *_axis_eval_matrix(mesh.ay, basis, self.y))
+        self.tables = (Bx, dBx, By, dBy)
 
     @property
     def grid(self):
@@ -151,32 +155,26 @@ class Quadrature2D:
                 f"{self.mesh.element_index(i // nq, j // nq)}")
         return F
 
-    @cached_property
-    def _axis_entries(self):
-        """Per axis: the dof pairs (i, k) sharing an element and the mass,
-        stiffness and advection entries on them."""
-        Bx, dBx, By, dBy = self.tables
-        out = []
-        for axis, B, dB, w in ((self.mesh.ax, Bx, dBx, self.wx),
-                               (self.mesh.ay, By, dBy, self.wy)):
-            i, k = _axis_pairs(axis)
-            out.append((i, k, (B[i] * B[k]) @ w, (dB[i] * dB[k]) @ w, -(dB[i] * B[k]) @ w))
-        return out
-
     def axis_matrices(self):
-        """The same entries as dense per-axis matrices: ((Mx, Kx, Ax),
-        (My, Ky, Ay)), each (n1d, n1d) with zeros off the 1D pattern."""
-        out = []
-        for axis, (i, k, *entries) in zip((self.mesh.ax, self.mesh.ay), self._axis_entries):
-            mats = np.zeros((3, axis.n_dofs, axis.n_dofs))
-            mats[:, i, k] = entries
-            out.append(tuple(mats))
-        return tuple(out)
+        """The per-axis mass, stiffness and advection matrices ((Mx, Kx, Ax),
+        (My, Ky, Ay)), each (n1d, n1d) with exact zeros off the 1D pattern;
+        built once per quadrature and read-only.  A shared axis gives one
+        tuple for both."""
+        return self._axis_matrices
+
+    @cached_property
+    def _axis_matrices(self):
+        Bx, dBx, By, dBy = self.tables
+        x = _axis_products(Bx, dBx, self.wx)
+        return x, x if self.mesh.ay is self.mesh.ax else _axis_products(By, dBy, self.wy)
 
     def operator(self, m: float = 0.0, d: float = 0.0, a: float = 0.0) -> sp.csr_matrix:
         """m * mass + d * diffusion + a * advection, as CSR with every pair
         of dofs that share an element stored (exact zeros included)."""
-        (ix, kx, Mx, Kx, Ax), (jy, ly, My, Ky, Ay) = self._axis_entries
+        (ix, kx), (jy, ly) = _axis_pairs(self.mesh.ax), _axis_pairs(self.mesh.ay)
+        x, y = self.axis_matrices()
+        Mx, Kx, Ax = (mat[ix, kx] for mat in x)
+        My, Ky, Ay = (mat[jy, ly] for mat in y)
         vals = np.outer(m * Mx + d * Kx + a * Ax, My) + np.outer(Mx, d * Ky + a * Ay)
         ny, n = self.mesh.ay.n_dofs, self.mesh.n_global
         rows = (ix[:, None] * ny + jy[None, :]).ravel()
@@ -194,6 +192,26 @@ class Quadrature2D:
         m, nq = self.mesh, self.basis.n_quad
         return (values.reshape(m.ney, m.nex, nq, nq).transpose(1, 2, 0, 3)
                 .reshape(m.nex * nq, m.ney * nq))
+
+
+def _axis_grid(axis, basis: Basis1D):
+    """The Gauss abscissae of all elements along one axis, shape
+    (ne, n_quad), their weights with the Jacobian folded in, and the tables
+    (B, dB) of the axis's global 1D basis at them."""
+    q = axis.edges[:-1, None] + (basis.quad_nodes + 1.0) / 2.0 * axis.h
+    w = np.tile(basis.quad_weights, axis.ne) * (axis.h / 2.0)
+    return (q, w, *_axis_eval_matrix(axis, basis, q.ravel()))
+
+
+def _axis_products(B, dB, w):
+    """One axis's mass, stiffness and advection matrices from its tables B,
+    dB and weights w: one product each, M and K symmetrized, read-only."""
+    Bw, dBw = B * w, dB * w
+    M, K = Bw @ B.T, dBw @ dB.T
+    mats = (0.5 * (M + M.T), 0.5 * (K + K.T), -(dBw @ B.T))
+    for mat in mats:
+        mat.setflags(write=False)
+    return mats
 
 
 def _axis_pairs(axis):
@@ -275,16 +293,18 @@ class L2Projector:
 
     The unit mass matrix is Mx (x) My (quad.axis_matrices), so
     Mass^{-1} b = Mx^{-1} B My^{-1} with B the load reshaped to
-    (n1d_x, n1d_y): one Cholesky factor per axis, `factors`, no 2D operator
-    and no 2D factorization.  A scheme's solver shares these factors
-    (timestepper.build_scheme), so each scheme factors its mass once.
+    (n1d_x, n1d_y): one Cholesky factor per distinct axis, `factors` (one
+    object twice on a shared axis), no 2D operator and no 2D factorization.
+    A scheme's solver shares these factors (timestepper.build_scheme), so
+    each scheme factors its mass once.
     """
 
     def __init__(self, mesh: Mesh2D, basis: Basis1D):
         self.mesh, self.basis = mesh, basis
         self.quad = Quadrature2D(mesh, basis)
         (mx, *_), (my, *_) = self.quad.axis_matrices()
-        self.factors = (cho_factor(mx), cho_factor(my))
+        fx = cho_factor(mx)
+        self.factors = (fx, fx if my is mx else cho_factor(my))
 
     def project(self, field, t: float | None = None) -> np.ndarray:
         return self.project_load(self.quad.load(self.quad.sample(field, t))).ravel()

@@ -171,9 +171,11 @@ _RANGES = {
     ("evolve", "times"): (lambda v: v and all(map(math.isfinite, v)), "all finite and non-empty"),
     ("evolve", "grid_n"): (lambda v: v >= 2, ">= 2"),
 }
-# keys whose list must also be strictly ascending (checked after _RANGES):
-# a repeated order would run a study twice
-_ASCENDING = {("spatial", "n_list")}
+# keys whose list must also be strictly ordered (checked after _RANGES): a
+# repeated order would run a study twice (and overwrite a table1 CSV), a
+# repeated tau would give a table1 order of 0
+_ORDERED = {("spatial", "n_list"): "ascending", ("table1", "n_list"): "ascending",
+            ("table1", "tau_list"): "descending"}
 
 
 def _validate(section: str, key: str, value):
@@ -185,8 +187,10 @@ def _validate(section: str, key: str, value):
     ok, what = _RANGES.get((section, key), (None, None))
     if ok is not None and not ok(value):
         raise ConfigError(f"[{section}] {key} = {value!r} must be {what}")
-    if (section, key) in _ASCENDING and any(a >= b for a, b in zip(value, value[1:])):
-        raise ConfigError(f"[{section}] {key} = {value!r} must be strictly ascending")
+    order = _ORDERED.get((section, key))
+    if order and any(a >= b if order == "ascending" else a <= b
+                     for a, b in zip(value, value[1:])):
+        raise ConfigError(f"[{section}] {key} = {value!r} must be strictly {order}")
     return value
 
 

@@ -10,7 +10,10 @@ sitting on the domain boundary are dropped, so every global basis function
 vanishes on the boundary.
 
 Global 2D degrees of freedom are tensor products of the two 1D global bases,
-numbered gx * n1d_y + gy.
+numbered gx * n1d_y + gy.  A square mesh (the same interval and element count
+along both axes, as on every mesh the studies build) has one 1D numbering,
+shared by both axes (`ay is ax`), so everything built per axis downstream is
+built once.
 """
 from __future__ import annotations
 
@@ -93,7 +96,8 @@ class Mesh2D:
     n_global : total interior degrees of freedom
     n_elements : nex * ney; element (ex, ey) has index ey * nex + ex
     ax, ay : per-axis 1D numbering (_Axis); the global dof of the pair
-        (gx, gy) of 1D dofs is gx * ay.n_dofs + gy
+        (gx, gy) of 1D dofs is gx * ay.n_dofs + gy.  On a square mesh
+        ((y0, y1, ney) == (x0, x1, nex)) they are one object, ay is ax.
     """
 
     def __init__(self, domain, nex: int, ney: int, order: int):
@@ -107,7 +111,7 @@ class Mesh2D:
         self.domain = (x0, x1, y0, y1)
         self.nex, self.ney, self.order = nex, ney, order
         self.ax = _Axis(x0, x1, nex, order)
-        self.ay = _Axis(y0, y1, ney, order)
+        self.ay = self.ax if (y0, y1, ney) == (x0, x1, nex) else _Axis(y0, y1, ney, order)
         self.n_global = self.ax.n_dofs * self.ay.n_dofs
         self.n_elements = nex * ney
 

@@ -78,10 +78,19 @@ class QWienerSampler:
 
     @cached_property
     def _stream(self):
-        """One Philox bit generator and its Generator, re-keyed per draw by
-        mode_normals (building a Philox reads OS entropy first)."""
+        """One Philox bit generator, its Generator and the state dict that
+        mode_normals re-keys it with: Philox(seed key, counter) as
+        constructed, with an empty output buffer; each draw rewrites the
+        counter in place (building a Philox reads OS entropy first)."""
         bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        return bitgen, np.random.Generator(bitgen)
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": np.array([self.seed, 0], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
+        }
+        return bitgen, np.random.Generator(bitgen), state
 
 
 @dataclass(frozen=True)
@@ -127,15 +136,9 @@ def mode_normals(sampler: QWienerSampler, sample_id: int, n: int,
     if sample_id < 0 or n < 0:
         raise ValueError("sample_id and step index must be nonnegative")
     comp = 0 if component is None else component + 1
-    bitgen, gen = sampler._stream
-    # the state of Philox(key, counter) as constructed: empty output buffer
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([0, comp, n, sample_id], dtype=np.uint64),
-                  "key": np.array([sampler.seed, 0], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0,
-    }
+    bitgen, gen, state = sampler._stream
+    state["state"]["counter"][1:] = comp, n, sample_id
+    bitgen.state = state
     J = sampler.truncation
     return gen.standard_normal((J, J))
 
@@ -143,12 +146,17 @@ def mode_normals(sampler: QWienerSampler, sample_id: int, n: int,
 def mode_coefficients(sampler: QWienerSampler, sample_id: int, n: int, tau: float,
                       component: int | None = None) -> np.ndarray:
     """KL coefficients sigma * sqrt(q_jk * tau) * xi_jk of one increment."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    scale = _mode_scale(sampler, tau)
     if sampler.amplitude == 0.0:
         return np.zeros((sampler.truncation, sampler.truncation))
-    xi = mode_normals(sampler, sample_id, n, component)
-    return sampler.amplitude * np.sqrt(sampler._eigenvalue_table * tau) * xi
+    return scale * mode_normals(sampler, sample_id, n, component)
+
+
+def _mode_scale(sampler: QWienerSampler, tau: float) -> np.ndarray:
+    """sigma * sqrt(q_jk * tau), the (J, J) scale of the normal draws."""
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    return sampler.amplitude * np.sqrt(sampler._eigenvalue_table * tau)
 
 
 def _sine_modes(J: int, lo: float, hi: float, pts: np.ndarray) -> np.ndarray:
@@ -168,8 +176,8 @@ class NoiseWorkspace:
     tables), and the load of the whole field is the (n1d_x, n1d_y) matrix
     ex @ c @ ey^T.  The time loop uses that load as it is: for v in the
     discrete space, (P_h dW, v) = (dW, v).  The two tables are built once
-    per discretization; a projection adds the projector's per-axis mass
-    solves.
+    per discretization (one, ey is ex, on a shared axis); a projection adds
+    the projector's per-axis mass solves.
     """
 
     def __init__(self, sampler: QWienerSampler, mesh: Mesh2D, basis: Basis1D,
@@ -181,7 +189,8 @@ class NoiseWorkspace:
         Bx, _, By, _ = quad.tables
         x0, x1, y0, y1 = mesh.domain
         self.ex = Bx @ (quad.wx[:, None] * _sine_modes(J, x0, x1, quad.x).T)
-        self.ey = By @ (quad.wy[:, None] * _sine_modes(J, y0, y1, quad.y).T)
+        self.ey = (self.ex if mesh.ay is mesh.ax else
+                   By @ (quad.wy[:, None] * _sine_modes(J, y0, y1, quad.y).T))
 
     def load(self, coeffs_jk: np.ndarray) -> np.ndarray:
         """Loads (..., n1d_x, n1d_y) of mode coefficients (..., J, J)."""
@@ -201,11 +210,17 @@ def sample_increments(sampler: QWienerSampler, sample_ids, n: int, tau: float,
     is the path shared by all fields.
 
     Entry [b, c] is bitwise the load of the increment that sample_increment
-    draws for (sample_ids[b], components[c]).
+    draws for (sample_ids[b], components[c]): the batch's draws fill one
+    array, scaled by sigma * sqrt(q_jk * tau) at once, as mode_coefficients
+    scales one draw.
     """
-    return workspace.load(np.array(
-        [[mode_coefficients(sampler, sid, n, tau, comp) for comp in components]
-         for sid in sample_ids]))
+    J = sampler.truncation
+    xi = np.zeros((len(sample_ids), len(components), J, J))
+    if sampler.amplitude != 0.0:
+        for b, sid in enumerate(sample_ids):
+            for c, comp in enumerate(components):
+                xi[b, c] = mode_normals(sampler, sid, n, comp)
+    return workspace.load(_mode_scale(sampler, tau) * xi)
 
 
 def sample_increment(sampler: QWienerSampler, sample_id: int, n: int, tau: float,

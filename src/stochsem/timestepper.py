@@ -21,7 +21,8 @@ with Mx, Kx, Ax the 1D mass, stiffness and advection matrices
 (Quadrature2D.axis_matrices; likewise for y).  Oy does not depend on r_phi,
 so one KroneckerSum per side serves the fields' stack (3, n1d_x, n1d_y),
 with the x-axis stack (Ox_u, Ox_v, Ox_w), Ox_u = Ox_v.  No 2D operator is
-built.
+built.  On a square mesh both axes are one (mesh.ay is mesh.ax): Dx and Oy
+are then one matrix, and so are the mass factors and Schur forms below.
 
 L vec X = R is the Sylvester equation
 
@@ -39,10 +40,13 @@ build_scheme picks one of two solvers by the size of the mesh:
   1979).  Each step of the sweep is one stacked matrix product over the whole
   batch, so a solve makes no per-sample call.
 - SchurFactor (the rest) also reduces the x axis, Mx^-1 Dx = U Ta U^T, one
-  form for every field since c_phi only shifts its diagonal, and solves the
-  quasi-triangular equation by one LAPACK dtrsyl per sample and field.  A
-  dtrsyl that perturbs a near-zero eigenvalue sum (info != 0) or rescales
-  against overflow (scale != 1) is a failure, never a silent result.
+  form for every field since c_phi only shifts its diagonal (on a shared
+  axis Ta is Tb: one Schur form in all), and solves the quasi-triangular
+  equation by one LAPACK dtrsyl per sample and field.  A dtrsyl that
+  perturbs a near-zero eigenvalue sum (info != 0) or rescales against
+  overflow (scale != 1) is a failure, never a silent result; build_scheme
+  tries one dtrsyl on a zero right-hand side per distinct c_phi (u and v
+  share theirs) to find a singular left operator.
 
 A left operator that either solver finds (numerically) singular raises
 SchemeError in build_scheme; a failed solve in a step raises SolverFailure.
@@ -103,8 +107,8 @@ from .stochastic import NoiseWorkspace, QWienerSampler, sample_increments
 SOLVE_RTOL = 1e-10
 # SweepFactor serves meshes with n1d_y * n1d_x^3 (its tables' cost) up to
 # this, SchurFactor the rest.  Measured on square meshes: up to n1d = 15 the
-# sweep's set-up costs about what the parent dtrsyl factor's three Schur forms
-# cost; from n1d = 19 its tables add a third or more to build_scheme.
+# sweep's set-up costs about what a SchurFactor's Schur forms cost; from
+# n1d = 19 its tables add a third or more to build_scheme.
 SWEEP_MAX_TABLE_COST = 15 ** 4
 
 NOISE_CONVENTIONS = ("paper", "increment")
@@ -155,6 +159,7 @@ class _AxisForms:
     share: the Cholesky factors (fx, fy) of mx and my (L2Projector.factors),
     the real Schur form my^-1 oy = V tb V^T and py = V^T my^-1.  A factor's
     `singular` names, per field, why L_f is singular (None if it is not).
+    On a shared axis fx is fy and dx is oy.
     """
 
     def __init__(self, factors, dx, oy, c):
@@ -167,20 +172,28 @@ class _AxisForms:
 class SchurFactor(_AxisForms):
     """Bartels-Stewart factor: with the real Schur form mx^-1 dx = U ta U^T,
     L_f vec X = R becomes (c[f] I + ta) Y + Y tb^T = px R py^T with
-    Y = U^T X V and px = U^T mx^-1, one x-axis form for all fields: one
-    dtrsyl per right-hand side on quasi-triangular matrices.
+    Y = U^T X V and px = U^T mx^-1, one x-axis form for all fields (on a
+    shared axis, the y-axis form itself): one dtrsyl per right-hand side on
+    quasi-triangular matrices.
     """
 
     def __init__(self, factors, dx, oy, c):
         super().__init__(factors, dx, oy, c)
-        ta, self.u = schur(cho_solve(self.fx, dx), output="real")
+        if dx is oy and factors[0] is factors[1]:
+            ta, self.u, self.px = self.tb, self.v, self.py
+        else:
+            ta, self.u = schur(cho_solve(self.fx, dx), output="real")
+            self.px = cho_solve(self.fx, self.u).T
         # Fortran order, as schur returns it: dtrsyl then reads ta without a copy
-        self.ta = [np.asfortranarray(cf * np.eye(len(ta)) + ta) for cf in self.c]
-        self.px = cho_solve(self.fx, self.u).T
+        forms = {cf: np.asfortranarray(cf * np.eye(len(ta)) + ta) for cf in self.c.tolist()}
+        self.ta = [forms[cf] for cf in self.c.tolist()]
         # dtrsyl reports info 1 exactly when it must perturb a (near-)zero
-        # eigenvalue sum, whatever the right-hand side
-        _, _, info = self.solve(np.zeros((len(self.ta), len(ta), len(self.tb))))
-        self.singular = [f"dtrsyl info {i}" if i else None for i in info]
+        # eigenvalue sum, whatever the right-hand side: one trial per form
+        zero = np.zeros((len(ta), len(self.tb)))
+        info = {cf: dtrsyl(t, self.tb, zero, trana="N", tranb="T")[2]
+                for cf, t in forms.items()}
+        self.singular = [f"dtrsyl info {info[cf]}" if info[cf] else None
+                         for cf in self.c.tolist()]
 
     def solve(self, R: np.ndarray):
         """Solution X of L @ X = R for a stack R of shape (..., k, n1d_x, n1d_y)
@@ -312,9 +325,10 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
     projector's mass factors) and the forcing, staged here once.
 
     u and v share identical left/right x-axis matrices; w folds the reaction
-    term into the mass coefficient of both sides.  A left operator that the
-    factor finds (numerically) singular raises SchemeError naming the first
-    such field.
+    term into the mass coefficient of both sides.  On a shared axis the
+    factor gets one matrix as dx and oy, so it builds one Schur form.  A left
+    operator that the factor finds (numerically) singular raises SchemeError
+    naming the first such field.
     """
     if not (np.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and positive, got {tau}")
@@ -325,9 +339,11 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
 
     projector = L2Projector(mesh, basis)
     quad = projector.quad
-    (mx, kx, ax), (my, ky, ay) = quad.axis_matrices()
+    axes = quad.axis_matrices()
+    (mx, kx, ax), (my, ky, ay) = axes
     half = 0.5 * tau
-    dx, dy = half * (spec.zeta * kx + spec.xi * ax), half * (spec.zeta * ky + spec.xi * ay)
+    dx = half * (spec.zeta * kx + spec.xi * ax)
+    dy = dx if axes[1] is axes[0] else half * (spec.zeta * ky + spec.xi * ay)
     hr = half * np.array([0.0, 0.0, spec.r])     # r_u, r_v, r_w
 
     def side(sign):   # Mass +- (tau/2)(r_phi Mass + zeta Diffusion + xi Advection)

@@ -9,8 +9,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cho_solve
 
 from stochsem.assembly import (L2Projector, Quadrature2D, StateVector, _axis_eval_matrix,
-                               assemble, evaluate_grid, load_from_values, load_vector,
-                               values_at_quad)
+                               _axis_pairs, assemble, evaluate_grid, load_from_values,
+                               load_vector, values_at_quad)
 from stochsem.basis import make_basis
 from stochsem.mesh import build_mesh, element_basis_table
 from stochsem.model import ModelSpec, const_field
@@ -434,6 +434,62 @@ class TestQuadratureKernel:
         want = ref_assemble(m, b, const_field(coefficient), kind)
         assert got.nnz == want.nnz
         assert abs(got - want).max() / abs(want).max() <= 1e-13
+
+
+# square (shared axis), nex != ney, and non-unit rectangular meshes
+AXIS_MESHES = [((2, 2, 7), UNIT, True), ((1, 1, 12), (-1.0, 0.5, -1.0, 0.5), True),
+               ((3, 2, 5), UNIT, False), ((2, 2, 6), (0, 2, -1, 0.5), False),
+               ((1, 1, 8), (0, 1, 0, 2), False)]
+
+
+@pytest.mark.parametrize("shape,domain,shared", AXIS_MESHES)
+class TestPerAxisMatrices:
+    def test_products_match_element_assembly(self, shape, domain, shared):
+        # the per-axis products' Kronecker sums are the element oracle's 2D
+        # operators
+        m, b = disc(*shape, domain=domain)
+        (Mx, Kx, Ax), (My, Ky, Ay) = Quadrature2D(m, b).axis_matrices()
+        for kind, got in (("mass", np.kron(Mx, My)),
+                          ("diffusion", np.kron(Kx, My) + np.kron(Mx, Ky)),
+                          ("advection", np.kron(Ax, My) + np.kron(Mx, Ay))):
+            want = ref_assemble(m, b, const_field(1.0), kind).toarray()
+            assert rel_err(got, want) <= 1e-14, kind
+
+    def test_exact_symmetry_and_zeros_off_the_pattern(self, shape, domain, shared):
+        m, b = disc(*shape, domain=domain)
+        for axis, (M, K, A) in zip((m.ax, m.ay), Quadrature2D(m, b).axis_matrices()):
+            off = np.ones(M.shape, dtype=bool)
+            off[_axis_pairs(axis)] = False
+            for mat in (M, K, A):
+                assert np.all(mat[off] == 0.0)
+                assert not mat.flags.writeable
+            assert np.array_equal(M, M.T) and np.array_equal(K, K.T)
+
+    def test_square_mesh_builds_each_axis_once(self, monkeypatch, shape, domain, shared):
+        # a square mesh shares its axis: one table, one set of per-axis
+        # matrices and one mass factor serve x and y
+        from stochsem import assembly
+        calls = {"tables": 0, "cho_factor": 0}
+
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(assembly, "_axis_eval_matrix",
+                            counting("tables", assembly._axis_eval_matrix))
+        monkeypatch.setattr(assembly, "cho_factor", counting("cho_factor", assembly.cho_factor))
+        m, b = disc(*shape, domain=domain)
+        assert (m.ay is m.ax) == shared
+        quad = Quadrature2D(m, b)
+        axes = 1 if shared else 2
+        assert calls == {"tables": axes, "cho_factor": 0}
+        x, y = quad.axis_matrices()
+        assert (y is x) == shared and quad.axis_matrices()[0] is x
+        proj = L2Projector(m, b)
+        assert calls == {"tables": 2 * axes, "cho_factor": axes}
+        assert (proj.factors[1] is proj.factors[0]) == shared
 
 
 class TestNonFiniteSamples:

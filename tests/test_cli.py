@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stochsem.cli import main, make_discretization, make_problem
-from stochsem.config import SCHEMA, ConfigError, load_config, parse_config
+from stochsem.config import SCHEMA, ConfigError, _parse_float, load_config, parse_config
 from stochsem.model import NumericalError, SingularNonlinearity
 from stochsem.montecarlo import error_report
 from stochsem.timestepper import DivergenceError, SchemeError, SolverFailure, run
@@ -72,11 +72,11 @@ def float_texts(positive=False):
                   st.integers(1, 10**6)))
 
 
-# list keys with a rule beyond their entries' type: "positive" and
-# "non-empty" float lists are non-empty (positive entries for the first), an
-# "ascending" int list strictly ascends
-LIST_RULES = {("table1", "tau_list"): "positive", ("evolve", "times"): "non-empty",
-              ("spatial", "n_list"): "ascending"}
+# list keys with a rule beyond their entries' type: "descending" and
+# "non-empty" float lists are non-empty (positive and strictly descending
+# entries for the first), an "ascending" int list strictly ascends
+LIST_RULES = {("table1", "tau_list"): "descending", ("evolve", "times"): "non-empty",
+              ("spatial", "n_list"): "ascending", ("table1", "n_list"): "ascending"}
 
 
 def value_texts(kind, allowed, list_rule=None):
@@ -85,12 +85,15 @@ def value_texts(kind, allowed, list_rule=None):
     unchecked unless their list_rule says otherwise (LIST_RULES)."""
     if allowed is not None:
         return st.sampled_from([repr(a) if kind == "float" else a for a in allowed])
-    ascending = list_rule == "ascending"
+    ascending, descending = list_rule == "ascending", list_rule == "descending"
     return {"float": float_texts(positive=True),
             "int": st.integers(2, 10**9).map(str),
             "bool": st.sampled_from(["true", "false", "yes", "no", "on", "off", "1", "0"]),
-            "float_list": st.lists(float_texts(positive=list_rule == "positive"),
-                                   min_size=int(list_rule is not None), max_size=4).map(", ".join),
+            "float_list": st.lists(float_texts(positive=descending),
+                                   min_size=int(list_rule is not None), max_size=4,
+                                   unique_by=_parse_float if descending else None)
+                            .map(lambda v: ", ".join(sorted(v, key=_parse_float, reverse=True)
+                                                     if descending else v)),
             "int_list": st.lists(st.integers(2, 1000), min_size=1, max_size=4, unique=ascending)
                           .map(lambda v: ", ".join(map(str, sorted(v) if ascending else v))),
             "str": st.text("abcXYZ019_-./", min_size=1, max_size=12)}[kind]
@@ -525,6 +528,19 @@ class TestTable1Command:
         out = tmp_path / "out"
         assert main(["table1", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"config error: [table1] {key} = " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,shown,order", [
+        ("n_list", "4, 4", "[4, 4]", "ascending"), ("n_list", "6, 4", "[6, 4]", "ascending"),
+        ("tau_list", "1/8, 1/8", "[0.125, 0.125]", "descending"),
+        ("tau_list", "1/16, 1/8", "[0.0625, 0.125]", "descending")])
+    def test_lists_must_be_strictly_ordered(self, tmp_path, capsys, key, value, shown, order):
+        # a repeated order overwrote table1_N4.csv, a repeated tau wrote an order of 0.0
+        cfg = write(tmp_path, ini(T1_SECTIONS, table1={key: value}))
+        out = tmp_path / "out"
+        assert main(["table1", "--config", str(cfg), "--out", str(out)]) == 2
+        assert (f"config error: [table1] {key} = {shown} must be strictly {order}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_requires_test1(self, tmp_path):

@@ -5,15 +5,15 @@ import pytest
 
 from stochsem.assembly import L2Projector, Quadrature2D, StateVector, evaluate_grid
 from stochsem.basis import make_basis
-from stochsem.mesh import build_mesh
+from stochsem.mesh import _Axis, build_mesh
 from stochsem.model import ModelSpec, const_field
 from stochsem.model import test1_spec as make_test1
 from stochsem.model import test2_spec as make_test2
 from stochsem.montecarlo import error_report
 from stochsem.stochastic import NoiseWorkspace, QWienerSampler, sample_increment
-from stochsem.timestepper import (KroneckerSum, SchemeError, SchurFactor, SolverFailure,
-                                  StateBatch, SweepFactor, build_scheme, energy_norm, run,
-                                  step)
+from stochsem.timestepper import (SOLVE_RTOL, KroneckerSum, SchemeError, SchurFactor,
+                                  SolverFailure, StateBatch, SweepFactor, build_scheme,
+                                  energy_norm, run, step)
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -362,8 +362,13 @@ class TestPerAxisPath:
 
 class TestFieldStackedScheme:
     def test_two_schur_forms_one_solve_two_applies(self, monkeypatch):
-        # one y-axis Schur form and one x-axis form for all three fields
-        self.assert_one_solve_two_applies(monkeypatch, disc(1, 1, 17), SchurFactor, 2)
+        # a 1x2 mesh has two axes: one y-axis Schur form and one x-axis form
+        # for all three fields
+        self.assert_one_solve_two_applies(monkeypatch, disc(1, 2, 17), SchurFactor, 2)
+
+    def test_square_mesh_one_schur_form_one_solve_two_applies(self, monkeypatch):
+        # a square mesh shares its axis: the y-axis Schur form serves x too
+        self.assert_one_solve_two_applies(monkeypatch, disc(1, 1, 17), SchurFactor, 1)
 
     def test_one_schur_form_one_sweep_two_applies(self, monkeypatch):
         # the column sweep needs only the y-axis Schur form
@@ -424,6 +429,83 @@ class TestFieldStackedScheme:
         assert np.array_equal(first.final.stacked(), again.final.stacked())
         run(spec, mesh, basis, 0.05, 1.0, record_reports=False)    # a new scheme
         assert (len(staged), len(spatial)) == (2, 2)
+
+
+def separate_axes(mesh):
+    """mesh, given a y-axis object of its own, as a mesh whose axes differ
+    has: everything per axis is then built twice."""
+    x0, x1, y0, y1 = mesh.domain
+    mesh.ay = _Axis(y0, y1, mesh.ney, mesh.order)
+    return mesh
+
+
+def rel_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestSharedAxis:
+    # a square mesh builds its scheme on one axis; the same scheme with a
+    # separately built y-axis is the oracle
+    @pytest.mark.parametrize("domain,ney,forms", [(UNIT, 1, 1), (UNIT, 2, 2),
+                                                  ((0.0, 1.0, 0.0, 2.0), 1, 2)])
+    def test_build_scheme_factors_each_axis_once(self, monkeypatch, domain, ney, forms):
+        from stochsem import assembly, timestepper
+        calls = {"schur": 0, "cho_factor": 0}
+
+        def counting(name, module):
+            real = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapped)
+
+        counting("schur", timestepper)
+        counting("cho_factor", assembly)
+        ops = build_scheme(build_mesh(domain, 1, ney, 17), make_basis(17), make_test1(), 0.05)
+        assert isinstance(ops.factor, SchurFactor)
+        assert calls == {"schur": forms, "cho_factor": forms}
+
+    @pytest.mark.parametrize("nex,order,tau,gate", [
+        (1, 6, 0.05, True), (2, 8, 0.01, True), (2, 10, 1 / 32, True), (1, 17, 0.05, True),
+        (2, 20, 1e-2, True),
+        # random right-hand sides at 2x2/order 20, tau = 1e-3 read 1.1e-10 to
+        # 1.6e-10 on either path: the residual gate's known thin margin there
+        # (real right-hand sides: test_real_right_hand_sides_agree)
+        (2, 20, 1e-3, False)])
+    @pytest.mark.parametrize("problem", ["test1", "test2"])
+    def test_random_stacks_agree(self, nex, order, tau, gate, problem):
+        spec = make_test1() if problem == "test1" else make_test2("smooth")
+        basis = make_basis(order)
+        shared = build_scheme(build_mesh(UNIT, nex, nex, order), basis, spec, tau)
+        split = build_scheme(separate_axes(build_mesh(UNIT, nex, nex, order)), basis, spec, tau)
+        assert shared.mesh.ay is shared.mesh.ax and split.mesh.ay is not split.mesh.ax
+        assert type(shared.factor) is type(split.factor)
+        R = np.random.default_rng(order).standard_normal(batch_shape(shared.mesh, 4))
+        sols = []
+        for ops in (shared, split):
+            sol, scale, info = ops.factor.solve(R)
+            assert np.all(scale == 1.0) and np.all(info == 0)
+            residual = (np.linalg.norm(ops.left @ sol - R, axis=(2, 3))
+                        / np.linalg.norm(R, axis=(2, 3)))
+            assert not gate or residual.max() <= SOLVE_RTOL
+            sols.append(sol)
+        assert rel_gap(*sols) <= 1e-12
+
+    @pytest.mark.parametrize("nex,order,tau", [(2, 20, 1e-3), (2, 10, 1 / 32), (2, 8, 0.01)])
+    def test_real_right_hand_sides_agree(self, nex, order, tau):
+        # noisy nonlinear Test 1 and Test 2 paths of 10 steps meet the gate
+        # (step raises above it) and agree on both paths
+        basis = make_basis(order)
+        sampler = QWienerSampler(truncation=6, amplitude=0.1, seed=11)
+        for spec in (make_test1(), make_test2("smooth")):
+            finals = []
+            for mesh in (build_mesh(UNIT, nex, nex, order),
+                         separate_axes(build_mesh(UNIT, nex, nex, order))):
+                traj = run(spec, mesh, basis, tau, 10 * tau, sampler=sampler, sample_id=3)
+                assert max(max(r.residuals) for r in traj.reports) <= SOLVE_RTOL
+                finals.append(traj.final.stacked())
+            assert rel_gap(*finals) <= 1e-12
 
 
 class TestNoiseLoad:
