@@ -31,8 +31,9 @@ advection pairing puts the derivative on the test function, which for
 homogeneous Dirichlet data equals the usual (grad phi_j, phi_i) pairing by
 integration by parts and makes the operator antisymmetric.
 
-A square mesh shares one axis (mesh.ay is mesh.ax): its tables, per-axis
-matrices and mass factor are built once and serve both axes.
+A square mesh shares one axis (mesh.shared_axis): its tables, per-axis
+matrices and mass factor are built once, by mesh.per_axis, and serve both
+axes.
 
 L2 projection uses the same factorization: the unit mass matrix is Mx (x) My,
 so it is solved axis by axis (L2Projector).
@@ -43,7 +44,6 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,7 +97,7 @@ class Quadrature2D:
     tensor mesh, with no per-element gather or scatter.  `axis_matrices`
     builds the per-axis mass, stiffness and advection matrices from the same
     tables, and `operator` the 2D operators as their Kronecker sums.  On a
-    shared axis (mesh.ay is mesh.ax) the y grid, weights, tables and matrices
+    shared axis (mesh.shared_axis) the y grid, weights, tables and matrices
     are the x-axis objects.
     """
 
@@ -106,12 +106,12 @@ class Quadrature2D:
             raise ValueError(
                 f"basis order {basis.order} does not match mesh order {mesh.order}")
         self.mesh, self.basis = mesh, basis
-        x = _axis_grid(mesh.ax, basis)
-        y = x if mesh.ay is mesh.ax else _axis_grid(mesh.ay, basis)
+        x, y = mesh.per_axis(_axis_grid, (mesh.ax, basis), (mesh.ay, basis))
         (self.xq, self.wx, Bx, dBx), (self.yq, self.wy, By, dBy) = x, y
         self.x, self.y = self.xq.ravel(), self.yq.ravel()
         self.W = np.outer(self.wx, self.wy)
         self.tables = (Bx, dBx, By, dBy)
+        self._axis_matrices = None
 
     @property
     def grid(self):
@@ -158,15 +158,13 @@ class Quadrature2D:
     def axis_matrices(self):
         """The per-axis mass, stiffness and advection matrices ((Mx, Kx, Ax),
         (My, Ky, Ay)), each (n1d, n1d) with exact zeros off the 1D pattern;
-        built once per quadrature and read-only.  A shared axis gives one
+        built on the first call and read-only.  A shared axis gives one
         tuple for both."""
+        if self._axis_matrices is None:
+            Bx, dBx, By, dBy = self.tables
+            self._axis_matrices = self.mesh.per_axis(
+                _axis_products, (Bx, dBx, self.wx), (By, dBy, self.wy))
         return self._axis_matrices
-
-    @cached_property
-    def _axis_matrices(self):
-        Bx, dBx, By, dBy = self.tables
-        x = _axis_products(Bx, dBx, self.wx)
-        return x, x if self.mesh.ay is self.mesh.ax else _axis_products(By, dBy, self.wy)
 
     def operator(self, m: float = 0.0, d: float = 0.0, a: float = 0.0) -> sp.csr_matrix:
         """m * mass + d * diffusion + a * advection, as CSR with every pair
@@ -303,8 +301,7 @@ class L2Projector:
         self.mesh, self.basis = mesh, basis
         self.quad = Quadrature2D(mesh, basis)
         (mx, *_), (my, *_) = self.quad.axis_matrices()
-        fx = cho_factor(mx)
-        self.factors = (fx, fx if my is mx else cho_factor(my))
+        self.factors = mesh.per_axis(cho_factor, (mx,), (my,))
 
     def project(self, field, t: float | None = None) -> np.ndarray:
         return self.project_load(self.quad.load(self.quad.sample(field, t))).ravel()

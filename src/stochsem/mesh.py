@@ -12,8 +12,9 @@ vanishes on the boundary.
 Global 2D degrees of freedom are tensor products of the two 1D global bases,
 numbered gx * n1d_y + gy.  A square mesh (the same interval and element count
 along both axes, as on every mesh the studies build) has one 1D numbering,
-shared by both axes (`ay is ax`), so everything built per axis downstream is
-built once.
+shared by both axes (`ay is ax`, `Mesh2D.shared_axis`).  Everything built
+per axis downstream goes through `Mesh2D.per_axis`, which builds it once on
+a shared axis.
 """
 from __future__ import annotations
 
@@ -98,6 +99,7 @@ class Mesh2D:
     ax, ay : per-axis 1D numbering (_Axis); the global dof of the pair
         (gx, gy) of 1D dofs is gx * ay.n_dofs + gy.  On a square mesh
         ((y0, y1, ney) == (x0, x1, nex)) they are one object, ay is ax.
+    shared_axis : whether ay is ax
     """
 
     def __init__(self, domain, nex: int, ney: int, order: int):
@@ -114,6 +116,18 @@ class Mesh2D:
         self.ay = self.ax if (y0, y1, ney) == (x0, x1, nex) else _Axis(y0, y1, ney, order)
         self.n_global = self.ax.n_dofs * self.ay.n_dofs
         self.n_elements = nex * ney
+
+    @property
+    def shared_axis(self) -> bool:
+        return self.ay is self.ax
+
+    def per_axis(self, f, x_args, y_args):
+        """(f(*x_args), f(*y_args)): a value built per axis.  On a shared
+        axis f runs once and both entries are that one object; a layer that
+        reuses one result for both axes by other means (timestepper's
+        SchurFactor) is told `shared_axis`."""
+        x = f(*x_args)
+        return x, x if self.shared_axis else f(*y_args)
 
     def element_index(self, ex: int, ey: int) -> int:
         return ey * self.nex + ex

@@ -188,9 +188,9 @@ class NoiseWorkspace:
         quad = self.projector.quad
         Bx, _, By, _ = quad.tables
         x0, x1, y0, y1 = mesh.domain
-        self.ex = Bx @ (quad.wx[:, None] * _sine_modes(J, x0, x1, quad.x).T)
-        self.ey = (self.ex if mesh.ay is mesh.ax else
-                   By @ (quad.wy[:, None] * _sine_modes(J, y0, y1, quad.y).T))
+        self.ex, self.ey = mesh.per_axis(
+            lambda B, w, a, b, q: B @ (w[:, None] * _sine_modes(J, a, b, q).T),
+            (Bx, quad.wx, x0, x1, quad.x), (By, quad.wy, y0, y1, quad.y))
 
     def load(self, coeffs_jk: np.ndarray) -> np.ndarray:
         """Loads (..., n1d_x, n1d_y) of mode coefficients (..., J, J)."""

@@ -21,7 +21,7 @@ with Mx, Kx, Ax the 1D mass, stiffness and advection matrices
 (Quadrature2D.axis_matrices; likewise for y).  Oy does not depend on r_phi,
 so one KroneckerSum per side serves the fields' stack (3, n1d_x, n1d_y),
 with the x-axis stack (Ox_u, Ox_v, Ox_w), Ox_u = Ox_v.  No 2D operator is
-built.  On a square mesh both axes are one (mesh.ay is mesh.ax): Dx and Oy
+built.  On a square mesh both axes are one (mesh.shared_axis): Dx and Oy
 are then one matrix, and so are the mass factors and Schur forms below.
 
 L vec X = R is the Sylvester equation
@@ -174,12 +174,13 @@ class SchurFactor(_AxisForms):
     L_f vec X = R becomes (c[f] I + ta) Y + Y tb^T = px R py^T with
     Y = U^T X V and px = U^T mx^-1, one x-axis form for all fields (on a
     shared axis, the y-axis form itself): one dtrsyl per right-hand side on
-    quasi-triangular matrices.
+    quasi-triangular matrices.  `shared` says that both axes are one
+    (mesh.shared_axis), so that fx is fy and dx is oy.
     """
 
-    def __init__(self, factors, dx, oy, c):
+    def __init__(self, factors, dx, oy, c, shared: bool):
         super().__init__(factors, dx, oy, c)
-        if dx is oy and factors[0] is factors[1]:
+        if shared:
             ta, self.u, self.px = self.tb, self.v, self.py
         else:
             ta, self.u = schur(cho_solve(self.fx, dx), output="real")
@@ -339,19 +340,19 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
 
     projector = L2Projector(mesh, basis)
     quad = projector.quad
-    axes = quad.axis_matrices()
-    (mx, kx, ax), (my, ky, ay) = axes
+    (mx, kx, ax), (my, ky, ay) = quad.axis_matrices()
     half = 0.5 * tau
-    dx = half * (spec.zeta * kx + spec.xi * ax)
-    dy = dx if axes[1] is axes[0] else half * (spec.zeta * ky + spec.xi * ay)
+    dx, dy = mesh.per_axis(lambda k, a: half * (spec.zeta * k + spec.xi * a), (kx, ax), (ky, ay))
     hr = half * np.array([0.0, 0.0, spec.r])     # r_u, r_v, r_w
 
     def side(sign):   # Mass +- (tau/2)(r_phi Mass + zeta Diffusion + xi Advection)
         return KroneckerSum((1.0 + sign * hr)[:, None, None] * mx + sign * dx, sign * dy, mx, my)
 
     left = side(1)
-    small = len(my) * len(mx) ** 3 <= SWEEP_MAX_TABLE_COST
-    factor = (SweepFactor if small else SchurFactor)(projector.factors, dx, dy, 1.0 + hr)
+    if len(my) * len(mx) ** 3 <= SWEEP_MAX_TABLE_COST:
+        factor = SweepFactor(projector.factors, dx, dy, 1.0 + hr)
+    else:
+        factor = SchurFactor(projector.factors, dx, dy, 1.0 + hr, mesh.shared_axis)
     for f, why in enumerate(factor.singular):
         if why:
             raise SchemeError(
