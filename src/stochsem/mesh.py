@@ -123,9 +123,7 @@ class Mesh2D:
 
     def per_axis(self, f, x_args, y_args):
         """(f(*x_args), f(*y_args)): a value built per axis.  On a shared
-        axis f runs once and both entries are that one object; a layer that
-        reuses one result for both axes by other means (timestepper's
-        SchurFactor) is told `shared_axis`."""
+        axis f runs once and both entries are that one object."""
         x = f(*x_args)
         return x, x if self.shared_axis else f(*y_args)
 

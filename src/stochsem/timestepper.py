@@ -28,28 +28,28 @@ L vec X = R is the Sylvester equation
 
     (c_phi I + Mx^-1 Dx) X + X (My^-1 Oy)^T = Mx^-1 R My^-T,
 
-reduced by Bartels & Stewart (CACM 15(9), 1972) with the real Schur form
-My^-1 Oy = V Tb V^T, which Tb's 1x1 and 2x2 diagonal blocks make upper
-quasi-triangular.  (Fast diagonalization by eigenvectors is not used: the
-advection-diffusion pencil's eigenvectors are too ill-conditioned.)
-build_scheme picks one of two solvers by the size of the mesh:
+reduced by Bartels & Stewart (CACM 15(9), 1972) with the real Schur forms
+Mx^-1 Dx = U Ta U^T and My^-1 Oy = V Tb V^T, which their 1x1 and 2x2
+diagonal blocks make upper quasi-triangular: one form per distinct axis,
+and for every field, since c_phi only shifts Ta's diagonal.  (Fast
+diagonalization by eigenvectors is not used: the advection-diffusion
+pencil's eigenvectors are too ill-conditioned.)  build_scheme makes one
+SchurFactor on these forms.  L_phi is singular when an eigenvalue sum
+c_phi + lambda_i(Ta) + mu_j(Tb), read off the blocks, is within dtrsyl's
+own threshold of zero; build_scheme then raises SchemeError.  One of two
+kernels solves, picked by the size of the mesh:
 
-- SweepFactor (small meshes) solves for the columns of X V from the last
-  to the first, one block of Tb at a time, with precomputed inverses of the
-  block's shifted x-axis systems (Golub, Nash & Van Loan, IEEE TAC 24(6),
-  1979).  Each step of the sweep is one stacked matrix product over the whole
-  batch, so a solve makes no per-sample call.
-- SchurFactor (the rest) also reduces the x axis, Mx^-1 Dx = U Ta U^T, one
-  form for every field since c_phi only shifts its diagonal (on a shared
-  axis Ta is Tb: one Schur form in all), and solves the quasi-triangular
-  equation by one LAPACK dtrsyl per sample and field.  A dtrsyl that
-  perturbs a near-zero eigenvalue sum (info != 0) or rescales against
-  overflow (scale != 1) is a failure, never a silent result; build_scheme
-  tries one dtrsyl on a zero right-hand side per distinct c_phi (u and v
-  share theirs) to find a singular left operator.
+- the column sweep (small meshes) solves for the columns of X V from the
+  last to the first, one block of Tb at a time, with precomputed inverses
+  of the block's shifted x-axis systems (Golub, Nash & Van Loan, IEEE TAC
+  24(6), 1979).  Each step of the sweep is one stacked matrix product over
+  the whole batch, so a solve makes no per-sample call.
+- dtrsyl (the rest) solves the quasi-triangular equation in Ta and Tb by
+  one LAPACK call per sample and field.  A dtrsyl that perturbs a
+  near-zero eigenvalue sum (info != 0) or rescales against overflow
+  (scale != 1) is a failure, never a silent result.
 
-A left operator that either solver finds (numerically) singular raises
-SchemeError in build_scheme; a failed solve in a step raises SolverFailure.
+A failed solve in a step raises SolverFailure.
 These, DivergenceError and model.SingularNonlinearity are NumericalErrors.
 Every solve must also pass the relative residual gate SOLVE_RTOL, measured
 against the per-axis apply of the same left operator.
@@ -105,10 +105,10 @@ from .model import (ModelSpec, NumericalError, SingularNonlinearity, nonlinear_f
 from .stochastic import NoiseWorkspace, QWienerSampler, sample_increments
 
 SOLVE_RTOL = 1e-10
-# SweepFactor serves meshes with n1d_y * n1d_x^3 (its tables' cost) up to
-# this, SchurFactor the rest.  Measured on square meshes: up to n1d = 15 the
-# sweep's set-up costs about what a SchurFactor's Schur forms cost; from
-# n1d = 19 its tables add a third or more to build_scheme.
+# The column sweep serves meshes with n1d_y * n1d_x^3 (its tables' cost) up
+# to this, dtrsyl the rest.  Measured on square meshes: up to n1d = 15 the
+# sweep's tables cost about what the Schur forms cost; from n1d = 19 they add
+# a third or more to build_scheme.
 SWEEP_MAX_TABLE_COST = 15 ** 4
 
 NOISE_CONVENTIONS = ("paper", "increment")
@@ -151,131 +151,110 @@ class KroneckerSum:
         return self.ox @ X @ self.my.T + self.mx @ X @ self.oy.T
 
 
-class _AxisForms:
-    """What both factors of the field-stacked operator
+def _eigenvalues(t: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a real Schur form t, read off its diagonal blocks:
+    t[j, j] on a 1x1 block, a -+ i sqrt(-bc) on a standardized 2x2 block
+    [[a, b], [c, a]] (bc < 0)."""
+    w = np.sqrt(-np.diag(t, 1) * np.diag(t, -1))      # 0 off the 2x2 blocks
+    lam = np.diag(t).astype(complex)
+    lam.imag[1:] += w
+    lam.imag[:-1] -= w
+    return lam
+
+
+def _schur_form(f, d):
+    """One axis's real Schur form m^-1 d = q t q^T (f the Cholesky factor of
+    the SPD mass m), with p = q^T m^-1 and t's eigenvalues: (t, q, p, eig)."""
+    t, q = schur(cho_solve(f, d), output="real")
+    return t, q, cho_solve(f, q).T, _eigenvalues(t)
+
+
+class SchurFactor:
+    """Bartels-Stewart factor of the field-stacked operator
 
         L_f vec X = (c[f] mx + dx) X my^T + mx X oy^T      (SPD mx, my)
 
-    share: the Cholesky factors (fx, fy) of mx and my (L2Projector.factors),
-    the real Schur form my^-1 oy = V tb V^T and py = V^T my^-1.  A factor's
-    `singular` names, per field, why L_f is singular (None if it is not).
-    On a shared axis fx is fy and dx is oy.
+    on the axes' forms (_schur_form; one object on a shared axis)
+    mx^-1 dx = U ta U^T and my^-1 oy = V tb V^T.  `singular` names, per
+    field, why L_f is singular (None if it is not): an eigenvalue sum
+    c[f] + ta_i + tb_j within dtrsyl's threshold
+    eps max(max|c[f] I + ta|, max|tb|) of zero.  A factor with a singular
+    field builds no kernel.  `sweep` (n1d_y n1d_x^3 <= SWEEP_MAX_TABLE_COST)
+    picks the kernel:
+
+    - the column sweep, vectorized over the whole stack of right-hand
+      sides: with A_f = c[f] I + mx^-1 dx and Z = X V, L vec X = R is
+      A_f Z + Z tb^T = F, F = mx^-1 R my^-1 V, solved one diagonal block s
+      of tb (1x1 or 2x2) at a time from the last:
+      Z[:, s] = G_{s,f} vec(F[:, s] - Z[:, later] tb[s, later]^T), with
+      G_{s,f} the inverse of the block's shifted system, tabulated once per
+      distinct c[f] (about n1d_y n1d_x^3 flops and n1d_y n1d_x^2 numbers);
+    - one dtrsyl per right-hand side on (c[f] I + ta) Y + Y tb^T = px R py^T,
+      Y = U^T X V, px = U^T mx^-1, py = V^T my^-1.
     """
 
-    def __init__(self, factors, dx, oy, c):
-        self.fx, fy = factors
-        self.tb, self.v = schur(cho_solve(fy, oy), output="real")
-        self.py = cho_solve(fy, self.v).T
-        self.c = np.asarray(c, dtype=float)
-
-
-class SchurFactor(_AxisForms):
-    """Bartels-Stewart factor: with the real Schur form mx^-1 dx = U ta U^T,
-    L_f vec X = R becomes (c[f] I + ta) Y + Y tb^T = px R py^T with
-    Y = U^T X V and px = U^T mx^-1, one x-axis form for all fields (on a
-    shared axis, the y-axis form itself): one dtrsyl per right-hand side on
-    quasi-triangular matrices.  `shared` says that both axes are one
-    (mesh.shared_axis), so that fx is fy and dx is oy.
-    """
-
-    def __init__(self, factors, dx, oy, c, shared: bool):
-        super().__init__(factors, dx, oy, c)
-        if shared:
-            ta, self.u, self.px = self.tb, self.v, self.py
-        else:
-            ta, self.u = schur(cho_solve(self.fx, dx), output="real")
-            self.px = cho_solve(self.fx, self.u).T
+    def __init__(self, forms, c, fx, dx):
+        (ta, self.u, self.px, lx), (self.tb, self.v, self.py, ly) = forms
+        c = np.asarray(c, dtype=float).tolist()
         # Fortran order, as schur returns it: dtrsyl then reads ta without a copy
-        forms = {cf: np.asfortranarray(cf * np.eye(len(ta)) + ta) for cf in self.c.tolist()}
-        self.ta = [forms[cf] for cf in self.c.tolist()]
-        # dtrsyl reports info 1 exactly when it must perturb a (near-)zero
-        # eigenvalue sum, whatever the right-hand side: one trial per form
-        zero = np.zeros((len(ta), len(self.tb)))
-        info = {cf: dtrsyl(t, self.tb, zero, trana="N", tranb="T")[2]
-                for cf, t in forms.items()}
-        self.singular = [f"dtrsyl info {info[cf]}" if info[cf] else None
-                         for cf in self.c.tolist()]
+        shifted = {cf: np.asfortranarray(cf * np.eye(len(ta)) + ta) for cf in c}
+        sums, top, why = lx[:, None] + ly, np.abs(self.tb).max(), {}
+        for cf, a in shifted.items():
+            gap, smin = np.abs(cf + sums).min(), np.finfo(float).eps * max(np.abs(a).max(), top)
+            why[cf] = (f"an eigenvalue sum is {gap:.1e}, within dtrsyl's threshold "
+                       f"{smin:.1e} of zero") if gap <= smin else None
+        self.singular = [why[cf] for cf in c]
+        self.sweep = len(self.tb) * len(ta) ** 3 <= SWEEP_MAX_TABLE_COST
+        self.ta = [shifted[cf] for cf in c]
+        if not self.sweep or any(self.singular):
+            return      # dtrsyl needs no table, and no table meets a singular block
+        n, tb = len(dx), self.tb
+        self.mxi = cho_solve(fx, np.eye(n))
+        a = self.mxi @ dx
+        starts = [j for j in range(len(tb)) if j == 0 or tb[j, j - 1] == 0.0]
+        self.blocks = list(zip(starts, starts[1:] + [len(tb)]))
+        one = [j for j, k in self.blocks if k - j == 1]
+        two = np.array([j for j, k in self.blocks if k - j == 2], dtype=int)
+        b, c2 = tb[two, two + 1, None, None], tb[two + 1, two, None, None]
+        # block s's system on Y = Z[:, s]^T is tb_ss Y + Y A_f^T: for a 1x1 block
+        # A_f + t I; for a 2x2 one [[t, b], [c, t]], of eigenvalues t -+ i w,
+        # [[P, b I], [c I, P]] (P = A_f + t I), whose inverse is [[P Q, -b Q],
+        # [-c Q, P Q]] with Q = (P^2 + w^2)^-1 = C conj(C), P Q = Re C and
+        # C = (P - i w I)^-1.  One row per distinct c[f]:
+        shifts = sorted(set(c))
+        cs = np.array(shifts)[:, None, None, None]
+        m1 = a + (cs + tb[one, one, None, None]) * np.eye(n)
+        mc = a + (cs + ly[two, None, None]) * np.eye(n)        # ly[j] = t - i w
+        g1, C = _inverses(m1), _inverses(mc)
+        Q = (C @ C.conj()).real
+        g2 = np.empty((*C.shape[:2], 2 * n, 2 * n))
+        g2[..., :n, :n] = g2[..., n:, n:] = C.real
+        g2[..., :n, n:], g2[..., n:, :n] = -b * Q, -c2 * Q
+        per_field = [shifts.index(x) for x in c]
+        g1, g2 = g1[per_field], g2[per_field]
+        tables = dict(zip(one, g1.swapaxes(0, 1))) | dict(zip(two.tolist(), g2.swapaxes(0, 1)))
+        self.g = [tables[j] for j, _ in self.blocks]
 
     def solve(self, R: np.ndarray):
         """Solution X of L @ X = R for a stack R of shape (..., k, n1d_x, n1d_y)
-        (k fields), and dtrsyl's scale and info for each right-hand side, as
-        arrays of shape R.shape[:-2]."""
+        (k fields), and the kernel's scale and info for each right-hand side,
+        as arrays of shape R.shape[:-2]: dtrsyl's, or 1 and 0 for the sweep,
+        which neither scales nor perturbs."""
+        lead = R.shape[:-2]
+        if self.sweep:
+            F = self.py @ R.swapaxes(-1, -2) @ self.mxi.T   # F^T: the columns of Z as rows
+            Z = np.empty(F.shape)
+            for (j, k), g in zip(reversed(self.blocks), reversed(self.g)):
+                rhs = F[..., j:k, :] - self.tb[j:k, k:] @ Z[..., k:, :]
+                Z[..., j:k, :] = (g @ rhs.reshape(*lead, -1, 1)).reshape(*lead, k - j, -1)
+            return Z.swapaxes(-1, -2) @ self.v.T, np.ones(lead), np.zeros(lead, dtype=int)
         F = self.px @ R @ self.py.T
         flat = F.reshape(-1, *F.shape[-2:])
         scale, info = np.empty(len(flat)), np.empty(len(flat), dtype=int)
         for i, f in enumerate(flat):
             flat[i], scale[i], info[i] = dtrsyl(self.ta[i % len(self.ta)], self.tb, f,
                                                 trana="N", tranb="T")
-        return self.u @ F @ self.v.T, scale.reshape(F.shape[:-2]), info.reshape(F.shape[:-2])
-
-
-class SweepFactor(_AxisForms):
-    """Column sweep over the y-axis Schur form (Golub, Nash & Van Loan, IEEE
-    TAC 24(6), 1979), vectorized over the whole stack of right-hand sides.
-
-    With A_f = c[f] I + mx^-1 dx and Z = X V, L vec X = R is A_f Z + Z tb^T = F,
-    F = mx^-1 R my^-1 V.  tb is upper quasi-triangular, so the columns of Z
-    follow from the last to the first, one diagonal block s of tb (1x1 or
-    2x2) at a time: Z[:, s] = G_{s,f} vec(F[:, s] - Z[:, later] tb[s, later]^T)
-    with G_{s,f} the inverse of the block's shifted system.  The tables G are
-    built once, for the fields' distinct c[f] only; they cost about
-    n1d_y n1d_x^3 flops and n1d_y n1d_x^2 numbers.  The sweep neither scales
-    nor perturbs: a solve's scale is 1 and its info 0, and a table that is
-    (numerically) singular marks its fields singular.
-    """
-
-    def __init__(self, factors, dx, oy, c):
-        super().__init__(factors, dx, oy, c)
-        n, tb = len(dx), self.tb
-        self.mxi = cho_solve(self.fx, np.eye(n))
-        a = self.mxi @ dx
-        starts = [j for j in range(len(tb)) if j == 0 or tb[j, j - 1] == 0.0]
-        self.blocks = list(zip(starts, starts[1:] + [len(tb)]))
-        one = [j for j, k in self.blocks if k - j == 1]
-        two = np.array([j for j, k in self.blocks if k - j == 2], dtype=int)
-        # a 2x2 block [[t, b], [c, t]] (standard form, bc < 0) has eigenvalues t -+ i w
-        t, b, c2 = tb[two, two], tb[two, two + 1, None, None], tb[two + 1, two, None, None]
-        w = np.sqrt(-b * c2)[:, 0, 0]
-        # block s's system on Y = Z[:, s]^T is tb_ss Y + Y A_f^T: for a 1x1 block
-        # A_f + t I; for a 2x2 one [[P, b I], [c I, P]] (P = A_f + t I), whose
-        # inverse is [[P Q, -b Q], [-c Q, P Q]] with Q = (P^2 + w^2)^-1 = C conj(C)
-        # and P Q = Re C, C = (P - i w I)^-1.  One row per distinct c[f]:
-        forms = sorted(set(self.c.tolist()))
-        cf = np.array(forms)[:, None, None, None]
-        m1 = a + (cf + tb[one, one, None, None]) * np.eye(n)
-        mc = a + (cf + (t - 1j * w)[:, None, None]) * np.eye(n)
-        form_of = [forms.index(x) for x in self.c.tolist()]
-        g1, C = _inverses(m1), _inverses(mc)
-        Q = (C @ C.conj()).real
-        g2 = np.empty((*C.shape[:2], 2 * n, 2 * n))
-        g2[..., :n, :n] = g2[..., n:, n:] = C.real
-        g2[..., :n, n:], g2[..., n:, :n] = -b * Q, -c2 * Q
-        cond = np.concatenate([_norm1(m1) * _norm1(g1),
-                               (_norm1(mc.real) + np.maximum(abs(b), abs(c2))[:, 0, 0])
-                               * _norm1(g2)], axis=1).max(axis=1, initial=0.0)
-        cond[np.isnan(cond)] = np.inf
-        self.singular = [None if cond[i] * np.finfo(float).eps < 1.0 else
-                         f"a column block has condition number {cond[i]:.1e}" for i in form_of]
-        g1, g2 = g1[form_of], g2[form_of]         # per field
-        tables = dict(zip(one, g1.swapaxes(0, 1))) | dict(zip(two.tolist(), g2.swapaxes(0, 1)))
-        self.g = [tables[j] for j, _ in self.blocks]
-
-    def solve(self, R: np.ndarray):
-        """Solution X of L @ X = R for a stack R of shape (..., k, n1d_x, n1d_y)
-        (k fields), and scale 1 and info 0 for each right-hand side, as arrays
-        of shape R.shape[:-2]."""
-        lead, n = R.shape[:-2], R.shape[-2]
-        F = self.py @ R.swapaxes(-1, -2) @ self.mxi.T   # F^T: the columns of Z as rows
-        Z = np.empty(F.shape)
-        for (j, k), g in zip(reversed(self.blocks), reversed(self.g)):
-            rhs = F[..., j:k, :] - self.tb[j:k, k:] @ Z[..., k:, :]
-            Z[..., j:k, :] = (g @ rhs.reshape(*lead, -1, 1)).reshape(*lead, k - j, n)
-        return Z.swapaxes(-1, -2) @ self.v.T, np.ones(lead), np.zeros(lead, dtype=int)
-
-
-def _norm1(m: np.ndarray) -> np.ndarray:
-    """The 1-norms of a stack of matrices."""
-    return np.abs(m).sum(axis=-2).max(axis=-1)
+        return self.u @ F @ self.v.T, scale.reshape(lead), info.reshape(lead)
 
 
 def _inverses(m: np.ndarray) -> np.ndarray:
@@ -296,10 +275,11 @@ class SchemeOperators:
 
     mass is (Mx, My); stiffness the unit diffusion (for the energy norm);
     left and right are the fields' Crank-Nicolson operators, with x-axis
-    stacks (Ox_u, Ox_v, Ox_w), and factor solves left: a SweepFactor on
-    meshes with n1d_y * n1d_x^3 <= SWEEP_MAX_TABLE_COST, a SchurFactor on
-    the rest.  forcing is spec.forcing staged on quad's grid once, at build
-    time (a function t -> (3, nx, ny) samples), or None without forcing.
+    stacks (Ox_u, Ox_v, Ox_w), and factor solves left: by the column sweep
+    on meshes with n1d_y * n1d_x^3 <= SWEEP_MAX_TABLE_COST, by dtrsyl on the
+    rest (factor.sweep).  forcing is spec.forcing staged on quad's grid once,
+    at build time (a function t -> (3, nx, ny) samples), or None without
+    forcing.
     """
 
     spec: ModelSpec
@@ -310,7 +290,7 @@ class SchemeOperators:
     stiffness: KroneckerSum
     left: KroneckerSum
     right: KroneckerSum
-    factor: SchurFactor | SweepFactor
+    factor: SchurFactor
     quad: Quadrature2D
     projector: L2Projector
     forcing: object
@@ -326,10 +306,9 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
     projector's mass factors) and the forcing, staged here once.
 
     u and v share identical left/right x-axis matrices; w folds the reaction
-    term into the mass coefficient of both sides.  On a shared axis the
-    factor gets one matrix as dx and oy, so it builds one Schur form.  A left
-    operator that the factor finds (numerically) singular raises SchemeError
-    naming the first such field.
+    term into the mass coefficient of both sides.  Each distinct axis gets
+    one Schur form (mesh.per_axis).  A left operator that the factor finds
+    (numerically) singular raises SchemeError naming the first such field.
     """
     if not (np.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and positive, got {tau}")
@@ -349,10 +328,8 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
         return KroneckerSum((1.0 + sign * hr)[:, None, None] * mx + sign * dx, sign * dy, mx, my)
 
     left = side(1)
-    if len(my) * len(mx) ** 3 <= SWEEP_MAX_TABLE_COST:
-        factor = SweepFactor(projector.factors, dx, dy, 1.0 + hr)
-    else:
-        factor = SchurFactor(projector.factors, dx, dy, 1.0 + hr, mesh.shared_axis)
+    fx, fy = projector.factors
+    factor = SchurFactor(mesh.per_axis(_schur_form, (fx, dx), (fy, dy)), 1.0 + hr, fx, dx)
     for f, why in enumerate(factor.singular):
         if why:
             raise SchemeError(

@@ -155,11 +155,10 @@ class TestBatchedChunks:
     def test_snapshots(self):
         self.assert_chunk_equals_runs(*noisy_setup(), snapshot_times=(0.0, 0.1, 0.2))
 
-    @pytest.mark.parametrize("order,factor", [(5, "SweepFactor"), (17, "SchurFactor")],
-                             ids=["sweep", "schur"])
-    def test_each_side_of_the_sweep_cut(self, order, factor):
+    @pytest.mark.parametrize("order,sweep", [(5, True), (17, False)], ids=["sweep", "schur"])
+    def test_each_side_of_the_sweep_cut(self, order, sweep):
         spec, mesh, basis, sampler = noisy_setup(order=order)
-        assert type(build_scheme(mesh, basis, spec, 0.05).factor).__name__ == factor
+        assert build_scheme(mesh, basis, spec, 0.05).factor.sweep is sweep
         self.assert_chunk_equals_runs(spec, mesh, basis, sampler)
         one, two = (run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=10, workers=w,
                                  chunk_size=4) for w in (1, 2))
@@ -280,7 +279,7 @@ class TestFailureAttribution:
     def test_solver_failure_names_sample_step_and_field(self, monkeypatch):
         spec, mesh, basis, sampler = noisy_setup(order=17)
         ops = build_scheme(mesh, basis, spec, 0.05)
-        assert isinstance(ops.factor, timestepper.SchurFactor)
+        assert not ops.factor.sweep
         # per step a chunk of 4 calls dtrsyl for (sample, u), (sample, v),
         # (sample, w) in sample order: 12 calls; fail sample 6 = chunk 1,
         # position 2, field v at its step 2, after chunk 0's 4 steps
@@ -301,11 +300,11 @@ class TestFailureAttribution:
     def test_corrupted_sweep_solve_names_sample_step_and_field(self, monkeypatch):
         spec, mesh, basis, sampler = noisy_setup()
         ops = build_scheme(mesh, basis, spec, 0.05)
-        assert isinstance(ops.factor, timestepper.SweepFactor)
+        assert ops.factor.sweep
         # one solve per batch-step: chunk 0 takes 4, so chunk 1's step 2 is
         # call 6; corrupt its sample 6 (chunk position 2), field v
         calls = []
-        solve = timestepper.SweepFactor.solve
+        solve = timestepper.SchurFactor.solve
 
         def corrupted(self, R):
             calls.append(None)
@@ -314,7 +313,7 @@ class TestFailureAttribution:
                 X[2, 1] *= 1.0 + 1e-6
             return X, scale, info
 
-        monkeypatch.setattr(timestepper.SweepFactor, "solve", corrupted)
+        monkeypatch.setattr(timestepper.SchurFactor, "solve", corrupted)
         with pytest.raises(SolverFailure, match=r"sample 6 failed: solve for field v at step 2: "
                                                 r"relative residual \S+ exceeds 1.0e-10"):
             run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=8, chunk_size=4, ops=ops)

@@ -12,8 +12,8 @@ from stochsem.model import test2_spec as make_test2
 from stochsem.montecarlo import error_report
 from stochsem.stochastic import NoiseWorkspace, QWienerSampler, sample_increment
 from stochsem.timestepper import (SOLVE_RTOL, KroneckerSum, SchemeError, SchurFactor,
-                                  SolverFailure, StateBatch, SweepFactor, build_scheme,
-                                  energy_norm, run, step)
+                                  SolverFailure, StateBatch, _eigenvalues, _schur_form,
+                                  build_scheme, energy_norm, run, step)
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -308,12 +308,85 @@ class TestPerAxisPath:
                                               f"order {order}"):
             build_scheme(mesh, basis, plain_spec(zeta=1.0, r=r), tau=1.0)
 
+    @pytest.mark.parametrize("order", [4, 17], ids=["sweep", "schur"])
+    def test_advection_only_singular_left_operator_raises(self, order):
+        # zeta = 0 and 1 + (tau/2) r = 0: L_w is pure advection, whose
+        # eigenvalues are imaginary pairs +-i w (and 0 for odd n1d), so its
+        # Schur form is made of 2x2 blocks and the pairs sum to zero
+        mesh, basis = disc(1, 1, order)
+        ax = Quadrature2D(mesh, basis).axis_matrices()[0][2]
+        t = _schur_form(L2Projector(mesh, basis).factors[0], ax)[0]
+        assert np.count_nonzero(np.diag(t, -1)) == len(t) // 2
+        with pytest.raises(SchemeError, match=f"field w is singular for tau=0.1, mesh 1x1 "
+                                              f"order {order}"):
+            build_scheme(mesh, basis, plain_spec(xi=1.5, r=-20.0), tau=0.1)
+
+    def test_singular_left_operator_builds_no_table(self, monkeypatch):
+        # the singularity rule runs first: a singular block never reaches LU
+        from stochsem import timestepper
+
+        def forbidden(m):
+            raise AssertionError("table built for a singular operator")
+
+        monkeypatch.setattr(timestepper, "_inverses", forbidden)
+        mesh, basis = disc(1, 1, 4)
+        with pytest.raises(SchemeError, match=r"field w is singular for tau=0.1"):
+            build_scheme(mesh, basis, plain_spec(r=-20.0), tau=0.1)
+
+    @pytest.mark.parametrize("case", ["advection", "diagonal"])
+    def test_singularity_rule_is_dtrsyls(self, case):
+        # L_w near 1 + (tau/2) r = 0 on a dtrsyl-sized mesh: the rule finds it
+        # singular exactly when dtrsyl (the oracle) perturbs on a zero
+        # right-hand side.  "advection" is the operator above (2x2 blocks,
+        # every r here singular); "diagonal" has exact 1x1 forms whose
+        # threshold, eps * max|t| = 2^-51, falls inside the r range.  On 2x2
+        # blocks dtrsyl tests the pivots of the blocks' systems, not their
+        # eigenvalues, so on other data the two can part within a few ulps of
+        # the threshold.
+        from scipy.linalg import cho_factor
+        from scipy.linalg.lapack import dtrsyl
+        mesh, basis = disc(1, 1, 17)
+        n = mesh.ax.n_dofs
+        if case == "advection":
+            tau, (mx, _, ax) = 0.1, Quadrature2D(mesh, basis).axis_matrices()[0]
+            dx = 0.5 * tau * 1.5 * ax
+        else:
+            tau, mx, dx = 1.0, np.eye(n), 0.5 * np.diag(np.linspace(0.0, 4.0, n))
+        fx = cho_factor(mx)
+        form = _schur_form(fx, dx)
+        t = form[0]
+        verdicts = []
+        for k in range(-4, 5):
+            r = -2.0 / tau
+            for _ in range(abs(k)):
+                r = np.nextafter(r, np.sign(k) * np.inf)
+            cw = 1.0 + 0.5 * tau * r
+            factor = SchurFactor((form, form), [1.0, 1.0, cw], fx, dx)
+            assert not factor.sweep and factor.singular[:2] == [None, None]
+            info = dtrsyl(np.asfortranarray(cw * np.eye(n) + t), t, np.zeros((n, n)),
+                          trana="N", tranb="T")[2]
+            assert (factor.singular[2] is not None) == (info != 0), (k, cw, info)
+            verdicts.append(info != 0)
+        assert all(verdicts) if case == "advection" else len(set(verdicts)) == 2
+
+    @pytest.mark.parametrize("order", [4, 5, 17])
+    @pytest.mark.parametrize("zeta", [0.0, 1e-3])
+    def test_eigenvalues_read_off_the_schur_form(self, order, zeta):
+        # advection(-diffusion) forms, which have 2x2 blocks
+        mesh, basis = disc(1, 1, order)
+        (mx, kx, ax), _ = Quadrature2D(mesh, basis).axis_matrices()
+        d = zeta * kx + ax
+        t = _schur_form(L2Projector(mesh, basis).factors[0], d)[0]
+        assert np.count_nonzero(np.diag(t, -1)) > 0
+        got, want = np.sort_complex(_eigenvalues(t)), np.sort_complex(np.linalg.eigvals(t))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(t))
+
     def test_dtrsyl_failure_in_step_is_typed(self, monkeypatch):
         from stochsem import timestepper
         mesh, basis = disc(1, 1, 17)
         spec = plain_spec(xi=1.0, zeta=0.01, r=2.0)
         ops = build_scheme(mesh, basis, spec, tau=0.1)
-        assert isinstance(ops.factor, SchurFactor)
+        assert not ops.factor.sweep
         monkeypatch.setattr(timestepper, "dtrsyl",
                             lambda a, b, c, **kw: (0.5 * c, 0.5, 0))
         state = StateBatch(np.ones(batch_shape(mesh)))
@@ -324,15 +397,15 @@ class TestPerAxisPath:
         mesh, basis = disc(1, 1, 4)
         spec = plain_spec(xi=1.0, zeta=0.01, r=2.0)
         ops = build_scheme(mesh, basis, spec, tau=0.1)
-        assert isinstance(ops.factor, SweepFactor)
-        solve = SweepFactor.solve
+        assert ops.factor.sweep
+        solve = SchurFactor.solve
 
         def corrupted(self, R):
             X, scale, info = solve(self, R)
             X[0, 1] *= 1.0 + 1e-6
             return X, scale, info
 
-        monkeypatch.setattr(SweepFactor, "solve", corrupted)
+        monkeypatch.setattr(SchurFactor, "solve", corrupted)
         state = StateBatch(np.ones(batch_shape(mesh)))
         with pytest.raises(SolverFailure, match=r"field v at step 3: relative residual \S+ "
                                                 r"exceeds 1.0e-10"):
@@ -345,7 +418,7 @@ class TestPerAxisPath:
         import scipy.sparse.linalg as spla
         mesh, basis = disc(2, 2, 7)
         ops = build_scheme(mesh, basis, plain_spec(xi=1.5, r=1.0), tau=0.2)
-        assert isinstance(ops.factor, SweepFactor)
+        assert ops.factor.sweep
         sizes = [k - j for j, k in ops.factor.blocks]
         assert sizes.count(2) == len(sizes) - 1
         R = rng.standard_normal((4, *batch_shape(mesh)[1:]))
@@ -364,18 +437,18 @@ class TestFieldStackedScheme:
     def test_two_schur_forms_one_solve_two_applies(self, monkeypatch):
         # a 1x2 mesh has two axes: one y-axis Schur form and one x-axis form
         # for all three fields
-        self.assert_one_solve_two_applies(monkeypatch, disc(1, 2, 17), SchurFactor, 2)
+        self.assert_one_solve_two_applies(monkeypatch, disc(1, 2, 17), False, 2)
 
     def test_square_mesh_one_schur_form_one_solve_two_applies(self, monkeypatch):
         # a square mesh shares its axis: the y-axis Schur form serves x too
-        self.assert_one_solve_two_applies(monkeypatch, disc(1, 1, 17), SchurFactor, 1)
+        self.assert_one_solve_two_applies(monkeypatch, disc(1, 1, 17), False, 1)
 
     def test_one_schur_form_one_sweep_two_applies(self, monkeypatch):
-        # the column sweep needs only the y-axis Schur form
-        self.assert_one_solve_two_applies(monkeypatch, disc(2, 2, 6), SweepFactor, 1)
+        # a square mesh's one Schur form serves the column sweep too
+        self.assert_one_solve_two_applies(monkeypatch, disc(2, 2, 6), True, 1)
 
     @staticmethod
-    def assert_one_solve_two_applies(monkeypatch, mesh_basis, factor, schurs):
+    def assert_one_solve_two_applies(monkeypatch, mesh_basis, sweep, schurs):
         # a step of any batch size makes one solve and two operator applies
         # (right-hand side and residual gate)
         from stochsem import timestepper
@@ -391,8 +464,8 @@ class TestFieldStackedScheme:
         mesh, basis = mesh_basis
         spec = make_test1()
         ops = build_scheme(mesh, basis, spec, 0.05)
-        assert isinstance(ops.factor, factor) and calls["schur"] == schurs
-        monkeypatch.setattr(factor, "solve", counting("solve", factor.solve))
+        assert ops.factor.sweep is sweep and calls["schur"] == schurs
+        monkeypatch.setattr(SchurFactor, "solve", counting("solve", SchurFactor.solve))
         monkeypatch.setattr(KroneckerSum, "__matmul__",
                             counting("apply", KroneckerSum.__matmul__))
         rng = np.random.default_rng(7)
@@ -463,7 +536,7 @@ class TestSharedAxis:
         counting("schur", timestepper)
         counting("cho_factor", assembly)
         ops = build_scheme(build_mesh(domain, 1, ney, 17), make_basis(17), make_test1(), 0.05)
-        assert isinstance(ops.factor, SchurFactor)
+        assert not ops.factor.sweep
         assert calls == {"schur": forms, "cho_factor": forms}
 
     @pytest.mark.parametrize("nex,order,tau,gate", [
@@ -480,7 +553,7 @@ class TestSharedAxis:
         shared = build_scheme(build_mesh(UNIT, nex, nex, order), basis, spec, tau)
         split = build_scheme(separate_axes(build_mesh(UNIT, nex, nex, order)), basis, spec, tau)
         assert shared.mesh.ay is shared.mesh.ax and split.mesh.ay is not split.mesh.ax
-        assert type(shared.factor) is type(split.factor)
+        assert shared.factor.sweep is split.factor.sweep
         R = np.random.default_rng(order).standard_normal(batch_shape(shared.mesh, 4))
         sols = []
         for ops in (shared, split):
