@@ -111,6 +111,7 @@ class Quadrature2D:
         self.x, self.y = self.xq.ravel(), self.yq.ravel()
         self.W = np.outer(self.wx, self.wy)
         self.tables = (Bx, dBx, By, dBy)
+        self._byt = np.ascontiguousarray(By.T)     # load's right operand, C-contiguous
         self._axis_matrices = None
 
     @property
@@ -122,17 +123,12 @@ class Quadrature2D:
         """Field values (or the x / y partial derivative for dx / dy = 1) on
         the global grid, shape (nx, ny), of a flat (n_global,) coefficient
         vector; a stack (..., n1d_x, n1d_y) gives (..., nx, ny)."""
-        Bx, dBx, By, dBy = self.tables
-        C = np.asarray(coeffs)
-        if C.ndim == 1:
-            C = C.reshape(len(Bx), len(By))
-        return (dBx if dx else Bx).T @ C @ (dBy if dy else By)
+        return grid_values(self.tables, coeffs, dx, dy)
 
     def load(self, F: np.ndarray) -> np.ndarray:
         """Loads int F phi_i dOmega from samples F (..., nx, ny) on the global
         grid, as (..., n1d_x, n1d_y) matrices."""
-        Bx, _, By, _ = self.tables
-        return Bx @ (F * self.W) @ By.T
+        return self.tables[0] @ (F * self.W) @ self._byt
 
     def sample(self, field, t: float | None = None) -> np.ndarray:
         """Samples of field (x, y), or (x, y, t) when t is given, on the
@@ -272,6 +268,24 @@ def _axis_eval_matrix(axis, basis: Basis1D, pts):
     return B, dB
 
 
+def grid_tables(mesh: Mesh2D, basis: Basis1D, xs, ys):
+    """The tables (Bx, dBx, By, dBy) of the global 1D bases at the points xs
+    and ys: what evaluate_grid builds, to evaluate many fields on one grid
+    (grid_values)."""
+    return (*_axis_eval_matrix(mesh.ax, basis, xs), *_axis_eval_matrix(mesh.ay, basis, ys))
+
+
+def grid_values(tables, coeffs: np.ndarray, dx: int = 0, dy: int = 0) -> np.ndarray:
+    """Values (or the x / y partial derivative for dx / dy = 1) on the tensor
+    grid of tables (Bx, dBx, By, dBy) of a flat (n_global,) coefficient
+    vector or a stack (..., n1d_x, n1d_y) of coefficient matrices."""
+    Bx, dBx, By, dBy = tables
+    C = np.asarray(coeffs)
+    if C.ndim == 1:
+        C = C.reshape(len(Bx), len(By))
+    return (dBx if dx else Bx).T @ C @ (dBy if dy else By)
+
+
 def evaluate_grid(mesh: Mesh2D, basis: Basis1D, coeffs: np.ndarray, xs, ys,
                   dx: int = 0, dy: int = 0) -> np.ndarray:
     """Field values on the tensor grid xs x ys, shape (len(xs), len(ys)).
@@ -280,10 +294,7 @@ def evaluate_grid(mesh: Mesh2D, basis: Basis1D, coeffs: np.ndarray, xs, ys,
     """
     if len(coeffs) != mesh.n_global:
         raise ValueError(f"coefficient vector length {len(coeffs)} != {mesh.n_global}")
-    Bx, dBx = _axis_eval_matrix(mesh.ax, basis, xs)
-    By, dBy = _axis_eval_matrix(mesh.ay, basis, ys)
-    C = np.asarray(coeffs).reshape(mesh.ax.n_dofs, mesh.ay.n_dofs)
-    return (dBx if dx else Bx).T @ C @ (dBy if dy else By)
+    return grid_values(grid_tables(mesh, basis, xs, ys), coeffs, dx, dy)
 
 
 class L2Projector:
@@ -310,14 +321,14 @@ class L2Projector:
         """Mass^{-1} load, in the shape of load: a flat (n_global,) vector or
         a stack (..., n1d_x, n1d_y) of matrix-form loads.
 
-        Each axis is one cho_solve on its factor, with the columns of every
-        load of the stack side by side (LAPACK solves each column alike, so
-        a load's projection does not depend on the stack).
+        Each load is two cho_solves of its own, one per axis on that axis's
+        factor.  A load's columns are never solved beside another load's:
+        some BLAS kernels (OpenBLAS's AVX2 ones) round a triangular solve's
+        columns differently with their number, and a load's projection must
+        not depend on its stack.
         """
         nx, ny = self.mesh.ax.n_dofs, self.mesh.ay.n_dofs
         fx, fy = self.factors
         B = np.reshape(load, (-1, nx, ny))
-        k = len(B)
-        X = cho_solve(fx, B.transpose(1, 0, 2).reshape(nx, k * ny))
-        Y = cho_solve(fy, X.reshape(nx, k, ny).transpose(2, 1, 0).reshape(ny, k * nx))
-        return Y.reshape(ny, k, nx).transpose(1, 2, 0).reshape(np.shape(load))
+        out = np.stack([cho_solve(fy, cho_solve(fx, b).T).T for b in B])
+        return out.reshape(np.shape(load))

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .assembly import Quadrature2D, StateVector, evaluate_grid
+from .assembly import Quadrature2D, StateVector, grid_tables, grid_values
 from .basis import Basis1D
 from .mesh import Mesh2D
 from .model import ModelSpec
@@ -181,6 +181,16 @@ def _check_reference(reference, mesh: Mesh2D, ref_mesh: Mesh2D | None,
     return True
 
 
+def _reference_tables(quad: Quadrature2D, ref_mesh: Mesh2D, ref_basis: Basis1D,
+                      own_tables, xs, ys):
+    """The tables of a reference's basis on the grid xs x ys, built once for
+    all fields: own_tables, the state's on that grid, when the reference
+    lives on the state's (quad's) mesh and basis."""
+    if ref_mesh is quad.mesh and ref_basis is quad.basis:
+        return own_tables
+    return grid_tables(ref_mesh, ref_basis, xs, ys)
+
+
 def error_report(state, reference, mesh: Mesh2D, basis: Basis1D,
                  ref_mesh: Mesh2D | None = None, ref_basis: Basis1D | None = None,
                  grid_n: int = LINF_GRID) -> ErrorReport:
@@ -200,16 +210,19 @@ def error_report(state, reference, mesh: Mesh2D, basis: Basis1D,
     ys = np.linspace(y0, y1, grid_n)
     quad = Quadrature2D(mesh, basis)
     X, Y = quad.grid
+    on_grid = grid_tables(mesh, basis, xs, ys)
+    if from_state:
+        ref_on_grid = _reference_tables(quad, ref_mesh, ref_basis, on_grid, xs, ys)
+        ref_on_quad = _reference_tables(quad, ref_mesh, ref_basis, quad.tables, quad.x, quad.y)
     linf, l2 = [], []
     for idx, f in enumerate(state.fields):
         if from_state:
             g = reference.fields[idx]
-            ref_grid = evaluate_grid(ref_mesh, ref_basis, g, xs, ys)
-            ref_quad = evaluate_grid(ref_mesh, ref_basis, g, quad.x, quad.y)
+            ref_grid, ref_quad = grid_values(ref_on_grid, g), grid_values(ref_on_quad, g)
         else:
             ref_grid = reference[idx](xs[:, None], ys[None, :], state.t)
             ref_quad = reference[idx](X, Y, state.t)
-        diff_grid = evaluate_grid(mesh, basis, f, xs, ys) - ref_grid
+        diff_grid = grid_values(on_grid, f) - ref_grid
         linf.append(float(np.max(np.abs(diff_grid))))
         l2.append(float(np.sqrt(np.sum((quad.values(f) - ref_quad)**2 * quad.W))))
     return ErrorReport(l2=tuple(l2), linf=tuple(linf),
@@ -234,12 +247,14 @@ def error_hw(state, reference, mesh: Mesh2D, basis: Basis1D, spec: ModelSpec,
     quad = Quadrature2D(mesh, basis)
     X, Y = quad.grid
     h1 = max(1.0, 1.0 + 0.5 * tau * spec.r)
+    if from_state:
+        ref_on_quad = _reference_tables(quad, ref_mesh, ref_basis, quad.tables, quad.x, quad.y)
 
     total = 0.0
     for idx, f in enumerate(state.fields):
         if from_state:
             g = reference.fields[idx]
-            rv, rgx, rgy = (evaluate_grid(ref_mesh, ref_basis, g, quad.x, quad.y, dx=dx, dy=dy)
+            rv, rgx, rgy = (grid_values(ref_on_quad, g, dx=dx, dy=dy)
                             for dx, dy in ((0, 0), (1, 0), (0, 1)))
         else:
             gfx, gfy = spec.exact_grad[idx]

@@ -191,10 +191,11 @@ class NoiseWorkspace:
         self.ex, self.ey = mesh.per_axis(
             lambda B, w, a, b, q: B @ (w[:, None] * _sine_modes(J, a, b, q).T),
             (Bx, quad.wx, x0, x1, quad.x), (By, quad.wy, y0, y1, quad.y))
+        self._eyt = np.ascontiguousarray(self.ey.T)     # load's right operand, C-contiguous
 
     def load(self, coeffs_jk: np.ndarray) -> np.ndarray:
         """Loads (..., n1d_x, n1d_y) of mode coefficients (..., J, J)."""
-        return self.ex @ coeffs_jk @ self.ey.T
+        return self.ex @ coeffs_jk @ self._eyt
 
     def project_modes(self, coeffs_jk: np.ndarray) -> np.ndarray:
         """Projected coefficients (..., n_global) of mode coefficients

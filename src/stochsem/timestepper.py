@@ -13,16 +13,19 @@ scheme operator is a Kronecker sum of dense per-axis matrices (Lynch, Rice &
 Thomas 1964).  With the coefficients of a field reshaped to X of shape
 (n1d_x, n1d_y) (global dof gx * n1d_y + gy),
 
-    L vec X = Ox X My^T + Mx X Oy^T,
-    Ox = c_phi Mx + Dx,  c_phi = 1 + (tau/2) r_phi,  Dx = (tau/2)(zeta Kx + xi Ax),
-    Oy = (tau/2)(zeta Ky + xi Ay),
+    L vec X = c_phi Mx X My^T + S,   R vec X = c'_phi Mx X My^T - S,
+    S = Dx X My^T + Mx X Oy^T,
+    c_phi = 1 + (tau/2) r_phi,  c'_phi = 1 - (tau/2) r_phi,
+    Dx = (tau/2)(zeta Kx + xi Ax),  Oy = (tau/2)(zeta Ky + xi Ay),
 
 with Mx, Kx, Ax the 1D mass, stiffness and advection matrices
-(Quadrature2D.axis_matrices; likewise for y).  Oy does not depend on r_phi,
-so one KroneckerSum per side serves the fields' stack (3, n1d_x, n1d_y),
-with the x-axis stack (Ox_u, Ox_v, Ox_w), Ox_u = Ox_v.  No 2D operator is
-built.  On a square mesh both axes are one (mesh.shared_axis): Dx and Oy
-are then one matrix, and so are the mass factors and Schur forms below.
+(Quadrature2D.axis_matrices; likewise for y).  The two sides share every
+per-axis product, and the field enters only through c_phi and c'_phi, so
+one KroneckerPair applies both sides to the fields' whole stack
+(..., 3, n1d_x, n1d_y) by five stacked products with fixed 2D matrices.  No
+2D operator is built.  On a square mesh both axes are one
+(mesh.shared_axis): Dx and Oy are then one matrix, and so are the mass
+factors and Schur forms below.
 
 L vec X = R is the Sylvester equation
 
@@ -49,6 +52,8 @@ kernels solves, picked by the size of the mesh:
   near-zero eigenvalue sum (info != 0) or rescales against overflow
   (scale != 1) is a failure, never a silent result.
 
+On the sweep's meshes, a block system whose condition number reaches 1/eps
+is singular too (SchemeError): a 2x2 block's table squares its conditioning.
 A failed solve in a step raises SolverFailure.
 These, DivergenceError and model.SingularNonlinearity are NumericalErrors.
 Every solve must also pass the relative residual gate SOLVE_RTOL, measured
@@ -77,18 +82,21 @@ montecarlo.run_ensemble build it, or check a prebuilt one, by scheme_for.
 `step` and the time loop (`advance`) work on batches: the states of B
 samples are one array (B, 3, n1d_x, n1d_y) (a StateBatch), their noise
 loads one array (B, 1 | 3, n1d_x, n1d_y) (one path shared by the fields, or
-one per field).  A step makes one right-hand-side apply, one solve and one
-residual gate for the whole stack (np.matmul broadcasts) and one load of
-the nonlinearity with the forcings (staged once per scheme,
-model.stage_forcing); on meshes above the sweep's size, dtrsyl runs once
-per sample and field.  The checks hold per sample and field, and a failure
-names its sample.  Every
-per-sample operation is the same BLAS or LAPACK call whatever B is, so a
-sample's trajectory does not depend on its batch: `run` is the batch of one.
+one per field).  A step makes one solve and one fused apply of both sides
+for the whole stack (np.matmul broadcasts) and one load of the nonlinearity
+with the forcings (staged once per scheme, model.stage_forcing); on meshes
+above the sweep's size, dtrsyl runs once per sample and field.  The apply
+on the new state phi^n gives the residual gate its L phi^n and the next
+step its right-hand side R phi^n, which the new StateBatch carries; a state
+that `step` did not make (the first of a time loop, or a caller's) has its
+R phi applied when it is stepped.  The checks hold per sample and field,
+and a failure names its sample.  Every per-sample operation is the same
+BLAS or LAPACK call whatever B is, so a sample's trajectory does not depend
+on its batch: `run` is the batch of one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 # Nothing in this package calls scipy.sparse.linalg; the module is kept bound
@@ -137,18 +145,40 @@ class StepReport:
     energy: float
 
 
-@dataclass(frozen=True, eq=False)
-class KroneckerSum:
-    """The operator L vec X = ox X my^T + mx X oy^T on coefficient matrices X
-    (..., n1d_x, n1d_y), `L @ X`; a stack ox (k, ...) acts by field on X (..., k, ...)."""
+class KroneckerPair:
+    """The operators L_f = c[f] M + A and R_f = cr[f] M - A on coefficient
+    matrices X (..., n1d_x, n1d_y), with the mass M vec X = mx X my^T and the
+    Kronecker sum A vec X = dx X my^T + mx X dy^T; c and cr (k,) act by field
+    on a stack X (..., k, n1d_x, n1d_y).  `terms` gives (M X, A X) and
+    `apply` (L X, R X) from the same five stacked products with 2D matrices,
+    P = X my^T, Q = X dy^T, M X = mx P and A X = dx P + mx Q."""
 
-    ox: np.ndarray
-    oy: np.ndarray
-    mx: np.ndarray
-    my: np.ndarray
+    def __init__(self, mx, my, dx, dy, c=(0.0,), cr=(0.0,)):
+        self.mx, self.my, self.dx, self.dy = mx, my, dx, dy
+        # right operands stored C-contiguous: numpy multiplies a stack by a
+        # transposed view 2-3 times slower
+        self.myt, self.dyt = np.ascontiguousarray(my.T), np.ascontiguousarray(dy.T)
+        self.c, self.cr = np.asarray(c, dtype=float), np.asarray(cr, dtype=float)
 
-    def __matmul__(self, X: np.ndarray) -> np.ndarray:
-        return self.ox @ X @ self.my.T + self.mx @ X @ self.oy.T
+    # Both methods work in place where they can: glibc hands a run of freed
+    # large temporaries back to the system, and each next one faults its
+    # pages in again (at (32, 3, 15, 15) that tripled the cost of `terms`).
+    def terms(self, X: np.ndarray):
+        """(M X, A X)."""
+        P = X @ self.myt
+        MX, AX = self.mx @ P, self.dx @ P
+        np.matmul(X, self.dyt, out=P)       # P is now Q
+        AX += self.mx @ P
+        return MX, AX
+
+    def apply(self, X: np.ndarray):
+        """(L X, R X), by field."""
+        MX, AX = self.terms(X)
+        LX = self.c[:, None, None] * MX
+        LX += AX
+        MX *= self.cr[:, None, None]
+        MX -= AX
+        return LX, MX
 
 
 def _eigenvalues(t: np.ndarray) -> np.ndarray:
@@ -178,9 +208,10 @@ class SchurFactor:
     mx^-1 dx = U ta U^T and my^-1 oy = V tb V^T.  `singular` names, per
     field, why L_f is singular (None if it is not): an eigenvalue sum
     c[f] + ta_i + tb_j within dtrsyl's threshold
-    eps max(max|c[f] I + ta|, max|tb|) of zero.  A factor with a singular
-    field builds no kernel.  `sweep` (n1d_y n1d_x^3 <= SWEEP_MAX_TABLE_COST)
-    picks the kernel:
+    eps max(max|c[f] I + ta|, max|tb|) of zero, or, for the sweep, a block
+    system of 1-norm condition number 1/eps or more.  A factor with an
+    eigenvalue-sum singular field builds no kernel.  `sweep`
+    (n1d_y n1d_x^3 <= SWEEP_MAX_TABLE_COST) picks the kernel:
 
     - the column sweep, vectorized over the whole stack of right-hand
       sides: with A_f = c[f] I + mx^-1 dx and Z = X V, L vec X = R is
@@ -194,7 +225,9 @@ class SchurFactor:
     """
 
     def __init__(self, forms, c, fx, dx):
-        (ta, self.u, self.px, lx), (self.tb, self.v, self.py, ly) = forms
+        (ta, self.u, self.px, lx), (self.tb, v, py, ly) = forms
+        # right operands stored C-contiguous, as in KroneckerPair
+        self.vt, self.pyt = np.ascontiguousarray(v.T), np.ascontiguousarray(py.T)
         c = np.asarray(c, dtype=float).tolist()
         # Fortran order, as schur returns it: dtrsyl then reads ta without a copy
         shifted = {cf: np.asfortranarray(cf * np.eye(len(ta)) + ta) for cf in c}
@@ -231,6 +264,15 @@ class SchurFactor:
         g2[..., :n, :n] = g2[..., n:, n:] = C.real
         g2[..., :n, n:], g2[..., n:, :n] = -b * Q, -c2 * Q
         per_field = [shifts.index(x) for x in c]
+        # a block system of 1-norm condition number 1/eps or more is singular
+        # to working precision, though its eigenvalue sums pass the rule above
+        # (a 2x2 block's table squares its conditioning)
+        cond = np.concatenate([_norm1(m1) * _norm1(g1),
+                               (_norm1(mc.real) + np.maximum(abs(b), abs(c2))[:, 0, 0])
+                               * _norm1(g2)], axis=1).max(axis=1, initial=0.0)
+        cond[np.isnan(cond)] = np.inf
+        self.singular = [None if cond[i] * np.finfo(float).eps < 1.0 else
+                         f"a column block has condition number {cond[i]:.1e}" for i in per_field]
         g1, g2 = g1[per_field], g2[per_field]
         tables = dict(zip(one, g1.swapaxes(0, 1))) | dict(zip(two.tolist(), g2.swapaxes(0, 1)))
         self.g = [tables[j] for j, _ in self.blocks]
@@ -242,19 +284,26 @@ class SchurFactor:
         which neither scales nor perturbs."""
         lead = R.shape[:-2]
         if self.sweep:
-            F = self.py @ R.swapaxes(-1, -2) @ self.mxi.T   # F^T: the columns of Z as rows
+            # F^T, the columns of Z as rows, as the transpose of F: numpy
+            # multiplies by a transposed stack 2-3 times slower
+            F = (self.mxi @ R @ self.pyt).swapaxes(-1, -2)
             Z = np.empty(F.shape)
             for (j, k), g in zip(reversed(self.blocks), reversed(self.g)):
                 rhs = F[..., j:k, :] - self.tb[j:k, k:] @ Z[..., k:, :]
                 Z[..., j:k, :] = (g @ rhs.reshape(*lead, -1, 1)).reshape(*lead, k - j, -1)
-            return Z.swapaxes(-1, -2) @ self.v.T, np.ones(lead), np.zeros(lead, dtype=int)
-        F = self.px @ R @ self.py.T
+            return Z.swapaxes(-1, -2) @ self.vt, np.ones(lead), np.zeros(lead, dtype=int)
+        F = self.px @ R @ self.pyt
         flat = F.reshape(-1, *F.shape[-2:])
         scale, info = np.empty(len(flat)), np.empty(len(flat), dtype=int)
         for i, f in enumerate(flat):
             flat[i], scale[i], info[i] = dtrsyl(self.ta[i % len(self.ta)], self.tb, f,
                                                 trana="N", tranb="T")
-        return self.u @ F @ self.v.T, scale.reshape(lead), info.reshape(lead)
+        return self.u @ F @ self.vt, scale.reshape(lead), info.reshape(lead)
+
+
+def _norm1(m: np.ndarray) -> np.ndarray:
+    """The 1-norms of a stack of matrices."""
+    return np.abs(m).sum(axis=-2).max(axis=-1)
 
 
 def _inverses(m: np.ndarray) -> np.ndarray:
@@ -273,11 +322,12 @@ class SchemeOperators:
     """The Crank-Nicolson scheme of one (spec, mesh, basis, tau), which it
     owns; frozen, so a scheme shared by threads or workers never changes.
 
-    mass is (Mx, My); stiffness the unit diffusion (for the energy norm);
-    left and right are the fields' Crank-Nicolson operators, with x-axis
-    stacks (Ox_u, Ox_v, Ox_w), and factor solves left: by the column sweep
-    on meshes with n1d_y * n1d_x^3 <= SWEEP_MAX_TABLE_COST, by dtrsyl on the
-    rest (factor.sweep).  forcing is spec.forcing staged on quad's grid once,
+    stiffness is the pair of the mass and the unit diffusion (for the energy
+    norm, KroneckerPair.terms); sides the fields' Crank-Nicolson pair, whose
+    one `apply` gives both L X and R X of a stack, with c = (c_u, c_v, c_w)
+    and c' likewise; factor solves L: by the column sweep on meshes with
+    n1d_y * n1d_x^3 <= SWEEP_MAX_TABLE_COST, by dtrsyl on the rest
+    (factor.sweep).  forcing is spec.forcing staged on quad's grid once,
     at build time (a function t -> (3, nx, ny) samples), or None without
     forcing.
     """
@@ -286,10 +336,8 @@ class SchemeOperators:
     mesh: Mesh2D
     basis: Basis1D
     tau: float
-    mass: tuple[np.ndarray, np.ndarray]
-    stiffness: KroneckerSum
-    left: KroneckerSum
-    right: KroneckerSum
+    stiffness: KroneckerPair
+    sides: KroneckerPair
     factor: SchurFactor
     quad: Quadrature2D
     projector: L2Projector
@@ -305,8 +353,8 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
     the per-axis operators, the factor of the left-hand sides (on the
     projector's mass factors) and the forcing, staged here once.
 
-    u and v share identical left/right x-axis matrices; w folds the reaction
-    term into the mass coefficient of both sides.  Each distinct axis gets
+    u and v share c = 1 and c' = 1; w folds the reaction term into the mass
+    coefficients c_w and c'_w of both sides.  Each distinct axis gets
     one Schur form (mesh.per_axis).  A left operator that the factor finds
     (numerically) singular raises SchemeError naming the first such field.
     """
@@ -323,11 +371,6 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
     half = 0.5 * tau
     dx, dy = mesh.per_axis(lambda k, a: half * (spec.zeta * k + spec.xi * a), (kx, ax), (ky, ay))
     hr = half * np.array([0.0, 0.0, spec.r])     # r_u, r_v, r_w
-
-    def side(sign):   # Mass +- (tau/2)(r_phi Mass + zeta Diffusion + xi Advection)
-        return KroneckerSum((1.0 + sign * hr)[:, None, None] * mx + sign * dx, sign * dy, mx, my)
-
-    left = side(1)
     fx, fy = projector.factors
     factor = SchurFactor(mesh.per_axis(_schur_form, (fx, dx), (fy, dy)), 1.0 + hr, fx, dx)
     for f, why in enumerate(factor.singular):
@@ -336,8 +379,9 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
                 f"left operator of field {'uvw'[f]} is singular for tau={tau}, "
                 f"mesh {mesh.nex}x{mesh.ney} order {mesh.order} ({why})")
     return SchemeOperators(
-        spec=spec, mesh=mesh, basis=basis, tau=tau, mass=(mx, my),
-        stiffness=KroneckerSum(kx, ky, mx, my), left=left, right=side(-1),
+        spec=spec, mesh=mesh, basis=basis, tau=tau,
+        stiffness=KroneckerPair(mx, my, kx, ky),
+        sides=KroneckerPair(mx, my, dx, dy, 1.0 + hr, 1.0 - hr),
         factor=factor, quad=quad, projector=projector,
         forcing=None if spec.forcing is None else stage_forcing(spec.forcing, *quad.grid),
         nonlinearity_time=nonlinearity_time, noise_convention=noise_convention,
@@ -351,12 +395,16 @@ class StateBatch:
 
     coeffs has shape (B, 3, n1d_x, n1d_y): sample, field (u, v, w), then the
     field's coefficient matrix (global dof gx * n1d_y + gy).  sample_ids
-    name the samples in failures (None when they have no ids).
+    name the samples in failures (None when they have no ids).  right is
+    R coeffs, the Crank-Nicolson right-hand side of the next step before its
+    loads, on a state that `step` made (None on any other); `step` never
+    writes into it.
     """
 
     coeffs: np.ndarray
     t: float = 0.0
     sample_ids: tuple | None = None
+    right: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
 
     def state(self, b: int) -> StateVector:
         """Sample b as a StateVector (views of coeffs)."""
@@ -386,7 +434,10 @@ def step(ops: SchemeOperators, state: StateBatch, noise=None,
     t_half = state.t + tau / 2.0
     old = state.coeffs
 
-    rhs = ops.right @ old
+    # the Crank-Nicolson right-hand side R phi^{n-1}: carried over from the
+    # residual gate of the step that made the state, else applied here.  It
+    # may be the state's carried array, so the loads below replace it
+    rhs = state.right if state.right is not None else ops.sides.apply(old)[1]
 
     samples = []    # the nonlinearity (B samples) and the forcings, loaded at once
     nonlinear = spec.wp != 0.0 and any(spec.e)
@@ -413,21 +464,19 @@ def step(ops: SchemeOperators, state: StateBatch, noise=None,
     if samples:
         loads = quad.load(np.concatenate(samples))
         if nonlinear:
-            rhs -= (tau * spec.wp * np.array(spec.e))[:, None, None] * loads[:len(old), None]
+            rhs = rhs - (tau * spec.wp * np.array(spec.e))[:, None, None] * loads[:len(old), None]
         if ops.forcing is not None:
-            rhs += tau * loads[-3:]
+            rhs = rhs + tau * loads[-3:]
 
     if noise is not None:
         # a shared path (one noise load per sample) broadcasts over the fields
-        if ops.noise_convention == "paper":
-            rhs -= noise
-        else:
-            rhs += noise
+        rhs = rhs - noise if ops.noise_convention == "paper" else rhs + noise
 
     sol, scale, info = ops.factor.solve(rhs)
-    gap = ops.left @ sol - rhs
-    bnorm = np.linalg.norm(rhs, axis=(2, 3))
-    residuals = np.linalg.norm(gap, axis=(2, 3)) / np.where(bnorm > 0, bnorm, 1.0)
+    gap, right = ops.sides.apply(sol)      # L phi^n, and R phi^n for the next step
+    gap -= rhs
+    gnorm, bnorm = (np.sqrt(np.einsum("...ij,...ij->...", x, x)) for x in (gap, rhs))
+    residuals = gnorm / np.where(bnorm > 0, bnorm, 1.0)
     bad = (info != 0) | (scale != 1.0)
     failed = bad | (residuals > SOLVE_RTOL)
     if failed.any():
@@ -441,7 +490,7 @@ def step(ops: SchemeOperators, state: StateBatch, noise=None,
         b, f = np.argwhere(~np.isfinite(sol).all(axis=(2, 3)))[0]
         raise _tag(DivergenceError(f"non-finite state after step {step_index} "
                                    f"(field {'uvw'[f]})"), state, b)
-    return StateBatch(sol, state.t + tau, state.sample_ids), residuals
+    return StateBatch(sol, state.t + tau, state.sample_ids, right), residuals
 
 
 def energy_norm(ops: SchemeOperators, state: StateVector) -> float:
@@ -453,10 +502,9 @@ def energy_norm(ops: SchemeOperators, state: StateVector) -> float:
     """
     spec, tau = ops.spec, ops.tau
     h1 = max(1.0, 1.0 + 0.5 * tau * spec.r)
-    mx, my = ops.mass
-    F = state.stacked().reshape(3, len(mx), len(my))
-    total = h1 * float(np.sum(F * (mx @ F @ my.T)))
-    total += 0.5 * tau * spec.zeta * float(np.sum(F * (ops.stiffness @ F)))
+    F = state.stacked().reshape(3, ops.mesh.ax.n_dofs, ops.mesh.ay.n_dofs)
+    MF, KF = ops.stiffness.terms(F)
+    total = h1 * float(np.sum(F * MF)) + 0.5 * tau * spec.zeta * float(np.sum(F * KF))
     return float(np.sqrt(total))
 
 
@@ -485,9 +533,8 @@ def _resolve_steps(times, tau: float, n_steps: int, what: str) -> dict:
 
 def initial_data(ops: SchemeOperators) -> np.ndarray:
     """The projected initial data of ops.spec, shape (3, n1d_x, n1d_y)."""
-    mx, my = ops.mass
     init = [ops.projector.project(f) for f in ops.spec.init]
-    return np.stack(init).reshape(3, len(mx), len(my))
+    return np.stack(init).reshape(3, ops.mesh.ax.n_dofs, ops.mesh.ay.n_dofs)
 
 
 def advance(ops: SchemeOperators, init: np.ndarray, T: float,
@@ -531,7 +578,7 @@ def advance(ops: SchemeOperators, init: np.ndarray, T: float,
                 reports[b].append(StepReport(k, tuple(map(float, res)), energy))
         prev, state = state, new_state
         for t in snap_at.get(k, ()):
-            snapshots[t] = state
+            snapshots[t] = replace(state, right=None)     # holds no carried array
     return state, snapshots, reports
 
 

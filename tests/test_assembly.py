@@ -629,12 +629,11 @@ class TestPerAxisScheme:
         rng = np.random.default_rng(seed)
         shape = (m.ax.n_dofs, m.ay.n_dofs)
         for f, rf in enumerate((0.0, 0.0, r)):     # fields u, v, w
-            for side, sign in ((ops.left, 1.0), (ops.right, -1.0)):
+            X = rng.standard_normal((3, *shape))
+            for got, sign in zip(ops.sides.apply(X), (1.0, -1.0)):    # L X, R X
                 want = ((1.0 + sign * tau / 2 * rf) * mass
                         + sign * tau / 2 * (zeta * diff + xi * adv)).tocsc()
-                X = rng.standard_normal((3, *shape))
-                ref = want @ X[f].ravel()
-                assert rel_err((side @ X)[f].ravel(), ref) <= 1e-13
+                assert rel_err(got[f].ravel(), want @ X[f].ravel()) <= 1e-13
             L = ((1.0 + tau / 2 * rf) * mass + tau / 2 * (zeta * diff + xi * adv)).tocsc()
             R = rng.standard_normal((3, *shape))
             sol, scale, info = ops.factor.solve(R)

@@ -12,7 +12,7 @@ import pytest
 
 from stochsem import montecarlo, stochastic, timestepper
 
-from stochsem.assembly import StateVector, evaluate_grid
+from stochsem.assembly import Quadrature2D, StateVector, evaluate_grid
 from stochsem.basis import make_basis
 from stochsem.cli import make_problem
 from stochsem.config import parse_config
@@ -174,6 +174,16 @@ class TestBatchedChunks:
         for res in results[1:]:
             assert np.array_equal(res.mean.stacked(), results[0].mean.stacked())
             assert np.array_equal(res.m2, results[0].m2)
+
+    def test_full_default_chunk_on_the_ensemble_discretization(self):
+        # a whole default chunk (B = 32) of the Monte Carlo benchmark's
+        # problem: linear Test 2 on 2x2/order 8 (the column sweep), tau = 0.01
+        assert montecarlo.DEFAULT_CHUNK == 32
+        self.IDS = range(32)
+        mesh, basis = disc(2, 2, 8)
+        sampler = QWienerSampler(truncation=8, decay_exponent=2.0, amplitude=0.1, seed=29)
+        self.assert_chunk_equals_runs(make_test2("smooth").with_wp(0.0), mesh, basis, sampler,
+                                      tau=0.01, T=0.1, snapshot_times=(0.05,))
 
 
 
@@ -414,6 +424,55 @@ class TestErrorReport:
         state = StateVector(*(rng.standard_normal(mesh.n_global) for _ in range(3)))
         with pytest.raises(ValueError, match="ref_mesh"):
             error_report(state, state, mesh, basis)
+
+
+def per_field_errors(state, ref_grid, ref_quad, ref_grads, mesh, basis, spec, tau, grid_n):
+    """The L2, Linf and energy errors field by field, every field and
+    reference evaluated by its own evaluate_grid call: the oracle of
+    error_report and error_hw, which build each table once per call."""
+    quad = Quadrature2D(mesh, basis)
+    xs = np.linspace(0.0, 1.0, grid_n)
+    h1 = max(1.0, 1.0 + 0.5 * tau * spec.r)
+    l2, linf, total = [], [], 0.0
+    for idx, f in enumerate(state.fields):
+        diff = evaluate_grid(mesh, basis, f, xs, xs) - ref_grid(idx, xs)
+        linf.append(float(np.max(np.abs(diff))))
+        sq = (evaluate_grid(mesh, basis, f, quad.x, quad.y) - ref_quad(idx, quad))**2
+        l2.append(float(np.sqrt(np.sum(sq * quad.W))))
+        rgx, rgy = ref_grads(idx, quad)
+        h1sq = float(np.sum(((evaluate_grid(mesh, basis, f, quad.x, quad.y, dx=1) - rgx)**2
+                             + (evaluate_grid(mesh, basis, f, quad.x, quad.y, dy=1) - rgy)**2)
+                            * quad.W))
+        total += h1 * float(np.sum(sq * quad.W)) + 0.5 * tau * spec.zeta * h1sq
+    return tuple(l2), tuple(linf), float(np.sqrt(total))
+
+
+class TestErrorTables:
+    @pytest.mark.parametrize("reference", ["own", "other", "exact"])
+    def test_errors_bitwise_per_field_evaluate_grid(self, reference, rng):
+        mesh, basis = disc(2, 2, 6)
+        spec, tau = make_test1(), 0.1
+        state = StateVector(*(rng.standard_normal(mesh.n_global) for _ in range(3)), t=0.3)
+        if reference == "exact":
+            ref, kw = spec.exact, {}
+            ref_grid = lambda i, xs: spec.exact[i](xs[:, None], xs[None, :], state.t)
+            ref_quad = lambda i, q: spec.exact[i](*q.grid, state.t)
+            ref_grads = lambda i, q: tuple(g(*q.grid, state.t) for g in spec.exact_grad[i])
+        else:
+            ref_mesh, ref_basis = (mesh, basis) if reference == "own" else disc(1, 2, 7)
+            ref = StateVector(*(rng.standard_normal(ref_mesh.n_global) for _ in range(3)))
+            kw = {"ref_mesh": ref_mesh, "ref_basis": ref_basis}
+
+            def on(i, xs, ys, dx=0, dy=0):
+                return evaluate_grid(ref_mesh, ref_basis, ref.fields[i], xs, ys, dx=dx, dy=dy)
+            ref_grid = lambda i, xs: on(i, xs, xs)
+            ref_quad = lambda i, q: on(i, q.x, q.y)
+            ref_grads = lambda i, q: (on(i, q.x, q.y, dx=1), on(i, q.x, q.y, dy=1))
+        l2, linf, hw = per_field_errors(state, ref_grid, ref_quad, ref_grads, mesh, basis,
+                                        spec, tau, 33)
+        rep = error_report(state, ref, mesh, basis, grid_n=33, **kw)
+        assert (rep.l2, rep.linf) == (l2, linf)
+        assert error_hw(state, ref, mesh, basis, spec, tau, **kw) == hw
 
 
 class TestEnergyError:

@@ -11,7 +11,7 @@ from stochsem.model import test1_spec as make_test1
 from stochsem.model import test2_spec as make_test2
 from stochsem.montecarlo import error_report
 from stochsem.stochastic import NoiseWorkspace, QWienerSampler, sample_increment
-from stochsem.timestepper import (SOLVE_RTOL, KroneckerSum, SchemeError, SchurFactor,
+from stochsem.timestepper import (SOLVE_RTOL, KroneckerPair, SchemeError, SchurFactor,
                                   SolverFailure, StateBatch, _eigenvalues, _schur_form,
                                   build_scheme, energy_norm, run, step)
 
@@ -40,9 +40,12 @@ def batch_shape(mesh, B=1):
     return (B, 3, mesh.ax.n_dofs, mesh.ay.n_dofs)
 
 
-def dense(op, f):
-    """The 2D matrix kron(ox[f], my) + kron(mx, oy) of field f's operator."""
-    return np.kron(op.ox[f], op.my) + np.kron(op.mx, op.oy)
+def dense(pair, f, side="left"):
+    """The 2D matrix of field f's left operator c[f] M + A or right operator
+    cr[f] M - A, M = kron(mx, my) and A = kron(dx, my) + kron(mx, dy)."""
+    m = np.kron(pair.mx, pair.my)
+    a = np.kron(pair.dx, pair.my) + np.kron(pair.mx, pair.dy)
+    return pair.c[f] * m + a if side == "left" else pair.cr[f] * m - a
 
 
 class TestBuildScheme:
@@ -51,8 +54,8 @@ class TestBuildScheme:
         ops = build_scheme(mesh, basis, plain_spec(), tau=0.1)
         M = ops.quad.operator(m=1.0).toarray()
         for f in range(3):
-            assert np.max(np.abs(dense(ops.left, f) - M)) <= 1e-15
-            assert np.max(np.abs(dense(ops.right, f) - M)) <= 1e-15
+            assert np.max(np.abs(dense(ops.sides, f) - M)) <= 1e-15
+            assert np.max(np.abs(dense(ops.sides, f, "right") - M)) <= 1e-15
 
     def test_constant_reaction_scales_mass(self):
         # r = 2 with no advection/diffusion: L_w = (1 + tau) * Mass
@@ -60,10 +63,10 @@ class TestBuildScheme:
         tau = 0.2
         ops = build_scheme(mesh, basis, plain_spec(r=2.0), tau=tau)
         M = ops.quad.operator(m=1.0).toarray()
-        assert np.max(np.abs(dense(ops.left, 2) - (1 + tau) * M)) <= 1e-12
-        assert np.max(np.abs(dense(ops.right, 2) - (1 - tau) * M)) <= 1e-12
+        assert np.max(np.abs(dense(ops.sides, 2) - (1 + tau) * M)) <= 1e-12
+        assert np.max(np.abs(dense(ops.sides, 2, "right") - (1 - tau) * M)) <= 1e-12
         for f in (0, 1):
-            assert np.max(np.abs(dense(ops.left, f) - M)) <= 1e-15
+            assert np.max(np.abs(dense(ops.sides, f) - M)) <= 1e-15
 
     def test_tau_linearity(self):
         mesh, basis = disc(1, 1, 6)
@@ -73,7 +76,7 @@ class TestBuildScheme:
         half = build_scheme(mesh, basis, spec, tau / 2)
         M = ops.quad.operator(m=1.0).toarray()
         for f in range(3):
-            L1, L2 = dense(ops.left, f), dense(half.left, f)
+            L1, L2 = dense(ops.sides, f), dense(half.sides, f)
             # the reaction term of w is linear in tau too
             assert np.max(np.abs((L1 - M) - 2 * (L2 - M))) <= 1e-12
 
@@ -109,6 +112,40 @@ class TestStep:
         new, _ = step(ops, state)
         for old_f, new_f in zip(state.coeffs[0], new.coeffs[0]):
             assert np.max(np.abs(new_f - old_f)) <= 1e-10
+
+    @pytest.mark.parametrize("nex,order,sweep", [(2, 6, True), (1, 17, False)],
+                             ids=["sweep", "schur"])
+    def test_carried_right_hand_side_is_a_fresh_one(self, nex, order, sweep):
+        # a state that step made carries R phi from its residual gate: a step
+        # from it is bitwise the step from a fresh StateBatch of the same
+        # coefficients, which applies R phi itself
+        mesh, basis = disc(nex, nex, order)
+        ops = build_scheme(mesh, basis, make_test1(), 0.05)
+        assert ops.factor.sweep is sweep
+        rng = np.random.default_rng(3)
+        shape = batch_shape(mesh, 3)
+        state = StateBatch(0.1 * rng.standard_normal(shape), 0.5, (4, 5, 6))
+        noise = 0.01 * rng.standard_normal(shape)
+        made, _ = step(ops, state, noise, step_index=1)
+        fresh = StateBatch(made.coeffs.copy(), made.t, made.sample_ids)
+        assert made.right is not None and fresh.right is None
+        right = made.right.copy()
+        (a, res_a), (b, res_b) = (step(ops, s, noise, prev_state=state, step_index=2)
+                                  for s in (made, fresh))
+        assert np.array_equal(a.coeffs, b.coeffs) and np.array_equal(res_a, res_b)
+        assert np.array_equal(a.right, b.right)
+        # step never writes into the array a state carries
+        assert np.array_equal(made.right, right)
+
+    def test_snapshots_hold_no_carried_right_hand_side(self):
+        from stochsem.timestepper import advance, initial_data
+        mesh, basis = disc(2, 2, 6)
+        ops = build_scheme(mesh, basis, make_test1(), 0.05)
+        final, snaps, _ = advance(ops, initial_data(ops), 0.1, (0, 1),
+                                  snapshot_times=(0.0, 0.05, 0.1))
+        assert final.right is not None
+        assert all(s.right is None for s in snaps.values())
+        assert np.array_equal(snaps[0.1].coeffs, final.coeffs)
 
     def test_heat_mode_amplification(self):
         # one CN step of the pure heat scheme damps the sin-sin mode by
@@ -321,6 +358,20 @@ class TestPerAxisPath:
                                               f"order {order}"):
             build_scheme(mesh, basis, plain_spec(xi=1.5, r=-20.0), tau=0.1)
 
+    @pytest.mark.parametrize("ulps", range(1, 7))
+    def test_near_singular_sweep_raises_at_build(self, ulps):
+        # advection-only L_w 1-6 ulps off c_w = 0 on a sweep-sized mesh: its
+        # eigenvalue sums pass the rule, but the tables of its 2x2 blocks
+        # square their conditioning past 1/eps (a solve misses the gate by
+        # many orders of magnitude), so the build refuses it
+        r = -20.0
+        for _ in range(ulps):
+            r = np.nextafter(r, -np.inf)
+        mesh, basis = disc(1, 1, 5)
+        with pytest.raises(SchemeError, match=r"field w is singular for tau=0.1, mesh 1x1 "
+                                              r"order 5 \(a column block has condition"):
+            build_scheme(mesh, basis, plain_spec(xi=1.5, r=r), tau=0.1)
+
     def test_singular_left_operator_builds_no_table(self, monkeypatch):
         # the singularity rule runs first: a singular block never reaches LU
         from stochsem import timestepper
@@ -424,33 +475,35 @@ class TestPerAxisPath:
         R = rng.standard_normal((4, *batch_shape(mesh)[1:]))
         X, scale, info = ops.factor.solve(R)
         assert (scale == 1.0).all() and (info == 0).all()
-        gap = np.linalg.norm(ops.left @ X - R, axis=(2, 3))
+        gap = np.linalg.norm(ops.sides.apply(X)[0] - R, axis=(2, 3))
         assert np.max(gap / np.linalg.norm(R, axis=(2, 3))) <= 1e-10
         for f in range(3):
-            L = sp.csc_matrix(dense(ops.left, f))
+            L = sp.csc_matrix(dense(ops.sides, f))
             for b in range(len(R)):
                 want = spla.spsolve(L, R[b, f].ravel())
                 assert np.linalg.norm(X[b, f].ravel() - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestFieldStackedScheme:
-    def test_two_schur_forms_one_solve_two_applies(self, monkeypatch):
+    def test_two_schur_forms_one_solve_one_apply(self, monkeypatch):
         # a 1x2 mesh has two axes: one y-axis Schur form and one x-axis form
         # for all three fields
-        self.assert_one_solve_two_applies(monkeypatch, disc(1, 2, 17), False, 2)
+        self.assert_one_solve_one_apply(monkeypatch, disc(1, 2, 17), False, 2)
 
-    def test_square_mesh_one_schur_form_one_solve_two_applies(self, monkeypatch):
+    def test_square_mesh_one_schur_form_one_solve_one_apply(self, monkeypatch):
         # a square mesh shares its axis: the y-axis Schur form serves x too
-        self.assert_one_solve_two_applies(monkeypatch, disc(1, 1, 17), False, 1)
+        self.assert_one_solve_one_apply(monkeypatch, disc(1, 1, 17), False, 1)
 
-    def test_one_schur_form_one_sweep_two_applies(self, monkeypatch):
+    def test_one_schur_form_one_sweep_one_apply(self, monkeypatch):
         # a square mesh's one Schur form serves the column sweep too
-        self.assert_one_solve_two_applies(monkeypatch, disc(2, 2, 6), True, 1)
+        self.assert_one_solve_one_apply(monkeypatch, disc(2, 2, 6), True, 1)
 
     @staticmethod
-    def assert_one_solve_two_applies(monkeypatch, mesh_basis, sweep, schurs):
-        # a step of any batch size makes one solve and two operator applies
-        # (right-hand side and residual gate)
+    def assert_one_solve_one_apply(monkeypatch, mesh_basis, sweep, schurs):
+        # a step of any batch size makes one solve and one fused apply of
+        # both sides (residual gate and the next step's right-hand side) from
+        # a state that step made; a state it did not make adds one apply for
+        # its own right-hand side
         from stochsem import timestepper
         calls = {"schur": 0, "solve": 0, "apply": 0}
 
@@ -466,8 +519,8 @@ class TestFieldStackedScheme:
         ops = build_scheme(mesh, basis, spec, 0.05)
         assert ops.factor.sweep is sweep and calls["schur"] == schurs
         monkeypatch.setattr(SchurFactor, "solve", counting("solve", SchurFactor.solve))
-        monkeypatch.setattr(KroneckerSum, "__matmul__",
-                            counting("apply", KroneckerSum.__matmul__))
+        # every product of either side runs in KroneckerPair.terms
+        monkeypatch.setattr(KroneckerPair, "terms", counting("apply", KroneckerPair.terms))
         rng = np.random.default_rng(7)
         for B in (1, 2, 7):
             shape = batch_shape(mesh, B)
@@ -478,6 +531,10 @@ class TestFieldStackedScheme:
             new, residuals = step(ops, state, noise, prev_state=prev, step_index=4)
             assert (calls["solve"], calls["apply"]) == (1, 2)
             assert new.coeffs.shape == shape and residuals.shape == (B, 3)
+            calls.update(solve=0, apply=0)
+            newer, residuals = step(ops, new, noise, prev_state=state, step_index=5)
+            assert (calls["solve"], calls["apply"]) == (1, 1)
+            assert newer.coeffs.shape == shape and residuals.shape == (B, 3)
 
     def test_forcing_staged_once_per_scheme(self, monkeypatch):
         from stochsem import timestepper
@@ -559,7 +616,7 @@ class TestSharedAxis:
         for ops in (shared, split):
             sol, scale, info = ops.factor.solve(R)
             assert np.all(scale == 1.0) and np.all(info == 0)
-            residual = (np.linalg.norm(ops.left @ sol - R, axis=(2, 3))
+            residual = (np.linalg.norm(ops.sides.apply(sol)[0] - R, axis=(2, 3))
                         / np.linalg.norm(R, axis=(2, 3)))
             assert not gate or residual.max() <= SOLVE_RTOL
             sols.append(sol)
