@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .assembly import grid_tables, grid_values
 from .basis import make_basis
 from .config import ConfigError, RunConfig, load_config
 from .mesh import build_mesh
@@ -188,13 +189,13 @@ class OutputWriter:
 
 
 def grid_rows(mesh, basis, fields, grid_n: int, names):
-    """Rows (x, y, field values...) over a uniform grid including boundary."""
-    from .assembly import evaluate_grid
-
+    """Rows (x, y, field values...) over a uniform grid including boundary,
+    every field evaluated on one set of the grid's tables."""
     x0, x1, y0, y1 = mesh.domain
     xs = np.linspace(x0, x1, grid_n)
     ys = np.linspace(y0, y1, grid_n)
-    grids = [evaluate_grid(mesh, basis, f, xs, ys) for f in fields]
+    tables = grid_tables(mesh, basis, xs, ys)
+    grids = [grid_values(tables, f) for f in fields]
     rows = []
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):

@@ -140,8 +140,8 @@ def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
     snap_sums = {t: np.zeros((3, mesh.n_global)) for t in snapshot_times}
     for moments, snaps in results:
         total = _merge_moments(total, moments)
-        for t in snapshot_times:
-            snap_sums[t] += snaps[t]
+        for t, acc in snap_sums.items():     # each time once, also a repeated one
+            acc += snaps[t]
 
     count, mean, m2 = total
     mean_state = StateVector(mean[0].copy(), mean[1].copy(), mean[2].copy(), t=T)
@@ -166,29 +166,41 @@ class ErrorReport:
     grid_n: int = LINF_GRID
 
 
-def _check_reference(reference, mesh: Mesh2D, ref_mesh: Mesh2D | None,
-                     ref_basis: Basis1D | None) -> bool:
-    """Whether reference is a StateVector (else an exact triple); a
-    StateVector needs its discretization on the state's domain."""
-    if not isinstance(reference, StateVector):
-        return False
-    if ref_mesh is None or ref_basis is None:
-        raise ValueError("reference StateVector needs ref_mesh and ref_basis")
-    if ref_mesh.domain != mesh.domain:
-        raise ValueError(
-            f"state mesh domain {mesh.domain} and reference domain "
-            f"{ref_mesh.domain} differ: no common evaluation grid")
-    return True
+def _errors(state, reference, mesh: Mesh2D, basis: Basis1D, tables, xs, ys,
+            orders=((0, 0),), ref_mesh: Mesh2D | None = None,
+            ref_basis: Basis1D | None = None, exact_grad=None):
+    """The error state - reference of each field on the grid xs x ys, whose
+    tables (grid_tables) of (mesh, basis) are `tables`: per field, one array
+    (len(xs), len(ys)) per derivative order (dx, dy) in orders.
 
-
-def _reference_tables(quad: Quadrature2D, ref_mesh: Mesh2D, ref_basis: Basis1D,
-                      own_tables, xs, ys):
-    """The tables of a reference's basis on the grid xs x ys, built once for
-    all fields: own_tables, the state's on that grid, when the reference
-    lives on the state's (quad's) mesh and basis."""
-    if ref_mesh is quad.mesh and ref_basis is quad.basis:
-        return own_tables
-    return grid_tables(ref_mesh, ref_basis, xs, ys)
+    state may be an EnsembleResult (its mean is taken).  reference is a
+    triple of callables (x, y, t) taken at state.t, with exact_grad's pairs
+    (d/dx, d/dy) for the first derivatives, or a StateVector on (ref_mesh,
+    ref_basis), which needs the state's domain and reuses `tables` when it
+    lives on (mesh, basis).
+    """
+    if isinstance(state, EnsembleResult):
+        state = state.mean
+    if isinstance(reference, StateVector):
+        if ref_mesh is None or ref_basis is None:
+            raise ValueError("reference StateVector needs ref_mesh and ref_basis")
+        if ref_mesh.domain != mesh.domain:
+            raise ValueError(
+                f"state mesh domain {mesh.domain} and reference domain "
+                f"{ref_mesh.domain} differ: no common evaluation grid")
+        own = ref_mesh is mesh and ref_basis is basis
+        ref_tables = tables if own else grid_tables(ref_mesh, ref_basis, xs, ys)
+        refs = [[grid_values(ref_tables, g, dx, dy) for dx, dy in orders]
+                for g in reference.fields]
+    else:
+        if exact_grad is None and any(o != (0, 0) for o in orders):
+            raise ValueError("energy error against an exact triple needs exact_grad")
+        X, Y = xs[:, None], ys[None, :]
+        # order (0, 0) is the field itself, (1, 0) and (0, 1) its exact_grad pair
+        refs = [[(g if (dx, dy) == (0, 0) else exact_grad[idx][dy])(X, Y, state.t)
+                 for dx, dy in orders] for idx, g in enumerate(reference)]
+    return [[grid_values(tables, f, dx, dy) - r for (dx, dy), r in zip(orders, ref)]
+            for f, ref in zip(state.fields, refs)]
 
 
 def error_report(state, reference, mesh: Mesh2D, basis: Basis1D,
@@ -201,33 +213,17 @@ def error_report(state, reference, mesh: Mesh2D, basis: Basis1D,
     uniform grid_n x grid_n grid including the boundary; L2 by quadrature of
     the squared difference on the state's mesh.
     """
-    if isinstance(state, EnsembleResult):
-        state = state.mean
-    from_state = _check_reference(reference, mesh, ref_mesh, ref_basis)
-
     x0, x1, y0, y1 = mesh.domain
-    xs = np.linspace(x0, x1, grid_n)
-    ys = np.linspace(y0, y1, grid_n)
+    xs, ys = np.linspace(x0, x1, grid_n), np.linspace(y0, y1, grid_n)
     quad = Quadrature2D(mesh, basis)
-    X, Y = quad.grid
-    on_grid = grid_tables(mesh, basis, xs, ys)
-    if from_state:
-        ref_on_grid = _reference_tables(quad, ref_mesh, ref_basis, on_grid, xs, ys)
-        ref_on_quad = _reference_tables(quad, ref_mesh, ref_basis, quad.tables, quad.x, quad.y)
-    linf, l2 = [], []
-    for idx, f in enumerate(state.fields):
-        if from_state:
-            g = reference.fields[idx]
-            ref_grid, ref_quad = grid_values(ref_on_grid, g), grid_values(ref_on_quad, g)
-        else:
-            ref_grid = reference[idx](xs[:, None], ys[None, :], state.t)
-            ref_quad = reference[idx](X, Y, state.t)
-        diff_grid = grid_values(on_grid, f) - ref_grid
-        linf.append(float(np.max(np.abs(diff_grid))))
-        l2.append(float(np.sqrt(np.sum((quad.values(f) - ref_quad)**2 * quad.W))))
-    return ErrorReport(l2=tuple(l2), linf=tuple(linf),
-                       l2_sum=float(sum(l2)), linf_sum=float(sum(linf)),
-                       grid_n=grid_n)
+    ref = {"ref_mesh": ref_mesh, "ref_basis": ref_basis}
+    on_grid = _errors(state, reference, mesh, basis, grid_tables(mesh, basis, xs, ys),
+                      xs, ys, **ref)
+    on_quad = _errors(state, reference, mesh, basis, quad.tables, quad.x, quad.y, **ref)
+    linf = tuple(float(np.max(np.abs(e))) for (e,) in on_grid)
+    l2 = tuple(float(np.sqrt(np.sum(e**2 * quad.W))) for (e,) in on_quad)
+    return ErrorReport(l2=l2, linf=linf, l2_sum=float(sum(l2)),
+                       linf_sum=float(sum(linf)), grid_n=grid_n)
 
 
 def error_hw(state, reference, mesh: Mesh2D, basis: Basis1D, spec: ModelSpec,
@@ -239,29 +235,14 @@ def error_hw(state, reference, mesh: Mesh2D, basis: Basis1D, spec: ModelSpec,
     with h1 = max(1, 1 + (tau/2) r).  The reference is an exact triple
     with spec.exact_grad available, or a StateVector on (ref_mesh, ref_basis).
     """
-    if isinstance(state, EnsembleResult):
-        state = state.mean
-    from_state = _check_reference(reference, mesh, ref_mesh, ref_basis)
-    if not from_state and getattr(spec, "exact_grad", None) is None:
-        raise ValueError("energy error against an exact triple needs exact_grad")
     quad = Quadrature2D(mesh, basis)
-    X, Y = quad.grid
     h1 = max(1.0, 1.0 + 0.5 * tau * spec.r)
-    if from_state:
-        ref_on_quad = _reference_tables(quad, ref_mesh, ref_basis, quad.tables, quad.x, quad.y)
-
     total = 0.0
-    for idx, f in enumerate(state.fields):
-        if from_state:
-            g = reference.fields[idx]
-            rv, rgx, rgy = (grid_values(ref_on_quad, g, dx=dx, dy=dy)
-                            for dx, dy in ((0, 0), (1, 0), (0, 1)))
-        else:
-            gfx, gfy = spec.exact_grad[idx]
-            rv, rgx, rgy = (fn(X, Y, state.t) for fn in (reference[idx], gfx, gfy))
-        l2sq = float(np.sum((quad.values(f) - rv)**2 * quad.W))
-        h1sq = float(np.sum(((quad.values(f, dx=1) - rgx)**2
-                             + (quad.values(f, dy=1) - rgy)**2) * quad.W))
+    for e, ex, ey in _errors(state, reference, mesh, basis, quad.tables, quad.x, quad.y,
+                             ((0, 0), (1, 0), (0, 1)), ref_mesh, ref_basis,
+                             getattr(spec, "exact_grad", None)):
+        l2sq = float(np.sum(e**2 * quad.W))
+        h1sq = float(np.sum((ex**2 + ey**2) * quad.W))
         total += h1 * l2sq + 0.5 * tau * spec.zeta * h1sq
     return float(np.sqrt(total))
 

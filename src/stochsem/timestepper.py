@@ -53,7 +53,7 @@ kernels solves, picked by the size of the mesh:
   (scale != 1) is a failure, never a silent result.
 
 On the sweep's meshes, a block system whose condition number reaches 1/eps
-is singular too (SchemeError): a 2x2 block's table squares its conditioning.
+is singular too (SchemeError).
 A failed solve in a step raises SolverFailure.
 These, DivergenceError and model.SingularNonlinearity are NumericalErrors.
 Every solve must also pass the relative residual gate SOLVE_RTOL, measured
@@ -87,10 +87,11 @@ for the whole stack (np.matmul broadcasts) and one load of the nonlinearity
 with the forcings (staged once per scheme, model.stage_forcing); on meshes
 above the sweep's size, dtrsyl runs once per sample and field.  The apply
 on the new state phi^n gives the residual gate its L phi^n and the next
-step its right-hand side R phi^n, which the new StateBatch carries; a state
-that `step` did not make (the first of a time loop, or a caller's) has its
-R phi applied when it is stepped.  The checks hold per sample and field,
-and a failure names its sample.  Every per-sample operation is the same
+step its right-hand side R phi^n, which the new StateBatch carries; the
+time loop supplies the first from one apply of the initial data, a
+one-sample stack, and a caller's state that carries none has its R phi
+applied when it is stepped.  The checks hold per sample and field, and a
+failure names its sample.  Every per-sample operation is the same
 BLAS or LAPACK call whatever B is, so a sample's trajectory does not depend
 on its batch: `run` is the batch of one.
 """
@@ -252,21 +253,21 @@ class SchurFactor:
         # block s's system on Y = Z[:, s]^T is tb_ss Y + Y A_f^T: for a 1x1 block
         # A_f + t I; for a 2x2 one [[t, b], [c, t]], of eigenvalues t -+ i w,
         # [[P, b I], [c I, P]] (P = A_f + t I), whose inverse is [[P Q, -b Q],
-        # [-c Q, P Q]] with Q = (P^2 + w^2)^-1 = C conj(C), P Q = Re C and
-        # C = (P - i w I)^-1.  One row per distinct c[f]:
+        # [-c Q, P Q]] with Q = (P^2 + w^2)^-1.  C = (P - i w I)^-1 =
+        # (P + i w I) Q gives both, P Q = Re C and Q = Im C / w, from one
+        # inverse and no product.  One row per distinct c[f]:
         shifts = sorted(set(c))
         cs = np.array(shifts)[:, None, None, None]
         m1 = a + (cs + tb[one, one, None, None]) * np.eye(n)
         mc = a + (cs + ly[two, None, None]) * np.eye(n)        # ly[j] = t - i w
         g1, C = _inverses(m1), _inverses(mc)
-        Q = (C @ C.conj()).real
+        Q = C.imag / -ly[two, None, None].imag
         g2 = np.empty((*C.shape[:2], 2 * n, 2 * n))
         g2[..., :n, :n] = g2[..., n:, n:] = C.real
         g2[..., :n, n:], g2[..., n:, :n] = -b * Q, -c2 * Q
         per_field = [shifts.index(x) for x in c]
         # a block system of 1-norm condition number 1/eps or more is singular
         # to working precision, though its eigenvalue sums pass the rule above
-        # (a 2x2 block's table squares its conditioning)
         cond = np.concatenate([_norm1(m1) * _norm1(g1),
                                (_norm1(mc.real) + np.maximum(abs(b), abs(c2))[:, 0, 0])
                                * _norm1(g2)], axis=1).max(axis=1, initial=0.0)
@@ -397,8 +398,9 @@ class StateBatch:
     field's coefficient matrix (global dof gx * n1d_y + gy).  sample_ids
     name the samples in failures (None when they have no ids).  right is
     R coeffs, the Crank-Nicolson right-hand side of the next step before its
-    loads, on a state that `step` made (None on any other); `step` never
-    writes into it.
+    loads: `step` sets it on the state it makes, and the time loop on the
+    state it starts from; it is None on any other state (`step` then applies
+    R itself) and `step` never writes into it.
     """
 
     coeffs: np.ndarray
@@ -425,7 +427,9 @@ def step(ops: SchemeOperators, state: StateBatch, noise=None,
     noise is the load of the batch's noise increments (sample_increments),
     shape (B, 1 | 3, n1d_x, n1d_y), or None for a deterministic step.
     prev_state supplies phi^{n-2} for the extrapolated nonlinearity level;
-    when absent the nonlinearity is lagged.
+    when absent the nonlinearity is lagged.  state.right, when set, is the
+    right-hand side R phi^{n-1}: the time loop supplies the first, and each
+    step the next one.
 
     Returns the new StateBatch and the relative solve residuals, shape
     (B, 3).  A failure of one sample carries its id as sample_id.
@@ -435,8 +439,9 @@ def step(ops: SchemeOperators, state: StateBatch, noise=None,
     old = state.coeffs
 
     # the Crank-Nicolson right-hand side R phi^{n-1}: carried over from the
-    # residual gate of the step that made the state, else applied here.  It
-    # may be the state's carried array, so the loads below replace it
+    # residual gate of the step that made the state (or from the time loop's
+    # apply of the initial data), else applied here.  It may be the state's
+    # carried array, so the loads below replace it
     rhs = state.right if state.right is not None else ops.sides.apply(old)[1]
 
     samples = []    # the nonlinearity (B samples) and the forcings, loaded at once
@@ -545,7 +550,8 @@ def advance(ops: SchemeOperators, init: np.ndarray, T: float,
     projected initial data init (3, n1d_x, n1d_y) at t = 0 to t = T.
 
     Each step draws the loads of the batch's noise increments (one path per
-    sample, or one per sample and field) and makes one `step` call.
+    sample, or one per sample and field) and makes one `step` call; the
+    first step's right-hand side is one apply of init, repeated over the batch.
     Returns the final StateBatch, the snapshots {time: StateBatch} and, with
     record_reports, one list of StepReports per sample.
     """
@@ -557,8 +563,9 @@ def advance(ops: SchemeOperators, init: np.ndarray, T: float,
         raise ValueError(f"T={T} is not an integral multiple of tau={tau}")
     snap_at = _resolve_steps(snapshot_times or (), tau, n_steps, "snapshot")
     ids = tuple(sample_ids)
-    state = StateBatch(np.repeat(init[None], len(ids), axis=0), 0.0, ids)
-    snapshots = dict.fromkeys(snap_at.get(0, ()), state)
+    right = np.repeat(ops.sides.apply(init[None])[1], len(ids), axis=0)
+    state = StateBatch(np.repeat(init[None], len(ids), axis=0), 0.0, ids, right)
+    snapshots = dict.fromkeys(snap_at.get(0, ()), replace(state, right=None))
 
     noisy = sampler is not None and sampler.amplitude > 0.0
     if noisy:

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from stochsem.cli import main, make_discretization, make_problem
+from stochsem.assembly import evaluate_grid
+from stochsem.cli import grid_rows, main, make_discretization, make_problem
 from stochsem.config import SCHEMA, ConfigError, _parse_float, load_config, parse_config
 from stochsem.model import NumericalError, SingularNonlinearity
 from stochsem.montecarlo import error_report
@@ -432,6 +433,21 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "snapshot_000.csv").exists()
         assert (out / "snapshot_001.csv").exists()
+
+
+class TestGridRows:
+    def test_rows_equal_per_field_evaluate_grid(self, rng):
+        # grid_rows evaluates every field on one set of tables; evaluate_grid,
+        # one call per field, is the oracle
+        mesh, basis = make_discretization(parse_config(
+            ini(T1_SECTIONS, mesh={"nex": "2", "ney": "1", "order": "6"})))
+        fields = [rng.standard_normal(mesh.n_global) for _ in range(3)]
+        header, rows = grid_rows(mesh, basis, fields, 7, ["u", "v", "w"])
+        xs = np.linspace(0.0, 1.0, 7)
+        grids = [evaluate_grid(mesh, basis, f, xs, xs) for f in fields]
+        assert header == ["x", "y", "u", "v", "w"]
+        assert rows == [[float(x), float(y)] + [float(g[i, j]) for g in grids]
+                        for i, x in enumerate(xs) for j, y in enumerate(xs)]
 
 
 class TestFlagsAndEnv:

@@ -95,6 +95,17 @@ class TestRunEnsemble:
         assert set(res.snapshot_means) == {0.0, 0.2}
         assert np.max(np.abs(res.snapshot_means[0.2] - res.mean.stacked())) <= 1e-12
 
+    def test_repeated_snapshot_time_counted_once(self):
+        # a time named twice gets the mean of its samples, not twice that
+        mesh, basis = disc(1, 1, 6)
+        spec = make_test2("smooth").with_wp(0.0)
+        sampler = QWienerSampler(truncation=4, amplitude=0.1, seed=3)
+        once, twice = (run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=8, chunk_size=4,
+                                    snapshot_times=times).snapshot_means
+                       for times in ((0.1,), (0.1, 0.1)))
+        assert set(twice) == {0.1}
+        assert np.array_equal(twice[0.1], once[0.1])
+
     def test_validation(self):
         spec, mesh, basis, sampler = noisy_setup()
         with pytest.raises(ValueError):

@@ -147,6 +147,19 @@ class TestStep:
         assert all(s.right is None for s in snaps.values())
         assert np.array_equal(snaps[0.1].coeffs, final.coeffs)
 
+    def test_time_loop_first_apply_takes_one_sample(self, monkeypatch):
+        # the time loop applies R once, to the one-sample stack of the
+        # initial data, for every sample's first step; each step then makes
+        # one apply of the whole batch
+        from stochsem.timestepper import advance, initial_data
+        mesh, basis = disc(2, 2, 6)
+        ops = build_scheme(mesh, basis, make_test1(), 0.05)
+        shapes, real = [], KroneckerPair.apply
+        monkeypatch.setattr(KroneckerPair, "apply",
+                            lambda self, X: shapes.append(X.shape) or real(self, X))
+        advance(ops, initial_data(ops), 0.15, range(4), snapshot_times=(0.0,))
+        assert shapes == [batch_shape(mesh, 1)] + [batch_shape(mesh, 4)] * 3
+
     def test_heat_mode_amplification(self):
         # one CN step of the pure heat scheme damps the sin-sin mode by
         # (1 - tau*D*pi^2) / (1 + tau*D*pi^2)  (eigenvalue 2 D pi^2, halved)
@@ -361,9 +374,9 @@ class TestPerAxisPath:
     @pytest.mark.parametrize("ulps", range(1, 7))
     def test_near_singular_sweep_raises_at_build(self, ulps):
         # advection-only L_w 1-6 ulps off c_w = 0 on a sweep-sized mesh: its
-        # eigenvalue sums pass the rule, but the tables of its 2x2 blocks
-        # square their conditioning past 1/eps (a solve misses the gate by
-        # many orders of magnitude), so the build refuses it
+        # eigenvalue sums pass the rule, but its 2x2 blocks' systems reach
+        # condition number 1/eps (a solve misses the gate by many orders of
+        # magnitude), so the build refuses it
         r = -20.0
         for _ in range(ulps):
             r = np.nextafter(r, -np.inf)
@@ -371,6 +384,22 @@ class TestPerAxisPath:
         with pytest.raises(SchemeError, match=r"field w is singular for tau=0.1, mesh 1x1 "
                                               r"order 5 \(a column block has condition"):
             build_scheme(mesh, basis, plain_spec(xi=1.5, r=r), tau=0.1)
+
+    @pytest.mark.parametrize("order,tau,zeta,r", [(11, 1.0, 1e-6, -1.9),
+                                                  (9, 0.1, 1e-4, -20.0)],
+                             ids=["order11", "order9"])
+    def test_ill_conditioned_sweep_passes_the_gate(self, order, tau, zeta, r):
+        # ill-conditioned but not singular advection-dominated L_w on
+        # sweep-sized meshes: the sweep's 2x2-block tables, from one complex
+        # inverse per block, solve random right-hand sides within the gate
+        mesh, basis = disc(1, 1, order)
+        ops = build_scheme(mesh, basis, plain_spec(xi=1.5, zeta=zeta, r=r), tau)
+        assert ops.factor.sweep
+        R = np.random.default_rng(11).standard_normal(batch_shape(mesh, 20))
+        X = ops.factor.solve(R)[0]
+        gap = ops.sides.apply(X)[0] - R
+        residuals = np.linalg.norm(gap, axis=(2, 3)) / np.linalg.norm(R, axis=(2, 3))
+        assert np.all(residuals <= SOLVE_RTOL)
 
     def test_singular_left_operator_builds_no_table(self, monkeypatch):
         # the singularity rule runs first: a singular block never reaches LU
