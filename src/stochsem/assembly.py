@@ -23,13 +23,14 @@ exact zeros), and the three operator kinds are
     advection  -(phi_j, d/dx phi_i) - (phi_j, d/dy phi_i)
                                                       Ax (x) My + Mx (x) Ay
 
-Quadrature2D.operator writes any combination m*mass + d*diffusion +
-a*advection as two outer products of the per-axis entries on the pairs that
-share an element (the 1D sparsity pattern), whose entry [(i, k), (j, l)]
-lands at row i * n1d_y + j, column k * n1d_y + l.  The
-advection pairing puts the derivative on the test function, which for
-homogeneous Dirichlet data equals the usual (grad phi_j, phi_i) pairing by
-integration by parts and makes the operator antisymmetric.
+The solver works on these per-axis matrices alone.  `assemble` is the 2D
+CSR form, kept for the benchmark and the tests: one kind times a constant
+as two outer products of the per-axis entries on the pairs that share an
+element (the 1D sparsity pattern), whose entry [(i, k), (j, l)] lands at
+row i * n1d_y + j, column k * n1d_y + l.  The advection pairing puts the
+derivative on the test function, which for homogeneous Dirichlet data
+equals the usual (grad phi_j, phi_i) pairing by integration by parts and
+makes the operator antisymmetric.
 
 A square mesh shares one axis (mesh.shared_axis): its tables, per-axis
 matrices and mass factor are built once, by mesh.per_axis, and serve both
@@ -85,7 +86,7 @@ class StateVector:
 
 class Quadrature2D:
     """Tensor-product quadrature grid of one (mesh, basis) and the kernel that
-    evaluates fields, loads and operators on it.
+    evaluates fields and loads on it.
 
     x, y are the Gauss abscissae of all element columns / rows, element by
     element (x = xq.ravel(), with xq[ex] the nodes of element column ex).
@@ -96,9 +97,9 @@ class Quadrature2D:
     Bx^T C By and loads Bx (F * W) By^T: sum factorization over the whole
     tensor mesh, with no per-element gather or scatter.  `axis_matrices`
     builds the per-axis mass, stiffness and advection matrices from the same
-    tables, and `operator` the 2D operators as their Kronecker sums.  On a
-    shared axis (mesh.shared_axis) the y grid, weights, tables and matrices
-    are the x-axis objects.
+    tables; no 2D operator lives here (assemble is the 2D CSR form, kept for
+    the benchmark and the tests).  On a shared axis (mesh.shared_axis) the y
+    grid, weights, tables and matrices are the x-axis objects.
     """
 
     def __init__(self, mesh: Mesh2D, basis: Basis1D):
@@ -162,31 +163,6 @@ class Quadrature2D:
                 _axis_products, (Bx, dBx, self.wx), (By, dBy, self.wy))
         return self._axis_matrices
 
-    def operator(self, m: float = 0.0, d: float = 0.0, a: float = 0.0) -> sp.csr_matrix:
-        """m * mass + d * diffusion + a * advection, as CSR with every pair
-        of dofs that share an element stored (exact zeros included)."""
-        (ix, kx), (jy, ly) = _axis_pairs(self.mesh.ax), _axis_pairs(self.mesh.ay)
-        x, y = self.axis_matrices()
-        Mx, Kx, Ax = (mat[ix, kx] for mat in x)
-        My, Ky, Ay = (mat[jy, ly] for mat in y)
-        vals = np.outer(m * Mx + d * Kx + a * Ax, My) + np.outer(Mx, d * Ky + a * Ay)
-        ny, n = self.mesh.ay.n_dofs, self.mesh.n_global
-        rows = (ix[:, None] * ny + jy[None, :]).ravel()
-        cols = (kx[:, None] * ny + ly[None, :]).ravel()
-        return sp.csr_matrix((vals.ravel(), (rows, cols)), shape=(n, n))
-
-    def to_elements(self, G: np.ndarray) -> np.ndarray:
-        """Global-grid array (nx, ny) in per-element layout (n_el, nq, nq)."""
-        m, nq = self.mesh, self.basis.n_quad
-        return (G.reshape(m.nex, nq, m.ney, nq).transpose(2, 0, 1, 3)
-                .reshape(m.n_elements, nq, nq))
-
-    def from_elements(self, values: np.ndarray) -> np.ndarray:
-        """Per-element layout (n_el, nq, nq) back to the global grid (nx, ny)."""
-        m, nq = self.mesh, self.basis.n_quad
-        return (values.reshape(m.ney, m.nex, nq, nq).transpose(1, 2, 0, 3)
-                .reshape(m.nex * nq, m.ney * nq))
-
 
 def _axis_grid(axis, basis: Basis1D):
     """The Gauss abscissae of all elements along one axis, shape
@@ -217,11 +193,22 @@ def _axis_pairs(axis):
 
 
 def assemble(mesh: Mesh2D, basis: Basis1D, coefficient: float, kind: str) -> sp.csr_matrix:
-    """One global operator of the given kind times a constant coefficient."""
+    """One global operator of the given kind times a constant coefficient, as
+    CSR with every pair of dofs that share an element stored (exact zeros
+    included).  The solver never forms it: this 2D form of the per-axis
+    matrices is kept for the benchmark and the tests."""
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    return Quadrature2D(mesh, basis).operator(
-        *(coefficient if kind == k else 0.0 for k in OPERATOR_KINDS))
+    m, d, a = (coefficient if kind == k else 0.0 for k in OPERATOR_KINDS)
+    (ix, kx), (jy, ly) = _axis_pairs(mesh.ax), _axis_pairs(mesh.ay)
+    x, y = Quadrature2D(mesh, basis).axis_matrices()
+    Mx, Kx, Ax = (mat[ix, kx] for mat in x)
+    My, Ky, Ay = (mat[jy, ly] for mat in y)
+    vals = np.outer(m * Mx + d * Kx + a * Ax, My) + np.outer(Mx, d * Ky + a * Ay)
+    ny, n = mesh.ay.n_dofs, mesh.n_global
+    rows = (ix[:, None] * ny + jy[None, :]).ravel()
+    cols = (kx[:, None] * ny + ly[None, :]).ravel()
+    return sp.csr_matrix((vals.ravel(), (rows, cols)), shape=(n, n))
 
 
 def load_vector(mesh: Mesh2D, basis: Basis1D, field, t: float | None = None) -> np.ndarray:
@@ -235,17 +222,20 @@ def load_vector(mesh: Mesh2D, basis: Basis1D, field, t: float | None = None) -> 
 
 
 def load_from_values(quad: Quadrature2D, values: np.ndarray) -> np.ndarray:
-    """Load vector from precomputed values at all element quadrature grids.
-
-    values has shape (n_elements, n_quad, n_quad); used for the nonlinear
-    term, whose arguments already live at the quadrature points.
-    """
-    return quad.load(quad.from_elements(values)).ravel()
+    """Load vector from values at every element quadrature grid, shape
+    (n_elements, n_quad, n_quad) with element e = ey * nex + ex first."""
+    m, nq = quad.mesh, quad.basis.n_quad
+    F = (values.reshape(m.ney, m.nex, nq, nq).transpose(1, 2, 0, 3)
+         .reshape(m.nex * nq, m.ney * nq))
+    return quad.load(F).ravel()
 
 
 def values_at_quad(quad: Quadrature2D, coeffs: np.ndarray) -> np.ndarray:
-    """Field values at every element quadrature grid, shape (n_el, nq, nq)."""
-    return quad.to_elements(quad.values(coeffs))
+    """Field values at every element quadrature grid, shape (n_el, nq, nq),
+    the layout load_from_values takes."""
+    m, nq = quad.mesh, quad.basis.n_quad
+    return (quad.values(coeffs).reshape(m.nex, nq, m.ney, nq).transpose(2, 0, 1, 3)
+            .reshape(m.n_elements, nq, nq))
 
 
 def _axis_eval_matrix(axis, basis: Basis1D, pts):

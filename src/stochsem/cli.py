@@ -42,7 +42,7 @@ from .model import (ModelSpec, NumericalError, const_field, smooth_init,
                     test1_spec, test2_spec)
 from .montecarlo import (convergence_order, error_hw, error_report,
                          run_ensemble)
-from .stochastic import QWienerSampler, spectrum_to_csv
+from .stochastic import QWienerSampler, spectrum
 from .timestepper import run
 
 OUT_ENV_VAR = "STOCHSEM_OUT"
@@ -284,29 +284,26 @@ def cmd_spatial(cfg: RunConfig, out: OutputWriter) -> None:
     n_list = cfg.get("spatial", "n_list")
     sigma = cfg.get("noise", "sigma")
 
-    use_exact = spec.exact is not None and sigma == 0
-    if not use_exact:
+    ref_mesh = ref_basis = None
+    if spec.exact is not None and sigma == 0:
+        reference, ref_name = spec.exact, "exact"
+    else:
         ref_order = cfg.get("reference", "order")
         if not cfg.get("reference", "common_random_numbers") and sigma > 0:
             raise ConfigError("spatial curves with noise require "
                               "[reference] common_random_numbers = true")
         ref_mesh, ref_basis = make_discretization(cfg, order=ref_order)
-        ref_state = mean_state(cfg, spec, ref_mesh, ref_basis, tau)[0]
+        reference = mean_state(cfg, spec, ref_mesh, ref_basis, tau)[0]
+        ref_name = f"order{ref_order}"
 
     rows = []
     for N in n_list:
         mesh, basis = make_discretization(cfg, order=N)
         state = mean_state(cfg, spec, mesh, basis, tau)[0]
-        if use_exact:
-            rep = error_report(state, spec.exact, mesh, basis)
-            hw = error_hw(state, spec.exact, mesh, basis, spec, tau)
-            ref_name = "exact"
-        else:
-            rep = error_report(state, ref_state, mesh, basis,
-                               ref_mesh=ref_mesh, ref_basis=ref_basis)
-            hw = error_hw(state, ref_state, mesh, basis, spec, tau,
-                          ref_mesh=ref_mesh, ref_basis=ref_basis)
-            ref_name = f"order{cfg.get('reference', 'order')}"
+        rep = error_report(state, reference, mesh, basis,
+                           ref_mesh=ref_mesh, ref_basis=ref_basis)
+        hw = error_hw(state, reference, mesh, basis, spec, tau,
+                      ref_mesh=ref_mesh, ref_basis=ref_basis)
         rows.append([N, tau, rep.l2_sum, rep.linf_sum, hw, ref_name])
     out.write_csv("spatial.csv",
                   ["n", "tau", "l2_sum", "linf_sum", "hw_sum", "reference"],
@@ -335,9 +332,7 @@ def cmd_evolve(cfg: RunConfig, out: OutputWriter) -> None:
 
 
 def cmd_spectrum_dump(cfg: RunConfig, out: OutputWriter) -> None:
-    sampler = make_sampler(cfg)
-    spectrum_to_csv(sampler, out.dir / "spectrum.csv")
-    out.register("spectrum.csv")
+    out.write_csv("spectrum.csv", ["j", "k", "q"], spectrum(make_sampler(cfg)))
 
 
 COMMANDS = {

@@ -6,7 +6,11 @@ batch through the time loop (`timestepper.advance`): its states are one
 and noise load for the whole chunk.  The initial data are projected
 once per ensemble.  Per-chunk moments merge in chunk order, so the ensemble
 mean is identical no matter how many workers execute the chunks (noise
-realizations are already keyed by sample id).  With workers > 1, chunks
+realizations are already keyed by sample id).  Every time level, the final
+one and each snapshot, goes through the one moments merge (_moments,
+_merge_moments), so a snapshot at t = T is the final mean bitwise and one at
+t = 0 the projected initial data; a snapshot's m2 costs one O(B n)
+reduction per chunk and is dropped.  With workers > 1, chunks
 run on a forkserver process pool, where one exists, else serially; each
 chunk's job goes out pickled, so the spec must pickle, and a script must
 guard its entry point (`if __name__ == "__main__":`).
@@ -16,7 +20,7 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -55,13 +59,9 @@ class EnsembleResult:
 
 
 def _merge_moments(a, b):
-    """Chan's parallel update for (count, mean(3,n), m2(3,n)) pairs."""
+    """Chan's parallel update for (count, mean(3,n), m2(3,n)) pairs, counts >= 1."""
     na, mean_a, m2_a = a
     nb, mean_b, m2_b = b
-    if na == 0:
-        return b
-    if nb == 0:
-        return a
     n = na + nb
     delta = mean_b - mean_a
     mean = mean_a + delta * (nb / n)
@@ -69,8 +69,17 @@ def _merge_moments(a, b):
     return (n, mean, m2)
 
 
+def _moments(batch):
+    """Moments (count, mean, m2) of a batch (B, 3, n) of states."""
+    # deviations from the first sample, so that equal samples give
+    # exactly their value as mean and m2 = 0
+    d = batch - batch[0]
+    d_mean = d.mean(axis=0)
+    return (len(batch), batch[0] + d_mean, np.sum((d - d_mean)**2, axis=0))
+
+
 def _run_chunk(ops, init, T, sampler, workspace, snapshot_times, ids):
-    """Moments (count, mean, m2) and snapshot sums {t: (3, n)} of one chunk."""
+    """Moments of one chunk's final states and {t: moments} of its snapshots."""
     try:
         final, snapshots, _ = advance(ops, init, T, ids, sampler=sampler,
                                       noise_workspace=workspace,
@@ -80,14 +89,8 @@ def _run_chunk(ops, init, T, sampler, workspace, snapshot_times, ids):
         # the whole batch is the first sample's
         sid = getattr(exc, "sample_id", None)
         raise type(exc)(f"sample {ids[0] if sid is None else sid} failed: {exc}") from exc
-    X = final.coeffs.reshape(len(ids), 3, -1)
-    # deviations from the first sample, so that equal samples give
-    # exactly their value as mean and m2 = 0
-    d = X - X[0]
-    d_mean = d.mean(axis=0)
-    moments = (len(ids), X[0] + d_mean, np.sum((d - d_mean)**2, axis=0))
-    return moments, {t: s.coeffs.reshape(len(ids), 3, -1).sum(axis=0)
-                     for t, s in snapshots.items()}
+    return (_moments(final.coeffs.reshape(len(ids), 3, -1)),
+            {t: _moments(s.coeffs.reshape(len(ids), 3, -1)) for t, s in snapshots.items()})
 
 
 def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
@@ -136,17 +139,11 @@ def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
     else:
         results = list(map(job, chunks))
 
-    total = (0, np.zeros((3, mesh.n_global)), np.zeros((3, mesh.n_global)))
-    snap_sums = {t: np.zeros((3, mesh.n_global)) for t in snapshot_times}
-    for moments, snaps in results:
-        total = _merge_moments(total, moments)
-        for t, acc in snap_sums.items():     # each time once, also a repeated one
-            acc += snaps[t]
-
-    count, mean, m2 = total
+    count, mean, m2 = reduce(_merge_moments, (moments for moments, _ in results))
     mean_state = StateVector(mean[0].copy(), mean[1].copy(), mean[2].copy(), t=T)
     seed = sampler.seed if sampler is not None else 0
-    snapshot_means = {t: s / count for t, s in snap_sums.items()}
+    snapshot_means = {t: reduce(_merge_moments, (snaps[t] for _, snaps in results))[1]
+                      for t in dict.fromkeys(snapshot_times)}   # a repeated time once
     return EnsembleResult(m=count, mean=mean_state, m2=m2, seed=seed,
                           snapshot_means=snapshot_means)
 

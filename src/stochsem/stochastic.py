@@ -16,7 +16,6 @@ ensembles reproducible.
 """
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass
@@ -112,15 +111,6 @@ def spectrum(sampler: QWienerSampler):
             for k in range(sampler.truncation)]
     rows.sort(key=lambda r: (-r[2], r[0], r[1]))
     return rows
-
-
-def spectrum_to_csv(sampler: QWienerSampler, path) -> None:
-    """Dump the eigenvalue table as CSV with columns j, k, q."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "k", "q"])
-        for j, k, q in spectrum(sampler):
-            writer.writerow([j, k, repr(q)])
 
 
 def mode_normals(sampler: QWienerSampler, sample_id: int, n: int,

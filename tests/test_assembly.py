@@ -36,9 +36,12 @@ def project(m, b, field):
 
 
 def gradient_at_quad(quad, c):
-    """Gradient components in per-element layout (n_el, nq, nq)."""
-    return (quad.to_elements(quad.values(c, dx=1)),
-            quad.to_elements(quad.values(c, dy=1)))
+    """Gradient components in per-element layout (n_el, nq, nq), element
+    ey * nex + ex first."""
+    m, nq = quad.mesh, quad.basis.n_quad
+    return tuple(G.reshape(m.nex, nq, m.ney, nq).transpose(2, 0, 1, 3)
+                 .reshape(m.n_elements, nq, nq)
+                 for G in (quad.values(c, dx=1), quad.values(c, dy=1)))
 
 
 class TestAssemble:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from stochsem.cli import grid_rows, main, make_discretization, make_problem
 from stochsem.config import SCHEMA, ConfigError, _parse_float, load_config, parse_config
 from stochsem.model import NumericalError, SingularNonlinearity
 from stochsem.montecarlo import error_report
+from stochsem.stochastic import QWienerSampler, spectrum
 from stochsem.timestepper import DivergenceError, SchemeError, SolverFailure, run
 
 T1_SECTIONS = {
@@ -651,11 +653,20 @@ class TestEvolveCommand:
 
 class TestSpectrumDump:
     def test_table(self, tmp_path):
-        cfg = write(tmp_path, ini(T2_SECTIONS, noise={"truncation": "5"}))
-        out = tmp_path / "out"
-        assert main(["spectrum-dump", "--config", str(cfg), "--out", str(out)]) == 0
-        header, rows = read_csv(out / "spectrum.csv")
-        assert header == ["j", "k", "q"]
-        assert len(rows) == 25
-        qs = [float(r[2]) for r in rows]
-        assert qs == sorted(qs, reverse=True)
+        for J in (5, 3):
+            cfg = write(tmp_path, ini(T2_SECTIONS, noise={"truncation": str(J)}),
+                        name=f"J{J}.ini")
+            out = tmp_path / f"out{J}"
+            assert main(["spectrum-dump", "--config", str(cfg), "--out", str(out)]) == 0
+            header, rows = read_csv(out / "spectrum.csv")
+            assert header == ["j", "k", "q"]
+            assert len(rows) == J * J
+            qs = [float(r[2]) for r in rows]
+            assert qs == sorted(qs, reverse=True)
+            assert qs[0] == 0.25        # q_11 = 2^-2 at the default decay exponent
+            # the bytes csv.writer gives for the header and rows (j, k, repr(q))
+            want = io.StringIO()
+            writer = csv.writer(want)
+            writer.writerow(["j", "k", "q"])
+            writer.writerows((j, k, repr(q)) for j, k, q in spectrum(QWienerSampler(truncation=J)))
+            assert (out / "spectrum.csv").read_bytes() == want.getvalue().encode()

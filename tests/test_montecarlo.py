@@ -89,11 +89,17 @@ class TestRunEnsemble:
             run_ensemble(spec, mesh, basis, 0.05, 0.23, sampler, M=2)
 
     def test_snapshot_means(self):
+        # every time level goes through the one moments merge: the t = 0 mean
+        # is the projected initial data every sample starts from and the t = T
+        # mean is the final mean, bitwise, in one chunk or in several
         spec, mesh, basis, sampler = noisy_setup()
-        res = run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=5,
-                           snapshot_times=[0.0, 0.2])
-        assert set(res.snapshot_means) == {0.0, 0.2}
-        assert np.max(np.abs(res.snapshot_means[0.2] - res.mean.stacked())) <= 1e-12
+        init = initial_data(build_scheme(mesh, basis, spec, 0.05)).reshape(3, -1)
+        for chunk_size in (montecarlo.DEFAULT_CHUNK, 2):
+            res = run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=5,
+                               chunk_size=chunk_size, snapshot_times=[0.0, 0.2])
+            assert set(res.snapshot_means) == {0.0, 0.2}
+            assert np.array_equal(res.snapshot_means[0.2], res.mean.stacked())
+            assert np.array_equal(res.snapshot_means[0.0], init)
 
     def test_repeated_snapshot_time_counted_once(self):
         # a time named twice gets the mean of its samples, not twice that

@@ -12,7 +12,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PUBLIC = """Basis1D make_basis Mesh2D build_mesh ModelSpec nonlinear_f test1_spec
     test2_spec StateVector evaluate_grid L2Projector NoiseIncrement QWienerSampler
-    sample_increment spectrum spectrum_to_csv SchemeOperators StepReport Trajectory
+    sample_increment spectrum SchemeOperators StepReport Trajectory
     build_scheme energy_norm run step EnsembleResult ErrorReport convergence_order
     error_report run_ensemble""".split()
 

@@ -1,5 +1,3 @@
-import csv
-
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
@@ -9,7 +7,7 @@ from stochsem.basis import gauss_rule, make_basis
 from stochsem.mesh import build_mesh
 from stochsem.stochastic import (NoiseWorkspace, QWienerSampler, _sine_modes,
                                  mode_coefficients, mode_normals, sample_increment,
-                                 sample_increments, spectrum, spectrum_to_csv)
+                                 sample_increments, spectrum)
 
 # fixed test seed: chosen so the sampled statistics sit inside the tolerance
 # bands with margin (the draws are deterministic per seed)
@@ -51,15 +49,6 @@ class TestSpectrum:
         assert len(rows) == 25
         qs = [q for _, _, q in rows]
         assert qs == sorted(qs, reverse=True)
-
-    def test_csv_dump(self, tmp_path):
-        path = tmp_path / "spectrum.csv"
-        spectrum_to_csv(sampler(truncation=3), path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["j", "k", "q"]
-        assert len(rows) == 10
-        assert float(rows[1][2]) == 0.25
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stochsem.assembly import L2Projector, Quadrature2D, StateVector, evaluate_grid
+from stochsem import assembly
+from stochsem.assembly import (L2Projector, Quadrature2D, StateVector, assemble,
+                               evaluate_grid)
 from stochsem.basis import make_basis
 from stochsem.mesh import _Axis, build_mesh
 from stochsem.model import ModelSpec, const_field
@@ -52,7 +54,7 @@ class TestBuildScheme:
     def test_all_zero_coefficients_give_mass(self):
         mesh, basis = disc(2, 1, 4)
         ops = build_scheme(mesh, basis, plain_spec(), tau=0.1)
-        M = ops.quad.operator(m=1.0).toarray()
+        M = assemble(mesh, basis, 1.0, "mass").toarray()
         for f in range(3):
             assert np.max(np.abs(dense(ops.sides, f) - M)) <= 1e-15
             assert np.max(np.abs(dense(ops.sides, f, "right") - M)) <= 1e-15
@@ -62,7 +64,7 @@ class TestBuildScheme:
         mesh, basis = disc(2, 1, 4)
         tau = 0.2
         ops = build_scheme(mesh, basis, plain_spec(r=2.0), tau=tau)
-        M = ops.quad.operator(m=1.0).toarray()
+        M = assemble(mesh, basis, 1.0, "mass").toarray()
         assert np.max(np.abs(dense(ops.sides, 2) - (1 + tau) * M)) <= 1e-12
         assert np.max(np.abs(dense(ops.sides, 2, "right") - (1 - tau) * M)) <= 1e-12
         for f in (0, 1):
@@ -74,7 +76,7 @@ class TestBuildScheme:
         tau = 0.1
         ops = build_scheme(mesh, basis, spec, tau)
         half = build_scheme(mesh, basis, spec, tau / 2)
-        M = ops.quad.operator(m=1.0).toarray()
+        M = assemble(mesh, basis, 1.0, "mass").toarray()
         for f in range(3):
             L1, L2 = dense(ops.sides, f), dense(half.sides, f)
             # the reaction term of w is linear in tau too
@@ -325,7 +327,7 @@ class TestPerAxisPath:
         def forbidden(*args, **kwargs):
             raise AssertionError("2D operator path used")
 
-        monkeypatch.setattr(Quadrature2D, "operator", forbidden)
+        monkeypatch.setattr(assembly, "assemble", forbidden)
         monkeypatch.setattr(scipy.sparse.linalg, "splu", forbidden)
         mesh, basis = disc(2, 2, 6)
         spec = make_test1()
