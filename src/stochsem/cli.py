@@ -15,6 +15,8 @@ files marked volatile in the manifest.
 run, spatial and evolve study the configured problem through one helper,
 mean_state: the Monte Carlo mean of the Q-Wiener-driven system when
 [noise] sigma > 0, else the noise-free path.  table1 runs noise-free only.
+Every command that steps runs the scheme make_scheme builds with the
+configured options ([scheme] nonlinearity_time, [noise] sign_convention).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (a
 model.NumericalError, or a floating-point error numpy raises).
@@ -43,7 +45,7 @@ from .model import (ModelSpec, NumericalError, const_field, smooth_init,
 from .montecarlo import (convergence_order, error_hw, error_report,
                          run_ensemble)
 from .stochastic import QWienerSampler, spectrum
-from .timestepper import run
+from .timestepper import build_scheme, run
 
 OUT_ENV_VAR = "STOCHSEM_OUT"
 DOMAIN = (0.0, 1.0, 0.0, 1.0)   # both test problems live on the unit square
@@ -103,11 +105,11 @@ def make_sampler(cfg: RunConfig) -> QWienerSampler:
     )
 
 
-def scheme_kwargs(cfg: RunConfig) -> dict:
-    return {
-        "nonlinearity_time": cfg.get("scheme", "nonlinearity_time"),
-        "noise_convention": cfg.get("noise", "sign_convention"),
-    }
+def make_scheme(cfg: RunConfig, spec: ModelSpec, mesh, basis, tau: float):
+    """The scheme of (spec, mesh, basis, tau) with the configured options."""
+    return build_scheme(mesh, basis, spec, tau,
+                        nonlinearity_time=cfg.get("scheme", "nonlinearity_time"),
+                        noise_convention=cfg.get("noise", "sign_convention"))
 
 
 def mean_state(cfg: RunConfig, spec: ModelSpec, mesh, basis, tau: float,
@@ -120,15 +122,16 @@ def mean_state(cfg: RunConfig, spec: ModelSpec, mesh, basis, tau: float,
     None.
     """
     T = cfg.get("time", "t_final")
+    ops = make_scheme(cfg, spec, mesh, basis, tau)
     if cfg.get("noise", "sigma") > 0:
         res = run_ensemble(spec, mesh, basis, tau, T, make_sampler(cfg),
                            M=cfg.get("montecarlo", "samples"),
                            workers=cfg.get("montecarlo", "workers"),
                            chunk_size=cfg.get("montecarlo", "chunk_size"),
-                           snapshot_times=snapshot_times, **scheme_kwargs(cfg))
+                           snapshot_times=snapshot_times, ops=ops)
         return res.mean, res.snapshot_means, res.stderr
-    traj = run(spec, mesh, basis, tau, T, snapshot_times=snapshot_times,
-               record_reports=False, **scheme_kwargs(cfg))
+    traj = run(spec, mesh, basis, tau, T, snapshot_times=snapshot_times, ops=ops,
+               record_reports=False)
     return traj.final, {t: s.stacked() for t, s in traj.snapshots.items()}, None
 
 
@@ -203,6 +206,19 @@ def grid_rows(mesh, basis, fields, grid_n: int, names):
     return ["x", "y", *names], rows
 
 
+def write_snapshots(out: OutputWriter, prefix: str, mesh, basis, snapshots, times,
+                    grid_n: int, names):
+    """Write the first len(names) fields of each snapshots[t], t in times,
+    on the grid to {prefix}_{i:03d}.csv with a leading t column; returns
+    the file names."""
+    files = []
+    for i, t in enumerate(times):
+        header, rows = grid_rows(mesh, basis, snapshots[t][:len(names)], grid_n, names)
+        files.append(f"{prefix}_{i:03d}.csv")
+        out.write_csv(files[-1], ["t", *header], [[float(t), *r] for r in rows])
+    return files
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -224,13 +240,8 @@ def cmd_run(cfg: RunConfig, out: OutputWriter) -> None:
     grid_n = cfg.get("output", "grid_n")
     header, rows = grid_rows(mesh, basis, final.fields, grid_n, ["u", "v", "w"])
     out.write_csv("final_state.csv", header, rows)
-    for i, t in enumerate(snap_times):
-        s = snapshots[t]
-        header, rows = grid_rows(mesh, basis, (s[0], s[1], s[2]), grid_n,
-                                 ["u", "v", "w"])
-        out.write_csv(f"snapshot_{i:03d}.csv",
-                      ["t", *header],
-                      [[float(t), *r] for r in rows])
+    write_snapshots(out, "snapshot", mesh, basis, snapshots, snap_times, grid_n,
+                    ["u", "v", "w"])
 
     if spec.exact is not None:
         rep = error_report(final, spec.exact, mesh, basis,
@@ -250,32 +261,24 @@ def cmd_table1(cfg: RunConfig, out: OutputWriter) -> None:
     taus = cfg.get("table1", "tau_list")
     orders_n = cfg.get("table1", "n_list")
     T = cfg.get("time", "t_final")
-    kwargs = scheme_kwargs(cfg)
 
     for N in orders_n:
         mesh, basis = make_discretization(cfg, order=N)
-        errs = []
-        walls = []
-        reports = []
+        rows, walls = [], []
         for tau in taus:
             t0 = time.perf_counter()
-            traj = run(spec, mesh, basis, tau, T, record_reports=False, **kwargs)
-            walls.append(time.perf_counter() - t0)
+            traj = run(spec, mesh, basis, tau, T, ops=make_scheme(cfg, spec, mesh, basis, tau),
+                       record_reports=False)
+            walls.append([tau, time.perf_counter() - t0])
             rep = error_report(traj.final, spec.exact, mesh, basis)
-            reports.append(rep)
-            errs.append(rep.linf_sum)
-        orders = convergence_order(errs) if len(errs) > 1 else []
-        rows = []
-        for i, tau in enumerate(taus):
-            rep = reports[i]
-            order = "" if i == 0 else repr(float(orders[i - 1]))
-            rows.append([tau, rep.linf[0], rep.linf[1], rep.linf[2],
-                         rep.linf_sum, order])
+            # the observed order against the previous tau's error
+            order = (repr(float(convergence_order([rows[-1][4], rep.linf_sum])[0]))
+                     if rows else "")
+            rows.append([tau, *rep.linf, rep.linf_sum, order])
         out.write_csv(f"table1_N{N}.csv",
                       ["tau", "linf_u", "linf_v", "linf_w", "linf_sum", "order"],
                       rows)
-        out.write_csv(f"table1_N{N}_wallclock.csv", ["tau", "seconds"],
-                      [[tau, w] for tau, w in zip(taus, walls)], volatile=True)
+        out.write_csv(f"table1_N{N}_wallclock.csv", ["tau", "seconds"], walls, volatile=True)
 
 
 def cmd_spatial(cfg: RunConfig, out: OutputWriter) -> None:
@@ -322,13 +325,9 @@ def cmd_evolve(cfg: RunConfig, out: OutputWriter) -> None:
         raise ConfigError("[evolve] times must lie within [0, t_final]")
     _, snapshots, _ = mean_state(cfg, spec, mesh, basis, cfg.get("time", "tau"), times)
 
-    index_rows = []
-    for i, t in enumerate(times):
-        name = f"evolve_{i:03d}.csv"
-        header, rows = grid_rows(mesh, basis, (snapshots[t][0],), grid_n, ["u"])
-        out.write_csv(name, ["t", *header], [[float(t), *r] for r in rows])
-        index_rows.append([i, t, name])
-    out.write_csv("evolve_times.csv", ["index", "t", "file"], index_rows)
+    files = write_snapshots(out, "evolve", mesh, basis, snapshots, times, grid_n, ["u"])
+    out.write_csv("evolve_times.csv", ["index", "t", "file"],
+                  [[i, t, name] for i, (t, name) in enumerate(zip(times, files))])
 
 
 def cmd_spectrum_dump(cfg: RunConfig, out: OutputWriter) -> None:
@@ -373,22 +372,15 @@ def main(argv=None) -> int:
             cfg.set("montecarlo", "workers", args.workers)
         if args.seed is not None:
             cfg.set("noise", "seed", args.seed)
-        out_dir = args.out or os.environ.get(OUT_ENV_VAR) or cfg.get("output", "directory")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    out = OutputWriter(Path(out_dir))
-    t0 = time.perf_counter()
-    try:
+        out = OutputWriter(Path(args.out or os.environ.get(OUT_ENV_VAR)
+                                or cfg.get("output", "directory")))
+        t0 = time.perf_counter()
         COMMANDS[args.command](cfg, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    # numerical failures first: model.SingularNonlinearity is also a ValueError
     except (NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,11 @@
 """Experiment configuration: strict INI-style files with sections per module.
 
-Every key is typed and defaulted; unknown sections or keys are rejected so a
-run manifest always reflects exactly what executed.  Fractions like 1/64 are
-accepted wherever a float is (handy for dyadic step sizes).  The resolved
+One table, SCHEMA, holds every key's row: its type, its default and its
+check (allowed values, or range and order rules).  Unknown sections or keys
+are rejected so a run manifest always reflects exactly what executed.  The
+allowed values of the scheme options and of the nonlinearity are the ones
+the modules that enforce them declare.  Fractions like 1/64 are accepted
+wherever a float is (handy for dyadic step sizes).  The resolved
 configuration (defaults filled in) serializes back to the same format and
 re-parses to an identical configuration.
 """
@@ -12,6 +15,9 @@ import configparser
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .model import NONLINEARITIES
+from .timestepper import NOISE_CONVENTIONS, NONLINEARITY_TIMES
 
 
 class ConfigError(Exception):
@@ -35,14 +41,9 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_float_list(text: str) -> list:
-    items = [s for s in (p.strip() for p in text.split(",")) if s]
-    return [_parse_float(s) for s in items]
-
-
-def _parse_int_list(text: str) -> list:
-    items = [s for s in (p.strip() for p in text.split(",")) if s]
-    return [int(s) for s in items]
+def _parse_list(item):
+    """Parser of comma-separated item values; empty entries are skipped."""
+    return lambda text: [item(s) for s in (p.strip() for p in text.split(",")) if s]
 
 
 def _fmt(value) -> str:
@@ -60,52 +61,70 @@ _PARSERS = {
     "int": lambda s: int(s.strip()),
     "bool": _parse_bool,
     "str": lambda s: s.strip(),
-    "float_list": _parse_float_list,
-    "int_list": _parse_int_list,
+    "float_list": _parse_list(_parse_float),
+    "int_list": _parse_list(int),
 }
 
-# (section, key) -> (type, default, allowed-values or None)
+# (predicate, what it requires) lists shared by several keys
+_GE1 = [(lambda v: v >= 1, ">= 1")]
+_GE2 = [(lambda v: v >= 2, ">= 2")]
+_POSITIVE = [(lambda v: math.isfinite(v) and v > 0, "finite and > 0")]
+_NON_NEGATIVE = [(lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")]
+# study lists are also strictly ordered: a repeated order would run a study
+# twice (and overwrite a table1 CSV), a repeated tau would give a table1
+# order of 0
+_ORDERS = [(lambda v: v and min(v) >= 2, "non-empty with every entry >= 2"),
+           (lambda v: all(a < b for a, b in zip(v, v[1:])), "strictly ascending")]
+_TAUS = [(lambda v: v and all(math.isfinite(t) and t > 0 for t in v),
+          "non-empty with every entry finite and > 0"),
+         (lambda v: all(a > b for a, b in zip(v, v[1:])), "strictly descending")]
+
+# (section, key) -> (type, default, check); the check is None, a tuple of
+# the allowed values, or a list of (predicate, what it requires) pairs that
+# the value must pass in turn
 SCHEMA = {
     ("problem", "kind"): ("str", None, ("test1", "test2_smooth", "test2_delta", "custom")),
     ("problem", "prefactor"): ("float", 1.0, None),
     ("problem", "wp"): ("float", None, None),          # optional override; None keeps the problem default
     ("problem", "delta_center_x"): ("float", 0.5, None),
     ("problem", "delta_center_y"): ("float", 0.5, None),
-    ("problem", "delta_width"): ("float", 0.05, None),
+    ("problem", "delta_width"): ("float", 0.05, _POSITIVE),
     ("problem", "xi"): ("float", 1.0, None),            # custom kind only
     ("problem", "zeta"): ("float", 1e-3, None),
     ("problem", "r"): ("float", 0.0, None),
-    ("problem", "nonlinearity"): ("str", "saturating_sum", ("saturating_sum", "test1_product")),
-    ("problem", "kappa1"): ("float", 1.0, None),
-    ("problem", "kappa2"): ("float", 1.0, None),
+    ("problem", "nonlinearity"): ("str", "saturating_sum", NONLINEARITIES),
+    ("problem", "kappa1"): ("float", 1.0, _POSITIVE),
+    ("problem", "kappa2"): ("float", 1.0, _POSITIVE),
     ("problem", "init"): ("str", "smooth", ("smooth", "zero")),
-    ("mesh", "nex"): ("int", 2, None),
-    ("mesh", "ney"): ("int", 2, None),
-    ("mesh", "order"): ("int", 10, None),
-    ("time", "tau"): ("float", 1.0 / 64.0, None),
-    ("time", "t_final"): ("float", 1.0, None),
-    ("time", "snapshot_times"): ("float_list", [], None),
-    ("noise", "sigma"): ("float", 0.0, None),
-    ("noise", "decay_exponent"): ("float", 2.0, None),
-    ("noise", "truncation"): ("int", 8, None),
-    ("noise", "seed"): ("int", 0, None),
-    ("noise", "sign_convention"): ("str", "paper", ("paper", "increment")),
+    ("mesh", "nex"): ("int", 2, _GE1),
+    ("mesh", "ney"): ("int", 2, _GE1),
+    ("mesh", "order"): ("int", 10, _GE2),
+    ("time", "tau"): ("float", 1.0 / 64.0, _POSITIVE),
+    ("time", "t_final"): ("float", 1.0, _NON_NEGATIVE),
+    ("time", "snapshot_times"): ("float_list", [],
+                                 [(lambda v: all(map(math.isfinite, v)), "all finite")]),
+    ("noise", "sigma"): ("float", 0.0, _NON_NEGATIVE),
+    ("noise", "decay_exponent"): ("float", 2.0, _NON_NEGATIVE),
+    ("noise", "truncation"): ("int", 8, _GE1),
+    ("noise", "seed"): ("int", 0, [(lambda v: 0 <= v < 2**64, ">= 0 and < 2**64")]),
+    ("noise", "sign_convention"): ("str", "paper", NOISE_CONVENTIONS),
     ("noise", "shared_paths"): ("bool", True, None),
-    ("montecarlo", "samples"): ("int", 200, None),
-    ("montecarlo", "workers"): ("int", 1, None),
-    ("montecarlo", "chunk_size"): ("int", 32, None),
-    ("scheme", "nonlinearity_time"): ("str", "extrapolated", ("extrapolated", "lagged")),
+    ("montecarlo", "samples"): ("int", 200, _GE1),
+    ("montecarlo", "workers"): ("int", 1, _GE1),
+    ("montecarlo", "chunk_size"): ("int", 32, _GE1),
+    ("scheme", "nonlinearity_time"): ("str", "extrapolated", NONLINEARITY_TIMES),
     ("output", "directory"): ("str", "out", None),
-    ("output", "grid_n"): ("int", 101, None),
-    ("reference", "order"): ("int", 20, None),
+    ("output", "grid_n"): ("int", 101, _GE2),
+    ("reference", "order"): ("int", 20, _GE2),
     ("reference", "common_random_numbers"): ("bool", True, None),
-    ("table1", "tau_list"): ("float_list",
-                             [1 / 32, 1 / 64, 1 / 128, 1 / 256, 1 / 512], None),
-    ("table1", "n_list"): ("int_list", [10, 20], None),
-    ("spatial", "n_list"): ("int_list", [6, 8, 10, 12], None),
+    ("table1", "tau_list"): ("float_list", [1 / 32, 1 / 64, 1 / 128, 1 / 256, 1 / 512], _TAUS),
+    ("table1", "n_list"): ("int_list", [10, 20], _ORDERS),
+    ("spatial", "n_list"): ("int_list", [6, 8, 10, 12], _ORDERS),
     ("spatial", "tau"): ("float", 1e-3, (1e-3, 1e-4)),
-    ("evolve", "times"): ("float_list", [0.0, 0.05, 0.1], None),
-    ("evolve", "grid_n"): ("int", 121, None),
+    ("evolve", "times"): ("float_list", [0.0, 0.05, 0.1],
+                          [(lambda v: v and all(map(math.isfinite, v)),
+                            "all finite and non-empty")]),
+    ("evolve", "grid_n"): ("int", 121, _GE2),
 }
 
 _REQUIRED = (("problem", "kind"),)
@@ -121,7 +140,7 @@ class RunConfig:
         return self.values[(section, key)]
 
     def set(self, section: str, key: str, value) -> None:
-        """Set one key, checked as a parsed value is (allowed values, range)."""
+        """Set one key, checked as a parsed value is (its SCHEMA check)."""
         if (section, key) not in SCHEMA:
             raise ConfigError(f"unknown configuration key [{section}] {key}")
         self.values[(section, key)] = _validate(section, key, value)
@@ -144,53 +163,18 @@ class RunConfig:
         return "\n".join(lines)
 
 
-# (section, key) -> (check, what it requires); a key not listed is unchecked
-_RANGES = {
-    ("mesh", "nex"): (lambda v: v >= 1, ">= 1"),
-    ("mesh", "ney"): (lambda v: v >= 1, ">= 1"),
-    ("mesh", "order"): (lambda v: v >= 2, ">= 2"),
-    ("time", "tau"): (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
-    ("time", "t_final"): (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
-    ("time", "snapshot_times"): (lambda v: all(map(math.isfinite, v)), "all finite"),
-    ("noise", "sigma"): (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
-    ("noise", "truncation"): (lambda v: v >= 1, ">= 1"),
-    ("noise", "decay_exponent"): (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
-    ("noise", "seed"): (lambda v: 0 <= v < 2**64, ">= 0 and < 2**64"),
-    ("montecarlo", "samples"): (lambda v: v >= 1, ">= 1"),
-    ("montecarlo", "workers"): (lambda v: v >= 1, ">= 1"),
-    ("montecarlo", "chunk_size"): (lambda v: v >= 1, ">= 1"),
-    ("output", "grid_n"): (lambda v: v >= 2, ">= 2"),
-    ("reference", "order"): (lambda v: v >= 2, ">= 2"),
-    ("problem", "delta_width"): (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
-    ("problem", "kappa1"): (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
-    ("problem", "kappa2"): (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
-    ("table1", "tau_list"): (lambda v: v and all(math.isfinite(t) and t > 0 for t in v),
-                             "non-empty with every entry finite and > 0"),
-    ("table1", "n_list"): (lambda v: v and min(v) >= 2, "non-empty with every entry >= 2"),
-    ("spatial", "n_list"): (lambda v: v and min(v) >= 2, "non-empty with every entry >= 2"),
-    ("evolve", "times"): (lambda v: v and all(map(math.isfinite, v)), "all finite and non-empty"),
-    ("evolve", "grid_n"): (lambda v: v >= 2, ">= 2"),
-}
-# keys whose list must also be strictly ordered (checked after _RANGES): a
-# repeated order would run a study twice (and overwrite a table1 CSV), a
-# repeated tau would give a table1 order of 0
-_ORDERED = {("spatial", "n_list"): "ascending", ("table1", "n_list"): "ascending",
-            ("table1", "tau_list"): "descending"}
-
-
 def _validate(section: str, key: str, value):
-    """value, if it is one of the key's allowed values and in its range."""
-    kind, _default, allowed = SCHEMA[(section, key)]
-    if allowed is not None and value not in allowed:
-        raise ConfigError(
-            f"[{section}] {key} = {value!r} not in allowed values {allowed}")
-    ok, what = _RANGES.get((section, key), (None, None))
-    if ok is not None and not ok(value):
-        raise ConfigError(f"[{section}] {key} = {value!r} must be {what}")
-    order = _ORDERED.get((section, key))
-    if order and any(a >= b if order == "ascending" else a <= b
-                     for a, b in zip(value, value[1:])):
-        raise ConfigError(f"[{section}] {key} = {value!r} must be strictly {order}")
+    """value, if it passes its key's check: one of the allowed values, or
+    every (predicate, what) pair in turn (the first failing one is named)."""
+    check = SCHEMA[(section, key)][2]
+    if isinstance(check, tuple):
+        if value not in check:
+            raise ConfigError(
+                f"[{section}] {key} = {value!r} not in allowed values {check}")
+        return value
+    for ok, what in check or ():
+        if not ok(value):
+            raise ConfigError(f"[{section}] {key} = {value!r} must be {what}")
     return value
 
 
@@ -203,14 +187,14 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
         raise ConfigError(f"parse error in {origin}: {exc}") from exc
 
     known_sections = {s for s, _ in SCHEMA}
-    cfg = RunConfig({sk: default for sk, (_k, default, _a) in SCHEMA.items()})
+    cfg = RunConfig({sk: default for sk, (_k, default, _c) in SCHEMA.items()})
     for section in parser.sections():
         if section not in known_sections:
             raise ConfigError(f"unknown section [{section}] in {origin}")
         for key, raw in parser.items(section):
             if (section, key) not in SCHEMA:
                 raise ConfigError(f"unknown key [{section}] {key} in {origin}")
-            kind, _default, _allowed = SCHEMA[(section, key)]
+            kind = SCHEMA[(section, key)][0]
             try:
                 value = _PARSERS[kind](raw)
             except (ValueError, ZeroDivisionError) as exc:

@@ -49,6 +49,7 @@ log = logging.getLogger(__name__)
 
 _POLE_TOL = 1e-12
 _POLE_MSG = "singular nonlinearity: denominator within 1e-12 of a pole"
+NONLINEARITIES = ("saturating_sum", "test1_product")    # ModelSpec.nonlinearity
 
 Field = Callable[[np.ndarray, np.ndarray], np.ndarray]
 TimeField = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
@@ -120,7 +121,7 @@ class ModelSpec:
     wp: float
     e: tuple[float, float, float]
     kappa: tuple[float, float]
-    nonlinearity: str             # "saturating_sum" | "test1_product"
+    nonlinearity: str             # one of NONLINEARITIES
     init: tuple[Field, Field, Field]
     forcing: Optional[tuple[TimeField, TimeField, TimeField]] = None
     exact: Optional[tuple[TimeField, TimeField, TimeField]] = None
@@ -134,7 +135,7 @@ class ModelSpec:
                 raise ValueError(f"coefficient {name} must be finite, got {c}")
         if self.zeta < 0:
             raise ValueError(f"coefficient zeta (diffusivity) must be >= 0, got {self.zeta}")
-        if self.nonlinearity not in ("saturating_sum", "test1_product"):
+        if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"unknown nonlinearity selector {self.nonlinearity!r}")
         if not all(math.isfinite(k) and k > 0 for k in self.kappa):
             raise ValueError(f"kappa constants must be finite and positive, got {self.kappa}")

@@ -97,16 +97,16 @@ def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
                  T: float, sampler: QWienerSampler, M: int,
                  workers: int = 1, chunk_size: int = DEFAULT_CHUNK,
                  snapshot_times=None,
-                 ops: SchemeOperators | None = None,
-                 nonlinearity_time: str = "extrapolated",
-                 noise_convention: str = "paper") -> EnsembleResult:
+                 ops: SchemeOperators | None = None) -> EnsembleResult:
     """Estimate E[solution] over M trajectories with sample ids 0..M-1.
 
     The result is independent of `workers` (bitwise, because chunking and
     merge order are fixed by chunk_size alone).  Any sample failure aborts
     the whole ensemble; it is re-raised as its own exception type with the
     offending sample id in the message.  A prebuilt ops must be the scheme
-    of (spec, mesh, basis, tau), as in timestepper.run (scheme_for).
+    of (spec, mesh, basis, tau), as in timestepper.run (scheme_for); without
+    one the scheme has build_scheme's default options (options are set on
+    build_scheme).
 
     With workers > 1 and more than one chunk, the chunks run on a
     forkserver process pool (serially only where the platform has none),
@@ -120,7 +120,7 @@ def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
         raise ValueError(f"sample count must be >= 1, got {M}")
     if chunk_size < 1:
         raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
-    ops = scheme_for(spec, mesh, basis, tau, ops, nonlinearity_time, noise_convention)
+    ops = scheme_for(spec, mesh, basis, tau, ops)
     workspace = None
     if sampler is not None and sampler.amplitude > 0.0:
         workspace = NoiseWorkspace(sampler, mesh, basis, projector=ops.projector)

@@ -63,7 +63,8 @@ The nonlinearity is evaluated explicitly.  Two time levels are supported:
 "lagged" uses (u, v) at t_{n-1} literally; "extrapolated" (the default) uses
 the second-order extrapolation (3 phi^{n-1} - phi^{n-2})/2 toward the half
 level, which restores the scheme's O(tau^2) accuracy (the lagged evaluation
-measurably degrades to first order; see the convergence tests).  The first
+measurably degrades toward first order; see test_timestepper.py,
+TestRun.test_lagged_nonlinearity_degrades_toward_first_order).  The first
 step of an extrapolated run falls back to lagged.
 
 Noise enters as the load of its increment, (W^n - W^{n-1}, v) on the test
@@ -75,9 +76,11 @@ convention adds it (the conventional +dW forcing).
 A scheme (SchemeOperators, built by build_scheme) owns its discretized
 problem and is frozen: it holds its spec, mesh, basis and tau, the forcing
 staged once on the quadrature grid (model.stage_forcing), and shares one
-Cholesky factorization of the per-axis mass with its L2Projector.  `step`,
-`advance`, `energy_norm` and `initial_data` take only the scheme; `run` and
-montecarlo.run_ensemble build it, or check a prebuilt one, by scheme_for.
+Cholesky factorization of the per-axis mass with its L2Projector.  The
+scheme's options (nonlinearity_time, noise_convention) are set once, on
+build_scheme.  `step`, `advance`, `energy_norm` and `initial_data` take only
+the scheme; `run` and montecarlo.run_ensemble take a prebuilt one, checked
+by scheme_for, or build one with build_scheme's default options.
 
 `step` and the time loop (`advance`) work on batches: the states of B
 samples are one array (B, 3, n1d_x, n1d_y) (a StateBatch), their noise
@@ -590,12 +593,12 @@ def advance(ops: SchemeOperators, init: np.ndarray, T: float,
 
 
 def scheme_for(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
-               ops: SchemeOperators | None, nonlinearity_time: str, noise_convention: str):
+               ops: SchemeOperators | None):
     """ops, checked to be the scheme of these very spec, mesh and basis and
-    this tau (ValueError naming what differs), or if None a new scheme."""
+    this tau (ValueError naming what differs), or if None a new scheme with
+    build_scheme's default options (options are set on build_scheme)."""
     if ops is None:
-        return build_scheme(mesh, basis, spec, tau, nonlinearity_time=nonlinearity_time,
-                            noise_convention=noise_convention)
+        return build_scheme(mesh, basis, spec, tau)
     for name, given in (("spec", spec), ("mesh", mesh), ("basis", basis)):
         if getattr(ops, name) is not given:
             raise ValueError(f"ops was built for another {name}")
@@ -608,17 +611,17 @@ def run(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float, T: float,
         sampler: QWienerSampler | None = None, sample_id: int = 0,
         snapshot_times=None, ops: SchemeOperators | None = None,
         noise_workspace: NoiseWorkspace | None = None,
-        record_reports: bool = True,
-        nonlinearity_time: str = "extrapolated",
-        noise_convention: str = "paper") -> Trajectory:
+        record_reports: bool = True) -> Trajectory:
     """Integrate one trajectory from t=0 to t=T with steps of size tau: the
     one-sample batch of `advance`.
 
     T/tau must be integral within rounding.  Passing prebuilt ops (checked
     by scheme_for) and a noise workspace amortizes assembly and factorization
     across samples; identical inputs produce bit-identical trajectories.
+    Without ops the scheme has build_scheme's default options: options are
+    set on build_scheme, whose scheme a caller passes as ops.
     """
-    ops = scheme_for(spec, mesh, basis, tau, ops, nonlinearity_time, noise_convention)
+    ops = scheme_for(spec, mesh, basis, tau, ops)
     final, snapshots, reports = advance(
         ops, initial_data(ops), T, (sample_id,), sampler=sampler,
         noise_workspace=noise_workspace, snapshot_times=snapshot_times,

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from stochsem.assembly import evaluate_grid
-from stochsem.cli import grid_rows, main, make_discretization, make_problem
+from stochsem.cli import grid_rows, main, make_discretization, make_problem, make_sampler
 from stochsem.config import SCHEMA, ConfigError, _parse_float, load_config, parse_config
 from stochsem.model import NumericalError, SingularNonlinearity
-from stochsem.montecarlo import error_report
+from stochsem.montecarlo import error_report, run_ensemble
 from stochsem.stochastic import QWienerSampler, spectrum
-from stochsem.timestepper import DivergenceError, SchemeError, SolverFailure, run
+from stochsem.timestepper import (DivergenceError, SchemeError, SolverFailure, build_scheme,
+                                  run)
 
 T1_SECTIONS = {
     "problem": {"kind": "test1"},
@@ -109,7 +110,8 @@ def config_texts(draw):
     keys = draw(st.lists(st.sampled_from(sorted(SCHEMA)), unique=True))
     sections = {}
     for section, key in [("problem", "kind")] + keys:
-        kind, _default, allowed = SCHEMA[(section, key)]
+        kind, _default, check = SCHEMA[(section, key)]
+        allowed = check if isinstance(check, tuple) else None
         sections.setdefault(section, {})[key] = draw(
             value_texts(kind, allowed, LIST_RULES.get((section, key))))
     return ini(sections)
@@ -237,6 +239,35 @@ class TestRunCommand:
         header, rows = read_csv(out / "ensemble_summary.csv")
         assert header[:4] == ["dof", "mean_u", "mean_v", "mean_w"]
         assert all(float(r[4]) >= 0 for r in rows)   # stderr nonnegative
+
+    def test_scheme_options_reach_the_scheme(self, tmp_path):
+        # [noise] sign_convention and [scheme] nonlinearity_time set the
+        # scheme the ensemble runs on: the summary is run_ensemble's on
+        # build_scheme's scheme with both options, and differs from the
+        # summary with either option left at its default
+        text = ini(T2_SECTIONS, scheme={"nonlinearity_time": "lagged"},
+                   noise={"sigma": "0.1", "seed": "3", "truncation": "4",
+                          "sign_convention": "increment"},
+                   montecarlo={"samples": "8", "chunk_size": "3"})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 0
+        got = np.array(read_csv(out / "ensemble_summary.csv")[1], dtype=float)[:, 1:].T
+
+        cfg = parse_config(text)
+        spec = make_problem(cfg)
+        mesh, basis = make_discretization(cfg)
+
+        def summary(**options):
+            res = run_ensemble(spec, mesh, basis, 0.05, 0.1, make_sampler(cfg), M=8,
+                               chunk_size=3, ops=build_scheme(mesh, basis, spec, 0.05,
+                                                              **options))
+            return np.vstack([*res.mean.fields, res.stderr])
+
+        assert np.array_equal(got, summary(nonlinearity_time="lagged",
+                                           noise_convention="increment"))
+        for options in ({}, {"nonlinearity_time": "lagged"},
+                        {"noise_convention": "increment"}):
+            assert not np.array_equal(got, summary(**options))
 
     def test_ensemble_numerical_failure_exit_3(self, tmp_path, monkeypatch, capsys):
         from stochsem import timestepper

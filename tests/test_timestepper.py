@@ -11,11 +11,11 @@ from stochsem.mesh import _Axis, build_mesh
 from stochsem.model import ModelSpec, const_field
 from stochsem.model import test1_spec as make_test1
 from stochsem.model import test2_spec as make_test2
-from stochsem.montecarlo import error_report
+from stochsem.montecarlo import convergence_order, error_report
 from stochsem.stochastic import NoiseWorkspace, QWienerSampler, sample_increment
-from stochsem.timestepper import (SOLVE_RTOL, KroneckerPair, SchemeError, SchurFactor,
-                                  SolverFailure, StateBatch, _eigenvalues, _schur_form,
-                                  build_scheme, energy_norm, run, step)
+from stochsem.timestepper import (NONLINEARITY_TIMES, SOLVE_RTOL, KroneckerPair, SchemeError,
+                                  SchurFactor, SolverFailure, StateBatch, _eigenvalues,
+                                  _schur_form, build_scheme, energy_norm, run, step)
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -208,6 +208,23 @@ class TestRun:
         assert rep.linf_sum <= 3 * 3.3204e-4
         assert rep.linf_sum >= 3.3204e-4 / 3
 
+    def test_lagged_nonlinearity_degrades_toward_first_order(self):
+        # noise-free Test 1 on 2x2/order 10, tau = 1/16..1/128 to T = 1: the
+        # lagged nonlinearity's observed orders fall toward 1 (about 1.69,
+        # 1.41, 1.25), the extrapolated one's hold 2 (about 2.14, 2.04, 2.03)
+        mesh, basis = disc(2, 2, 10)
+        spec = make_test1()
+        taus = (1 / 16, 1 / 32, 1 / 64, 1 / 128)
+        orders = {}
+        for when in NONLINEARITY_TIMES:
+            errs = [error_report(run(spec, mesh, basis, tau, 1.0, record_reports=False,
+                                     ops=build_scheme(mesh, basis, spec, tau,
+                                                      nonlinearity_time=when)).final,
+                                 spec.exact, mesh, basis).linf_sum for tau in taus]
+            orders[when] = convergence_order(errs)
+        assert np.all(np.diff(orders["lagged"]) < 0) and orders["lagged"][-1] <= 1.4
+        assert np.all(orders["extrapolated"] >= 1.9)
+
     def test_noisy_runs_bit_reproducible(self):
         mesh, basis = disc(2, 1, 6)
         spec = make_test2("smooth")
@@ -284,10 +301,9 @@ class TestRun:
         mesh, basis = disc(2, 1, 5)
         sampler = QWienerSampler(truncation=4, amplitude=0.3, seed=9)
         spec = make_test2("smooth").with_wp(0.0)
-        a = run(spec, mesh, basis, 0.05, 0.2, sampler=sampler, sample_id=0,
-                noise_convention="paper")
-        b = run(spec, mesh, basis, 0.05, 0.2, sampler=sampler, sample_id=0,
-                noise_convention="increment")
+        a, b = (run(spec, mesh, basis, 0.05, 0.2, sampler=sampler, sample_id=0,
+                    ops=build_scheme(mesh, basis, spec, 0.05, noise_convention=c))
+                for c in ("paper", "increment"))
         det = run(spec, mesh, basis, 0.05, 0.2)
         for fa, fb, fd in zip(a.final.fields, b.final.fields, det.final.fields):
             assert np.max(np.abs(0.5 * (fa + fb) - fd)) <= 1e-10
