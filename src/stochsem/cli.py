@@ -321,8 +321,6 @@ def cmd_evolve(cfg: RunConfig, out: OutputWriter) -> None:
     mesh, basis = make_discretization(cfg)
     times = cfg.get("evolve", "times")
     grid_n = cfg.get("evolve", "grid_n")
-    if any(t > cfg.get("time", "t_final") for t in times):
-        raise ConfigError("[evolve] times must lie within [0, t_final]")
     _, snapshots, _ = mean_state(cfg, spec, mesh, basis, cfg.get("time", "tau"), times)
 
     files = write_snapshots(out, "evolve", mesh, basis, snapshots, times, grid_n, ["u"])

@@ -48,7 +48,7 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 _POLE_TOL = 1e-12
-_POLE_MSG = "singular nonlinearity: denominator within 1e-12 of a pole"
+POLE = "singular nonlinearity{}: denominator within 1e-12 of a pole"   # step: " at step n"
 NONLINEARITIES = ("saturating_sum", "test1_product")    # ModelSpec.nonlinearity
 
 Field = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -108,7 +108,7 @@ class NumericalError(Exception):
 
 
 class SingularNonlinearity(NumericalError, ValueError):
-    """The nonlinearity was evaluated within 1e-12 of a pole."""
+    """The nonlinearity met a pole (within 1e-12); index is its first point (C order)."""
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,8 @@ class ModelSpec:
 def nonlinear_f(spec: ModelSpec, u, v):
     """Reaction value f(u, v) for the spec's selector (vectorized).
 
-    Raises SingularNonlinearity when any denominator comes within 1e-12 of
-    a pole.
+    Raises SingularNonlinearity at the first point (C order) where a
+    denominator comes within 1e-12 of a pole.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -157,13 +157,15 @@ def nonlinear_f(spec: ModelSpec, u, v):
         k1, k2 = spec.kappa
         d1 = k1 + u
         d2 = k2 + v
-        if np.any(np.abs(d1) < _POLE_TOL) or np.any(np.abs(d2) < _POLE_TOL):
-            raise SingularNonlinearity(_POLE_MSG)
-        return u / d1 + v / d2
-    den = (1.0 + u) * (v + 2.0)
-    if np.any(np.abs(den) < _POLE_TOL):
-        raise SingularNonlinearity(_POLE_MSG)
-    return u * v / den
+        near = (np.abs(d1) < _POLE_TOL) | (np.abs(d2) < _POLE_TOL)
+    else:
+        den = (1.0 + u) * (v + 2.0)
+        near = np.abs(den) < _POLE_TOL
+    if np.any(near):
+        exc = SingularNonlinearity(POLE.format(""))
+        exc.index = np.unravel_index(np.argmax(near), near.shape)
+        raise exc
+    return u / d1 + v / d2 if spec.nonlinearity == "saturating_sum" else u * v / den
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ realizations are already keyed by sample id).  Every time level, the final
 one and each snapshot, goes through the one moments merge (_moments,
 _merge_moments), so a snapshot at t = T is the final mean bitwise and one at
 t = 0 the projected initial data; a snapshot's m2 costs one O(B n)
-reduction per chunk and is dropped.  With workers > 1, chunks
-run on a forkserver process pool, where one exists, else serially; each
-chunk's job goes out pickled, so the spec must pickle, and a script must
-guard its entry point (`if __name__ == "__main__":`).
+reduction per chunk and is dropped.  Only a step's failure (a
+NumericalError) becomes a sample failure, which names its sample; any other
+error keeps its own message.  With workers > 1, chunks run on a forkserver
+process pool, where one exists, else serially; each chunk's job goes out
+pickled, so the spec must pickle, and a script must guard its entry point
+(`if __name__ == "__main__":`).
 """
 from __future__ import annotations
 
@@ -27,10 +29,11 @@ import numpy as np
 from .assembly import Quadrature2D, StateVector, grid_tables, grid_values
 from .basis import Basis1D
 from .mesh import Mesh2D
-from .model import ModelSpec
+from .model import ModelSpec, NumericalError
 from .stochastic import NoiseWorkspace, QWienerSampler
 # `run` stays importable here: the benchmark's tests compare montecarlo.run
-from .timestepper import SchemeOperators, advance, initial_data, run, scheme_for  # noqa: F401
+from .timestepper import (SchemeOperators, advance, initial_data, run,  # noqa: F401
+                          scheme_for, time_grid)
 
 DEFAULT_CHUNK = 32
 LINF_GRID = 101
@@ -43,7 +46,6 @@ class EnsembleResult:
     m: int
     mean: StateVector
     m2: np.ndarray                    # (3, n) sum of squared deviations
-    seed: int
     snapshot_means: dict = dc_field(default_factory=dict)   # t -> (3, n)
 
     @property
@@ -78,15 +80,13 @@ def _moments(batch):
     return (len(batch), batch[0] + d_mean, np.sum((d - d_mean)**2, axis=0))
 
 
-def _run_chunk(ops, init, T, sampler, workspace, snapshot_times, ids):
+def _run_chunk(ops, init, grid, sampler, workspace, ids):
     """Moments of one chunk's final states and {t: moments} of its snapshots."""
     try:
-        final, snapshots, _ = advance(ops, init, T, ids, sampler=sampler,
-                                      noise_workspace=workspace,
-                                      snapshot_times=snapshot_times)
-    except Exception as exc:
-        # keep the type: the CLI maps it to an exit code; a failure of
-        # the whole batch is the first sample's
+        final, snapshots, _ = advance(ops, init, grid, ids, sampler=sampler,
+                                      noise_workspace=workspace)
+    except NumericalError as exc:
+        # keep the type: the CLI maps it to an exit code; an untagged one is ids[0]'s
         sid = getattr(exc, "sample_id", None)
         raise type(exc)(f"sample {ids[0] if sid is None else sid} failed: {exc}") from exc
     return (_moments(final.coeffs.reshape(len(ids), 3, -1)),
@@ -103,10 +103,11 @@ def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
     The result is independent of `workers` (bitwise, because chunking and
     merge order are fixed by chunk_size alone).  Any sample failure aborts
     the whole ensemble; it is re-raised as its own exception type with the
-    offending sample id in the message.  A prebuilt ops must be the scheme
-    of (spec, mesh, basis, tau), as in timestepper.run (scheme_for); without
-    one the scheme has build_scheme's default options (options are set on
-    build_scheme).
+    offending sample id in the message.  T and the snapshot times are checked
+    (timestepper.time_grid) before any scheme, noise workspace or chunk.  A
+    prebuilt ops must be the scheme of (spec, mesh, basis, tau), as in
+    timestepper.run (scheme_for); without one the scheme has build_scheme's
+    default options (options are set on build_scheme).
 
     With workers > 1 and more than one chunk, the chunks run on a
     forkserver process pool (serially only where the platform has none),
@@ -120,14 +121,15 @@ def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
         raise ValueError(f"sample count must be >= 1, got {M}")
     if chunk_size < 1:
         raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
+    snapshot_times = tuple(snapshot_times or ())
+    grid = time_grid(T, tau, snapshot_times)
     ops = scheme_for(spec, mesh, basis, tau, ops)
     workspace = None
     if sampler is not None and sampler.amplitude > 0.0:
         workspace = NoiseWorkspace(sampler, mesh, basis, projector=ops.projector)
     init = initial_data(ops)
-    snapshot_times = tuple(snapshot_times or ())
 
-    job = partial(_run_chunk, ops, init, T, sampler, workspace, snapshot_times)
+    job = partial(_run_chunk, ops, init, grid, sampler, workspace)
     chunks = [range(i, min(i + chunk_size, M)) for i in range(0, M, chunk_size)]
     if (workers > 1 and len(chunks) > 1
             and "forkserver" in multiprocessing.get_all_start_methods()):
@@ -141,11 +143,9 @@ def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
 
     count, mean, m2 = reduce(_merge_moments, (moments for moments, _ in results))
     mean_state = StateVector(mean[0].copy(), mean[1].copy(), mean[2].copy(), t=T)
-    seed = sampler.seed if sampler is not None else 0
     snapshot_means = {t: reduce(_merge_moments, (snaps[t] for _, snaps in results))[1]
                       for t in dict.fromkeys(snapshot_times)}   # a repeated time once
-    return EnsembleResult(m=count, mean=mean_state, m2=m2, seed=seed,
-                          snapshot_means=snapshot_means)
+    return EnsembleResult(m=count, mean=mean_state, m2=m2, snapshot_means=snapshot_means)
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,8 @@ Cholesky factorization of the per-axis mass with its L2Projector.  The
 scheme's options (nonlinearity_time, noise_convention) are set once, on
 build_scheme.  `step`, `advance`, `energy_norm` and `initial_data` take only
 the scheme; `run` and montecarlo.run_ensemble take a prebuilt one, checked
-by scheme_for, or build one with build_scheme's default options.
+by scheme_for, or build one with build_scheme's default options.  They first
+check the run's time grid (time_grid); `advance` takes that resolved grid.
 
 `step` and the time loop (`advance`) work on batches: the states of B
 samples are one array (B, 3, n1d_x, n1d_y) (a StateBatch), their noise
@@ -94,9 +95,9 @@ step its right-hand side R phi^n, which the new StateBatch carries; the
 time loop supplies the first from one apply of the initial data, a
 one-sample stack, and a caller's state that carries none has its R phi
 applied when it is stepped.  The checks hold per sample and field, and a
-failure names its sample.  Every per-sample operation is the same
-BLAS or LAPACK call whatever B is, so a sample's trajectory does not depend
-on its batch: `run` is the batch of one.
+failure names its sample (a pole's is the first index nonlinear_f gives).
+Every per-sample operation is the same BLAS or LAPACK call whatever B is, so
+a sample's trajectory does not depend on its batch: `run` is the batch of one.
 """
 from __future__ import annotations
 
@@ -112,7 +113,7 @@ from scipy.linalg.lapack import dtrsyl
 from .assembly import L2Projector, Quadrature2D, StateVector
 from .basis import Basis1D
 from .mesh import Mesh2D
-from .model import (ModelSpec, NumericalError, SingularNonlinearity, nonlinear_f,
+from .model import (POLE, ModelSpec, NumericalError, SingularNonlinearity, nonlinear_f,
                     stage_forcing)
 from .stochastic import NoiseWorkspace, QWienerSampler, sample_increments
 
@@ -350,6 +351,11 @@ class SchemeOperators:
     noise_convention: str = "paper"
 
 
+def _check_tau(tau: float) -> None:
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+
+
 def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
                  nonlinearity_time: str = "extrapolated",
                  noise_convention: str = "paper") -> SchemeOperators:
@@ -362,8 +368,7 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
     one Schur form (mesh.per_axis).  A left operator that the factor finds
     (numerically) singular raises SchemeError naming the first such field.
     """
-    if not (np.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and positive, got {tau}")
+    _check_tau(tau)
     if nonlinearity_time not in NONLINEARITY_TIMES:
         raise ValueError(f"unknown nonlinearity_time {nonlinearity_time!r}")
     if noise_convention not in NOISE_CONVENTIONS:
@@ -458,15 +463,9 @@ def step(ops: SchemeOperators, state: StateBatch, noise=None,
         U, V = quad.values(u), quad.values(v)
         try:
             samples.append(nonlinear_f(spec, U, V))
-        except SingularNonlinearity as exc:
-            kind, _, why = str(exc).partition(":")     # name the step after the kind
-            err = SingularNonlinearity(f"{kind} at step {step_index}:{why}")
-            for b in range(len(U)):     # name the first sample at the pole
-                try:
-                    nonlinear_f(spec, U[b], V[b])
-                except SingularNonlinearity:
-                    raise _tag(err, state, b) from None
-            raise err from None
+        except SingularNonlinearity as exc:     # the pole's sample is its first index
+            raise _tag(SingularNonlinearity(POLE.format(f" at step {step_index}")),
+                       state, exc.index[0]) from None
     if ops.forcing is not None:
         samples.append(quad.finite(ops.forcing(t_half)))
     if samples:
@@ -525,18 +524,24 @@ class Trajectory:
     snapshots: dict   # time -> StateVector
 
 
-def _resolve_steps(times, tau: float, n_steps: int, what: str) -> dict:
-    """Map step indices to the requested times on them (every one, also two
-    that round to the same step), validating divisibility."""
+def time_grid(T: float, tau: float, times=()):
+    """(n_steps, {step: [times]}) of a run to T with steps tau, each time on the
+    step it names; ValueError for a tau, T or time off the grid within [0, T]."""
+    _check_tau(tau)
+    if not (np.isfinite(T) and T >= 0):
+        raise ValueError(f"final time must be finite and >= 0, got {T}")
+    n_steps = int(round(T / tau))
+    if abs(n_steps * tau - T) > 1e-9 * max(T, tau):
+        raise ValueError(f"T={T} is not an integral multiple of tau={tau}")
     out = {}
-    for t in times:
+    for t in times or ():
         if not np.isfinite(t):
-            raise ValueError(f"{what} time {t} is not finite")
+            raise ValueError(f"snapshot time {t} is not finite")
         k = int(round(t / tau))
         if not (0 <= k <= n_steps) or abs(k * tau - t) > 1e-9 * max(tau, abs(t), 1.0):
-            raise ValueError(f"{what} time {t} is not a multiple of tau={tau} within [0, T]")
+            raise ValueError(f"snapshot time {t} is not a multiple of tau={tau} within [0, T]")
         out.setdefault(k, []).append(float(t))
-    return out
+    return n_steps, out
 
 
 def initial_data(ops: SchemeOperators) -> np.ndarray:
@@ -545,12 +550,12 @@ def initial_data(ops: SchemeOperators) -> np.ndarray:
     return np.stack(init).reshape(3, ops.mesh.ax.n_dofs, ops.mesh.ay.n_dofs)
 
 
-def advance(ops: SchemeOperators, init: np.ndarray, T: float,
-            sample_ids, sampler: QWienerSampler | None = None,
-            noise_workspace: NoiseWorkspace | None = None, snapshot_times=(),
+def advance(ops: SchemeOperators, init: np.ndarray, grid, sample_ids,
+            sampler: QWienerSampler | None = None,
+            noise_workspace: NoiseWorkspace | None = None,
             record_reports: bool = False):
     """The time loop: advance the samples sample_ids as one batch from the
-    projected initial data init (3, n1d_x, n1d_y) at t = 0 to t = T.
+    projected initial data init (3, n1d_x, n1d_y) over grid (from time_grid).
 
     Each step draws the loads of the batch's noise increments (one path per
     sample, or one per sample and field) and makes one `step` call; the
@@ -558,13 +563,7 @@ def advance(ops: SchemeOperators, init: np.ndarray, T: float,
     Returns the final StateBatch, the snapshots {time: StateBatch} and, with
     record_reports, one list of StepReports per sample.
     """
-    tau = ops.tau
-    if not (np.isfinite(T) and T >= 0):
-        raise ValueError(f"final time must be finite and >= 0, got {T}")
-    n_steps = int(round(T / tau))
-    if abs(n_steps * tau - T) > 1e-9 * max(T, tau):
-        raise ValueError(f"T={T} is not an integral multiple of tau={tau}")
-    snap_at = _resolve_steps(snapshot_times or (), tau, n_steps, "snapshot")
+    n_steps, snap_at = grid
     ids = tuple(sample_ids)
     right = np.repeat(ops.sides.apply(init[None])[1], len(ids), axis=0)
     state = StateBatch(np.repeat(init[None], len(ids), axis=0), 0.0, ids, right)
@@ -580,7 +579,7 @@ def advance(ops: SchemeOperators, init: np.ndarray, T: float,
     prev = noise = None
     for k in range(1, n_steps + 1):
         if noisy:
-            noise = sample_increments(sampler, ids, k, tau, noise_workspace, components)
+            noise = sample_increments(sampler, ids, k, ops.tau, noise_workspace, components)
         new_state, residuals = step(ops, state, noise, prev_state=prev, step_index=k)
         if record_reports:
             for b, res in enumerate(residuals):
@@ -615,16 +614,16 @@ def run(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float, T: float,
     """Integrate one trajectory from t=0 to t=T with steps of size tau: the
     one-sample batch of `advance`.
 
-    T/tau must be integral within rounding.  Passing prebuilt ops (checked
-    by scheme_for) and a noise workspace amortizes assembly and factorization
-    across samples; identical inputs produce bit-identical trajectories.
-    Without ops the scheme has build_scheme's default options: options are
-    set on build_scheme, whose scheme a caller passes as ops.
+    T and the snapshot times must be on the grid t_n = n tau (time_grid checks
+    them before any scheme).  Prebuilt ops (checked by scheme_for) and a noise
+    workspace amortize assembly and factorization across samples; identical
+    inputs produce bit-identical trajectories.  Without ops the scheme has
+    build_scheme's default options; others come with a caller's ops.
     """
+    grid = time_grid(T, tau, snapshot_times)
     ops = scheme_for(spec, mesh, basis, tau, ops)
     final, snapshots, reports = advance(
-        ops, initial_data(ops), T, (sample_id,), sampler=sampler,
-        noise_workspace=noise_workspace, snapshot_times=snapshot_times,
-        record_reports=record_reports)
+        ops, initial_data(ops), grid, (sample_id,), sampler=sampler,
+        noise_workspace=noise_workspace, record_reports=record_reports)
     return Trajectory(final=final.state(0), reports=reports[0],
                       snapshots={t: s.state(0).copy() for t, s in snapshots.items()})

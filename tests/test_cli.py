@@ -383,6 +383,24 @@ class TestRunCommand:
                 in capsys.readouterr().err)
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("run", "time", "snapshot_times", "0.07, 0.3"),
+        ("evolve", "evolve", "times", "-0.1, 0.1")])
+    def test_off_grid_snapshot_time_exit_2(self, tmp_path, capsys, command, section, key,
+                                           value):
+        # a time off the grid (tau = 0.05) is a configuration error of its
+        # own, in an ensemble too: no sample failed
+        cfg = write(tmp_path, ini(T2_SECTIONS, noise={"sigma": "0.1"},
+                                  montecarlo={"samples": "3"}, **{section: {key: value}}))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        bad = value.split(",")[0]
+        assert (f"config error: snapshot time {bad} is not a multiple of tau=0.05 "
+                f"within [0, T]") in err
+        assert "sample" not in err
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("command,section,key", [("run", "time", "snapshot_times"),
                                                      ("evolve", "evolve", "times")])
     @pytest.mark.parametrize("sigma", ["0", "0.1"], ids=["noise_free", "noisy"])

@@ -7,8 +7,8 @@ import sympy as sp
 from stochsem.assembly import Quadrature2D
 from stochsem.basis import make_basis
 from stochsem.mesh import build_mesh
-from stochsem.model import (ModelSpec, const_field, nonlinear_f, stage_forcing,
-                            TEST1_DIFFUSIVITY)
+from stochsem.model import (POLE, ModelSpec, SingularNonlinearity, const_field, nonlinear_f,
+                            stage_forcing, TEST1_DIFFUSIVITY)
 from stochsem.model import test1_spec as make_test1
 from stochsem.model import test2_spec as make_test2
 from stochsem.basis import gauss_rule
@@ -37,6 +37,18 @@ class TestNonlinearity:
             nonlinear_f(spec, -1.0, 0.0)
         with pytest.raises(ValueError, match="singular"):
             nonlinear_f(make_test1(), -1.0, 1.0)
+
+    @pytest.mark.parametrize("spec", [saturating_spec(), make_test1()],
+                             ids=["saturating_sum", "test1_product"])
+    def test_pole_located_in_its_sample(self, spec):
+        # a stack of 3 samples with a pole only in sample 2: the error names
+        # the first pole point in C order, whose first index is the sample
+        u, v = np.zeros((3, 2, 2)), np.zeros((3, 2, 2))
+        u[2, 1, 0] = u[2, 1, 1] = -1.0
+        with pytest.raises(SingularNonlinearity) as info:
+            nonlinear_f(spec, u, v)
+        assert str(info.value) == POLE.format("")
+        assert info.value.index[0] == 2 and tuple(info.value.index) == (2, 1, 0)
 
     def test_saturating_monotone(self):
         # nondecreasing in each argument separately for nonnegative values

@@ -8,6 +8,7 @@ import threading
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 import pytest
 
 from stochsem import montecarlo, stochastic, timestepper
@@ -16,7 +17,7 @@ from stochsem.assembly import Quadrature2D, StateVector, evaluate_grid
 from stochsem.basis import make_basis
 from stochsem.cli import make_problem
 from stochsem.config import parse_config
-from stochsem.mesh import build_mesh
+from stochsem.mesh import build_mesh, element_basis_table
 from stochsem.model import SingularNonlinearity, const_field
 from stochsem.model import test1_spec as make_test1
 from stochsem.model import test2_spec as make_test2
@@ -24,7 +25,10 @@ from stochsem.montecarlo import (EnsembleResult, convergence_order, error_hw,
                                  error_report, run_ensemble)
 from stochsem.stochastic import QWienerSampler
 from stochsem.timestepper import (DivergenceError, SolverFailure, advance, build_scheme,
-                                  initial_data, run)
+                                  initial_data, run, time_grid)
+
+from conftest import ref_dof_map
+from test_assembly import ref_assemble
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -81,12 +85,24 @@ class TestRunEnsemble:
         assert np.array_equal(res1.mean.stacked(), res4.mean.stacked())
         assert np.array_equal(res1.m2, res4.m2)
 
-    def test_divergent_sample_reported(self):
+    @pytest.mark.parametrize("T,times,message", [
+        (0.23, (), "T=0.23 is not an integral multiple of tau=0.05"),
+        (0.2, (0.07, 0.1), "snapshot time 0.07 is not a multiple of tau=0.05 within [0, T]"),
+        (0.2, (-0.1, 0.1), "snapshot time -0.1 is not a multiple of tau=0.05 within [0, T]")],
+        ids=["T", "snapshot", "negative_snapshot"])
+    def test_off_grid_time_rejected_before_any_work(self, monkeypatch, T, times, message):
+        # the time grid is checked before any scheme, noise workspace or
+        # chunk, and its error is the library's own: no sample failed
         spec, mesh, basis, sampler = noisy_setup()
-        # T not an integral multiple of tau triggers the failure path; the
-        # failure keeps its own type and names the first sample
-        with pytest.raises(ValueError, match="sample 0 failed"):
-            run_ensemble(spec, mesh, basis, 0.05, 0.23, sampler, M=2)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the time grid was checked")
+
+        for name in ("scheme_for", "NoiseWorkspace", "advance"):
+            monkeypatch.setattr(montecarlo, name, forbidden)
+        with pytest.raises(ValueError) as info:
+            run_ensemble(spec, mesh, basis, 0.05, T, sampler, M=2, snapshot_times=times)
+        assert str(info.value) == message
 
     def test_snapshot_means(self):
         # every time level goes through the one moments merge: the t = 0 mean
@@ -147,8 +163,8 @@ class TestBatchedChunks:
     def assert_chunk_equals_runs(self, spec, mesh, basis, sampler, tau=0.05, T=0.2,
                                  snapshot_times=()):
         ops = build_scheme(mesh, basis, spec, tau)
-        final, snaps, _ = advance(ops, initial_data(ops), T, self.IDS,
-                                  sampler=sampler, snapshot_times=snapshot_times)
+        final, snaps, _ = advance(ops, initial_data(ops), time_grid(T, tau, snapshot_times),
+                                  self.IDS, sampler=sampler)
         for b, sid in enumerate(self.IDS):
             traj = run(spec, mesh, basis, tau, T, sampler=sampler, sample_id=sid, ops=ops,
                        snapshot_times=snapshot_times, record_reports=False)
@@ -365,19 +381,95 @@ class TestFailureAttribution:
         ops = build_scheme(mesh, basis, spec, 0.05, nonlinearity_time="lagged")
         # after one step u differs by sample: put a pole between the two
         # largest peaks of u, so that one sample reaches it at step 2
-        one, _, _ = advance(ops, initial_data(ops), 0.05, range(4), sampler)
+        one, _, _ = advance(ops, initial_data(ops), time_grid(0.05, 0.05), range(4), sampler)
         peaks = ops.quad.values(one.coeffs[:, 0]).max(axis=(1, 2))
         top, second = np.sort(peaks)[::-1][:2]
         real = timestepper.nonlinear_f
 
         def pole(spec, U, V):
-            if np.max(U) > (top + second) / 2:
-                raise SingularNonlinearity("singular nonlinearity")
+            at = np.argwhere(U > (top + second) / 2)    # C order: the first is at[0]
+            if len(at):
+                exc = SingularNonlinearity("singular nonlinearity")
+                exc.index = tuple(at[0])
+                raise exc
             return real(spec, U, V)
 
         monkeypatch.setattr(timestepper, "nonlinear_f", pole)
         with pytest.raises(SingularNonlinearity, match=f"sample {np.argmax(peaks)} failed"):
             run_ensemble(spec, mesh, basis, 0.05, 0.1, sampler, M=4, ops=ops)
+
+
+def sine_mode_loads(mesh, basis, J, n_quad=24):
+    """Loads (n_global, J*J) of the noise modes e_jk = 2 sin(j pi x)
+    sin(k pi y) on the unit square, mode (j, k) in column (j-1) J + k-1, by
+    an n_quad-point Gauss rule per element axis and the ref_dof_map scatter."""
+    x, w = leggauss(n_quad)
+    V, _ = element_basis_table(basis, x)
+    j = np.arange(1, J + 1)[:, None]
+    out = np.zeros((mesh.n_global, J, J))
+    dof_map = ref_dof_map(mesh)
+    for e in range(mesh.n_elements):
+        ey, ex = divmod(e, mesh.nex)
+        # sqrt(2) sin(j pi x) times the rule's weights on the element, per axis
+        sx, sy = (np.sqrt(2) * np.sin(np.pi * j * (a.edges[i] + (x + 1) / 2 * a.h)) * w * a.h / 2
+                  for a, i in ((mesh.ax, ex), (mesh.ay, ey)))
+        local = np.einsum("jq,kr,mq,nr->mnjk", sx, sy, V, V).reshape(-1, J, J)
+        keep = dof_map[e] >= 0
+        np.add.at(out, dof_map[e][keep], local[keep])
+    return out.reshape(mesh.n_global, J * J)
+
+
+def exact_variance(spec, mesh, basis, sampler, tau, n_steps):
+    """Var of each field's coefficients (3, n_global) after n_steps of the
+    linear (wp = 0) scheme, with 2D operators from the element oracle.
+
+    Each field steps u^n = A u^{n-1} -+ L^-1 l_n with A = L^-1 R and the noise
+    load l_n = sum_jk sigma sqrt(q_jk tau) xi_jk l^(jk), so
+    Var u^n_i = sum_{k<=n} sum_jk sigma^2 q_jk tau ((A^{n-k} L^-1 l^(jk))_i)^2
+    whichever the sign, and whether the fields share the path or not
+    (Lord, Powell & Shardlow, An Introduction to Computational Stochastic
+    PDEs, CUP 2014, ch. 10).
+    """
+    mass, diff, adv = (ref_assemble(mesh, basis, const_field(1.0), kind).toarray()
+                       for kind in ("mass", "diffusion", "advection"))
+    S = tau / 2 * (spec.zeta * diff + spec.xi * adv)
+    j = np.arange(1, sampler.truncation + 1)
+    q = (j[:, None]**2 + j[None, :]**2) ** -sampler.decay_exponent     # q_jk at [j-1, k-1]
+    scale = sampler.amplitude * np.sqrt(q.ravel() * tau)
+    loads = sine_mode_loads(mesh, basis, sampler.truncation) * scale
+    out = []
+    for rf in (0.0, 0.0, spec.r):       # fields u, v, w
+        L = (1 + tau / 2 * rf) * mass + S
+        A = np.linalg.solve(L, (1 - tau / 2 * rf) * mass - S)
+        columns, var = np.linalg.solve(L, loads), np.zeros(mesh.n_global)
+        for _ in range(n_steps):
+            var += np.sum(columns**2, axis=1)
+            columns = A @ columns
+        out.append(var)
+    return np.array(out)
+
+
+class TestSecondMomentOracle:
+    """The ensemble variance of the linear scheme against its exact value.
+
+    Test 2 smooth with wp = 0, 1x1 order 6, J = 4, sigma = 0.1, tau = 0.01
+    to T = 0.1, M = 4,000 samples.  One per-dof ratio of sample to exact
+    variance has standard deviation sqrt(2 / (M - 1)) = 0.022.  Over seeds
+    0-29 the per-dof ratios of the 75 dofs lay in 0.919-1.092 and their
+    mean in 0.993-1.018, in either case below; scaling the noise by tau
+    instead of sqrt(tau) would read 100x off.
+    """
+
+    @pytest.mark.parametrize("shared,convention", [(True, "paper"), (False, "increment")])
+    def test_variance_matches_exact(self, shared, convention):
+        mesh, basis = disc(1, 1, 6)
+        spec = make_test2("smooth").with_wp(0.0)
+        sampler = QWienerSampler(truncation=4, amplitude=0.1, seed=13, shared=shared)
+        ops = build_scheme(mesh, basis, spec, 0.01, noise_convention=convention)
+        res = run_ensemble(spec, mesh, basis, 0.01, 0.1, sampler, M=4000, ops=ops)
+        ratio = res.variance / exact_variance(spec, mesh, basis, sampler, 0.01, 10)
+        assert 0.88 <= ratio.min() and ratio.max() <= 1.12
+        assert abs(ratio.mean() - 1.0) <= 0.03
 
 
 class TestErrorReport:

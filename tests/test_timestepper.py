@@ -140,11 +140,11 @@ class TestStep:
         assert np.array_equal(made.right, right)
 
     def test_snapshots_hold_no_carried_right_hand_side(self):
-        from stochsem.timestepper import advance, initial_data
+        from stochsem.timestepper import advance, initial_data, time_grid
         mesh, basis = disc(2, 2, 6)
         ops = build_scheme(mesh, basis, make_test1(), 0.05)
-        final, snaps, _ = advance(ops, initial_data(ops), 0.1, (0, 1),
-                                  snapshot_times=(0.0, 0.05, 0.1))
+        final, snaps, _ = advance(ops, initial_data(ops), time_grid(0.1, 0.05, (0.0, 0.05, 0.1)),
+                                  (0, 1))
         assert final.right is not None
         assert all(s.right is None for s in snaps.values())
         assert np.array_equal(snaps[0.1].coeffs, final.coeffs)
@@ -153,13 +153,13 @@ class TestStep:
         # the time loop applies R once, to the one-sample stack of the
         # initial data, for every sample's first step; each step then makes
         # one apply of the whole batch
-        from stochsem.timestepper import advance, initial_data
+        from stochsem.timestepper import advance, initial_data, time_grid
         mesh, basis = disc(2, 2, 6)
         ops = build_scheme(mesh, basis, make_test1(), 0.05)
         shapes, real = [], KroneckerPair.apply
         monkeypatch.setattr(KroneckerPair, "apply",
                             lambda self, X: shapes.append(X.shape) or real(self, X))
-        advance(ops, initial_data(ops), 0.15, range(4), snapshot_times=(0.0,))
+        advance(ops, initial_data(ops), time_grid(0.15, 0.05, (0.0,)), range(4))
         assert shapes == [batch_shape(mesh, 1)] + [batch_shape(mesh, 4)] * 3
 
     def test_heat_mode_amplification(self):
@@ -197,6 +197,33 @@ class TestRun:
         mesh, basis = disc(1, 1, 4)
         with pytest.raises(ValueError, match=f"final time must be finite and >= 0, got {T}"):
             run(make_test1(), mesh, basis, tau=0.1, T=T)
+
+    def test_time_grid(self):
+        from stochsem.timestepper import time_grid
+        # every requested time sits on the step it names, also two on one step
+        assert time_grid(0.2, 0.05, (0.1, 0.0, 0.1 + 1e-12)) == (
+            4, {2: [0.1, 0.1 + 1e-12], 0: [0.0]})
+        assert time_grid(0.0, 0.05, None) == (0, {})
+        for t in (-0.1, -0.05, 0.25, 0.07):     # both ends of [0, T], and off the grid
+            with pytest.raises(ValueError, match=rf"^snapshot time {t} is not a multiple "
+                                                 rf"of tau=0.05 within \[0, T\]$"):
+                time_grid(0.2, 0.05, (0.1, t))
+
+    @pytest.mark.parametrize("tau,T,match", [
+        (0.05, 0.23, "T=0.23 is not an integral multiple of tau=0.05"),
+        (0.0, 1.0, "tau must be finite and positive, got 0.0"),
+        (np.nan, 1.0, "tau must be finite and positive, got nan")],
+        ids=["T", "zero_tau", "nan_tau"])
+    def test_time_grid_checked_before_the_scheme(self, monkeypatch, tau, T, match):
+        from stochsem import timestepper
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scheme built before the time grid was checked")
+
+        monkeypatch.setattr(timestepper, "build_scheme", forbidden)
+        mesh, basis = disc(1, 1, 4)
+        with pytest.raises(ValueError, match=match):
+            run(make_test1(), mesh, basis, tau=tau, T=T)
 
     def test_table1_single_point(self):
         # deterministic test problem 1 at tau=1/64 lands within a factor of
