@@ -45,7 +45,7 @@ from .model import (ModelSpec, NumericalError, const_field, smooth_init,
 from .montecarlo import (convergence_order, error_hw, error_report,
                          run_ensemble)
 from .stochastic import QWienerSampler, spectrum
-from .timestepper import build_scheme, run
+from .timestepper import build_scheme, run, time_grid
 
 OUT_ENV_VAR = "STOCHSEM_OUT"
 DOMAIN = (0.0, 1.0, 0.0, 1.0)   # both test problems live on the unit square
@@ -122,6 +122,7 @@ def mean_state(cfg: RunConfig, spec: ModelSpec, mesh, basis, tau: float,
     None.
     """
     T = cfg.get("time", "t_final")
+    time_grid(T, tau, snapshot_times)       # an off-grid time builds no scheme
     ops = make_scheme(cfg, spec, mesh, basis, tau)
     if cfg.get("noise", "sigma") > 0:
         res = run_ensemble(spec, mesh, basis, tau, T, make_sampler(cfg),
@@ -130,8 +131,7 @@ def mean_state(cfg: RunConfig, spec: ModelSpec, mesh, basis, tau: float,
                            chunk_size=cfg.get("montecarlo", "chunk_size"),
                            snapshot_times=snapshot_times, ops=ops)
         return res.mean, res.snapshot_means, res.stderr
-    traj = run(spec, mesh, basis, tau, T, snapshot_times=snapshot_times, ops=ops,
-               record_reports=False)
+    traj = run(spec, mesh, basis, tau, T, snapshot_times=snapshot_times, ops=ops)
     return traj.final, {t: s.stacked() for t, s in traj.snapshots.items()}, None
 
 
@@ -261,14 +261,14 @@ def cmd_table1(cfg: RunConfig, out: OutputWriter) -> None:
     taus = cfg.get("table1", "tau_list")
     orders_n = cfg.get("table1", "n_list")
     T = cfg.get("time", "t_final")
-
+    for tau in taus:        # every tau's grid, before any scheme
+        time_grid(T, tau)
     for N in orders_n:
         mesh, basis = make_discretization(cfg, order=N)
         rows, walls = [], []
         for tau in taus:
             t0 = time.perf_counter()
-            traj = run(spec, mesh, basis, tau, T, ops=make_scheme(cfg, spec, mesh, basis, tau),
-                       record_reports=False)
+            traj = run(spec, mesh, basis, tau, T, ops=make_scheme(cfg, spec, mesh, basis, tau))
             walls.append([tau, time.perf_counter() - t0])
             rep = error_report(traj.final, spec.exact, mesh, basis)
             # the observed order against the previous tau's error

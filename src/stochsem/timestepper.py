@@ -43,10 +43,11 @@ own threshold of zero; build_scheme then raises SchemeError.  One of two
 kernels solves, picked by the size of the mesh:
 
 - the column sweep (small meshes) solves for the columns of X V from the
-  last to the first, one block of Tb at a time, with precomputed inverses
-  of the block's shifted x-axis systems (Golub, Nash & Van Loan, IEEE TAC
-  24(6), 1979).  Each step of the sweep is one stacked matrix product over
-  the whole batch, so a solve makes no per-sample call.
+  last to the first, one diagonal block s of Tb at a time, with the
+  precomputed inverse of the block's system I (x) (c_phi I + Mx^-1 Dx) +
+  Tb[s, s] (x) I, one rule for 1x1 and 2x2 blocks (Golub, Nash & Van Loan,
+  IEEE TAC 24(6), 1979).  Each step of the sweep is one stacked matrix
+  product over the whole batch, so a solve makes no per-sample call.
 - dtrsyl (the rest) solves the quasi-triangular equation in Ta and Tb by
   one LAPACK call per sample and field.  A dtrsyl that perturbs a
   near-zero eigenvalue sum (info != 0) or rescales against overflow
@@ -223,13 +224,15 @@ class SchurFactor:
       A_f Z + Z tb^T = F, F = mx^-1 R my^-1 V, solved one diagonal block s
       of tb (1x1 or 2x2) at a time from the last:
       Z[:, s] = G_{s,f} vec(F[:, s] - Z[:, later] tb[s, later]^T), with
-      G_{s,f} the inverse of the block's shifted system, tabulated once per
-      distinct c[f] (about n1d_y n1d_x^3 flops and n1d_y n1d_x^2 numbers);
+      G_{s,f} the inverse of the block's system I (x) A_f + tb[s, s] (x) I
+      on Z[:, s]'s stacked columns, tabulated once per distinct c[f]
+      (about n1d_y n1d_x^3 flops and n1d_y n1d_x^2 numbers) from the x-axis
+      form alone: mx^-1 = U px and mx^-1 dx = U ta U^T;
     - one dtrsyl per right-hand side on (c[f] I + ta) Y + Y tb^T = px R py^T,
       Y = U^T X V, px = U^T mx^-1, py = V^T my^-1.
     """
 
-    def __init__(self, forms, c, fx, dx):
+    def __init__(self, forms, c):
         (ta, self.u, self.px, lx), (self.tb, v, py, ly) = forms
         # right operands stored C-contiguous, as in KroneckerPair
         self.vt, self.pyt = np.ascontiguousarray(v.T), np.ascontiguousarray(py.T)
@@ -246,40 +249,30 @@ class SchurFactor:
         self.ta = [shifted[cf] for cf in c]
         if not self.sweep or any(self.singular):
             return      # dtrsyl needs no table, and no table meets a singular block
-        n, tb = len(dx), self.tb
-        self.mxi = cho_solve(fx, np.eye(n))
-        a = self.mxi @ dx
+        n, tb = len(ta), self.tb
+        self.mxi, a = self.u @ self.px, self.u @ ta @ self.u.T     # mx^-1, mx^-1 dx
         starts = [j for j in range(len(tb)) if j == 0 or tb[j, j - 1] == 0.0]
         self.blocks = list(zip(starts, starts[1:] + [len(tb)]))
-        one = [j for j, k in self.blocks if k - j == 1]
-        two = np.array([j for j, k in self.blocks if k - j == 2], dtype=int)
-        b, c2 = tb[two, two + 1, None, None], tb[two + 1, two, None, None]
-        # block s's system on Y = Z[:, s]^T is tb_ss Y + Y A_f^T: for a 1x1 block
-        # A_f + t I; for a 2x2 one [[t, b], [c, t]], of eigenvalues t -+ i w,
-        # [[P, b I], [c I, P]] (P = A_f + t I), whose inverse is [[P Q, -b Q],
-        # [-c Q, P Q]] with Q = (P^2 + w^2)^-1.  C = (P - i w I)^-1 =
-        # (P + i w I) Q gives both, P Q = Re C and Q = Im C / w, from one
-        # inverse and no product.  One row per distinct c[f]:
+        # block s (columns j:k of Z) has the system I (x) A_f + tb[s, s] (x) I =
+        # I (x) a + (tb[s, s] + c[f] I) (x) I; one row per distinct c[f]
         shifts = sorted(set(c))
-        cs = np.array(shifts)[:, None, None, None]
-        m1 = a + (cs + tb[one, one, None, None]) * np.eye(n)
-        mc = a + (cs + ly[two, None, None]) * np.eye(n)        # ly[j] = t - i w
-        g1, C = _inverses(m1), _inverses(mc)
-        Q = C.imag / -ly[two, None, None].imag
-        g2 = np.empty((*C.shape[:2], 2 * n, 2 * n))
-        g2[..., :n, :n] = g2[..., n:, n:] = C.real
-        g2[..., :n, n:], g2[..., n:, :n] = -b * Q, -c2 * Q
         per_field = [shifts.index(x) for x in c]
-        # a block system of 1-norm condition number 1/eps or more is singular
-        # to working precision, though its eigenvalue sums pass the rule above
-        cond = np.concatenate([_norm1(m1) * _norm1(g1),
-                               (_norm1(mc.real) + np.maximum(abs(b), abs(c2))[:, 0, 0])
-                               * _norm1(g2)], axis=1).max(axis=1, initial=0.0)
+        tables, cond = {}, np.zeros(len(shifts))
+        for size in (1, 2):
+            js = [j for j, k in self.blocks if k - j == size]
+            t = np.array([tb[j:j + size, j:j + size] for j in js]).reshape(-1, size, size)
+            t = t + np.array(shifts)[:, None, None, None] * np.eye(size)
+            m = t[..., :, None, :, None] * np.eye(n)[:, None, :]
+            m += np.eye(size)[:, None, :, None] * a[:, None, :]
+            m = m.reshape(*t.shape[:2], size * n, size * n)
+            g = _inverses(m)
+            # a block system of 1-norm condition number 1/eps or more is singular
+            # to working precision, though its eigenvalue sums pass the rule above
+            cond = np.maximum(cond, (_norm1(m) * _norm1(g)).max(axis=1, initial=0.0))
+            tables |= dict(zip(js, g[per_field].swapaxes(0, 1)))
         cond[np.isnan(cond)] = np.inf
         self.singular = [None if cond[i] * np.finfo(float).eps < 1.0 else
                          f"a column block has condition number {cond[i]:.1e}" for i in per_field]
-        g1, g2 = g1[per_field], g2[per_field]
-        tables = dict(zip(one, g1.swapaxes(0, 1))) | dict(zip(two.tolist(), g2.swapaxes(0, 1)))
         self.g = [tables[j] for j, _ in self.blocks]
 
     def solve(self, R: np.ndarray):
@@ -381,7 +374,7 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
     dx, dy = mesh.per_axis(lambda k, a: half * (spec.zeta * k + spec.xi * a), (kx, ax), (ky, ay))
     hr = half * np.array([0.0, 0.0, spec.r])     # r_u, r_v, r_w
     fx, fy = projector.factors
-    factor = SchurFactor(mesh.per_axis(_schur_form, (fx, dx), (fy, dy)), 1.0 + hr, fx, dx)
+    factor = SchurFactor(mesh.per_axis(_schur_form, (fx, dx), (fy, dy)), 1.0 + hr)
     for f, why in enumerate(factor.singular):
         if why:
             raise SchemeError(
@@ -610,7 +603,7 @@ def run(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float, T: float,
         sampler: QWienerSampler | None = None, sample_id: int = 0,
         snapshot_times=None, ops: SchemeOperators | None = None,
         noise_workspace: NoiseWorkspace | None = None,
-        record_reports: bool = True) -> Trajectory:
+        record_reports: bool = False) -> Trajectory:
     """Integrate one trajectory from t=0 to t=T with steps of size tau: the
     one-sample batch of `advance`.
 
@@ -618,7 +611,8 @@ def run(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float, T: float,
     them before any scheme).  Prebuilt ops (checked by scheme_for) and a noise
     workspace amortize assembly and factorization across samples; identical
     inputs produce bit-identical trajectories.  Without ops the scheme has
-    build_scheme's default options; others come with a caller's ops.
+    build_scheme's default options; others come with a caller's ops.  The
+    per-step StepReports are computed only with record_reports (default off).
     """
     grid = time_grid(T, tau, snapshot_times)
     ops = scheme_for(spec, mesh, basis, tau, ops)

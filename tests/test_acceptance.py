@@ -149,7 +149,7 @@ class TestAcceptance:
         mesh = build_mesh(UNIT, 2, 2, 10)
         basis = make_basis(10)
         ops = build_scheme(mesh, basis, spec, tau)
-        traj = run(spec, mesh, basis, tau, 50 * tau, ops=ops)
+        traj = run(spec, mesh, basis, tau, 50 * tau, ops=ops, record_reports=True)
         init = StateVector(ops.projector.project(spec.init[0]),
                            ops.projector.project(spec.init[1]),
                            ops.projector.project(spec.init[2]))

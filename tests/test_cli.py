@@ -401,6 +401,27 @@ class TestRunCommand:
         assert "sample" not in err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command,base,sections,message", [
+        ("run", T2_SECTIONS, {"time": {"snapshot_times": "0.07"}, "noise": {"sigma": "0.1"}},
+         "snapshot time 0.07 is not a multiple of tau=0.05 within [0, T]"),
+        ("table1", T1_SECTIONS, {"time": {"t_final": "1"}, "table1": {"tau_list": "0.5, 0.3"}},
+         "T=1.0 is not an integral multiple of tau=0.3")], ids=["run", "table1"])
+    def test_off_grid_time_builds_no_scheme(self, tmp_path, capsys, monkeypatch, command,
+                                            base, sections, message):
+        # the time grid is checked before any scheme: table1 checks every tau
+        # before its first order
+        from stochsem import cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scheme built before the time grid was checked")
+
+        monkeypatch.setattr(cli, "build_scheme", forbidden)
+        cfg = write(tmp_path, ini(base, **sections))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("command,section,key", [("run", "time", "snapshot_times"),
                                                      ("evolve", "evolve", "times")])
     @pytest.mark.parametrize("sigma", ["0", "0.1"], ids=["noise_free", "noisy"])

@@ -347,9 +347,9 @@ class TestRun:
         monkeypatch.setattr(timestepper, "energy_norm", counting)
         mesh, basis = disc(1, 1, 5)
         spec = make_test1()
-        quiet = run(spec, mesh, basis, 0.1, 0.5, record_reports=False)
+        quiet = run(spec, mesh, basis, 0.1, 0.5)       # the default records none
         assert calls == [] and quiet.reports == []
-        loud = run(spec, mesh, basis, 0.1, 0.5)
+        loud = run(spec, mesh, basis, 0.1, 0.5, record_reports=True)
         assert len(calls) == 5
         for fq, fl in zip(quiet.final.fields, loud.final.fields):
             assert np.array_equal(fq, fl)
@@ -357,7 +357,7 @@ class TestRun:
     def test_step_reports_recorded(self):
         mesh, basis = disc(1, 1, 5)
         spec = make_test1()
-        traj = run(spec, mesh, basis, 0.1, 0.5)
+        traj = run(spec, mesh, basis, 0.1, 0.5, record_reports=True)
         assert [r.step for r in traj.reports] == [1, 2, 3, 4, 5]
         assert all(max(r.residuals) <= 1e-10 for r in traj.reports)
         assert all(np.isfinite(r.energy) for r in traj.reports)
@@ -435,8 +435,8 @@ class TestPerAxisPath:
                              ids=["order11", "order9"])
     def test_ill_conditioned_sweep_passes_the_gate(self, order, tau, zeta, r):
         # ill-conditioned but not singular advection-dominated L_w on
-        # sweep-sized meshes: the sweep's 2x2-block tables, from one complex
-        # inverse per block, solve random right-hand sides within the gate
+        # sweep-sized meshes: the sweep's 2x2-block tables, one real inverse
+        # of each block's system, solve random right-hand sides within the gate
         mesh, basis = disc(1, 1, order)
         ops = build_scheme(mesh, basis, plain_spec(xi=1.5, zeta=zeta, r=r), tau)
         assert ops.factor.sweep
@@ -445,6 +445,25 @@ class TestPerAxisPath:
         gap = ops.sides.apply(X)[0] - R
         residuals = np.linalg.norm(gap, axis=(2, 3)) / np.linalg.norm(R, axis=(2, 3))
         assert np.all(residuals <= SOLVE_RTOL)
+
+    @pytest.mark.parametrize("nex,order,tau,xi,zeta,r,bound", [
+        (1, 5, 0.1, 1.0, 0.01, 2.0, 1e-13), (2, 6, 0.1, 1.0, 0.01, 2.0, 1e-13),
+        (2, 8, 0.1, 1.0, 0.01, 2.0, 1e-13), (1, 11, 0.1, 1.0, 0.01, 2.0, 1e-13),
+        # the ill-conditioned case above
+        (1, 9, 0.1, 1.5, 1e-4, -20.0, 1e-11)],
+        ids=["1x1-5", "2x2-6", "2x2-8", "1x1-11", "ill-1x1-9"])
+    def test_sweep_agrees_with_dtrsyl(self, monkeypatch, nex, order, tau, xi, zeta, r, bound):
+        # one mesh, both kernels: dtrsyl where no mesh is sweep-sized
+        from stochsem import timestepper
+        mesh, basis = disc(nex, nex, order)
+        spec = plain_spec(xi=xi, zeta=zeta, r=r)
+        sweep = build_scheme(mesh, basis, spec, tau)
+        monkeypatch.setattr(timestepper, "SWEEP_MAX_TABLE_COST", 0)
+        schur = build_scheme(mesh, basis, spec, tau)
+        assert sweep.factor.sweep and not schur.factor.sweep
+        assert 2 in [k - j for j, k in sweep.factor.blocks]
+        R = np.random.default_rng(order).standard_normal(batch_shape(mesh, 4))
+        assert rel_gap(sweep.factor.solve(R)[0], schur.factor.solve(R)[0]) <= bound
 
     def test_singular_left_operator_builds_no_table(self, monkeypatch):
         # the singularity rule runs first: a singular block never reaches LU
@@ -486,7 +505,7 @@ class TestPerAxisPath:
             for _ in range(abs(k)):
                 r = np.nextafter(r, np.sign(k) * np.inf)
             cw = 1.0 + 0.5 * tau * r
-            factor = SchurFactor((form, form), [1.0, 1.0, cw], fx, dx)
+            factor = SchurFactor((form, form), [1.0, 1.0, cw])
             assert not factor.sweep and factor.singular[:2] == [None, None]
             info = dtrsyl(np.asfortranarray(cw * np.eye(n) + t), t, np.zeros((n, n)),
                           trana="N", tranb="T")[2]
@@ -706,7 +725,8 @@ class TestSharedAxis:
             finals = []
             for mesh in (build_mesh(UNIT, nex, nex, order),
                          separate_axes(build_mesh(UNIT, nex, nex, order))):
-                traj = run(spec, mesh, basis, tau, 10 * tau, sampler=sampler, sample_id=3)
+                traj = run(spec, mesh, basis, tau, 10 * tau, sampler=sampler, sample_id=3,
+                           record_reports=True)
                 assert max(max(r.residuals) for r in traj.reports) <= SOLVE_RTOL
                 finals.append(traj.final.stacked())
             assert rel_gap(*finals) <= 1e-12
@@ -744,7 +764,7 @@ class TestNoiseLoad:
         ws = NoiseWorkspace(sampler, mesh, basis, projector=ops.projector)
         monkeypatch.setattr(L2Projector, "project_load", counting)
         traj = run(spec, mesh, basis, 0.05, 0.2, sampler=sampler, sample_id=1, ops=ops,
-                   noise_workspace=ws)
+                   noise_workspace=ws, record_reports=True)
         assert len(traj.reports) == 4
         # u, v and w at t = 0, one load each; no increment is projected
         assert calls == [(mesh.ax.n_dofs, mesh.ay.n_dofs)] * 3
@@ -774,7 +794,7 @@ class TestEnergyNorm:
         # stay on
         spec = dataclasses.replace(make_test1(), forcing=None, wp=0.0)
         mesh, basis = disc(2, 2, 10)
-        traj = run(spec, mesh, basis, tau, 50 * tau)
+        traj = run(spec, mesh, basis, tau, 50 * tau, record_reports=True)
         energies = [r.energy for r in traj.reports]
         ops = build_scheme(mesh, basis, spec, tau)
         start = energy_norm(ops,
