@@ -2,8 +2,10 @@
 
 Samples are processed in fixed-size chunks, and each chunk advances as one
 batch through the time loop (`timestepper.advance`): its states are one
-(B, 3, n1d_x, n1d_y) array, so every step makes one right-hand side, solve
-and noise load for the whole chunk.  The initial data are projected
+(B, k, n1d_x, n1d_y) array of the distinct fields (Test 2's twins u and v
+share a slot), so every step makes one right-hand side, solve and noise load
+for the whole chunk.  The loop expands its final states and snapshots to
+the three fields before they reach the moments.  The initial data are projected
 once per ensemble.  Per-chunk moments merge in chunk order, so the ensemble
 mean is identical no matter how many workers execute the chunks (noise
 realizations are already keyed by sample id).  Every time level, the final

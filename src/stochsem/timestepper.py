@@ -58,7 +58,9 @@ is singular too (SchemeError).
 A failed solve in a step raises SolverFailure.
 These, DivergenceError and model.SingularNonlinearity are NumericalErrors.
 Every solve must also pass the relative residual gate SOLVE_RTOL, measured
-against the per-axis apply of the same left operator.
+against the per-axis apply of the same left operator, after at most one
+step of iterative refinement x <- x - L^-1 (L x - rhs), which runs only on a
+miss.
 
 The nonlinearity is evaluated explicitly.  Two time levels are supported:
 "lagged" uses (u, v) at t_{n-1} literally; "extrapolated" (the default) uses
@@ -85,24 +87,36 @@ by scheme_for, or build one with build_scheme's default options.  They first
 check the run's time grid (time_grid); `advance` takes that resolved grid.
 
 `step` and the time loop (`advance`) work on batches: the states of B
-samples are one array (B, 3, n1d_x, n1d_y) (a StateBatch), their noise
-loads one array (B, 1 | 3, n1d_x, n1d_y) (one path shared by the fields, or
-one per field).  A step makes one solve and one fused apply of both sides
-for the whole stack (np.matmul broadcasts) and one load of the nonlinearity
-with the forcings (staged once per scheme, model.stage_forcing); on meshes
-above the sweep's size, dtrsyl runs once per sample and field.  The apply
-on the new state phi^n gives the residual gate its L phi^n and the next
-step its right-hand side R phi^n, which the new StateBatch carries; the
-time loop supplies the first from one apply of the initial data, a
-one-sample stack, and a caller's state that carries none has its R phi
-applied when it is stepped.  The checks hold per sample and field, and a
-failure names its sample (a pole's is the first index nonlinear_f gives).
-Every per-sample operation is the same BLAS or LAPACK call whatever B is, so
-a sample's trajectory does not depend on its batch: `run` is the batch of one.
+samples are one array (B, k, n1d_x, n1d_y) (a StateBatch) of k slots, their
+noise loads one array (B, 1 | 3, n1d_x, n1d_y) (one path shared by the
+fields, or one per field).  The time loop carries the distinct fields only:
+twin fields (field_map: the same c, c', initial callable and weight e, no
+forcing, no noise or one shared path) are one trajectory, stepped once in a
+shared slot, so Test 2's u and v take one slot (k = 2) and Test 1's fields
+three.  The loop expands a state to a slot per field (u, v, w) where it
+leaves: its final state, snapshots and reports.  A state made outside the
+loop has a slot per field.  A step makes one solve and one fused apply of
+both sides for the whole stack (np.matmul broadcasts) and one load of the
+nonlinearity with the forcings (staged once per scheme,
+model.stage_forcing); on meshes above the sweep's size, dtrsyl runs once per
+sample and slot.  The apply on the new state phi^n gives the residual gate
+its L phi^n and the next step its right-hand side R phi^n, which the new
+StateBatch carries; the time loop supplies the first from one apply of the
+initial data, a one-sample stack, and a caller's state that carries none has
+its R phi applied when it is stepped.  A sample that misses the gate in some
+slot is refined there once, by one solve of all its slots, before the gate
+fails it.  The
+checks hold per sample and slot, and a failure names its sample and the
+first field of its slot (a pole's sample is the first index nonlinear_f
+gives).  Every per-sample operation is the same BLAS or LAPACK call whatever
+B and k are, so a sample's trajectory does not depend on its batch (`run` is
+the batch of one), nor a field's on its twins.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from copy import copy
+from dataclasses import dataclass, field as dc_field
+from functools import cache
 
 import numpy as np
 # Nothing in this package calls scipy.sparse.linalg; the module is kept bound
@@ -120,9 +134,13 @@ from .stochastic import NoiseWorkspace, QWienerSampler, sample_increments
 
 SOLVE_RTOL = 1e-10
 # The column sweep serves meshes with n1d_y * n1d_x^3 (its tables' cost) up
-# to this, dtrsyl the rest.  Measured on square meshes: up to n1d = 15 the
-# sweep's tables cost about what the Schur forms cost; from n1d = 19 they add
-# a third or more to build_scheme.
+# to this, dtrsyl the rest: the cut trades the tables' build, once per
+# scheme, against faster batched solves.  Measured on 2x2 meshes (one BLAS
+# thread): the tables take 0.3 ms at n1d = 7, 0.7 ms at 15 and 1.3 ms at 19,
+# 3-7 times the Schur form, so they are 60 % of build_scheme at n1d = 15 and
+# would triple it at 19; a solve of 32 samples is then 4-5 times faster than
+# by dtrsyl, one of one sample 1.1-1.7 times slower.  Above the cut only
+# batches gain, and table1's five one-sample schemes at n1d = 19 would pay.
 SWEEP_MAX_TABLE_COST = 15 ** 4
 
 NOISE_CONVENTIONS = ("paper", "increment")
@@ -157,7 +175,8 @@ class KroneckerPair:
     Kronecker sum A vec X = dx X my^T + mx X dy^T; c and cr (k,) act by field
     on a stack X (..., k, n1d_x, n1d_y).  `terms` gives (M X, A X) and
     `apply` (L X, R X) from the same five stacked products with 2D matrices,
-    P = X my^T, Q = X dy^T, M X = mx P and A X = dx P + mx Q."""
+    P = X my^T, Q = X dy^T, M X = mx P and A X = dx P + mx Q.  `rows` gives
+    the pair on a stack of some of the fields."""
 
     def __init__(self, mx, my, dx, dy, c=(0.0,), cr=(0.0,)):
         self.mx, self.my, self.dx, self.dy = mx, my, dx, dy
@@ -165,6 +184,17 @@ class KroneckerPair:
         # transposed view 2-3 times slower
         self.myt, self.dyt = np.ascontiguousarray(my.T), np.ascontiguousarray(dy.T)
         self.c, self.cr = np.asarray(c, dtype=float), np.asarray(cr, dtype=float)
+        self._rows = {}
+
+    def rows(self, fields):
+        """The pair on a stack whose slots hold the fields `fields` (a
+        tuple): the same matrices, with c and cr at those fields; made once."""
+        if fields == tuple(range(len(self.c))):
+            return self
+        if fields not in self._rows:
+            pair = self._rows[fields] = copy(self)
+            pair.c, pair.cr, pair._rows = self.c[list(fields)], self.cr[list(fields)], {}
+        return self._rows[fields]
 
     # Both methods work in place where they can: glibc hands a run of freed
     # large temporaries back to the system, and each next one faults its
@@ -230,6 +260,8 @@ class SchurFactor:
       form alone: mx^-1 = U px and mx^-1 dx = U ta U^T;
     - one dtrsyl per right-hand side on (c[f] I + ta) Y + Y tb^T = px R py^T,
       Y = U^T X V, px = U^T mx^-1, py = V^T my^-1.
+
+    `rows` gives the factor on a stack of some of the fields.
     """
 
     def __init__(self, forms, c):
@@ -246,7 +278,7 @@ class SchurFactor:
                        f"{smin:.1e} of zero") if gap <= smin else None
         self.singular = [why[cf] for cf in c]
         self.sweep = len(self.tb) * len(ta) ** 3 <= SWEEP_MAX_TABLE_COST
-        self.ta = [shifted[cf] for cf in c]
+        self.ta, self.g, self._rows = [shifted[cf] for cf in c], [], {}
         if not self.sweep or any(self.singular):
             return      # dtrsyl needs no table, and no table meets a singular block
         n, tb = len(ta), self.tb
@@ -274,6 +306,18 @@ class SchurFactor:
         self.singular = [None if cond[i] * np.finfo(float).eps < 1.0 else
                          f"a column block has condition number {cond[i]:.1e}" for i in per_field]
         self.g = [tables[j] for j, _ in self.blocks]
+
+    def rows(self, fields):
+        """The factor on a stack whose slots hold the fields `fields` (a
+        tuple): the same forms, with the fields' ta and tables; made once,
+        and no table is built again."""
+        if fields == tuple(range(len(self.ta))):
+            return self
+        if fields not in self._rows:
+            sub = self._rows[fields] = copy(self)
+            sub.singular, sub.ta = [self.singular[f] for f in fields], [self.ta[f] for f in fields]
+            sub.g, sub._rows = [g[list(fields)] for g in self.g], {}
+        return self._rows[fields]
 
     def solve(self, R: np.ndarray):
         """Solution X of L @ X = R for a stack R of shape (..., k, n1d_x, n1d_y)
@@ -395,23 +439,32 @@ class StateBatch:
     """The states of B samples at one time level: the layout `step` and the
     time loop work on.
 
-    coeffs has shape (B, 3, n1d_x, n1d_y): sample, field (u, v, w), then the
-    field's coefficient matrix (global dof gx * n1d_y + gy).  sample_ids
-    name the samples in failures (None when they have no ids).  right is
-    R coeffs, the Crank-Nicolson right-hand side of the next step before its
-    loads: `step` sets it on the state it makes, and the time loop on the
-    state it starts from; it is None on any other state (`step` then applies
-    R itself) and `step` never writes into it.
+    coeffs has shape (B, k, n1d_x, n1d_y): sample, slot, then the slot's
+    coefficient matrix (global dof gx * n1d_y + gy).  field_map gives the
+    slot of each field (u, v, w): (0, 1, 2), a slot per field, except in the
+    time loop, whose twin fields share one (field_map).  sample_ids name the
+    samples in failures (None when they have no ids).  right is R coeffs,
+    the Crank-Nicolson right-hand side of the next step before its loads:
+    `step` sets it on the state it makes, and the time loop on the state it
+    starts from; it is None on any other state (`step` then applies R
+    itself) and `step` never writes into it.
     """
 
     coeffs: np.ndarray
     t: float = 0.0
     sample_ids: tuple | None = None
     right: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
+    field_map: tuple = (0, 1, 2)
 
     def state(self, b: int) -> StateVector:
-        """Sample b as a StateVector (views of coeffs)."""
-        return StateVector(*self.coeffs[b].reshape(3, -1), t=self.t)
+        """Sample b as a StateVector, a field per slot of the field map."""
+        return StateVector(*self.coeffs[b, list(self.field_map)].reshape(3, -1), t=self.t)
+
+
+@cache
+def _slot_fields(field_map: tuple) -> tuple:
+    """The first field (0, 1, 2 for u, v, w) of each slot of a field map."""
+    return tuple(field_map.index(s) for s in range(max(field_map) + 1))
 
 
 def _tag(exc: Exception, state: StateBatch, b: int) -> Exception:
@@ -425,37 +478,49 @@ def step(ops: SchemeOperators, state: StateBatch, noise=None,
     """Advance a batch of states, whose samples advance together, one step
     of size ops.tau.
 
-    noise is the load of the batch's noise increments (sample_increments),
-    shape (B, 1 | 3, n1d_x, n1d_y), or None for a deterministic step.
-    prev_state supplies phi^{n-2} for the extrapolated nonlinearity level;
-    when absent the nonlinearity is lagged.  state.right, when set, is the
-    right-hand side R phi^{n-1}: the time loop supplies the first, and each
-    step the next one.
+    Each slot of the state (state.field_map) is stepped with the c, c', e
+    and forcing of its first field; prev_state has the same map.  noise is
+    the load of the batch's noise increments (sample_increments), shape
+    (B, 1 | k, n1d_x, n1d_y), or None for a deterministic step.  prev_state
+    supplies phi^{n-2} for the extrapolated nonlinearity level; when absent
+    the nonlinearity is lagged.  state.right, when set, is the right-hand
+    side R phi^{n-1}: the time loop supplies the first, and each step the
+    next one.
 
-    Returns the new StateBatch and the relative solve residuals, shape
-    (B, 3).  A failure of one sample carries its id as sample_id.
+    A sample whose solve misses the residual gate in some slot is refined
+    once, x <- x - L^-1 (L x - rhs) by one solve of all its slots, in the
+    slots that missed, and is gated again; a kernel's failure (dtrsyl's
+    info or scale) is never refined.
+
+    Returns the new StateBatch, with the state's field map, and the relative
+    solve residuals, shape (B, k).  A failure of one sample carries its id
+    as sample_id and names the first field of its slot.
     """
     spec, tau, quad = ops.spec, ops.tau, ops.quad
     t_half = state.t + tau / 2.0
-    old = state.coeffs
+    old, fields = state.coeffs, _slot_fields(state.field_map)
+    # the slots' rows of per-field data (a slice, a view, on a slot per field)
+    rows = slice(None) if fields == (0, 1, 2) else list(fields)
+    sides, factor = ops.sides.rows(fields), ops.factor.rows(fields)
 
     # the Crank-Nicolson right-hand side R phi^{n-1}: carried over from the
     # residual gate of the step that made the state (or from the time loop's
     # apply of the initial data), else applied here.  It may be the state's
     # carried array, so the loads below replace it
-    rhs = state.right if state.right is not None else ops.sides.apply(old)[1]
+    rhs = state.right if state.right is not None else sides.apply(old)[1]
 
     samples = []    # the nonlinearity (B samples) and the forcings, loaded at once
     nonlinear = spec.wp != 0.0 and any(spec.e)
     if nonlinear:
-        u, v = old[:, 0], old[:, 1]
-        if ops.nonlinearity_time == "extrapolated" and prev_state is not None:
-            # the extrapolation is linear, so it is done on coefficients
-            u = 1.5 * u - 0.5 * prev_state.coeffs[:, 0]
-            v = 1.5 * v - 0.5 * prev_state.coeffs[:, 1]
-        U, V = quad.values(u), quad.values(v)
+        levels = []     # at u's slot and v's, one if they share it
+        for s in dict.fromkeys(state.field_map[:2]):
+            x = old[:, s]
+            if ops.nonlinearity_time == "extrapolated" and prev_state is not None:
+                # the extrapolation is linear, so it is done on coefficients
+                x = 1.5 * x - 0.5 * prev_state.coeffs[:, s]
+            levels.append(quad.values(x))
         try:
-            samples.append(nonlinear_f(spec, U, V))
+            samples.append(nonlinear_f(spec, levels[0], levels[-1]))
         except SingularNonlinearity as exc:     # the pole's sample is its first index
             raise _tag(SingularNonlinearity(POLE.format(f" at step {step_index}")),
                        state, exc.index[0]) from None
@@ -464,33 +529,53 @@ def step(ops: SchemeOperators, state: StateBatch, noise=None,
     if samples:
         loads = quad.load(np.concatenate(samples))
         if nonlinear:
-            rhs = rhs - (tau * spec.wp * np.array(spec.e))[:, None, None] * loads[:len(old), None]
+            weights = (tau * spec.wp * np.array(spec.e))[rows, None, None]
+            rhs = rhs - weights * loads[:len(old), None]
         if ops.forcing is not None:
-            rhs = rhs + tau * loads[-3:]
+            rhs = rhs + tau * loads[-3:][rows]
 
     if noise is not None:
-        # a shared path (one noise load per sample) broadcasts over the fields
+        # a shared path (one noise load per sample) broadcasts over the slots
         rhs = rhs - noise if ops.noise_convention == "paper" else rhs + noise
 
-    sol, scale, info = ops.factor.solve(rhs)
-    gap, right = ops.sides.apply(sol)      # L phi^n, and R phi^n for the next step
+    sol, scale, info = factor.solve(rhs)
+    gap, right = sides.apply(sol)      # L phi^n, and R phi^n for the next step
     gap -= rhs
-    gnorm, bnorm = (np.sqrt(np.einsum("...ij,...ij->...", x, x)) for x in (gap, rhs))
-    residuals = gnorm / np.where(bnorm > 0, bnorm, 1.0)
-    bad = (info != 0) | (scale != 1.0)
-    failed = bad | (residuals > SOLVE_RTOL)
+    residuals = _relative(gap, rhs)
+    bad, miss = (info != 0) | (scale != 1.0), residuals > SOLVE_RTOL
+    failed = bad | miss
     if failed.any():
-        b, f = np.argwhere(failed)[0]
-        why = (f"dtrsyl info {info[b, f]}, scale {scale[b, f]}" if bad[b, f] else
-               f"relative residual {residuals[b, f]:.3e} exceeds {SOLVE_RTOL:.1e}")
-        raise _tag(SolverFailure(f"solve for field {'uvw'[f]} at step {step_index}: {why}"),
-                   state, b)
+        # refine each sample that misses the gate (and whose kernel did not fail) once
+        redo = np.flatnonzero(miss.any(axis=1) & ~bad.any(axis=1))
+        if len(redo):
+            before, residuals = residuals, residuals.copy()
+            fix, scale[redo], info[redo] = factor.solve(gap[redo])
+            fix[~miss[redo]] = 0.0      # a slot that met the gate keeps its value
+            sol[redo] -= fix
+            gap, right[redo] = sides.apply(sol[redo])
+            gap -= rhs[redo]
+            residuals[redo] = _relative(gap, rhs[redo])
+            bad = (info != 0) | (scale != 1.0)
+            failed = bad | (residuals > SOLVE_RTOL)
+        if failed.any():
+            b, s = np.argwhere(failed)[0]
+            why = (f"dtrsyl info {info[b, s]}, scale {scale[b, s]}" if bad[b, s] else
+                   f"relative residual {residuals[b, s]:.3e} exceeds {SOLVE_RTOL:.1e}"
+                   + (f" after one refinement (from {before[b, s]:.3e})" if b in redo else ""))
+            raise _tag(SolverFailure(f"solve for field {'uvw'[fields[s]]} at step "
+                                     f"{step_index}: {why}"), state, b)
 
     if not np.isfinite(sol).all():
-        b, f = np.argwhere(~np.isfinite(sol).all(axis=(2, 3)))[0]
+        b, s = np.argwhere(~np.isfinite(sol).all(axis=(2, 3)))[0]
         raise _tag(DivergenceError(f"non-finite state after step {step_index} "
-                                   f"(field {'uvw'[f]})"), state, b)
-    return StateBatch(sol, state.t + tau, state.sample_ids, right), residuals
+                                   f"(field {'uvw'[fields[s]]})"), state, b)
+    return StateBatch(sol, state.t + tau, state.sample_ids, right, state.field_map), residuals
+
+
+def _relative(gap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The relative residuals |gap| / |rhs| (Frobenius) of stacks (..., n1d_x, n1d_y)."""
+    gnorm, bnorm = (np.sqrt(np.einsum("...ij,...ij->...", x, x)) for x in (gap, rhs))
+    return gnorm / np.where(bnorm > 0, bnorm, 1.0)
 
 
 def energy_norm(ops: SchemeOperators, state: StateVector) -> float:
@@ -543,6 +628,24 @@ def initial_data(ops: SchemeOperators) -> np.ndarray:
     return np.stack(init).reshape(3, ops.mesh.ax.n_dofs, ops.mesh.ay.n_dofs)
 
 
+def field_map(ops: SchemeOperators, sampler: QWienerSampler | None) -> tuple:
+    """The slot of each field (u, v, w) in the time loop's stack.
+
+    Fields f and g are twins, one trajectory that the loop steps once in a
+    shared slot, when all of these hold: the same operator (c_f = c_g and
+    c'_f = c'_g), the same initial callable (one object), the same weight
+    e_f = e_g of the nonlinear load, no forcing, and noise that is absent
+    or one path shared by the fields.  Test 2 gives (0, 0, 1) (u and v are
+    twins), Test 1 and per-field noise (0, 1, 2).
+    """
+    spec, sides = ops.spec, ops.sides
+    shared = sampler is None or sampler.amplitude == 0.0 or sampler.shared
+    if spec.forcing is not None or not shared:
+        return (0, 1, 2)
+    keys = [(sides.c[f], sides.cr[f], id(spec.init[f]), spec.e[f]) for f in range(3)]
+    return tuple(list(dict.fromkeys(keys)).index(key) for key in keys)
+
+
 def advance(ops: SchemeOperators, init: np.ndarray, grid, sample_ids,
             sampler: QWienerSampler | None = None,
             noise_workspace: NoiseWorkspace | None = None,
@@ -550,18 +653,28 @@ def advance(ops: SchemeOperators, init: np.ndarray, grid, sample_ids,
     """The time loop: advance the samples sample_ids as one batch from the
     projected initial data init (3, n1d_x, n1d_y) over grid (from time_grid).
 
-    Each step draws the loads of the batch's noise increments (one path per
-    sample, or one per sample and field) and makes one `step` call; the
-    first step's right-hand side is one apply of init, repeated over the batch.
-    Returns the final StateBatch, the snapshots {time: StateBatch} and, with
+    The loop carries the distinct fields only: its states are the stacks
+    (B, k, n1d_x, n1d_y) of the slots of field_map(ops, sampler), each twin
+    field stepped once.  Each step draws the loads of the batch's noise
+    increments (one path per sample, or one per sample and field) and makes
+    one `step` call; the first step's right-hand side is one apply of init's
+    slots, repeated over the batch.  A state is expanded to a slot per field
+    where it leaves the loop: the final StateBatch, the snapshots
+    {time: StateBatch} (each holding no carried array) and, with
     record_reports, one list of StepReports per sample.
     """
     n_steps, snap_at = grid
     ids = tuple(sample_ids)
-    right = np.repeat(ops.sides.apply(init[None])[1], len(ids), axis=0)
-    state = StateBatch(np.repeat(init[None], len(ids), axis=0), 0.0, ids, right)
-    snapshots = dict.fromkeys(snap_at.get(0, ()), replace(state, right=None))
+    fmap = field_map(ops, sampler)
+    expand, fields = list(fmap), _slot_fields(fmap)
+    init = init[list(fields)]
+    right = np.repeat(ops.sides.rows(fields).apply(init[None])[1], len(ids), axis=0)
+    state = StateBatch(np.repeat(init[None], len(ids), axis=0), 0.0, ids, right, fmap)
 
+    def leave(s, right=None):       # s with a slot per field
+        return StateBatch(s.coeffs[:, expand], s.t, ids, right)
+
+    snapshots = dict.fromkeys(snap_at.get(0, ()), leave(state))
     noisy = sampler is not None and sampler.amplitude > 0.0
     if noisy:
         if noise_workspace is None:
@@ -575,13 +688,13 @@ def advance(ops: SchemeOperators, init: np.ndarray, grid, sample_ids,
             noise = sample_increments(sampler, ids, k, ops.tau, noise_workspace, components)
         new_state, residuals = step(ops, state, noise, prev_state=prev, step_index=k)
         if record_reports:
-            for b, res in enumerate(residuals):
+            for b, res in enumerate(residuals[:, expand]):
                 energy = energy_norm(ops, new_state.state(b))
                 reports[b].append(StepReport(k, tuple(map(float, res)), energy))
         prev, state = state, new_state
-        for t in snap_at.get(k, ()):
-            snapshots[t] = replace(state, right=None)     # holds no carried array
-    return state, snapshots, reports
+        if k in snap_at:
+            snapshots.update(dict.fromkeys(snap_at[k], leave(state)))
+    return leave(state, state.right[:, expand]), snapshots, reports
 
 
 def scheme_for(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,

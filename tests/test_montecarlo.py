@@ -253,6 +253,54 @@ no_forkserver = pytest.mark.skipif(
     reason="no forkserver start method")
 
 
+class TestTwinFields:
+    """The time loop steps Test 2's twins u and v (same operator, initial
+    datum and nonlinear load; one shared noise path) once, in one slot, and
+    expands them where a state leaves it: every output is bitwise the one of
+    a slot per field (the rule monkeypatched to the identity)."""
+
+    CASES = [("smooth", 0.0), ("smooth", 0.6), ("delta", 0.0), ("delta", 0.6)]
+    MESHES = {"sweep": (2, 1, 5), "dtrsyl": (1, 1, 17)}
+    TIMES = (0.0, 0.1, 0.2)
+
+    @staticmethod
+    def twin_and_identity(monkeypatch, compute):
+        twin = compute()
+        with monkeypatch.context() as m:
+            m.setattr(timestepper, "field_map", lambda ops, sampler: (0, 1, 2))
+            identity = compute()
+        return twin, identity
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2], ids=["quiet", "noisy"])
+    @pytest.mark.parametrize("mesh", MESHES)
+    @pytest.mark.parametrize("kind,wp", CASES)
+    def test_run(self, monkeypatch, kind, wp, mesh, noise):
+        spec, (mesh, basis) = make_test2(kind).with_wp(wp), disc(*self.MESHES[mesh])
+        sampler = QWienerSampler(truncation=4, amplitude=noise, seed=13)
+        twin, identity = self.twin_and_identity(monkeypatch, lambda: run(
+            spec, mesh, basis, 0.05, 0.2, sampler, sample_id=3, snapshot_times=self.TIMES,
+            record_reports=True))
+        assert np.array_equal(twin.final.stacked(), identity.final.stacked())
+        assert np.array_equal(twin.final.u, twin.final.v)
+        for t in self.TIMES:
+            assert np.array_equal(twin.snapshots[t].stacked(), identity.snapshots[t].stacked())
+        assert twin.reports == identity.reports and len(twin.reports) == 4
+
+    @pytest.mark.parametrize("mesh", MESHES)
+    @pytest.mark.parametrize("kind,wp", CASES)
+    def test_run_ensemble(self, monkeypatch, kind, wp, mesh):
+        spec, (mesh, basis) = make_test2(kind).with_wp(wp), disc(*self.MESHES[mesh])
+        sampler = QWienerSampler(truncation=4, amplitude=0.2, seed=13)
+        twin, identity = self.twin_and_identity(monkeypatch, lambda: run_ensemble(
+            spec, mesh, basis, 0.05, 0.2, sampler, M=6, chunk_size=4,
+            snapshot_times=self.TIMES))
+        assert np.array_equal(twin.mean.stacked(), identity.mean.stacked())
+        assert np.array_equal(twin.m2, identity.m2)
+        assert np.array_equal(twin.stderr[0], twin.stderr[1])
+        for t in self.TIMES:
+            assert np.array_equal(twin.snapshot_means[t], identity.snapshot_means[t])
+
+
 class TestWorkerPool:
     @no_forkserver
     def test_pool_forks_cleanly_with_one_blas_thread(self):
@@ -323,9 +371,11 @@ class TestFailureAttribution:
         spec, mesh, basis, sampler = noisy_setup(order=17)
         ops = build_scheme(mesh, basis, spec, 0.05)
         assert not ops.factor.sweep
-        # per step a chunk of 4 calls dtrsyl for (sample, u), (sample, v),
-        # (sample, w) in sample order: 12 calls; fail sample 6 = chunk 1,
-        # position 2, field v at its step 2, after chunk 0's 4 steps
+        # a slot per field (u and v are twins here): per step a chunk of 4
+        # calls dtrsyl for (sample, u), (sample, v), (sample, w) in sample
+        # order: 12 calls; fail sample 6 = chunk 1, position 2, field v at
+        # its step 2, after chunk 0's 4 steps
+        monkeypatch.setattr(timestepper, "field_map", lambda ops, sampler: (0, 1, 2))
         target = 4 * 12 + 12 + 2 * 3 + 1
         calls = []
         real = timestepper.dtrsyl
@@ -344,22 +394,62 @@ class TestFailureAttribution:
         spec, mesh, basis, sampler = noisy_setup()
         ops = build_scheme(mesh, basis, spec, 0.05)
         assert ops.factor.sweep
-        # one solve per batch-step: chunk 0 takes 4, so chunk 1's step 2 is
-        # call 6; corrupt its sample 6 (chunk position 2), field v
+        # a slot per field (u and v are twins here), one solve per
+        # batch-step: chunk 0 takes 4, so chunk 1's step 2 is call 6; corrupt
+        # its sample 6 (chunk position 2), field v, by a factor of 2, and so
+        # the refinement of that sample alone, call 7, that the miss makes
+        monkeypatch.setattr(timestepper, "field_map", lambda ops, sampler: (0, 1, 2))
         calls = []
         solve = timestepper.SchurFactor.solve
 
         def corrupted(self, R):
             calls.append(None)
             X, scale, info = solve(self, R)
-            if len(calls) == 6:
-                X[2, 1] *= 1.0 + 1e-6
+            if len(calls) in (6, 7):
+                assert len(R) == (4 if len(calls) == 6 else 1)
+                X[2 if len(calls) == 6 else 0, 1] *= 2.0
             return X, scale, info
 
         monkeypatch.setattr(timestepper.SchurFactor, "solve", corrupted)
         with pytest.raises(SolverFailure, match=r"sample 6 failed: solve for field v at step 2: "
                                                 r"relative residual \S+ exceeds 1.0e-10"):
             run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=8, chunk_size=4, ops=ops)
+
+    @pytest.mark.parametrize("slot", [0, -1], ids=["u", "w"])
+    def test_twin_stack_failure_is_the_identity_paths(self, monkeypatch, slot):
+        # the same forced failure (chunk 1's step 2, sample 6, by a factor of
+        # 2 on the solve and on its refinement) on the twin stack (u = v, w)
+        # and on a slot per field names the same sample, step and field with
+        # the same residuals: a twin slot is named by its first field
+        spec, mesh, basis, sampler = noisy_setup()
+        ops = build_scheme(mesh, basis, spec, 0.05)
+        solve = timestepper.SchurFactor.solve
+
+        def failure(rule):
+            calls = []
+
+            def corrupted(self, R):
+                calls.append(R.shape[1])
+                X, scale, info = solve(self, R)
+                if len(calls) in (6, 7):
+                    X[2 if len(calls) == 6 else 0, slot] *= 2.0
+                return X, scale, info
+
+            with monkeypatch.context() as m:
+                m.setattr(timestepper, "field_map", rule)
+                m.setattr(timestepper.SchurFactor, "solve", corrupted)
+                with pytest.raises(SolverFailure) as exc:
+                    run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=8, chunk_size=4,
+                                 ops=ops)
+            return set(calls), exc.value
+
+        (twin_slots, twin), (slots, identity) = (
+            failure(rule) for rule in (timestepper.field_map, lambda ops, sampler: (0, 1, 2)))
+        assert (twin_slots, slots) == ({2}, {3})
+        assert str(twin) == str(identity)
+        assert str(twin).startswith(f"sample 6 failed: solve for field {'uvw'[slot]} at step 2: "
+                                    f"relative residual ")
+        assert twin.__cause__.sample_id == identity.__cause__.sample_id == 6
 
     def test_divergence_names_sample(self, monkeypatch):
         spec, mesh, basis, sampler = noisy_setup()

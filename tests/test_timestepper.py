@@ -1,4 +1,7 @@
 import dataclasses
+import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,15 +10,17 @@ from stochsem import assembly
 from stochsem.assembly import (L2Projector, Quadrature2D, StateVector, assemble,
                                evaluate_grid)
 from stochsem.basis import make_basis
+from stochsem.cli import make_problem
+from stochsem.config import parse_config
 from stochsem.mesh import _Axis, build_mesh
-from stochsem.model import ModelSpec, const_field
+from stochsem.model import ModelSpec, const_field, smooth_init
 from stochsem.model import test1_spec as make_test1
 from stochsem.model import test2_spec as make_test2
 from stochsem.montecarlo import convergence_order, error_report
 from stochsem.stochastic import NoiseWorkspace, QWienerSampler, sample_increment
 from stochsem.timestepper import (NONLINEARITY_TIMES, SOLVE_RTOL, KroneckerPair, SchemeError,
                                   SchurFactor, SolverFailure, StateBatch, _eigenvalues,
-                                  _schur_form, build_scheme, energy_norm, run, step)
+                                  _schur_form, build_scheme, energy_norm, field_map, run, step)
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -545,8 +550,9 @@ class TestPerAxisPath:
         solve = SchurFactor.solve
 
         def corrupted(self, R):
+            # a factor of 2 on every solve survives the one refinement
             X, scale, info = solve(self, R)
-            X[0, 1] *= 1.0 + 1e-6
+            X[0, 1] *= 2.0
             return X, scale, info
 
         monkeypatch.setattr(SchurFactor, "solve", corrupted)
@@ -575,6 +581,111 @@ class TestPerAxisPath:
             for b in range(len(R)):
                 want = spla.spsolve(L, R[b, f].ravel())
                 assert np.linalg.norm(X[b, f].ravel() - want) <= 1e-10 * np.linalg.norm(want)
+
+
+class TestRefinement:
+    """A sample that misses the residual gate has its solve refined once,
+    x <- x - L^-1 (L x - rhs), before the gate fails it."""
+
+    # ill-conditioned advection-dominated L_w on sweep-sized meshes (order,
+    # tau, r; xi = 1.5, zeta = 1e-6): the first solve of w misses the gate
+    # (2.1e-10, 1.4e-9), one refinement meets it (6e-13, 1.5e-12)
+    @pytest.mark.parametrize("order,tau,r", [(11, 1.0, -2.0), (7, 0.1, -20.0)],
+                             ids=["order11", "order7"])
+    def test_ill_conditioned_step_is_refined(self, monkeypatch, order, tau, r):
+        mesh, basis = disc(1, 1, order)
+        spec = plain_spec(xi=1.5, zeta=1e-6, r=r, init=(smooth_init,) * 3)
+        ops = build_scheme(mesh, basis, spec, tau)
+        assert ops.factor.sweep
+        shapes, solve = [], SchurFactor.solve
+        monkeypatch.setattr(SchurFactor, "solve",
+                            lambda self, R: shapes.append(R.shape) or solve(self, R))
+        traj = run(spec, mesh, basis, tau, tau, ops=ops, record_reports=True)
+        # the step's solve and its refinement's, of the twin stack (u = v, w)
+        n = mesh.ax.n_dofs
+        assert shapes == [(1, 2, n, n)] * 2
+        assert max(traj.reports[0].residuals) <= SOLVE_RTOL
+
+    def test_refined_sample_is_its_one_sample_step(self, monkeypatch):
+        # of three samples only the middle one misses the gate (w = 0 makes
+        # w's right-hand side and solve exactly 0); it is refined alone, in
+        # w only, and every sample is bitwise its own one-sample step
+        mesh, basis = disc(1, 1, 11)
+        ops = build_scheme(mesh, basis, plain_spec(xi=1.5, zeta=1e-6, r=-2.0), 1.0)
+        n = mesh.ax.n_dofs
+        x = ops.projector.project(smooth_init).reshape(n, n)
+        quiet = np.stack([x, x, 0.0 * x])
+        coeffs = np.stack([0.5 * quiet, np.stack([x, x, x]), quiet])
+        shapes, solve = [], SchurFactor.solve
+        monkeypatch.setattr(SchurFactor, "solve",
+                            lambda self, R: shapes.append(R.shape) or solve(self, R))
+        batch, residuals = step(ops, StateBatch(coeffs, 0.0, (4, 5, 6)), step_index=1)
+        assert shapes == [(3, 3, n, n), (1, 3, n, n)]
+        assert residuals.max() <= SOLVE_RTOL
+        # u and v met the gate: the refinement leaves them as they were
+        assert np.array_equal(batch.coeffs[1, :2], batch.coeffs[2, :2])
+        for b in range(3):
+            one, res = step(ops, StateBatch(coeffs[b:b + 1], 0.0, (4 + b,)), step_index=1)
+            assert np.array_equal(batch.coeffs[b], one.coeffs[0])
+            assert np.array_equal(batch.right[b], one.right[0])
+            assert np.array_equal(residuals[b], res[0])
+
+
+class TestFieldMap:
+    """The time loop steps twin fields once (timestepper.field_map)."""
+
+    @staticmethod
+    def sampler(amplitude=0.1, shared=True):
+        return QWienerSampler(truncation=4, amplitude=amplitude, seed=5, shared=shared)
+
+    def test_rule(self):
+        mesh, basis = disc(1, 1, 5)
+
+        def rule(spec, sampler=None):
+            return field_map(build_scheme(mesh, basis, spec, 0.05), sampler)
+
+        test2 = make_test2()
+        assert rule(test2) == rule(test2, self.sampler()) == (0, 0, 1)
+        assert rule(make_test2("delta").with_wp(0.0), self.sampler()) == (0, 0, 1)
+        assert rule(test2, self.sampler(0.0, shared=False)) == (0, 0, 1)
+        assert rule(test2, self.sampler(shared=False)) == (0, 1, 2)
+        assert rule(make_test1()) == (0, 1, 2)
+        custom = make_problem(parse_config("[problem]\nkind = custom\nr = 0\n"))
+        assert rule(custom) == rule(custom, self.sampler()) == (0, 0, 0)
+        assert rule(dataclasses.replace(test2, r=0.0)) == (0, 0, 0)
+        # each condition, broken alone, parts the twins
+        other = (smooth_init, functools.partial(smooth_init), smooth_init)   # v: another object
+        assert rule(dataclasses.replace(test2, init=other)) == (0, 1, 2)
+        assert rule(dataclasses.replace(test2, e=(1.0, 0.5, 1.0))) == (0, 1, 2)
+        assert rule(dataclasses.replace(test2, forcing=make_test1().forcing)) == (0, 1, 2)
+
+    def test_a_dropped_scheme_is_freed_at_once(self):
+        # the caches of rows() hold no reference cycle: a scheme that stepped
+        # twin fields goes with its last reference, not at the cycle collector
+        mesh, basis = disc(2, 2, 6)
+        spec = make_test2()
+        ops = build_scheme(mesh, basis, spec, 0.05)
+        assert ops.factor.sweep
+        run(spec, mesh, basis, 0.05, 0.1, ops=ops)
+        assert ops.factor._rows and ops.sides._rows
+        refs = [weakref.ref(x) for x in (ops, ops.factor, ops.sides, *ops.factor._rows.values())]
+        gc.disable()
+        try:
+            del ops
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("shared,k", [(True, 2), (False, 3)], ids=["shared", "per-field"])
+    def test_solve_sees_the_distinct_fields(self, monkeypatch, shared, k):
+        mesh, basis = disc(2, 1, 5)
+        spec = make_test2()
+        slots, solve = [], SchurFactor.solve
+        monkeypatch.setattr(SchurFactor, "solve",
+                            lambda self, R: slots.append(R.shape[1]) or solve(self, R))
+        traj = run(spec, mesh, basis, 0.05, 0.2, self.sampler(shared=shared), sample_id=2)
+        assert slots == [k] * 4
+        assert np.array_equal(traj.final.u, traj.final.v) is shared
 
 
 class TestFieldStackedScheme:
