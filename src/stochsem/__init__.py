@@ -8,8 +8,7 @@ from .mesh import Mesh2D, build_mesh
 from .model import ModelSpec, nonlinear_f, test1_spec, test2_spec
 from .assembly import StateVector, evaluate_grid, L2Projector
 from .stochastic import NoiseIncrement, QWienerSampler, sample_increment, spectrum
-from .timestepper import (SchemeOperators, StepReport, Trajectory, build_scheme,
-                          energy_norm, run, step)
+from .timestepper import SchemeOperators, Trajectory, build_scheme, energy_norm, run, step
 from .montecarlo import (EnsembleResult, ErrorReport, convergence_order,
                          error_report, run_ensemble)
 
@@ -19,8 +18,7 @@ __all__ = [
     "ModelSpec", "nonlinear_f", "test1_spec", "test2_spec",
     "StateVector", "evaluate_grid", "L2Projector",
     "NoiseIncrement", "QWienerSampler", "sample_increment", "spectrum",
-    "SchemeOperators", "StepReport", "Trajectory", "build_scheme",
-    "energy_norm", "run", "step",
+    "SchemeOperators", "Trajectory", "build_scheme", "energy_norm", "run", "step",
     "EnsembleResult", "ErrorReport", "convergence_order", "error_report",
     "run_ensemble",
 ]

@@ -77,9 +77,6 @@ class StateVector:
     def n(self) -> int:
         return len(self.u)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.u.copy(), self.v.copy(), self.w.copy(), self.t)
-
     def stacked(self) -> np.ndarray:
         return np.stack(self.fields)
 

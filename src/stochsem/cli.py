@@ -119,7 +119,8 @@ def mean_state(cfg: RunConfig, spec: ModelSpec, mesh, basis, tau: float,
     standard error (3, n).  With [noise] sigma > 0 these are the Monte Carlo
     mean and its standard error (a new sampler each call: every order of a
     spatial curve sees the same noise); otherwise the noise-free path and
-    None.
+    None.  run_ensemble and run give their snapshots in that layout, passed
+    on as they are.
     """
     T = cfg.get("time", "t_final")
     time_grid(T, tau, snapshot_times)       # an off-grid time builds no scheme
@@ -132,7 +133,7 @@ def mean_state(cfg: RunConfig, spec: ModelSpec, mesh, basis, tau: float,
                            snapshot_times=snapshot_times, ops=ops)
         return res.mean, res.snapshot_means, res.stderr
     traj = run(spec, mesh, basis, tau, T, snapshot_times=snapshot_times, ops=ops)
-    return traj.final, {t: s.stacked() for t, s in traj.snapshots.items()}, None
+    return traj.final, traj.snapshots, None
 
 
 # ---------------------------------------------------------------------------

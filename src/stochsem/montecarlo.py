@@ -4,8 +4,9 @@ Samples are processed in fixed-size chunks, and each chunk advances as one
 batch through the time loop (`timestepper.advance`): its states are one
 (B, k, n1d_x, n1d_y) array of the distinct fields (Test 2's twins u and v
 share a slot), so every step makes one right-hand side, solve and noise load
-for the whole chunk.  The loop expands its final states and snapshots to
-the three fields before they reach the moments.  The initial data are projected
+for the whole chunk.  The loop returns its final states and snapshots as
+arrays (B, 3, n1d_x, n1d_y), a slot per field, that go straight into the
+moments.  The initial data are projected
 once per ensemble.  Per-chunk moments merge in chunk order, so the ensemble
 mean is identical no matter how many workers execute the chunks (noise
 realizations are already keyed by sample id).  Every time level, the final
@@ -85,14 +86,14 @@ def _moments(batch):
 def _run_chunk(ops, init, grid, sampler, workspace, ids):
     """Moments of one chunk's final states and {t: moments} of its snapshots."""
     try:
-        final, snapshots, _ = advance(ops, init, grid, ids, sampler=sampler,
-                                      noise_workspace=workspace)
+        final, snapshots, _, _ = advance(ops, init, grid, ids, sampler=sampler,
+                                         noise_workspace=workspace)
     except NumericalError as exc:
         # keep the type: the CLI maps it to an exit code; an untagged one is ids[0]'s
         sid = getattr(exc, "sample_id", None)
         raise type(exc)(f"sample {ids[0] if sid is None else sid} failed: {exc}") from exc
-    return (_moments(final.coeffs.reshape(len(ids), 3, -1)),
-            {t: _moments(s.coeffs.reshape(len(ids), 3, -1)) for t, s in snapshots.items()})
+    return (_moments(final.reshape(len(ids), 3, -1)),
+            {t: _moments(s.reshape(len(ids), 3, -1)) for t, s in snapshots.items()})
 
 
 def run_ensemble(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,

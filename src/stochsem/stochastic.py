@@ -183,6 +183,14 @@ class NoiseWorkspace:
             (Bx, quad.wx, x0, x1, quad.x), (By, quad.wy, y0, y1, quad.y))
         self._eyt = np.ascontiguousarray(self.ey.T)     # load's right operand, C-contiguous
 
+    def check(self, sampler: QWienerSampler, mesh: Mesh2D, basis: Basis1D) -> None:
+        """ValueError naming what differs unless the workspace was built on
+        these very mesh and basis for the sampler's truncation."""
+        for name, differs in (("mesh", self.mesh is not mesh), ("basis", self.basis is not basis),
+                              ("truncation", self.sampler.truncation != sampler.truncation)):
+            if differs:
+                raise ValueError(f"noise workspace was built for another {name}")
+
     def load(self, coeffs_jk: np.ndarray) -> np.ndarray:
         """Loads (..., n1d_x, n1d_y) of mode coefficients (..., J, J)."""
         return self.ex @ coeffs_jk @ self._eyt
@@ -221,11 +229,13 @@ def sample_increment(sampler: QWienerSampler, sample_id: int, n: int, tau: float
     """Sample the increment W^n - W^{n-1} and project it onto the space.
 
     Bit-identical for identical (sampler, sample_id, n, tau, discretization);
-    pass a NoiseWorkspace to amortize the projection over many draws.
+    pass a NoiseWorkspace (checked, NoiseWorkspace.check) to amortize the
+    projection over many draws.
     """
     if sampler.amplitude == 0.0:
         return NoiseIncrement(n=n, coeffs=np.zeros(mesh.n_global))
     if workspace is None:
         workspace = NoiseWorkspace(sampler, mesh, basis)
+    workspace.check(sampler, mesh, basis)
     return NoiseIncrement(n=n, coeffs=workspace.project_modes(
         mode_coefficients(sampler, sample_id, n, tau, component)))

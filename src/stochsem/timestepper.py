@@ -93,30 +93,29 @@ fields, or one per field).  The time loop carries the distinct fields only:
 twin fields (field_map: the same c, c', initial callable and weight e, no
 forcing, no noise or one shared path) are one trajectory, stepped once in a
 shared slot, so Test 2's u and v take one slot (k = 2) and Test 1's fields
-three.  The loop expands a state to a slot per field (u, v, w) where it
-leaves: its final state, snapshots and reports.  A state made outside the
-loop has a slot per field.  A step makes one solve and one fused apply of
-both sides for the whole stack (np.matmul broadcasts) and one load of the
-nonlinearity with the forcings (staged once per scheme,
-model.stage_forcing); on meshes above the sweep's size, dtrsyl runs once per
-sample and slot.  The apply on the new state phi^n gives the residual gate
+three.  Its results leave it as arrays with a slot per field (u, v, w):
+the final states, the snapshots and each step's residuals and energies.  A
+state made outside the loop has a slot per field.  A step makes one solve
+and one fused apply of both sides for the whole stack (np.matmul
+broadcasts) and one load of the nonlinearity with the forcings (staged once
+per scheme, model.stage_forcing); on meshes above the sweep's size, dtrsyl
+runs once per sample and slot.  The apply on the new state phi^n gives the residual gate
 its L phi^n and the next step its right-hand side R phi^n, which the new
 StateBatch carries; the time loop supplies the first from one apply of the
 initial data, a one-sample stack, and a caller's state that carries none has
 its R phi applied when it is stepped.  A sample that misses the gate in some
 slot is refined there once, by one solve of all its slots, before the gate
-fails it.  The
-checks hold per sample and slot, and a failure names its sample and the
-first field of its slot (a pole's sample is the first index nonlinear_f
-gives).  Every per-sample operation is the same BLAS or LAPACK call whatever
-B and k are, so a sample's trajectory does not depend on its batch (`run` is
-the batch of one), nor a field's on its twins.
+fails it.  The checks hold per sample and slot, and a failure names its
+sample and the first field of its slot (a pole's sample is the first index
+nonlinear_f gives).  Every per-sample operation is the same BLAS or LAPACK
+call whatever B and k are, so a sample's trajectory does not depend on its
+batch (`run` is the batch of one), nor a field's on its twins.
 """
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field as dc_field
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 # Nothing in this package calls scipy.sparse.linalg; the module is kept bound
@@ -157,16 +156,6 @@ class SolverFailure(NumericalError, RuntimeError):
 
 class DivergenceError(NumericalError, RuntimeError):
     """The state picked up non-finite entries."""
-
-
-@dataclass
-class StepReport:
-    """One step of a Trajectory: the relative solve residuals per field and
-    the energy norm of the new state."""
-
-    step: int
-    residuals: tuple[float, float, float]
-    energy: float
 
 
 class KroneckerPair:
@@ -456,10 +445,6 @@ class StateBatch:
     right: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
     field_map: tuple = (0, 1, 2)
 
-    def state(self, b: int) -> StateVector:
-        """Sample b as a StateVector, a field per slot of the field map."""
-        return StateVector(*self.coeffs[b, list(self.field_map)].reshape(3, -1), t=self.t)
-
 
 @cache
 def _slot_fields(field_map: tuple) -> tuple:
@@ -578,28 +563,31 @@ def _relative(gap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return gnorm / np.where(bnorm > 0, bnorm, 1.0)
 
 
-def energy_norm(ops: SchemeOperators, state: StateVector) -> float:
-    """Discrete weighted energy norm used by the stability diagnostic.
+def energy_norm(ops: SchemeOperators, coeffs: np.ndarray):
+    """Discrete weighted energy norm used by the stability diagnostic, of
+    each state of a stack coeffs (..., 3, n1d_x, n1d_y), shape coeffs.shape[:-3]:
 
     sqrt( sum_phi  h1 * (phi' M phi) + (tau/2) * zeta * (phi' K phi) )
     with tau = ops.tau, h1 = max(1, 1 + (tau/2) * r) and K the
-    unit-coefficient diffusion operator, both applied axis by axis.
+    unit-coefficient diffusion operator, both applied axis by axis.  A
+    state's sums run over its own entries alone, whatever the stack.
     """
     spec, tau = ops.spec, ops.tau
     h1 = max(1.0, 1.0 + 0.5 * tau * spec.r)
-    F = state.stacked().reshape(3, ops.mesh.ax.n_dofs, ops.mesh.ay.n_dofs)
-    MF, KF = ops.stiffness.terms(F)
-    total = h1 * float(np.sum(F * MF)) + 0.5 * tau * spec.zeta * float(np.sum(F * KF))
-    return float(np.sqrt(total))
+    mass, stiff = ((coeffs * x).reshape(*coeffs.shape[:-3], -1).sum(axis=-1)
+                   for x in ops.stiffness.terms(coeffs))
+    return np.sqrt(h1 * mass + 0.5 * tau * spec.zeta * stiff)
 
 
 @dataclass
 class Trajectory:
-    """Result of one sample path: final state, diagnostics, snapshots."""
+    """Result of one sample path: the final state, the snapshots {t: (3, n)}
+    and its row of advance's residuals and energies (empty unless record_reports)."""
 
     final: StateVector
-    reports: list
-    snapshots: dict   # time -> StateVector
+    snapshots: dict
+    residuals: np.ndarray
+    energies: np.ndarray
 
 
 def time_grid(T: float, tau: float, times=()):
@@ -656,12 +644,13 @@ def advance(ops: SchemeOperators, init: np.ndarray, grid, sample_ids,
     The loop carries the distinct fields only: its states are the stacks
     (B, k, n1d_x, n1d_y) of the slots of field_map(ops, sampler), each twin
     field stepped once.  Each step draws the loads of the batch's noise
-    increments (one path per sample, or one per sample and field) and makes
-    one `step` call; the first step's right-hand side is one apply of init's
-    slots, repeated over the batch.  A state is expanded to a slot per field
-    where it leaves the loop: the final StateBatch, the snapshots
-    {time: StateBatch} (each holding no carried array) and, with
-    record_reports, one list of StepReports per sample.
+    increments (one path per sample, or one per sample and field, on a
+    workspace checked first) and makes one `step` call; the first step's
+    right-hand side is one apply of init's slots, repeated over the batch.
+    Returns arrays with a slot per field (u, v, w): the final coefficients
+    (B, 3, n1d_x, n1d_y), the snapshots {time: (B, 3, n1d_x, n1d_y)}, and
+    each step's relative solve residuals (B, n_steps, 3) and energy norms
+    (B, n_steps; one energy_norm call a step), empty unless record_reports.
     """
     n_steps, snap_at = grid
     ids = tuple(sample_ids)
@@ -670,31 +659,28 @@ def advance(ops: SchemeOperators, init: np.ndarray, grid, sample_ids,
     init = init[list(fields)]
     right = np.repeat(ops.sides.rows(fields).apply(init[None])[1], len(ids), axis=0)
     state = StateBatch(np.repeat(init[None], len(ids), axis=0), 0.0, ids, right, fmap)
-
-    def leave(s, right=None):       # s with a slot per field
-        return StateBatch(s.coeffs[:, expand], s.t, ids, right)
-
-    snapshots = dict.fromkeys(snap_at.get(0, ()), leave(state))
+    snapshots = dict.fromkeys(snap_at.get(0, ()), state.coeffs[:, expand])
     noisy = sampler is not None and sampler.amplitude > 0.0
     if noisy:
         if noise_workspace is None:
             noise_workspace = NoiseWorkspace(sampler, ops.mesh, ops.basis,
                                              projector=ops.projector)
+        noise_workspace.check(sampler, ops.mesh, ops.basis)
         components = (None,) if sampler.shared else (0, 1, 2)
-    reports = [[] for _ in ids]
+    recorded = n_steps if record_reports else 0
+    residuals, energies = np.empty((len(ids), recorded, 3)), np.empty((len(ids), recorded))
     prev = noise = None
     for k in range(1, n_steps + 1):
         if noisy:
             noise = sample_increments(sampler, ids, k, ops.tau, noise_workspace, components)
-        new_state, residuals = step(ops, state, noise, prev_state=prev, step_index=k)
-        if record_reports:
-            for b, res in enumerate(residuals[:, expand]):
-                energy = energy_norm(ops, new_state.state(b))
-                reports[b].append(StepReport(k, tuple(map(float, res)), energy))
+        new_state, res = step(ops, state, noise, prev_state=prev, step_index=k)
         prev, state = state, new_state
+        if record_reports:
+            residuals[:, k - 1] = res[:, expand]
+            energies[:, k - 1] = energy_norm(ops, state.coeffs[:, expand])
         if k in snap_at:
-            snapshots.update(dict.fromkeys(snap_at[k], leave(state)))
-    return leave(state, state.right[:, expand]), snapshots, reports
+            snapshots.update(dict.fromkeys(snap_at[k], state.coeffs[:, expand]))
+    return state.coeffs[:, expand], snapshots, residuals, energies
 
 
 def scheme_for(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float,
@@ -718,19 +704,23 @@ def run(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float, T: float,
         noise_workspace: NoiseWorkspace | None = None,
         record_reports: bool = False) -> Trajectory:
     """Integrate one trajectory from t=0 to t=T with steps of size tau: the
-    one-sample batch of `advance`.
+    one-sample batch of `advance`, whose arrays become a Trajectory.
 
     T and the snapshot times must be on the grid t_n = n tau (time_grid checks
     them before any scheme).  Prebuilt ops (checked by scheme_for) and a noise
-    workspace amortize assembly and factorization across samples; identical
-    inputs produce bit-identical trajectories.  Without ops the scheme has
-    build_scheme's default options; others come with a caller's ops.  The
-    per-step StepReports are computed only with record_reports (default off).
+    workspace (checked by `advance`) amortize assembly and factorization
+    across samples; identical inputs produce bit-identical trajectories.
+    Without ops the scheme has build_scheme's default options; others come
+    with a caller's ops.  The per-step residuals and energies are computed
+    only with record_reports (default off).  The final time is the loop's
+    clock, tau added once a step.
     """
     grid = time_grid(T, tau, snapshot_times)
     ops = scheme_for(spec, mesh, basis, tau, ops)
-    final, snapshots, reports = advance(
+    final, snapshots, residuals, energies = advance(
         ops, initial_data(ops), grid, (sample_id,), sampler=sampler,
         noise_workspace=noise_workspace, record_reports=record_reports)
-    return Trajectory(final=final.state(0), reports=reports[0],
-                      snapshots={t: s.state(0).copy() for t, s in snapshots.items()})
+    t_final = reduce(lambda t, _: t + tau, range(grid[0]), 0.0)
+    return Trajectory(final=StateVector(*final[0].reshape(3, -1), t=t_final),
+                      snapshots={t: s[0].reshape(3, -1) for t, s in snapshots.items()},
+                      residuals=residuals[0], energies=energies[0])

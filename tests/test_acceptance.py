@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from stochsem.assembly import Quadrature2D, StateVector
+from stochsem.assembly import Quadrature2D
 from stochsem.basis import make_basis
 from stochsem.cli import main
 from stochsem.mesh import build_mesh
@@ -22,7 +22,7 @@ from stochsem.model import test1_spec as make_test1
 from stochsem.model import test2_spec as make_test2
 from stochsem.montecarlo import convergence_order, error_report, run_ensemble
 from stochsem.stochastic import QWienerSampler, mode_coefficients
-from stochsem.timestepper import build_scheme, energy_norm, run
+from stochsem.timestepper import build_scheme, energy_norm, initial_data, run
 
 from conftest import quad_gram
 
@@ -150,11 +150,7 @@ class TestAcceptance:
         basis = make_basis(10)
         ops = build_scheme(mesh, basis, spec, tau)
         traj = run(spec, mesh, basis, tau, 50 * tau, ops=ops, record_reports=True)
-        init = StateVector(ops.projector.project(spec.init[0]),
-                           ops.projector.project(spec.init[1]),
-                           ops.projector.project(spec.init[2]))
-        series = np.array([energy_norm(ops, init)]
-                          + [r.energy for r in traj.reports])
+        series = np.concatenate([[energy_norm(ops, initial_data(ops))], traj.energies])
         increases = np.diff(series)
         wall = time.perf_counter() - t0
         report(f"unconditional stability (tau={tau})",

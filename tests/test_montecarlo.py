@@ -156,21 +156,26 @@ class TestRunEnsemble:
 
 class TestBatchedChunks:
     """A chunk advances as one batch; each of its samples must be bitwise the
-    one-sample run of the same id."""
+    one-sample run of the same id: its final state, snapshots, and rows of
+    residuals and energies."""
 
     IDS = range(3, 10)
 
     def assert_chunk_equals_runs(self, spec, mesh, basis, sampler, tau=0.05, T=0.2,
                                  snapshot_times=()):
         ops = build_scheme(mesh, basis, spec, tau)
-        final, snaps, _ = advance(ops, initial_data(ops), time_grid(T, tau, snapshot_times),
-                                  self.IDS, sampler=sampler)
+        final, snaps, residuals, energies = advance(
+            ops, initial_data(ops), time_grid(T, tau, snapshot_times), self.IDS,
+            sampler=sampler, record_reports=True)
+        assert residuals.shape == (len(self.IDS), round(T / tau), 3)
         for b, sid in enumerate(self.IDS):
             traj = run(spec, mesh, basis, tau, T, sampler=sampler, sample_id=sid, ops=ops,
-                       snapshot_times=snapshot_times, record_reports=False)
-            assert np.array_equal(final.state(b).stacked(), traj.final.stacked())
+                       snapshot_times=snapshot_times, record_reports=True)
+            assert np.array_equal(final[b].reshape(3, -1), traj.final.stacked())
+            assert np.array_equal(residuals[b], traj.residuals)
+            assert np.array_equal(energies[b], traj.energies)
             for t in snapshot_times:
-                assert np.array_equal(snaps[t].state(b).stacked(), traj.snapshots[t].stacked())
+                assert np.array_equal(snaps[t][b].reshape(3, -1), traj.snapshots[t])
 
     def test_linear_shared_noise(self):
         self.assert_chunk_equals_runs(*noisy_setup())
@@ -283,8 +288,10 @@ class TestTwinFields:
         assert np.array_equal(twin.final.stacked(), identity.final.stacked())
         assert np.array_equal(twin.final.u, twin.final.v)
         for t in self.TIMES:
-            assert np.array_equal(twin.snapshots[t].stacked(), identity.snapshots[t].stacked())
-        assert twin.reports == identity.reports and len(twin.reports) == 4
+            assert np.array_equal(twin.snapshots[t], identity.snapshots[t])
+        assert twin.residuals.shape == (4, 3)
+        assert np.array_equal(twin.residuals, identity.residuals)
+        assert np.array_equal(twin.energies, identity.energies)
 
     @pytest.mark.parametrize("mesh", MESHES)
     @pytest.mark.parametrize("kind,wp", CASES)
@@ -471,8 +478,8 @@ class TestFailureAttribution:
         ops = build_scheme(mesh, basis, spec, 0.05, nonlinearity_time="lagged")
         # after one step u differs by sample: put a pole between the two
         # largest peaks of u, so that one sample reaches it at step 2
-        one, _, _ = advance(ops, initial_data(ops), time_grid(0.05, 0.05), range(4), sampler)
-        peaks = ops.quad.values(one.coeffs[:, 0]).max(axis=(1, 2))
+        one, *_ = advance(ops, initial_data(ops), time_grid(0.05, 0.05), range(4), sampler)
+        peaks = ops.quad.values(one[:, 0]).max(axis=(1, 2))
         top, second = np.sort(peaks)[::-1][:2]
         real = timestepper.nonlinear_f
 
@@ -598,7 +605,7 @@ class TestErrorReport:
     def test_interior_perturbation_continuity(self, rng):
         mesh, basis = disc(2, 2, 5)
         state = StateVector(*(rng.standard_normal(mesh.n_global) for _ in range(3)))
-        ref = state.copy()
+        ref = StateVector(*state.fields)
         j = mesh.n_global // 2
         c = 0.37
         state.u = state.u.copy()

@@ -148,6 +148,16 @@ class TestDeterminism:
                                        component=comp).coeffs
                 assert np.array_equal(ws.projector.project_load(got[b, comp]).ravel(), inc)
 
+    @pytest.mark.parametrize("what", ["mesh", "basis", "truncation"])
+    def test_another_workspace_is_rejected(self, what):
+        s = sampler(truncation=4)
+        mesh, basis = disc(6)
+        ws = {"mesh": lambda: NoiseWorkspace(s, build_mesh((0, 2, 0, 2), 1, 1, 6), basis),
+              "basis": lambda: NoiseWorkspace(s, mesh, make_basis(6)),
+              "truncation": lambda: NoiseWorkspace(sampler(truncation=3), mesh, basis)}[what]()
+        with pytest.raises(ValueError, match=f"^noise workspace was built for another {what}$"):
+            sample_increment(s, 0, 1, 0.01, mesh, basis, workspace=ws)
+
     def test_zero_amplitude_zero_increment(self):
         mesh, basis = disc()
         inc = sample_increment(sampler(amplitude=0.0), 0, 1, 0.01, mesh, basis)

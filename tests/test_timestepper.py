@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from stochsem import assembly
-from stochsem.assembly import (L2Projector, Quadrature2D, StateVector, assemble,
-                               evaluate_grid)
+from stochsem.assembly import L2Projector, Quadrature2D, assemble, evaluate_grid
 from stochsem.basis import make_basis
 from stochsem.cli import make_problem
 from stochsem.config import parse_config
@@ -20,7 +19,8 @@ from stochsem.montecarlo import convergence_order, error_report
 from stochsem.stochastic import NoiseWorkspace, QWienerSampler, sample_increment
 from stochsem.timestepper import (NONLINEARITY_TIMES, SOLVE_RTOL, KroneckerPair, SchemeError,
                                   SchurFactor, SolverFailure, StateBatch, _eigenvalues,
-                                  _schur_form, build_scheme, energy_norm, field_map, run, step)
+                                  _schur_form, advance, build_scheme, energy_norm, field_map,
+                                  initial_data, run, step, time_grid)
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -109,7 +109,7 @@ class TestStep:
         new, residuals = step(ops, state)
         assert np.all(new.coeffs == 0)
         assert residuals.max() <= 1e-10
-        assert energy_norm(ops, new.state(0)) == 0.0
+        assert energy_norm(ops, new.coeffs[0]) == 0.0
 
     def test_pure_mass_scheme_identity(self, rng):
         mesh, basis = disc(2, 1, 5)
@@ -144,21 +144,10 @@ class TestStep:
         # step never writes into the array a state carries
         assert np.array_equal(made.right, right)
 
-    def test_snapshots_hold_no_carried_right_hand_side(self):
-        from stochsem.timestepper import advance, initial_data, time_grid
-        mesh, basis = disc(2, 2, 6)
-        ops = build_scheme(mesh, basis, make_test1(), 0.05)
-        final, snaps, _ = advance(ops, initial_data(ops), time_grid(0.1, 0.05, (0.0, 0.05, 0.1)),
-                                  (0, 1))
-        assert final.right is not None
-        assert all(s.right is None for s in snaps.values())
-        assert np.array_equal(snaps[0.1].coeffs, final.coeffs)
-
     def test_time_loop_first_apply_takes_one_sample(self, monkeypatch):
         # the time loop applies R once, to the one-sample stack of the
         # initial data, for every sample's first step; each step then makes
         # one apply of the whole batch
-        from stochsem.timestepper import advance, initial_data, time_grid
         mesh, basis = disc(2, 2, 6)
         ops = build_scheme(mesh, basis, make_test1(), 0.05)
         shapes, real = [], KroneckerPair.apply
@@ -204,7 +193,6 @@ class TestRun:
             run(make_test1(), mesh, basis, tau=0.1, T=T)
 
     def test_time_grid(self):
-        from stochsem.timestepper import time_grid
         # every requested time sits on the step it names, also two on one step
         assert time_grid(0.2, 0.05, (0.1, 0.0, 0.1 + 1e-12)) == (
             4, {2: [0.1, 0.1 + 1e-12], 0: [0.0]})
@@ -301,11 +289,12 @@ class TestRun:
         spec = make_test2("smooth").with_wp(0.0)
         traj = run(spec, mesh, basis, 0.05, 0.2, snapshot_times=[0.0, 0.1, 0.2])
         assert set(traj.snapshots) == {0.0, 0.1, 0.2}
-        assert np.array_equal(traj.snapshots[0.2].u, traj.final.u)
+        # a snapshot is a (3, n) array, and the one at T is the final state
+        assert np.array_equal(traj.snapshots[0.2], traj.final.stacked())
         # every requested time keeps its snapshot, also two on one step
         near = run(spec, mesh, basis, 0.05, 0.2, snapshot_times=[0.1, 0.1 + 1e-12])
         assert set(near.snapshots) == {0.1, 0.1 + 1e-12}
-        assert np.array_equal(near.snapshots[0.1 + 1e-12].u, traj.snapshots[0.1].u)
+        assert np.array_equal(near.snapshots[0.1 + 1e-12], traj.snapshots[0.1])
         with pytest.raises(ValueError, match="snapshot"):
             run(spec, mesh, basis, 0.05, 0.2, snapshot_times=[0.07])
         for t in (float("inf"), float("nan")):
@@ -353,19 +342,28 @@ class TestRun:
         mesh, basis = disc(1, 1, 5)
         spec = make_test1()
         quiet = run(spec, mesh, basis, 0.1, 0.5)       # the default records none
-        assert calls == [] and quiet.reports == []
+        assert calls == [] and quiet.residuals.shape == (0, 3) and quiet.energies.shape == (0,)
         loud = run(spec, mesh, basis, 0.1, 0.5, record_reports=True)
         assert len(calls) == 5
         for fq, fl in zip(quiet.final.fields, loud.final.fields):
             assert np.array_equal(fq, fl)
+        # a batch of B samples makes one call a step, on the whole batch
+        ops = build_scheme(mesh, basis, spec, 0.1)
+        calls.clear()
+        advance(ops, initial_data(ops), time_grid(0.5, 0.1), range(4))
+        assert calls == []
+        _, _, residuals, energies = advance(ops, initial_data(ops), time_grid(0.5, 0.1),
+                                            range(4), record_reports=True)
+        assert [args[1].shape for args in calls] == [batch_shape(mesh, 4)] * 5
+        assert residuals.shape == (4, 5, 3) and energies.shape == (4, 5)
 
     def test_step_reports_recorded(self):
         mesh, basis = disc(1, 1, 5)
         spec = make_test1()
         traj = run(spec, mesh, basis, 0.1, 0.5, record_reports=True)
-        assert [r.step for r in traj.reports] == [1, 2, 3, 4, 5]
-        assert all(max(r.residuals) <= 1e-10 for r in traj.reports)
-        assert all(np.isfinite(r.energy) for r in traj.reports)
+        assert traj.residuals.shape == (5, 3) and traj.energies.shape == (5,)
+        assert traj.residuals.max() <= 1e-10
+        assert np.isfinite(traj.energies).all()
 
 
 class TestPerAxisPath:
@@ -383,9 +381,9 @@ class TestPerAxisPath:
         ops = build_scheme(mesh, basis, spec, 0.05)
         traj = run(spec, mesh, basis, 0.05, 0.2, sampler=sampler, sample_id=1, ops=ops,
                    record_reports=True)
-        assert [r.step for r in traj.reports] == [1, 2, 3, 4]
-        assert all(max(r.residuals) <= 1e-10 for r in traj.reports)
-        assert all(np.isfinite(r.energy) for r in traj.reports)
+        assert traj.residuals.shape == (4, 3) and traj.energies.shape == (4,)
+        assert traj.residuals.max() <= 1e-10
+        assert np.isfinite(traj.energies).all()
 
     def test_singular_left_operator_raises(self):
         # 1 + (tau/2) r = 0 with no advection or diffusion: L_w is exactly 0
@@ -604,7 +602,7 @@ class TestRefinement:
         # the step's solve and its refinement's, of the twin stack (u = v, w)
         n = mesh.ax.n_dofs
         assert shapes == [(1, 2, n, n)] * 2
-        assert max(traj.reports[0].residuals) <= SOLVE_RTOL
+        assert traj.residuals[0].max() <= SOLVE_RTOL
 
     def test_refined_sample_is_its_one_sample_step(self, monkeypatch):
         # of three samples only the middle one misses the gate (w = 0 makes
@@ -838,7 +836,7 @@ class TestSharedAxis:
                          separate_axes(build_mesh(UNIT, nex, nex, order))):
                 traj = run(spec, mesh, basis, tau, 10 * tau, sampler=sampler, sample_id=3,
                            record_reports=True)
-                assert max(max(r.residuals) for r in traj.reports) <= SOLVE_RTOL
+                assert traj.residuals.max() <= SOLVE_RTOL
                 finals.append(traj.final.stacked())
             assert rel_gap(*finals) <= 1e-12
 
@@ -876,9 +874,50 @@ class TestNoiseLoad:
         monkeypatch.setattr(L2Projector, "project_load", counting)
         traj = run(spec, mesh, basis, 0.05, 0.2, sampler=sampler, sample_id=1, ops=ops,
                    noise_workspace=ws, record_reports=True)
-        assert len(traj.reports) == 4
+        assert traj.residuals.shape == (4, 3) and traj.energies.shape == (4,)
         # u, v and w at t = 0, one load each; no increment is projected
         assert calls == [(mesh.ax.n_dofs, mesh.ay.n_dofs)] * 3
+
+
+class TestWorkspaceCheck:
+    """A noise workspace must serve the run's very mesh and basis and the
+    sampler's truncation; another raises a ValueError naming what differs,
+    before any step."""
+
+    @staticmethod
+    def setup():
+        mesh, basis = disc(2, 2, 6)
+        return (make_test2("smooth").with_wp(0.0), mesh, basis,
+                QWienerSampler(truncation=4, amplitude=0.1, seed=0))
+
+    @staticmethod
+    def other(what, mesh, basis, sampler):
+        if what == "mesh":      # the same dofs on another domain
+            return NoiseWorkspace(sampler, build_mesh((0.0, 2.0, 0.0, 2.0), 2, 2, 6), basis)
+        if what == "basis":
+            return NoiseWorkspace(sampler, mesh, make_basis(basis.order))
+        return NoiseWorkspace(dataclasses.replace(sampler, truncation=3), mesh, basis)
+
+    @pytest.mark.parametrize("what", ["mesh", "basis", "truncation"])
+    def test_another_is_rejected_before_any_step(self, monkeypatch, what):
+        from stochsem import timestepper
+        spec, mesh, basis, sampler = self.setup()
+        ws = self.other(what, mesh, basis, sampler)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("stepped with a mismatched workspace")
+
+        monkeypatch.setattr(timestepper, "step", forbidden)
+        with pytest.raises(ValueError, match=f"^noise workspace was built for another {what}$"):
+            run(spec, mesh, basis, 0.05, 0.2, sampler=sampler, sample_id=1, noise_workspace=ws)
+
+    def test_another_seed_and_amplitude_are_accepted(self):
+        # the mode loads depend on the truncation alone
+        spec, mesh, basis, sampler = self.setup()
+        ws = NoiseWorkspace(dataclasses.replace(sampler, seed=9, amplitude=0.5), mesh, basis)
+        got = run(spec, mesh, basis, 0.05, 0.2, sampler=sampler, sample_id=1, noise_workspace=ws)
+        want = run(spec, mesh, basis, 0.05, 0.2, sampler=sampler, sample_id=1)
+        assert np.array_equal(got.final.stacked(), want.final.stacked())
 
 
 class TestEnergyNorm:
@@ -886,17 +925,15 @@ class TestEnergyNorm:
         mesh, basis = disc(1, 1, 4)
         spec = make_test1()
         ops = build_scheme(mesh, basis, spec, 0.1)
-        state = StateVector(*(np.zeros(mesh.n_global) for _ in range(3)))
-        assert energy_norm(ops, state) == 0.0
+        assert energy_norm(ops, np.zeros(batch_shape(mesh)[1:])) == 0.0
 
     def test_quadratic_scaling(self, rng):
         mesh, basis = disc(2, 1, 5)
         spec = make_test1()
         ops = build_scheme(mesh, basis, spec, 0.1)
-        state = StateVector(*(rng.standard_normal(mesh.n_global) for _ in range(3)))
-        doubled = StateVector(2 * state.u, 2 * state.v, 2 * state.w)
+        state = rng.standard_normal(batch_shape(mesh)[1:])
         e1 = energy_norm(ops, state)
-        e2 = energy_norm(ops, doubled)
+        e2 = energy_norm(ops, 2 * state)
         assert e2**2 == pytest.approx(4 * e1**2, rel=1e-12)
 
     @pytest.mark.parametrize("tau", [0.1, 0.01])
@@ -906,11 +943,6 @@ class TestEnergyNorm:
         spec = dataclasses.replace(make_test1(), forcing=None, wp=0.0)
         mesh, basis = disc(2, 2, 10)
         traj = run(spec, mesh, basis, tau, 50 * tau, record_reports=True)
-        energies = [r.energy for r in traj.reports]
         ops = build_scheme(mesh, basis, spec, tau)
-        start = energy_norm(ops,
-                            StateVector(ops.projector.project(spec.init[0]),
-                                        ops.projector.project(spec.init[1]),
-                                        ops.projector.project(spec.init[2])))
-        series = np.array([start] + energies)
+        series = np.concatenate([[energy_norm(ops, initial_data(ops))], traj.energies])
         assert np.all(np.diff(series) <= 1e-14)
