@@ -58,23 +58,11 @@ class _Axis:
         self.lo, self.hi, self.ne, self.order = lo, hi, ne, order
         self.h = (hi - lo) / ne
         self.edges = np.linspace(lo, hi, ne + 1)
-        hat = np.full(ne + 1, -1, dtype=int)
-        mode = np.full((ne, order - 1), -1, dtype=int)
-        nid = 0
-        for e in range(ne):
-            for m in range(order - 1):
-                mode[e, m] = nid
-                nid += 1
-            if e + 1 < ne:
-                hat[e + 1] = nid
-                nid += 1
-        self.n_dofs = nid
-        # local index m in 0..order: 0 left hat, 1..order-1 modes, order right hat
-        self.local_to_global = np.full((ne, order + 1), -1, dtype=int)
-        for e in range(ne):
-            self.local_to_global[e, 0] = hat[e]
-            self.local_to_global[e, 1:order] = mode[e]
-            self.local_to_global[e, order] = hat[e + 1]
+        # element e's local index m (0 left hat, 1..order-1 modes, order right
+        # hat) is global e * order + m - 1; the two boundary hats are dropped
+        self.local_to_global = np.arange(ne)[:, None] * order + np.arange(order + 1) - 1
+        self.local_to_global[0, 0] = self.local_to_global[-1, -1] = -1
+        self.n_dofs = ne * order - 1
 
     def locate_points(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Containing elements and reference coordinates of a 1D point array;

@@ -167,13 +167,17 @@ class NoiseWorkspace:
     ex @ c @ ey^T.  The time loop uses that load as it is: for v in the
     discrete space, (P_h dW, v) = (dW, v).  The two tables are built once
     per discretization (one, ey is ex, on a shared axis); a projection adds
-    the projector's per-axis mass solves.
+    the projector's per-axis mass solves.  A given projector must be built
+    on these very mesh and basis (ValueError naming what differs).
     """
 
     def __init__(self, sampler: QWienerSampler, mesh: Mesh2D, basis: Basis1D,
                  projector: L2Projector | None = None):
         self.sampler, self.mesh, self.basis = sampler, mesh, basis
         self.projector = projector if projector is not None else L2Projector(mesh, basis)
+        for name, given in (("mesh", mesh), ("basis", basis)):
+            if getattr(self.projector, name) is not given:
+                raise ValueError(f"projector was built for another {name}")
         J = sampler.truncation
         quad = self.projector.quad
         Bx, _, By, _ = quad.tables

@@ -7,6 +7,9 @@ One step advances each field phi in {u, v, w} by a single linear solve
 
 with L_phi = (1 + (tau/2) r_phi) Mass + (tau/2)(xi Advection + zeta Diffusion)
 (r_w = r, r_u = r_v = 0) and R_phi its mirror with negated tau/2 terms.
+The time levels are t_n = n tau, and the step index n is the only clock:
+step n samples the forcing at t_{n-1/2} = (n - 1/2) tau, and a run's final
+state is stamped with T itself, never with a sum of steps.
 
 The coefficients are constants and the mesh is a tensor product, so every
 scheme operator is a Kronecker sum of dense per-axis matrices (Lynch, Rice &
@@ -115,7 +118,7 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field as dc_field
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 # Nothing in this package calls scipy.sparse.linalg; the module is kept bound
@@ -426,7 +429,8 @@ def build_scheme(mesh: Mesh2D, basis: Basis1D, spec: ModelSpec, tau: float,
 @dataclass
 class StateBatch:
     """The states of B samples at one time level: the layout `step` and the
-    time loop work on.
+    time loop work on.  A batch carries no time: the step index passed to
+    `step` names the level.
 
     coeffs has shape (B, k, n1d_x, n1d_y): sample, slot, then the slot's
     coefficient matrix (global dof gx * n1d_y + gy).  field_map gives the
@@ -440,7 +444,6 @@ class StateBatch:
     """
 
     coeffs: np.ndarray
-    t: float = 0.0
     sample_ids: tuple | None = None
     right: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
     field_map: tuple = (0, 1, 2)
@@ -459,9 +462,10 @@ def _tag(exc: Exception, state: StateBatch, b: int) -> Exception:
 
 
 def step(ops: SchemeOperators, state: StateBatch, noise=None,
-         prev_state: StateBatch | None = None, step_index: int = 0):
+         prev_state: StateBatch | None = None, *, step_index: int):
     """Advance a batch of states, whose samples advance together, one step
-    of size ops.tau.
+    of size ops.tau, from t_{n-1} to t_n for n = step_index (>= 1): the
+    forcing is sampled at (step_index - 1/2) tau.
 
     Each slot of the state (state.field_map) is stepped with the c, c', e
     and forcing of its first field; prev_state has the same map.  noise is
@@ -482,7 +486,6 @@ def step(ops: SchemeOperators, state: StateBatch, noise=None,
     as sample_id and names the first field of its slot.
     """
     spec, tau, quad = ops.spec, ops.tau, ops.quad
-    t_half = state.t + tau / 2.0
     old, fields = state.coeffs, _slot_fields(state.field_map)
     # the slots' rows of per-field data (a slice, a view, on a slot per field)
     rows = slice(None) if fields == (0, 1, 2) else list(fields)
@@ -510,7 +513,7 @@ def step(ops: SchemeOperators, state: StateBatch, noise=None,
             raise _tag(SingularNonlinearity(POLE.format(f" at step {step_index}")),
                        state, exc.index[0]) from None
     if ops.forcing is not None:
-        samples.append(quad.finite(ops.forcing(t_half)))
+        samples.append(quad.finite(ops.forcing((step_index - 0.5) * tau)))
     if samples:
         loads = quad.load(np.concatenate(samples))
         if nonlinear:
@@ -554,7 +557,7 @@ def step(ops: SchemeOperators, state: StateBatch, noise=None,
         b, s = np.argwhere(~np.isfinite(sol).all(axis=(2, 3)))[0]
         raise _tag(DivergenceError(f"non-finite state after step {step_index} "
                                    f"(field {'uvw'[fields[s]]})"), state, b)
-    return StateBatch(sol, state.t + tau, state.sample_ids, right, state.field_map), residuals
+    return StateBatch(sol, state.sample_ids, right, state.field_map), residuals
 
 
 def _relative(gap: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -658,7 +661,7 @@ def advance(ops: SchemeOperators, init: np.ndarray, grid, sample_ids,
     expand, fields = list(fmap), _slot_fields(fmap)
     init = init[list(fields)]
     right = np.repeat(ops.sides.rows(fields).apply(init[None])[1], len(ids), axis=0)
-    state = StateBatch(np.repeat(init[None], len(ids), axis=0), 0.0, ids, right, fmap)
+    state = StateBatch(np.repeat(init[None], len(ids), axis=0), ids, right, fmap)
     snapshots = dict.fromkeys(snap_at.get(0, ()), state.coeffs[:, expand])
     noisy = sampler is not None and sampler.amplitude > 0.0
     if noisy:
@@ -712,15 +715,14 @@ def run(spec: ModelSpec, mesh: Mesh2D, basis: Basis1D, tau: float, T: float,
     across samples; identical inputs produce bit-identical trajectories.
     Without ops the scheme has build_scheme's default options; others come
     with a caller's ops.  The per-step residuals and energies are computed
-    only with record_reports (default off).  The final time is the loop's
-    clock, tau added once a step.
+    only with record_reports (default off).  The final state is stamped
+    with T, as run_ensemble stamps its mean.
     """
     grid = time_grid(T, tau, snapshot_times)
     ops = scheme_for(spec, mesh, basis, tau, ops)
     final, snapshots, residuals, energies = advance(
         ops, initial_data(ops), grid, (sample_id,), sampler=sampler,
         noise_workspace=noise_workspace, record_reports=record_reports)
-    t_final = reduce(lambda t, _: t + tau, range(grid[0]), 0.0)
-    return Trajectory(final=StateVector(*final[0].reshape(3, -1), t=t_final),
+    return Trajectory(final=StateVector(*final[0].reshape(3, -1), t=T),
                       snapshots={t: s[0].reshape(3, -1) for t, s in snapshots.items()},
                       residuals=residuals[0], energies=energies[0])

@@ -518,7 +518,7 @@ class TestNonFiniteSamples:
         ops = build_scheme(m, b, spec, 0.1)
         state = StateBatch(np.zeros((1, 3, m.ax.n_dofs, m.ay.n_dofs)))
         with pytest.raises(ValueError, match=self.expected(m, b)):
-            step(ops, state)
+            step(ops, state, step_index=1)
 
 
 class TestAxisTables:

@@ -46,6 +46,16 @@ class TestBuild:
             g = axis.local_to_global
             assert set(g[g >= 0].ravel()) == set(range(axis.n_dofs))
 
+    @pytest.mark.parametrize("ne,order,numbering", [
+        (3, 3, [[-1, 0, 1, 2], [2, 3, 4, 5], [5, 6, 7, -1]]),
+        (1, 4, [[-1, 0, 1, 2, -1]])])
+    def test_axis_numbering(self, ne, order, numbering):
+        # left to right: an element's modes, then the hat it shares with the
+        # next element; the boundary hats are -1
+        m = build_mesh(UNIT, ne, ne, order)
+        assert np.array_equal(m.ax.local_to_global, numbering)
+        assert m.ax.n_dofs == np.max(numbering) + 1
+
     def test_shared_interface_dofs_identical(self):
         # the right hat of element 0 and the left hat of element 1 along x
         # are the same global 1D dof

@@ -2,7 +2,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from stochsem.assembly import assemble, evaluate_grid
+from stochsem.assembly import L2Projector, assemble, evaluate_grid
 from stochsem.basis import gauss_rule, make_basis
 from stochsem.mesh import build_mesh
 from stochsem.stochastic import (NoiseWorkspace, QWienerSampler, _sine_modes,
@@ -157,6 +157,17 @@ class TestDeterminism:
               "truncation": lambda: NoiseWorkspace(sampler(truncation=3), mesh, basis)}[what]()
         with pytest.raises(ValueError, match=f"^noise workspace was built for another {what}$"):
             sample_increment(s, 0, 1, 0.01, mesh, basis, workspace=ws)
+
+    @pytest.mark.parametrize("other,what", [
+        (lambda mesh, basis: L2Projector(build_mesh((0, 2, 0, 2), 1, 1, 6), basis), "mesh"),
+        (lambda mesh, basis: L2Projector(*disc(8)), "mesh"),
+        (lambda mesh, basis: L2Projector(mesh, make_basis(6)), "basis")],
+        ids=["domain", "order", "basis"])
+    def test_another_projector_is_rejected(self, other, what):
+        # a workspace builds its mode loads on its projector's grid
+        mesh, basis = disc(6)
+        with pytest.raises(ValueError, match=f"^projector was built for another {what}$"):
+            NoiseWorkspace(sampler(truncation=4), mesh, basis, projector=other(mesh, basis))
 
     def test_zero_amplitude_zero_increment(self):
         mesh, basis = disc()

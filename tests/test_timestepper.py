@@ -15,7 +15,7 @@ from stochsem.mesh import _Axis, build_mesh
 from stochsem.model import ModelSpec, const_field, smooth_init
 from stochsem.model import test1_spec as make_test1
 from stochsem.model import test2_spec as make_test2
-from stochsem.montecarlo import convergence_order, error_report
+from stochsem.montecarlo import convergence_order, error_report, run_ensemble
 from stochsem.stochastic import NoiseWorkspace, QWienerSampler, sample_increment
 from stochsem.timestepper import (NONLINEARITY_TIMES, SOLVE_RTOL, KroneckerPair, SchemeError,
                                   SchurFactor, SolverFailure, StateBatch, _eigenvalues,
@@ -106,7 +106,7 @@ class TestStep:
         spec = plain_spec(xi=1.0, zeta=0.01, r=2.0)
         ops = build_scheme(mesh, basis, spec, tau=0.05)
         state = StateBatch(np.zeros(batch_shape(mesh)))
-        new, residuals = step(ops, state)
+        new, residuals = step(ops, state, step_index=1)
         assert np.all(new.coeffs == 0)
         assert residuals.max() <= 1e-10
         assert energy_norm(ops, new.coeffs[0]) == 0.0
@@ -116,7 +116,7 @@ class TestStep:
         spec = plain_spec()
         ops = build_scheme(mesh, basis, spec, tau=0.3)
         state = StateBatch(rng.standard_normal(batch_shape(mesh)))
-        new, _ = step(ops, state)
+        new, _ = step(ops, state, step_index=1)
         for old_f, new_f in zip(state.coeffs[0], new.coeffs[0]):
             assert np.max(np.abs(new_f - old_f)) <= 1e-10
 
@@ -131,10 +131,10 @@ class TestStep:
         assert ops.factor.sweep is sweep
         rng = np.random.default_rng(3)
         shape = batch_shape(mesh, 3)
-        state = StateBatch(0.1 * rng.standard_normal(shape), 0.5, (4, 5, 6))
+        state = StateBatch(0.1 * rng.standard_normal(shape), (4, 5, 6))
         noise = 0.01 * rng.standard_normal(shape)
         made, _ = step(ops, state, noise, step_index=1)
-        fresh = StateBatch(made.coeffs.copy(), made.t, made.sample_ids)
+        fresh = StateBatch(made.coeffs.copy(), made.sample_ids)
         assert made.right is not None and fresh.right is None
         right = made.right.copy()
         (a, res_a), (b, res_b) = (step(ops, s, noise, prev_state=state, step_index=2)
@@ -169,6 +169,36 @@ class TestStep:
         got = evaluate_grid(mesh, basis, traj.final.u, xs, xs)
         want = factor * sine_init(xs[:, None], xs[None, :])
         assert np.max(np.abs(got - want)) <= 1e-6
+
+
+class TestClock:
+    """The step index is the only clock: step n samples the forcing at
+    (n - 1/2) tau, and a run's final state is stamped with T."""
+
+    @pytest.mark.parametrize("T", [0.3, 1.0])
+    def test_final_time_is_T(self, T):
+        # 0.1 added 3 or 10 times is not 0.3 or 1.0
+        mesh, basis = disc(1, 1, 4)
+        spec = make_test2("smooth")
+        sampler = QWienerSampler(truncation=3, amplitude=0.1, seed=1)
+        final = run(spec, mesh, basis, 0.1, T).final
+        mean = run_ensemble(spec, mesh, basis, 0.1, T, sampler, M=2).mean
+        assert final.t == mean.t == T
+
+    def test_forcing_sampled_at_half_levels(self):
+        seen = ([], [], [])
+
+        def recorder(times):
+            def f(x, y, t):
+                times.append(t)
+                return 0.0
+            return f
+
+        mesh, basis = disc(1, 1, 4)
+        spec = dataclasses.replace(plain_spec(), forcing=tuple(map(recorder, seen)))
+        run(spec, mesh, basis, 0.1, 1.0)
+        want = [(k - 0.5) * 0.1 for k in range(1, 11)]
+        assert all(times == want for times in seen)
 
 
 class TestRun:
@@ -617,13 +647,13 @@ class TestRefinement:
         shapes, solve = [], SchurFactor.solve
         monkeypatch.setattr(SchurFactor, "solve",
                             lambda self, R: shapes.append(R.shape) or solve(self, R))
-        batch, residuals = step(ops, StateBatch(coeffs, 0.0, (4, 5, 6)), step_index=1)
+        batch, residuals = step(ops, StateBatch(coeffs, (4, 5, 6)), step_index=1)
         assert shapes == [(3, 3, n, n), (1, 3, n, n)]
         assert residuals.max() <= SOLVE_RTOL
         # u and v met the gate: the refinement leaves them as they were
         assert np.array_equal(batch.coeffs[1, :2], batch.coeffs[2, :2])
         for b in range(3):
-            one, res = step(ops, StateBatch(coeffs[b:b + 1], 0.0, (4 + b,)), step_index=1)
+            one, res = step(ops, StateBatch(coeffs[b:b + 1], (4 + b,)), step_index=1)
             assert np.array_equal(batch.coeffs[b], one.coeffs[0])
             assert np.array_equal(batch.right[b], one.right[0])
             assert np.array_equal(residuals[b], res[0])
@@ -726,8 +756,8 @@ class TestFieldStackedScheme:
         rng = np.random.default_rng(7)
         for B in (1, 2, 7):
             shape = batch_shape(mesh, B)
-            state = StateBatch(0.1 * rng.standard_normal(shape), 0.5, tuple(range(B)))
-            prev = StateBatch(0.1 * rng.standard_normal(shape), 0.45)
+            state = StateBatch(0.1 * rng.standard_normal(shape), tuple(range(B)))
+            prev = StateBatch(0.1 * rng.standard_normal(shape))
             noise = 0.01 * rng.standard_normal(shape)
             calls.update(solve=0, apply=0)
             new, residuals = step(ops, state, noise, prev_state=prev, step_index=4)
