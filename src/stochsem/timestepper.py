@@ -96,14 +96,17 @@ fields, or one per field).  The time loop carries the distinct fields only:
 twin fields (field_map: the same c, c', initial callable and weight e, no
 forcing, no noise or one shared path) are one trajectory, stepped once in a
 shared slot, so Test 2's u and v take one slot (k = 2) and Test 1's fields
-three.  Its results leave it as arrays with a slot per field (u, v, w):
-the final states, the snapshots and each step's residuals and energies.  A
-state made outside the loop has a slot per field.  A step makes one solve
-and one fused apply of both sides for the whole stack (np.matmul
-broadcasts) and one load of the nonlinearity with the forcings (staged once
-per scheme, model.stage_forcing); on meshes above the sweep's size, dtrsyl
-runs once per sample and slot.  The apply on the new state phi^n gives the residual gate
-its L phi^n and the next step its right-hand side R phi^n, which the new
+three.  Slot 0 holds u, so the slots' first fields, whose c, c', e and
+forcing a slot takes, are one slice of (u, v, w): the per-field arrays are
+read through it as views, and stepping never changes a scheme.  The loop's
+results leave it as arrays with a slot per field (u, v, w): the final
+states, the snapshots and each step's residuals and energies.  A state made
+outside the loop has a slot per field.  A step makes one solve and one
+fused apply of both sides for the whole stack (np.matmul broadcasts) and
+one load of the nonlinearity with the forcings (staged once per scheme,
+model.stage_forcing); on meshes above the sweep's size, dtrsyl runs once
+per sample and slot.  The apply on the new state phi^n gives the residual
+gate its L phi^n and the next step its right-hand side R phi^n, which the new
 StateBatch carries; the time loop supplies the first from one apply of the
 initial data, a one-sample stack, and a caller's state that carries none has
 its R phi applied when it is stepped.  A sample that misses the gate in some
@@ -116,7 +119,6 @@ batch (`run` is the batch of one), nor a field's on its twins.
 """
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass, field as dc_field
 from functools import cache
 
@@ -164,11 +166,12 @@ class DivergenceError(NumericalError, RuntimeError):
 class KroneckerPair:
     """The operators L_f = c[f] M + A and R_f = cr[f] M - A on coefficient
     matrices X (..., n1d_x, n1d_y), with the mass M vec X = mx X my^T and the
-    Kronecker sum A vec X = dx X my^T + mx X dy^T; c and cr (k,) act by field
-    on a stack X (..., k, n1d_x, n1d_y).  `terms` gives (M X, A X) and
-    `apply` (L X, R X) from the same five stacked products with 2D matrices,
-    P = X my^T, Q = X dy^T, M X = mx P and A X = dx P + mx Q.  `rows` gives
-    the pair on a stack of some of the fields."""
+    Kronecker sum A vec X = dx X my^T + mx X dy^T; c and cr act by field on a
+    stack X (..., k, n1d_x, n1d_y) whose k slots hold the fields `rows`
+    (a slice of u, v, w; all three by default), read as views of c and cr.
+    `terms` gives (M X, A X) and `apply` (L X, R X) from the same five
+    stacked products with 2D matrices, P = X my^T, Q = X dy^T, M X = mx P
+    and A X = dx P + mx Q."""
 
     def __init__(self, mx, my, dx, dy, c=(0.0,), cr=(0.0,)):
         self.mx, self.my, self.dx, self.dy = mx, my, dx, dy
@@ -176,17 +179,6 @@ class KroneckerPair:
         # transposed view 2-3 times slower
         self.myt, self.dyt = np.ascontiguousarray(my.T), np.ascontiguousarray(dy.T)
         self.c, self.cr = np.asarray(c, dtype=float), np.asarray(cr, dtype=float)
-        self._rows = {}
-
-    def rows(self, fields):
-        """The pair on a stack whose slots hold the fields `fields` (a
-        tuple): the same matrices, with c and cr at those fields; made once."""
-        if fields == tuple(range(len(self.c))):
-            return self
-        if fields not in self._rows:
-            pair = self._rows[fields] = copy(self)
-            pair.c, pair.cr, pair._rows = self.c[list(fields)], self.cr[list(fields)], {}
-        return self._rows[fields]
 
     # Both methods work in place where they can: glibc hands a run of freed
     # large temporaries back to the system, and each next one faults its
@@ -199,12 +191,12 @@ class KroneckerPair:
         AX += self.mx @ P
         return MX, AX
 
-    def apply(self, X: np.ndarray):
-        """(L X, R X), by field."""
+    def apply(self, X: np.ndarray, rows: slice = slice(None)):
+        """(L X, R X), by field, on a stack whose slots hold the fields `rows`."""
         MX, AX = self.terms(X)
-        LX = self.c[:, None, None] * MX
+        LX = self.c[rows, None, None] * MX
         LX += AX
-        MX *= self.cr[:, None, None]
+        MX *= self.cr[rows, None, None]
         MX -= AX
         return LX, MX
 
@@ -253,7 +245,9 @@ class SchurFactor:
     - one dtrsyl per right-hand side on (c[f] I + ta) Y + Y tb^T = px R py^T,
       Y = U^T X V, px = U^T mx^-1, py = V^T my^-1.
 
-    `rows` gives the factor on a stack of some of the fields.
+    `solve` takes the fields' ta and tables through a slice `rows` of the
+    fields, as views, so a stack of some of the fields needs no factor of
+    its own.
     """
 
     def __init__(self, forms, c):
@@ -270,7 +264,7 @@ class SchurFactor:
                        f"{smin:.1e} of zero") if gap <= smin else None
         self.singular = [why[cf] for cf in c]
         self.sweep = len(self.tb) * len(ta) ** 3 <= SWEEP_MAX_TABLE_COST
-        self.ta, self.g, self._rows = [shifted[cf] for cf in c], [], {}
+        self.ta, self.g = [shifted[cf] for cf in c], []
         if not self.sweep or any(self.singular):
             return      # dtrsyl needs no table, and no table meets a singular block
         n, tb = len(ta), self.tb
@@ -299,23 +293,12 @@ class SchurFactor:
                          f"a column block has condition number {cond[i]:.1e}" for i in per_field]
         self.g = [tables[j] for j, _ in self.blocks]
 
-    def rows(self, fields):
-        """The factor on a stack whose slots hold the fields `fields` (a
-        tuple): the same forms, with the fields' ta and tables; made once,
-        and no table is built again."""
-        if fields == tuple(range(len(self.ta))):
-            return self
-        if fields not in self._rows:
-            sub = self._rows[fields] = copy(self)
-            sub.singular, sub.ta = [self.singular[f] for f in fields], [self.ta[f] for f in fields]
-            sub.g, sub._rows = [g[list(fields)] for g in self.g], {}
-        return self._rows[fields]
-
-    def solve(self, R: np.ndarray):
+    def solve(self, R: np.ndarray, rows: slice = slice(None)):
         """Solution X of L @ X = R for a stack R of shape (..., k, n1d_x, n1d_y)
-        (k fields), and the kernel's scale and info for each right-hand side,
-        as arrays of shape R.shape[:-2]: dtrsyl's, or 1 and 0 for the sweep,
-        which neither scales nor perturbs."""
+        whose k slots hold the fields `rows` (all of them by default), and
+        the kernel's scale and info for each right-hand side, as arrays of
+        shape R.shape[:-2]: dtrsyl's, or 1 and 0 for the sweep, which
+        neither scales nor perturbs."""
         lead = R.shape[:-2]
         if self.sweep:
             # F^T, the columns of Z as rows, as the transpose of F: numpy
@@ -324,13 +307,14 @@ class SchurFactor:
             Z = np.empty(F.shape)
             for (j, k), g in zip(reversed(self.blocks), reversed(self.g)):
                 rhs = F[..., j:k, :] - self.tb[j:k, k:] @ Z[..., k:, :]
-                Z[..., j:k, :] = (g @ rhs.reshape(*lead, -1, 1)).reshape(*lead, k - j, -1)
+                Z[..., j:k, :] = (g[rows] @ rhs.reshape(*lead, -1, 1)).reshape(*lead, k - j, -1)
             return Z.swapaxes(-1, -2) @ self.vt, np.ones(lead), np.zeros(lead, dtype=int)
         F = self.px @ R @ self.pyt
         flat = F.reshape(-1, *F.shape[-2:])
         scale, info = np.empty(len(flat)), np.empty(len(flat), dtype=int)
+        ta = self.ta[rows]
         for i, f in enumerate(flat):
-            flat[i], scale[i], info[i] = dtrsyl(self.ta[i % len(self.ta)], self.tb, f,
+            flat[i], scale[i], info[i] = dtrsyl(ta[i % len(ta)], self.tb, f,
                                                 trana="N", tranb="T")
         return self.u @ F @ self.vt, scale.reshape(lead), info.reshape(lead)
 
@@ -354,7 +338,9 @@ def _inverses(m: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SchemeOperators:
     """The Crank-Nicolson scheme of one (spec, mesh, basis, tau), which it
-    owns; frozen, so a scheme shared by threads or workers never changes.
+    owns; frozen, so a scheme shared by threads or workers never changes:
+    a stack of some of the fields reads c, c' and the factor's tables
+    through a slice of the fields (`rows`), and stepping adds no cache.
 
     stiffness is the pair of the mass and the unit diffusion (for the energy
     norm, KroneckerPair.terms); sides the fields' Crank-Nicolson pair, whose
@@ -450,9 +436,16 @@ class StateBatch:
 
 
 @cache
-def _slot_fields(field_map: tuple) -> tuple:
-    """The first field (0, 1, 2 for u, v, w) of each slot of a field map."""
-    return tuple(field_map.index(s) for s in range(max(field_map) + 1))
+def _slot_fields(field_map: tuple) -> slice:
+    """The rows of the per-field arrays (u, v, w) that the slots of a field
+    map take, a slot its first field's: one slice, since slot 0 holds u and
+    the slots' first fields are then (0,), (0, 1), (0, 2) or (0, 1, 2).
+    ValueError for a map whose slot 0 does not hold u."""
+    fields = tuple(field_map.index(s) for s in range(max(field_map) + 1))
+    rows = slice(0, fields[-1] + 1, 2 if fields == (0, 2) else 1)
+    if tuple(range(3)[rows]) != fields:
+        raise ValueError(f"field map {field_map}: slot 0 must hold u")
+    return rows
 
 
 def _tag(exc: Exception, state: StateBatch, b: int) -> Exception:
@@ -485,17 +478,14 @@ def step(ops: SchemeOperators, state: StateBatch, noise=None,
     solve residuals, shape (B, k).  A failure of one sample carries its id
     as sample_id and names the first field of its slot.
     """
-    spec, tau, quad = ops.spec, ops.tau, ops.quad
-    old, fields = state.coeffs, _slot_fields(state.field_map)
-    # the slots' rows of per-field data (a slice, a view, on a slot per field)
-    rows = slice(None) if fields == (0, 1, 2) else list(fields)
-    sides, factor = ops.sides.rows(fields), ops.factor.rows(fields)
+    spec, tau, quad, sides = ops.spec, ops.tau, ops.quad, ops.sides
+    old, rows = state.coeffs, _slot_fields(state.field_map)    # the slots' fields
 
     # the Crank-Nicolson right-hand side R phi^{n-1}: carried over from the
     # residual gate of the step that made the state (or from the time loop's
     # apply of the initial data), else applied here.  It may be the state's
     # carried array, so the loads below replace it
-    rhs = state.right if state.right is not None else sides.apply(old)[1]
+    rhs = state.right if state.right is not None else sides.apply(old, rows)[1]
 
     samples = []    # the nonlinearity (B samples) and the forcings, loaded at once
     nonlinear = spec.wp != 0.0 and any(spec.e)
@@ -526,8 +516,8 @@ def step(ops: SchemeOperators, state: StateBatch, noise=None,
         # a shared path (one noise load per sample) broadcasts over the slots
         rhs = rhs - noise if ops.noise_convention == "paper" else rhs + noise
 
-    sol, scale, info = factor.solve(rhs)
-    gap, right = sides.apply(sol)      # L phi^n, and R phi^n for the next step
+    sol, scale, info = ops.factor.solve(rhs, rows)
+    gap, right = sides.apply(sol, rows)      # L phi^n, and R phi^n for the next step
     gap -= rhs
     residuals = _relative(gap, rhs)
     bad, miss = (info != 0) | (scale != 1.0), residuals > SOLVE_RTOL
@@ -537,10 +527,10 @@ def step(ops: SchemeOperators, state: StateBatch, noise=None,
         redo = np.flatnonzero(miss.any(axis=1) & ~bad.any(axis=1))
         if len(redo):
             before, residuals = residuals, residuals.copy()
-            fix, scale[redo], info[redo] = factor.solve(gap[redo])
+            fix, scale[redo], info[redo] = ops.factor.solve(gap[redo], rows)
             fix[~miss[redo]] = 0.0      # a slot that met the gate keeps its value
             sol[redo] -= fix
-            gap, right[redo] = sides.apply(sol[redo])
+            gap, right[redo] = sides.apply(sol[redo], rows)
             gap -= rhs[redo]
             residuals[redo] = _relative(gap, rhs[redo])
             bad = (info != 0) | (scale != 1.0)
@@ -550,13 +540,13 @@ def step(ops: SchemeOperators, state: StateBatch, noise=None,
             why = (f"dtrsyl info {info[b, s]}, scale {scale[b, s]}" if bad[b, s] else
                    f"relative residual {residuals[b, s]:.3e} exceeds {SOLVE_RTOL:.1e}"
                    + (f" after one refinement (from {before[b, s]:.3e})" if b in redo else ""))
-            raise _tag(SolverFailure(f"solve for field {'uvw'[fields[s]]} at step "
+            raise _tag(SolverFailure(f"solve for field {'uvw'[rows][s]} at step "
                                      f"{step_index}: {why}"), state, b)
 
     if not np.isfinite(sol).all():
         b, s = np.argwhere(~np.isfinite(sol).all(axis=(2, 3)))[0]
         raise _tag(DivergenceError(f"non-finite state after step {step_index} "
-                                   f"(field {'uvw'[fields[s]]})"), state, b)
+                                   f"(field {'uvw'[rows][s]})"), state, b)
     return StateBatch(sol, state.sample_ids, right, state.field_map), residuals
 
 
@@ -658,9 +648,9 @@ def advance(ops: SchemeOperators, init: np.ndarray, grid, sample_ids,
     n_steps, snap_at = grid
     ids = tuple(sample_ids)
     fmap = field_map(ops, sampler)
-    expand, fields = list(fmap), _slot_fields(fmap)
-    init = init[list(fields)]
-    right = np.repeat(ops.sides.rows(fields).apply(init[None])[1], len(ids), axis=0)
+    expand, rows = list(fmap), _slot_fields(fmap)
+    init = init[rows]
+    right = np.repeat(ops.sides.apply(init[None], rows)[1], len(ids), axis=0)
     state = StateBatch(np.repeat(init[None], len(ids), axis=0), ids, right, fmap)
     snapshots = dict.fromkeys(snap_at.get(0, ()), state.coeffs[:, expand])
     noisy = sampler is not None and sampler.amplitude > 0.0

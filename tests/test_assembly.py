@@ -565,6 +565,11 @@ class TestAxisTables:
         with pytest.raises(ValueError, match="outside"):
             _axis_eval_matrix(m.ax, b, [0.5, 1.2])
 
+    def test_basis_order_must_match_the_mesh(self):
+        m, _ = disc(2, 1, 4)
+        with pytest.raises(ValueError, match="basis order 5 does not match mesh order 4"):
+            Quadrature2D(m, make_basis(5))
+
 
 # ---------------------------------------------------------------------------
 # properties on random tensor meshes: the operators equal the element

@@ -10,6 +10,7 @@ from stochsem.assembly import evaluate_grid
 from stochsem.cli import grid_rows, main, make_discretization, make_problem, make_sampler
 from stochsem.config import SCHEMA, ConfigError, _parse_float, load_config, parse_config
 from stochsem.model import NumericalError, SingularNonlinearity
+from stochsem.model import test2_spec as make_test2
 from stochsem.montecarlo import error_report, run_ensemble
 from stochsem.stochastic import QWienerSampler, spectrum
 from stochsem.timestepper import (DivergenceError, SchemeError, SolverFailure, build_scheme,
@@ -189,6 +190,9 @@ class TestConfig:
     def test_bad_value_diagnostics(self):
         with pytest.raises(ConfigError, match=r"\[mesh\] nex"):
             parse_config("[problem]\nkind = test1\n[mesh]\nnex = two\n")
+        with pytest.raises(ConfigError, match=r"bad value for \[noise\] shared_paths in "
+                                              r"<config>: 'maybe' \(not a boolean: 'maybe'\)"):
+            parse_config(ini(T1_SECTIONS, noise={"shared_paths": "maybe"}))
 
     def test_roundtrip(self):
         cfg = parse_config(BASE_T1)
@@ -198,6 +202,16 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/path.ini")
+
+    def test_unparsable_text(self):
+        with pytest.raises(ConfigError, match=r"parse error in <config>: "):
+            parse_config("[problem\nkind = test1\n")
+
+    def test_set_rejects_an_unknown_key(self):
+        cfg = parse_config(BASE_T1)
+        with pytest.raises(ConfigError, match=r"unknown configuration key \[noise\] paths"):
+            cfg.set("noise", "paths", True)
+        assert cfg == parse_config(BASE_T1)
 
 
 class TestRunCommand:
@@ -566,6 +580,18 @@ class TestFlagsAndEnv:
 
 
 class TestMakeProblem:
+    def test_delta_takes_the_configured_bump(self):
+        cfg = parse_config(ini(T2_SECTIONS, problem={
+            "kind": "test2_delta", "delta_center_x": "0.25", "delta_center_y": "0.625",
+            "delta_width": "0.1"}))
+        spec = make_problem(cfg)
+        want = make_test2("delta", delta_center=(0.25, 0.625), delta_width=0.1)
+        assert spec.name == want.name == "test2_delta"
+        x, y = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7), indexing="ij")
+        for got, ref in zip(spec.init, want.init):
+            assert np.array_equal(got(x, y), ref(x, y))
+        assert not np.array_equal(spec.init[0](x, y), make_test2("delta").init[0](x, y))
+
     @pytest.mark.parametrize("wp", ["0.0", "1.2"])
     def test_test1_wp_override_keeps_manufactured_solution(self, wp):
         # the forcings must be rebuilt for the overridden strength, or the
@@ -674,6 +700,28 @@ class TestSpatialCommand:
         assert main(["spatial", "--config", str(cfg), "--out", str(out)]) == 2
         assert (f"config error: [spatial] n_list = [{n_list}] must be strictly ascending"
                 in capsys.readouterr().err)
+        assert not (out / "spatial.csv").exists()
+
+    # noisy Test 2 has no exact solution: the reference is the ensemble mean
+    # at [reference] order, on the same noise paths
+    NOISY_T2 = dict(mesh={"nex": "1", "ney": "1"}, time={"t_final": "0.005"},
+                    noise={"sigma": "0.1", "truncation": "3"}, montecarlo={"samples": "4"},
+                    reference={"order": "8"}, spatial={"tau": "1e-3", "n_list": "4, 6"})
+
+    def test_noisy_curve_against_a_reference_order(self, tmp_path):
+        cfg = write(tmp_path, ini(T2_SECTIONS, **self.NOISY_T2))
+        out = tmp_path / "out"
+        assert main(["spatial", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "spatial.csv")
+        assert [(r[0], r[5]) for r in rows] == [("4", "order8"), ("6", "order8")]
+
+    def test_noisy_curve_requires_common_random_numbers(self, tmp_path, capsys):
+        sections = dict(self.NOISY_T2, reference={"order": "8", "common_random_numbers": "false"})
+        cfg = write(tmp_path, ini(T2_SECTIONS, **sections))
+        out = tmp_path / "out"
+        assert main(["spatial", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("config error: spatial curves with noise require [reference] "
+                "common_random_numbers = true" in capsys.readouterr().err)
         assert not (out / "spatial.csv").exists()
 
     def test_bad_spatial_tau_rejected(self, tmp_path):

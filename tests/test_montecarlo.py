@@ -60,6 +60,8 @@ class TestRunEnsemble:
         traj = run(spec, mesh, basis, 0.05, 0.2, sampler=sampler, sample_id=0)
         for rf, tf in zip(res.mean.fields, traj.final.fields):
             assert np.max(np.abs(rf - tf)) <= 1e-15
+        # one sample has no spread: its variance is 0, not a 0/0
+        assert np.array_equal(res.variance, np.zeros((3, mesh.n_global)))
 
     def test_streaming_matches_two_pass(self):
         spec, mesh, basis, sampler = noisy_setup()
@@ -409,9 +411,9 @@ class TestFailureAttribution:
         calls = []
         solve = timestepper.SchurFactor.solve
 
-        def corrupted(self, R):
+        def corrupted(self, R, rows):
             calls.append(None)
-            X, scale, info = solve(self, R)
+            X, scale, info = solve(self, R, rows)
             if len(calls) in (6, 7):
                 assert len(R) == (4 if len(calls) == 6 else 1)
                 X[2 if len(calls) == 6 else 0, 1] *= 2.0
@@ -435,9 +437,9 @@ class TestFailureAttribution:
         def failure(rule):
             calls = []
 
-            def corrupted(self, R):
+            def corrupted(self, R, rows):
                 calls.append(R.shape[1])
-                X, scale, info = solve(self, R)
+                X, scale, info = solve(self, R, rows)
                 if len(calls) in (6, 7):
                     X[2 if len(calls) == 6 else 0, slot] *= 2.0
                 return X, scale, info

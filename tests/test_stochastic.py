@@ -173,6 +173,8 @@ class TestDeterminism:
         mesh, basis = disc()
         inc = sample_increment(sampler(amplitude=0.0), 0, 1, 0.01, mesh, basis)
         assert np.all(inc.coeffs == 0)
+        assert np.array_equal(mode_coefficients(sampler(amplitude=0.0), 0, 1, 0.01),
+                              np.zeros((8, 8)))
 
     def test_bad_arguments(self):
         s = sampler()

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import gc
+import pickle
 import weakref
 
 import numpy as np
@@ -19,8 +20,8 @@ from stochsem.montecarlo import convergence_order, error_report, run_ensemble
 from stochsem.stochastic import NoiseWorkspace, QWienerSampler, sample_increment
 from stochsem.timestepper import (NONLINEARITY_TIMES, SOLVE_RTOL, KroneckerPair, SchemeError,
                                   SchurFactor, SolverFailure, StateBatch, _eigenvalues,
-                                  _schur_form, advance, build_scheme, energy_norm, field_map,
-                                  initial_data, run, step, time_grid)
+                                  _schur_form, _slot_fields, advance, build_scheme, energy_norm,
+                                  field_map, initial_data, run, step, time_grid)
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -152,7 +153,7 @@ class TestStep:
         ops = build_scheme(mesh, basis, make_test1(), 0.05)
         shapes, real = [], KroneckerPair.apply
         monkeypatch.setattr(KroneckerPair, "apply",
-                            lambda self, X: shapes.append(X.shape) or real(self, X))
+                            lambda self, X, rows: shapes.append(X.shape) or real(self, X, rows))
         advance(ops, initial_data(ops), time_grid(0.15, 0.05, (0.0,)), range(4))
         assert shapes == [batch_shape(mesh, 1)] + [batch_shape(mesh, 4)] * 3
 
@@ -577,9 +578,9 @@ class TestPerAxisPath:
         assert ops.factor.sweep
         solve = SchurFactor.solve
 
-        def corrupted(self, R):
+        def corrupted(self, R, rows):
             # a factor of 2 on every solve survives the one refinement
-            X, scale, info = solve(self, R)
+            X, scale, info = solve(self, R, rows)
             X[0, 1] *= 2.0
             return X, scale, info
 
@@ -627,7 +628,7 @@ class TestRefinement:
         assert ops.factor.sweep
         shapes, solve = [], SchurFactor.solve
         monkeypatch.setattr(SchurFactor, "solve",
-                            lambda self, R: shapes.append(R.shape) or solve(self, R))
+                            lambda self, R, rows: shapes.append(R.shape) or solve(self, R, rows))
         traj = run(spec, mesh, basis, tau, tau, ops=ops, record_reports=True)
         # the step's solve and its refinement's, of the twin stack (u = v, w)
         n = mesh.ax.n_dofs
@@ -646,7 +647,7 @@ class TestRefinement:
         coeffs = np.stack([0.5 * quiet, np.stack([x, x, x]), quiet])
         shapes, solve = [], SchurFactor.solve
         monkeypatch.setattr(SchurFactor, "solve",
-                            lambda self, R: shapes.append(R.shape) or solve(self, R))
+                            lambda self, R, rows: shapes.append(R.shape) or solve(self, R, rows))
         batch, residuals = step(ops, StateBatch(coeffs, (4, 5, 6)), step_index=1)
         assert shapes == [(3, 3, n, n), (1, 3, n, n)]
         assert residuals.max() <= SOLVE_RTOL
@@ -688,15 +689,14 @@ class TestFieldMap:
         assert rule(dataclasses.replace(test2, forcing=make_test1().forcing)) == (0, 1, 2)
 
     def test_a_dropped_scheme_is_freed_at_once(self):
-        # the caches of rows() hold no reference cycle: a scheme that stepped
-        # twin fields goes with its last reference, not at the cycle collector
+        # stepping twin fields leaves no reference cycle: a scheme that
+        # stepped them goes with its last reference, not at the cycle collector
         mesh, basis = disc(2, 2, 6)
         spec = make_test2()
         ops = build_scheme(mesh, basis, spec, 0.05)
         assert ops.factor.sweep
         run(spec, mesh, basis, 0.05, 0.1, ops=ops)
-        assert ops.factor._rows and ops.sides._rows
-        refs = [weakref.ref(x) for x in (ops, ops.factor, ops.sides, *ops.factor._rows.values())]
+        refs = [weakref.ref(x) for x in (ops, ops.factor, ops.sides)]
         gc.disable()
         try:
             del ops
@@ -704,13 +704,38 @@ class TestFieldMap:
         finally:
             gc.enable()
 
+    def test_slots_take_one_slice_of_the_fields(self):
+        # slot 0 holds u, so the slots' first fields are one slice of (u, v, w)
+        for fmap, fields in (((0, 1, 2), (0, 1, 2)), ((0, 0, 1), (0, 2)), ((0, 1, 0), (0, 1)),
+                             ((0, 1, 1), (0, 1)), ((0, 0, 0), (0,))):
+            assert tuple(range(3)[_slot_fields(fmap)]) == fields
+        mesh, basis = disc(1, 1, 4)
+        ops = build_scheme(mesh, basis, make_test2(), 0.05)
+        state = StateBatch(np.zeros(batch_shape(mesh))[:, :2], field_map=(1, 0, 0))
+        with pytest.raises(ValueError, match=r"field map \(1, 0, 0\): slot 0 must hold u"):
+            step(ops, state, step_index=1)
+
+    @pytest.mark.parametrize("order,sweep", [(6, True), (9, False)], ids=["sweep", "dtrsyl"])
+    def test_stepping_leaves_the_scheme_unchanged(self, order, sweep):
+        # the twin stack (u = v, w) reads the scheme's per-field arrays
+        # through a slice: a run adds nothing to the scheme, which a pooled
+        # run_ensemble pickles for every chunk
+        mesh, basis = disc(2, 2, order)
+        spec = make_test2()
+        ops = build_scheme(mesh, basis, spec, 0.05)
+        assert ops.factor.sweep is sweep
+        before = pickle.dumps(ops)
+        traj = run(spec, mesh, basis, 0.05, 0.1, self.sampler(), ops=ops)
+        assert np.array_equal(traj.final.u, traj.final.v)
+        assert pickle.dumps(ops) == before
+
     @pytest.mark.parametrize("shared,k", [(True, 2), (False, 3)], ids=["shared", "per-field"])
     def test_solve_sees_the_distinct_fields(self, monkeypatch, shared, k):
         mesh, basis = disc(2, 1, 5)
         spec = make_test2()
         slots, solve = [], SchurFactor.solve
         monkeypatch.setattr(SchurFactor, "solve",
-                            lambda self, R: slots.append(R.shape[1]) or solve(self, R))
+                            lambda self, R, rows: slots.append(R.shape[1]) or solve(self, R, rows))
         traj = run(spec, mesh, basis, 0.05, 0.2, self.sampler(shared=shared), sample_id=2)
         assert slots == [k] * 4
         assert np.array_equal(traj.final.u, traj.final.v) is shared
