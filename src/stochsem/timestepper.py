@@ -34,30 +34,33 @@ L vec X = R is the Sylvester equation
 
     (c_phi I + Mx^-1 Dx) X + X (My^-1 Oy)^T = Mx^-1 R My^-T,
 
-reduced by Bartels & Stewart (CACM 15(9), 1972) with the real Schur forms
-Mx^-1 Dx = U Ta U^T and My^-1 Oy = V Tb V^T, which their 1x1 and 2x2
-diagonal blocks make upper quasi-triangular: one form per distinct axis,
-and for every field, since c_phi only shifts Ta's diagonal.  (Fast
-diagonalization by eigenvectors is not used: the advection-diffusion
-pencil's eigenvectors are too ill-conditioned.)  build_scheme makes one
-SchurFactor on these forms.  L_phi is singular when an eigenvalue sum
-c_phi + lambda_i(Ta) + mu_j(Tb), read off the blocks, is within dtrsyl's
-own threshold of zero; build_scheme then raises SchemeError.  One of two
-kernels solves, picked by the size of the mesh:
+with the real Schur forms Mx^-1 Dx = U Ta U^T and My^-1 Oy = V Tb V^T,
+which their 1x1 and 2x2 diagonal blocks make upper quasi-triangular: one
+form per distinct axis, and for every field, since c_phi only shifts Ta's
+diagonal.  build_scheme makes one SchurFactor on these forms, with the
+eigenbases of Ta and Tb: Mx^-1 Dx = Sx diag(lambda) Sx^-1, My^-1 Oy =
+Sy diag(mu) Sy^-1.  One of two kernels solves, picked once per scheme:
 
-- the column sweep (small meshes) solves for the columns of X V from the
-  last to the first, one diagonal block s of Tb at a time, with the
-  precomputed inverse of the block's system I (x) (c_phi I + Mx^-1 Dx) +
-  Tb[s, s] (x) I, one rule for 1x1 and 2x2 blocks (Golub, Nash & Van Loan,
-  IEEE TAC 24(6), 1979).  Each step of the sweep is one stacked matrix
-  product over the whole batch, so a solve makes no per-sample call.
-- dtrsyl (the rest) solves the quasi-triangular equation in Ta and Tb by
-  one LAPACK call per sample and field.  A dtrsyl that perturbs a
-  near-zero eigenvalue sum (info != 0) or rescales against overflow
-  (scale != 1) is a failure, never a silent result.
+- fast diagonalization (Lynch, Rice & Thomas 1964),
+  X = Sx [(Sx^-1 Mx^-1 R My^-1 Sy^-T) / (c_phi + lambda_i + mu_j)] Sy^T,
+  four stacked matrix products over the whole batch, where the eigenbases
+  are well conditioned: kappa(Sx) kappa(Sy) eps <= SOLVE_RTOL (1-norm
+  condition numbers), which keeps the kernel's a-priori error within the
+  residual gate.  The products of kappa(Sx) kappa(Sy) on the studies'
+  meshes: 1.9e3 for Table 1's (Test 1, 2x2/order 10), 6.4e2 for the Monte
+  Carlo study's (Test 2, 2x2/order 8), 1.4e4 for the spatial study's
+  reference (Test 2, 2x2/order 20); 2.8e14 for Test 1 on 8x8/order 10 and
+  1.1e9 with zeta = 1e-2 on 2x2/order 10, which take dtrsyl.
+- dtrsyl (the rest) solves the quasi-triangular equation in Ta and Tb
+  (Bartels & Stewart, CACM 15(9), 1972) by one LAPACK call per sample and
+  field.  A dtrsyl that perturbs a near-zero eigenvalue sum (info != 0) or
+  rescales against overflow (scale != 1) is a failure, never a silent
+  result.
 
-On the sweep's meshes, a block system whose condition number reaches 1/eps
-is singular too (SchemeError).
+L_phi is singular, and build_scheme raises SchemeError, when an eigenvalue
+sum c_phi + lambda_i + mu_j is within dtrsyl's own threshold of zero, or,
+on the diagonalization's meshes, within kappa(Sx) kappa(Sy) eps times the
+largest sum of zero, where the kernel's a-priori error reaches 1.
 A failed solve in a step raises SolverFailure.
 These, DivergenceError and model.SingularNonlinearity are NumericalErrors.
 Every solve must also pass the relative residual gate SOLVE_RTOL, measured
@@ -104,9 +107,9 @@ states, the snapshots and each step's residuals and energies.  A state made
 outside the loop has a slot per field.  A step makes one solve and one
 fused apply of both sides for the whole stack (np.matmul broadcasts) and
 one load of the nonlinearity with the forcings (staged once per scheme,
-model.stage_forcing); on meshes above the sweep's size, dtrsyl runs once
-per sample and slot.  The apply on the new state phi^n gives the residual
-gate its L phi^n and the next step its right-hand side R phi^n, which the new
+model.stage_forcing); on dtrsyl's meshes, dtrsyl runs once per sample and
+slot.  The apply on the new state phi^n gives the residual gate its L phi^n
+and the next step its right-hand side R phi^n, which the new
 StateBatch carries; the time loop supplies the first from one apply of the
 initial data, a one-sample stack, and a caller's state that carries none has
 its R phi applied when it is stepped.  A sample that misses the gate in some
@@ -126,8 +129,7 @@ import numpy as np
 # Nothing in this package calls scipy.sparse.linalg; the module is kept bound
 # here because perfbench/spans.py replaces `timestepper.spla` when it traces.
 import scipy.sparse.linalg as spla  # noqa: F401
-from scipy.linalg import cho_solve, get_lapack_funcs, schur
-from scipy.linalg.lapack import dtrsyl
+from scipy.linalg.lapack import dgecon, dgees, dgeev, dgetrf, dgetrs, dpotrs, dtrsyl
 
 from .assembly import L2Projector, Quadrature2D, StateVector
 from .basis import Basis1D
@@ -137,15 +139,6 @@ from .model import (POLE, ModelSpec, NumericalError, SingularNonlinearity, nonli
 from .stochastic import NoiseWorkspace, QWienerSampler, sample_increments
 
 SOLVE_RTOL = 1e-10
-# The column sweep serves meshes with n1d_y * n1d_x^3 (its tables' cost) up
-# to this, dtrsyl the rest: the cut trades the tables' build, once per
-# scheme, against faster batched solves.  Measured on 2x2 meshes (one BLAS
-# thread): the tables take 0.3 ms at n1d = 7, 0.7 ms at 15 and 1.3 ms at 19,
-# 3-7 times the Schur form, so they are 60 % of build_scheme at n1d = 15 and
-# would triple it at 19; a solve of 32 samples is then 4-5 times faster than
-# by dtrsyl, one of one sample 1.1-1.7 times slower.  Above the cut only
-# batches gain, and table1's five one-sample schemes at n1d = 19 would pay.
-SWEEP_MAX_TABLE_COST = 15 ** 4
 
 NOISE_CONVENTIONS = ("paper", "increment")
 NONLINEARITY_TIMES = ("extrapolated", "lagged")
@@ -214,101 +207,115 @@ def _eigenvalues(t: np.ndarray) -> np.ndarray:
 
 def _schur_form(f, d):
     """One axis's real Schur form m^-1 d = q t q^T (f the Cholesky factor of
-    the SPD mass m), with p = q^T m^-1 and t's eigenvalues: (t, q, p, eig)."""
-    t, q = schur(cho_solve(f, d), output="real")
-    return t, q, cho_solve(f, q).T, _eigenvalues(t)
+    the SPD mass m, as cho_factor gives it), with p = q^T m^-1 and t's
+    eigenbasis: (t, q, p, (lam, vr, lu, kappa)).  dgeev gives the
+    eigenvalues lam and real eigenvectors vr of t (a conjugate pair's as
+    (Re, Im) columns), lu is vr's LU and kappa its 1-norm condition number
+    (inf if vr is singular or dgeev fails)."""
+    chol, lower = f
+    t, _, _, _, q, _, info = dgees(lambda w: None, dpotrs(chol, d, lower=lower)[0])
+    if info:
+        raise np.linalg.LinAlgError(f"no real Schur form (dgees info {info})")
+    wr, wi, _, vr, info = dgeev(t, compute_vl=0)
+    lu, piv, singular = dgetrf(vr)
+    rcond = 0.0 if info or singular else dgecon(lu, np.abs(vr).sum(axis=0).max(), norm="1")[0]
+    return (t, q, dpotrs(chol, q, lower=lower)[0].T,
+            (wr + 1j * wi, vr, (lu, piv), 1.0 / rcond if rcond > 0 else np.inf))
+
+
+def _eigenbasis(form):
+    """The complex eigenvectors s = q V of form's m^-1 d (V those of t, from
+    vr) and s^-1 m^-1 = V^-1 p, by the LU of vr."""
+    _, q, p, (lam, vr, (lu, piv), _) = form
+    w = dgetrs(lu, piv, p)[0]           # vr^-1 p
+    s, sinv = (q @ vr).astype(complex), w.astype(complex)
+    j = np.flatnonzero(lam.imag > 0)    # the first of each conjugate pair
+    s[:, j] += 1j * s[:, j + 1]
+    s[:, j + 1] = s[:, j].conj()
+    sinv[j] = 0.5 * (w[j] - 1j * w[j + 1])
+    sinv[j + 1] = sinv[j].conj()
+    return s, sinv
 
 
 class SchurFactor:
-    """Bartels-Stewart factor of the field-stacked operator
+    """The factor of the field-stacked operator
 
         L_f vec X = (c[f] mx + dx) X my^T + mx X oy^T      (SPD mx, my)
 
     on the axes' forms (_schur_form; one object on a shared axis)
-    mx^-1 dx = U ta U^T and my^-1 oy = V tb V^T.  `singular` names, per
-    field, why L_f is singular (None if it is not): an eigenvalue sum
-    c[f] + ta_i + tb_j within dtrsyl's threshold
-    eps max(max|c[f] I + ta|, max|tb|) of zero, or, for the sweep, a block
-    system of 1-norm condition number 1/eps or more.  A factor with an
-    eigenvalue-sum singular field builds no kernel.  `sweep`
-    (n1d_y n1d_x^3 <= SWEEP_MAX_TABLE_COST) picks the kernel:
+    mx^-1 dx = U ta U^T = Sx diag(lam) Sx^-1 and my^-1 oy = V tb V^T =
+    Sy diag(mu) Sy^-1, by one of two kernels, picked once (`diag`):
 
-    - the column sweep, vectorized over the whole stack of right-hand
-      sides: with A_f = c[f] I + mx^-1 dx and Z = X V, L vec X = R is
-      A_f Z + Z tb^T = F, F = mx^-1 R my^-1 V, solved one diagonal block s
-      of tb (1x1 or 2x2) at a time from the last:
-      Z[:, s] = G_{s,f} vec(F[:, s] - Z[:, later] tb[s, later]^T), with
-      G_{s,f} the inverse of the block's system I (x) A_f + tb[s, s] (x) I
-      on Z[:, s]'s stacked columns, tabulated once per distinct c[f]
-      (about n1d_y n1d_x^3 flops and n1d_y n1d_x^2 numbers) from the x-axis
-      form alone: mx^-1 = U px and mx^-1 dx = U ta U^T;
-    - one dtrsyl per right-hand side on (c[f] I + ta) Y + Y tb^T = px R py^T,
-      Y = U^T X V, px = U^T mx^-1, py = V^T my^-1.
+    - fast diagonalization (Lynch, Rice & Thomas 1964), where the
+      eigenbases are well conditioned, kappa(Sx) kappa(Sy) eps <= SOLVE_RTOL,
+      which keeps its a-priori error within the residual gate:
+      X = Re(Sx [(Px R Py^T) / d_f] Sy^T), Px = Sx^-1 mx^-1 (px) and
+      likewise Py, with the divisors d_f = c[f] + lam_i + mu_j.  Conjugate
+      pairs of mu contribute conjugate terms, so y keeps one eigenvalue of
+      each pair (twice the eigenvector): the first product, of real R, and
+      the last, which takes the real part, are then real products whose
+      complex sides are views of their real ones, and the middle two are
+      complex.
+    - dtrsyl elsewhere, one call per right-hand side on the Bartels-Stewart
+      equation (c[f] I + ta) Y + Y tb^T = px R py^T, Y = U^T X V,
+      px = U^T mx^-1, py = V^T my^-1.
 
-    `solve` takes the fields' ta and tables through a slice `rows` of the
-    fields, as views, so a stack of some of the fields needs no factor of
-    its own.
+    `singular` names, per field, why L_f is singular (None if it is not):
+    for dtrsyl, an eigenvalue sum c[f] + ta_i + tb_j (read off the blocks,
+    _eigenvalues) within dtrsyl's threshold eps max(max|c[f] I + ta|,
+    max|tb|) of zero; for the diagonalization, a divisor within
+    kappa(Sx) kappa(Sy) eps max|d_f| of zero, where its a-priori error
+    reaches 1.  A factor with a singular field builds no divisors.  `solve`
+    takes the fields' ta or divisors through a slice `rows` of the fields,
+    as views, so a stack of some of the fields needs no factor of its own.
     """
 
     def __init__(self, forms, c):
-        (ta, self.u, self.px, lx), (self.tb, v, py, ly) = forms
-        # right operands stored C-contiguous, as in KroneckerPair
-        self.vt, self.pyt = np.ascontiguousarray(v.T), np.ascontiguousarray(py.T)
-        c = np.asarray(c, dtype=float).tolist()
-        # Fortran order, as schur returns it: dtrsyl then reads ta without a copy
-        shifted = {cf: np.asfortranarray(cf * np.eye(len(ta)) + ta) for cf in c}
-        sums, top, why = lx[:, None] + ly, np.abs(self.tb).max(), {}
-        for cf, a in shifted.items():
-            gap, smin = np.abs(cf + sums).min(), np.finfo(float).eps * max(np.abs(a).max(), top)
-            why[cf] = (f"an eigenvalue sum is {gap:.1e}, within dtrsyl's threshold "
-                       f"{smin:.1e} of zero") if gap <= smin else None
-        self.singular = [why[cf] for cf in c]
-        self.sweep = len(self.tb) * len(ta) ** 3 <= SWEEP_MAX_TABLE_COST
-        self.ta, self.g = [shifted[cf] for cf in c], []
-        if not self.sweep or any(self.singular):
-            return      # dtrsyl needs no table, and no table meets a singular block
-        n, tb = len(ta), self.tb
-        self.mxi, a = self.u @ self.px, self.u @ ta @ self.u.T     # mx^-1, mx^-1 dx
-        starts = [j for j in range(len(tb)) if j == 0 or tb[j, j - 1] == 0.0]
-        self.blocks = list(zip(starts, starts[1:] + [len(tb)]))
-        # block s (columns j:k of Z) has the system I (x) A_f + tb[s, s] (x) I =
-        # I (x) a + (tb[s, s] + c[f] I) (x) I; one row per distinct c[f]
-        shifts = sorted(set(c))
-        per_field = [shifts.index(x) for x in c]
-        tables, cond = {}, np.zeros(len(shifts))
-        for size in (1, 2):
-            js = [j for j, k in self.blocks if k - j == size]
-            t = np.array([tb[j:j + size, j:j + size] for j in js]).reshape(-1, size, size)
-            t = t + np.array(shifts)[:, None, None, None] * np.eye(size)
-            m = t[..., :, None, :, None] * np.eye(n)[:, None, :]
-            m += np.eye(size)[:, None, :, None] * a[:, None, :]
-            m = m.reshape(*t.shape[:2], size * n, size * n)
-            g = _inverses(m)
-            # a block system of 1-norm condition number 1/eps or more is singular
-            # to working precision, though its eigenvalue sums pass the rule above
-            cond = np.maximum(cond, (_norm1(m) * _norm1(g)).max(axis=1, initial=0.0))
-            tables |= dict(zip(js, g[per_field].swapaxes(0, 1)))
-        cond[np.isnan(cond)] = np.inf
-        self.singular = [None if cond[i] * np.finfo(float).eps < 1.0 else
-                         f"a column block has condition number {cond[i]:.1e}" for i in per_field]
-        self.g = [tables[j] for j, _ in self.blocks]
+        (ta, u, px, (lam, *_, kx)), (tb, v, py, (mu, *_, ky)) = forms
+        c, eps = np.asarray(c, dtype=float), np.finfo(float).eps
+        self.diag = bool(kx * ky * eps <= SOLVE_RTOL)
+        if not self.diag:
+            eye, sums = np.eye(len(ta)), _eigenvalues(ta)[:, None] + _eigenvalues(tb)
+            top, why = np.abs(tb).max(), {}
+            for cf in dict.fromkeys(c.tolist()):
+                gap, smin = np.abs(cf + sums).min(), eps * max(np.abs(cf * eye + ta).max(), top)
+                why[cf] = (f"an eigenvalue sum is {gap:.1e}, within dtrsyl's threshold "
+                           f"{smin:.1e} of zero") if gap <= smin else None
+            self.singular = [why[cf] for cf in c.tolist()]
+            # Fortran order, as dgees returns ta: dtrsyl then reads it without a copy
+            shifted = {cf: np.asfortranarray(cf * eye + ta) for cf in why}
+            self.u, self.px, self.ta, self.tb = u, px, [shifted[cf] for cf in c.tolist()], tb
+            # right operands stored C-contiguous, as in KroneckerPair
+            self.vt, self.pyt = np.ascontiguousarray(v.T), np.ascontiguousarray(py.T)
+            return
+        half = mu.imag >= 0     # y keeps one eigenvalue of each conjugate pair
+        d = c[:, None, None] + (lam[:, None] + mu[half])
+        mag = np.abs(d)
+        self.singular = [f"a divisor is {lo:.1e} against {hi:.1e}, on eigenbases of "
+                         f"condition number {kx * ky:.1e}" if kx * ky * eps * hi >= lo else None
+                         for lo, hi in zip(mag.min(axis=(1, 2)), mag.max(axis=(1, 2)))]
+        if any(self.singular):
+            return      # a singular field gets no divisors
+        self.d, (self.sx, self.px) = d, _eigenbasis(forms[0])
+        sy, syinv = (self.sx, self.px) if forms[1] is forms[0] else _eigenbasis(forms[1])
+        sy = np.ascontiguousarray(sy[:, half].conj()) * np.where(mu[half].imag > 0, 2.0, 1.0)
+        # R Py^T is the real product R pyt, whose columns interleave (Re, Im) as
+        # a complex array's memory does, and Re(C Sy^T) the real product of C's
+        # (Re, Im) columns and syt's rows (Re, -Im)
+        self.pyt = np.ascontiguousarray(syinv[half].T).view(float)
+        self.syt = np.ascontiguousarray(sy.view(float).T)
 
     def solve(self, R: np.ndarray, rows: slice = slice(None)):
         """Solution X of L @ X = R for a stack R of shape (..., k, n1d_x, n1d_y)
         whose k slots hold the fields `rows` (all of them by default), and
         the kernel's scale and info for each right-hand side, as arrays of
-        shape R.shape[:-2]: dtrsyl's, or 1 and 0 for the sweep, which
-        neither scales nor perturbs."""
+        shape R.shape[:-2]: dtrsyl's, or 1 and 0 for the diagonalization,
+        which neither scales nor perturbs."""
         lead = R.shape[:-2]
-        if self.sweep:
-            # F^T, the columns of Z as rows, as the transpose of F: numpy
-            # multiplies by a transposed stack 2-3 times slower
-            F = (self.mxi @ R @ self.pyt).swapaxes(-1, -2)
-            Z = np.empty(F.shape)
-            for (j, k), g in zip(reversed(self.blocks), reversed(self.g)):
-                rhs = F[..., j:k, :] - self.tb[j:k, k:] @ Z[..., k:, :]
-                Z[..., j:k, :] = (g[rows] @ rhs.reshape(*lead, -1, 1)).reshape(*lead, k - j, -1)
-            return Z.swapaxes(-1, -2) @ self.vt, np.ones(lead), np.zeros(lead, dtype=int)
+        if self.diag:
+            Y = self.px @ (R @ self.pyt).view(complex)
+            Y /= self.d[rows]
+            return (self.sx @ Y).view(float) @ self.syt, np.ones(lead), np.zeros(lead, dtype=int)
         F = self.px @ R @ self.pyt
         flat = F.reshape(-1, *F.shape[-2:])
         scale, info = np.empty(len(flat)), np.empty(len(flat), dtype=int)
@@ -319,37 +326,22 @@ class SchurFactor:
         return self.u @ F @ self.vt, scale.reshape(lead), info.reshape(lead)
 
 
-def _norm1(m: np.ndarray) -> np.ndarray:
-    """The 1-norms of a stack of matrices."""
-    return np.abs(m).sum(axis=-2).max(axis=-1)
-
-
-def _inverses(m: np.ndarray) -> np.ndarray:
-    """The inverses of a stack of matrices (..., n, n) by LU; NaN where one
-    is exactly singular."""
-    getrf, getri = get_lapack_funcs(("getrf", "getri"), (m,))
-    out = np.empty_like(m)
-    for x, y in zip(m.reshape(-1, *m.shape[-2:]), out.reshape(-1, *m.shape[-2:])):
-        lu, piv, info = getrf(x)
-        y[...] = getri(lu, piv)[0] if info == 0 else np.nan
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class SchemeOperators:
     """The Crank-Nicolson scheme of one (spec, mesh, basis, tau), which it
     owns; frozen, so a scheme shared by threads or workers never changes:
-    a stack of some of the fields reads c, c' and the factor's tables
-    through a slice of the fields (`rows`), and stepping adds no cache.
+    a stack of some of the fields reads c, c' and the factor's divisors or
+    shifted forms through a slice of the fields (`rows`), and stepping adds
+    no cache.
 
     stiffness is the pair of the mass and the unit diffusion (for the energy
     norm, KroneckerPair.terms); sides the fields' Crank-Nicolson pair, whose
     one `apply` gives both L X and R X of a stack, with c = (c_u, c_v, c_w)
-    and c' likewise; factor solves L: by the column sweep on meshes with
-    n1d_y * n1d_x^3 <= SWEEP_MAX_TABLE_COST, by dtrsyl on the rest
-    (factor.sweep).  forcing is spec.forcing staged on quad's grid once,
-    at build time (a function t -> (3, nx, ny) samples), or None without
-    forcing.
+    and c' likewise; factor solves L: by fast diagonalization where the
+    per-axis eigenbases are well conditioned, kappa(Sx) kappa(Sy) eps <=
+    SOLVE_RTOL, by dtrsyl elsewhere (factor.diag).  forcing is spec.forcing
+    staged on quad's grid once, at build time (a function t -> (3, nx, ny)
+    samples), or None without forcing.
     """
 
     spec: ModelSpec

@@ -29,6 +29,7 @@ from stochsem.timestepper import (DivergenceError, SolverFailure, advance, build
 
 from conftest import ref_dof_map
 from test_assembly import ref_assemble
+from test_timestepper import with_zeta
 
 UNIT = (0.0, 1.0, 0.0, 1.0)
 
@@ -37,9 +38,11 @@ def disc(nex=2, ney=1, order=5):
     return build_mesh(UNIT, nex, ney, order), make_basis(order)
 
 
-def noisy_setup(order=5, seed=13):
+def noisy_setup(order=5, seed=13, zeta=None):
+    """Linear Test 2 on 2x1/order with a noise sampler; zeta = 1e-2 from
+    order 10 on makes the eigenbases ill-conditioned (dtrsyl)."""
     mesh, basis = disc(order=order)
-    spec = make_test2("smooth").with_wp(0.0)
+    spec = with_zeta(make_test2("smooth").with_wp(0.0), zeta)
     sampler = QWienerSampler(truncation=4, amplitude=0.2, seed=seed)
     return spec, mesh, basis, sampler
 
@@ -195,10 +198,12 @@ class TestBatchedChunks:
     def test_snapshots(self):
         self.assert_chunk_equals_runs(*noisy_setup(), snapshot_times=(0.0, 0.1, 0.2))
 
-    @pytest.mark.parametrize("order,sweep", [(5, True), (17, False)], ids=["sweep", "schur"])
-    def test_each_side_of_the_sweep_cut(self, order, sweep):
-        spec, mesh, basis, sampler = noisy_setup(order=order)
-        assert build_scheme(mesh, basis, spec, 0.05).factor.sweep is sweep
+    @pytest.mark.parametrize("order,zeta,diag", [(5, None, True), (12, 1e-2, False)],
+                             ids=["sweep", "schur"])
+    def test_each_side_of_the_sweep_cut(self, order, zeta, diag):
+        # each kernel: the diagonalization, and dtrsyl on ill-conditioned eigenbases
+        spec, mesh, basis, sampler = noisy_setup(order=order, zeta=zeta)
+        assert build_scheme(mesh, basis, spec, 0.05).factor.diag is diag
         self.assert_chunk_equals_runs(spec, mesh, basis, sampler)
         one, two = (run_ensemble(spec, mesh, basis, 0.05, 0.2, sampler, M=10, workers=w,
                                  chunk_size=4) for w in (1, 2))
@@ -217,7 +222,7 @@ class TestBatchedChunks:
 
     def test_full_default_chunk_on_the_ensemble_discretization(self):
         # a whole default chunk (B = 32) of the Monte Carlo benchmark's
-        # problem: linear Test 2 on 2x2/order 8 (the column sweep), tau = 0.01
+        # problem: linear Test 2 on 2x2/order 8 (the diagonalization), tau = 0.01
         assert montecarlo.DEFAULT_CHUNK == 32
         self.IDS = range(32)
         mesh, basis = disc(2, 2, 8)
@@ -267,7 +272,8 @@ class TestTwinFields:
     a slot per field (the rule monkeypatched to the identity)."""
 
     CASES = [("smooth", 0.0), ("smooth", 0.6), ("delta", 0.0), ("delta", 0.6)]
-    MESHES = {"sweep": (2, 1, 5), "dtrsyl": (1, 1, 17)}
+    # (nex, ney, order, zeta): zeta = 1e-2 on 1x1/17 takes dtrsyl
+    MESHES = {"sweep": (2, 1, 5, None), "dtrsyl": (1, 1, 17, 1e-2)}
     TIMES = (0.0, 0.1, 0.2)
 
     @staticmethod
@@ -282,7 +288,8 @@ class TestTwinFields:
     @pytest.mark.parametrize("mesh", MESHES)
     @pytest.mark.parametrize("kind,wp", CASES)
     def test_run(self, monkeypatch, kind, wp, mesh, noise):
-        spec, (mesh, basis) = make_test2(kind).with_wp(wp), disc(*self.MESHES[mesh])
+        *shape, zeta = self.MESHES[mesh]
+        spec, (mesh, basis) = with_zeta(make_test2(kind).with_wp(wp), zeta), disc(*shape)
         sampler = QWienerSampler(truncation=4, amplitude=noise, seed=13)
         twin, identity = self.twin_and_identity(monkeypatch, lambda: run(
             spec, mesh, basis, 0.05, 0.2, sampler, sample_id=3, snapshot_times=self.TIMES,
@@ -298,7 +305,8 @@ class TestTwinFields:
     @pytest.mark.parametrize("mesh", MESHES)
     @pytest.mark.parametrize("kind,wp", CASES)
     def test_run_ensemble(self, monkeypatch, kind, wp, mesh):
-        spec, (mesh, basis) = make_test2(kind).with_wp(wp), disc(*self.MESHES[mesh])
+        *shape, zeta = self.MESHES[mesh]
+        spec, (mesh, basis) = with_zeta(make_test2(kind).with_wp(wp), zeta), disc(*shape)
         sampler = QWienerSampler(truncation=4, amplitude=0.2, seed=13)
         twin, identity = self.twin_and_identity(monkeypatch, lambda: run_ensemble(
             spec, mesh, basis, 0.05, 0.2, sampler, M=6, chunk_size=4,
@@ -377,9 +385,9 @@ class TestPickling:
 
 class TestFailureAttribution:
     def test_solver_failure_names_sample_step_and_field(self, monkeypatch):
-        spec, mesh, basis, sampler = noisy_setup(order=17)
+        spec, mesh, basis, sampler = noisy_setup(order=12, zeta=1e-2)
         ops = build_scheme(mesh, basis, spec, 0.05)
-        assert not ops.factor.sweep
+        assert not ops.factor.diag
         # a slot per field (u and v are twins here): per step a chunk of 4
         # calls dtrsyl for (sample, u), (sample, v), (sample, w) in sample
         # order: 12 calls; fail sample 6 = chunk 1, position 2, field v at
@@ -402,7 +410,7 @@ class TestFailureAttribution:
     def test_corrupted_sweep_solve_names_sample_step_and_field(self, monkeypatch):
         spec, mesh, basis, sampler = noisy_setup()
         ops = build_scheme(mesh, basis, spec, 0.05)
-        assert ops.factor.sweep
+        assert ops.factor.diag
         # a slot per field (u and v are twins here), one solve per
         # batch-step: chunk 0 takes 4, so chunk 1's step 2 is call 6; corrupt
         # its sample 6 (chunk position 2), field v, by a factor of 2, and so
